@@ -34,8 +34,6 @@ from .graphs import (
     GraphClassSpec,
     GraphFormatError,
     Permutation,
-    class_membership,
-    class_size,
     degree_profile,
     deviations,
     enumerate_graphs,
@@ -45,18 +43,10 @@ from .graphs import (
     sample_stream,
 )
 from .mechanisms import (
-    MECHANISM_NAMES,
     MechanismId,
     Outcome,
     kernel_for,
     resolve,
-    select_follow_fixed,
-    select_majority_threshold,
-    select_max_indegree_naive,
-    select_naive_iterated,
-    select_naive_simultaneous,
-    select_never,
-    select_twin_threshold,
 )
 from .partitions import (
     COMPOSITION_CAP,

@@ -15,9 +15,11 @@ infeasibility arguments compare masses against exactly 1).
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import factorial
 from typing import Callable, Union
 
@@ -30,6 +32,7 @@ from .graphs import (
     deviations,
     enumerate_graphs,
     graph_at_index,
+    iter_combos,
     sample_stream,
 )
 from .mechanisms import MechanismId, Outcome, kernel_for, resolve
@@ -110,39 +113,11 @@ class GapReport:
 # ---------------------------------------------------------------------------
 
 
-def _iter_combos(spec: GraphClassSpec, start: int, end: int):
-    """Per-vertex out-tuple combos for enumeration indices [start, end).
-
-    Yields an internal list that is mutated between yields; consumers must not
-    hold on to it.
-    """
-    choices = [spec.admissible_outsets(v) for v in range(1, spec.n + 1)]
-    n, radix = spec.n, spec.outset_count
-    digits = []
-    x = start
-    for _ in range(n):
-        x, r = divmod(x, radix)
-        digits.append(r)
-    digits.reverse()
-    combo = [choices[v][digits[v]] for v in range(n)]
-    for _ in range(start, end):
-        yield combo
-        v = n - 1
-        while v >= 0:
-            digits[v] += 1
-            if digits[v] < radix:
-                combo[v] = choices[v][digits[v]]
-                break
-            digits[v] = 0
-            combo[v] = choices[v][0]
-            v -= 1
-
-
 def _outcome_chunk(args) -> list[int]:
     mid, spec, start, end = args
     kern = kernel_for(mid)
     n = spec.n
-    return [kern(n, combo) for combo in _iter_combos(spec, start, end)]
+    return [kern(n, combo) for combo in iter_combos(spec, start, end)]
 
 
 def _pair_chunk(args) -> list[tuple[int, int, int, bool, bool]]:
@@ -178,7 +153,7 @@ def _gap_chunk(args) -> tuple[int, int, int]:
     n = spec.n
     best_gap, best_idx = -1, -1
     idx = start
-    for combo in _iter_combos(spec, start, end):
+    for combo in iter_combos(spec, start, end):
         deg = indegree_array(n, combo)
         sel = kern(n, combo)
         gap = max(deg) - (deg[sel] if sel else 0)
@@ -193,6 +168,28 @@ def _chunks(size: int, jobs: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, size)) for lo in range(0, size, step)]
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+
+
+def _worker_count(jobs: int, chunks: int) -> int:
+    """Worker processes for `chunks` chunks: never more than asked for, than
+    there are CPUs, or than there are chunks."""
+    return min(jobs, os.cpu_count() or 1, chunks)
+
+
+def _map_chunks(fn, size: int, jobs: int, *fixed) -> list:
+    """``fn((*fixed, lo, hi))`` for every chunk [lo, hi) of range(size), in
+    chunk order: here when one worker suffices, else in a process pool."""
+    args = [(*fixed, lo, hi) for lo, hi in _chunks(size, jobs)]
+    workers = _worker_count(jobs, len(args))
+    if workers == 1:
+        return [fn(a) for a in args]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, args))
+
+
 def _check_exhaustive_pre(spec: GraphClassSpec, cap: int) -> int:
     size = spec.size
     if size > cap:
@@ -201,14 +198,7 @@ def _check_exhaustive_pre(spec: GraphClassSpec, cap: int) -> int:
 
 
 def _outcome_table(mid: MechanismId, spec: GraphClassSpec, jobs: int) -> list[int]:
-    size = spec.size
-    if jobs <= 1:
-        return _outcome_chunk((mid, spec, 0, size))
-    table: list[int] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_outcome_chunk, [(mid, spec, lo, hi) for lo, hi in _chunks(size, jobs)]):
-            table.extend(part)
-    return table
+    return list(chain.from_iterable(_map_chunks(_outcome_chunk, spec.size, jobs, mid, spec)))
 
 
 def check_impartiality(
@@ -225,21 +215,14 @@ def check_impartiality(
     for the whole class in exhaustive mode).
     """
     mid.validate_for(spec.n)
+    _check_jobs(jobs)
     if isinstance(mode, Sampled):
         return _check_impartiality_sampled(mid, spec, mode)
     size = _check_exhaustive_pre(spec, cap)
     if size == 0:
         return []
     outcomes = _outcome_table(mid, spec, jobs)
-    n, radix = spec.n, spec.outset_count
-    if jobs <= 1:
-        raw = _pair_chunk((outcomes, n, radix, 0, size))
-    else:
-        raw = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            args = [(outcomes, n, radix, lo, hi) for lo, hi in _chunks(size, jobs)]
-            for part in pool.map(_pair_chunk, args):
-                raw.extend(part)
+    raw = chain.from_iterable(_map_chunks(_pair_chunk, size, jobs, outcomes, spec.n, spec.outset_count))
     violations = [
         _orient_violation(
             graph_at_index(spec, ia), graph_at_index(spec, ib), vtx, sel_a, sel_b
@@ -293,6 +276,7 @@ def measure_gap(
     report does not depend on the worker count.
     """
     mid.validate_for(spec.n)
+    _check_jobs(jobs)
     mechanism = resolve(mid)
     if isinstance(mode, Sampled):
         best_gap, witness = -1, None
@@ -302,25 +286,21 @@ def measure_gap(
             if gap > best_gap:
                 best_gap, witness = gap, graph
             count += 1
-        assert witness is not None, "sampled gap audit needs at least one trial"
+        if witness is None:
+            raise RuntimeError("sampled gap audit needs at least one trial")
         report = GapReport(best_gap, witness, count, mode.describe())
     else:
         size = _check_exhaustive_pre(spec, cap)
         if size == 0:
             raise ValueError(f"class {spec.describe()} is empty, no gap to measure")
-        if jobs <= 1:
-            results = [_gap_chunk((mid, spec, 0, size))]
-        else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                args = [(mid, spec, lo, hi) for lo, hi in _chunks(size, jobs)]
-                results = list(pool.map(_gap_chunk, args))
         best_gap, best_idx = -1, -1
-        for gap, idx, _ in results:
+        for gap, idx, _ in _map_chunks(_gap_chunk, size, jobs, mid, spec):
             if gap > best_gap or (gap == best_gap and idx < best_idx):
                 best_gap, best_idx = gap, idx
         report = GapReport(best_gap, graph_at_index(spec, best_idx), size, mode.describe())
     check = additive_gap(report.witness, mechanism(report.witness))
-    assert check == report.worst_gap, f"witness recomputation gave {check} != {report.worst_gap}"
+    if check != report.worst_gap:
+        raise RuntimeError(f"witness recomputation gave {check} != {report.worst_gap}")
     return report
 
 

@@ -250,7 +250,7 @@ def _cmd_partitions(args) -> int:
     rows = []
     for p in enumerate_compositions(args.n, args.cap):
         rows.append({"composition": list(p.parts), "r": p.r, "lambda": lambda_of(p)})
-    total = fubini(args.n, args.cap)
+    total = fubini(args.n)
     payload = {
         "n": args.n,
         "compositions": len(rows),

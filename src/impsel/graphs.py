@@ -15,8 +15,10 @@ targets {1, 2, 3} and no bound this gives
     (), (1,), (1, 2), (1, 2, 3), (1, 3), (2,), (2, 3), (3,).
 
 A class is enumerated in lexicographic order of the per-vertex choice tuple,
-the choice of vertex 1 varying slowest.  ``graph_at_index`` unranks the same
-order, so index arithmetic can replace materialized streams.
+the choice of vertex 1 varying slowest.  ``iter_combos`` walks any index range
+of that order and is the one enumerator (``enumerate_graphs`` wraps it);
+``graph_at_index`` unranks the same order, so index arithmetic can replace
+materialized streams.
 
 Sampling
 --------
@@ -305,14 +307,6 @@ class GraphClassSpec:
         return f"G{plus}_{self.n}{bound}"
 
 
-def class_membership(graph: DirectedGraph, spec: GraphClassSpec) -> bool:
-    return spec.contains(graph)
-
-
-def class_size(spec: GraphClassSpec) -> int:
-    return spec.size
-
-
 def _count_upto(m: int, b: int) -> int:
     """Number of subsets of an m-element pool with at most b elements."""
     if b < 0:
@@ -356,9 +350,39 @@ def enumerate_graphs(spec: GraphClassSpec, cap: int = ENUMERATION_CAP) -> Iterat
     """
     if spec.size > cap:
         raise CapExceeded(f"class {spec.describe()} has {spec.size} graphs, cap is {cap}")
-    choices = [spec.admissible_outsets(v) for v in range(1, spec.n + 1)]
-    for combo in itertools.product(*choices):
+    for combo in iter_combos(spec, 0, spec.size):
         yield DirectedGraph(spec.n, tuple(frozenset(s) for s in combo))
+
+
+def iter_combos(spec: GraphClassSpec, start: int, end: int) -> Iterator[list[tuple[int, ...]]]:
+    """Per-vertex out-tuples of the graphs with enumeration indices [start, end).
+
+    The class's only enumerator: ``enumerate_graphs`` wraps it and audits scan
+    index ranges with it.  It yields one internal list that is mutated between
+    yields; consumers must not hold on to it.
+    """
+    if start >= end:
+        return
+    choices = [spec.admissible_outsets(v) for v in range(1, spec.n + 1)]
+    n, radix = spec.n, spec.outset_count
+    digits = []
+    x = start
+    for _ in range(n):
+        x, r = divmod(x, radix)
+        digits.append(r)
+    digits.reverse()  # vertex 1 is the most significant digit
+    combo = [choices[v][digits[v]] for v in range(n)]
+    for _ in range(start, end):
+        yield combo
+        v = n - 1
+        while v >= 0:
+            digits[v] += 1
+            if digits[v] < radix:
+                combo[v] = choices[v][digits[v]]
+                break
+            digits[v] = 0
+            combo[v] = choices[v][0]
+            v -= 1
 
 
 def graph_at_index(spec: GraphClassSpec, index: int) -> DirectedGraph:

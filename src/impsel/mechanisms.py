@@ -4,21 +4,31 @@ Every mechanism maps a graph to at most one vertex.  All of them are pure
 functions of the input graph and never raise on degenerate inputs (n=1, no
 edges): where the rule yields nothing they return the empty outcome.
 
-Mechanism names and parameter syntax (the CLI contract):
+``MECHANISMS`` is the one registry: it maps each name to its parameter count,
+a validator of the parameters against a vertex count, and a kernel factory.
+``MechanismId`` construction and parsing, ``validate_for``, ``kernel_for`` and
+``resolve`` are all lookups in it.  Names and parameter syntax (the CLI
+contract):
 
     never              select nothing, always
-    max-naive          greatest-index vertex of maximum indegree (always selects)
-    follow:A           greatest-index out-neighbor of the fixed vertex A
-    majority           the vertex with indegree >= floor(n/2)+1, if any
-    naive-iter:t       iterated deletion at t, select top remaining >= t
-    naive-sim:t        one-shot deletion at t, select top remaining >= t+1
-    twin:T,t           iterated deletion at t, select top remaining >= T
+    max-naive          greatest-index vertex of maximum indegree (always selects;
+                       manipulable through the fixed tie-break)
+    follow:A           greatest-index out-neighbor of the fixed vertex A (never
+                       selects A itself)
+    majority           the vertex with indegree >= floor(n/2)+1, if any (ties to
+                       the greatest index)
+    naive-iter:t       iterated deletion at t, select top remaining >= t (twin
+                       with both thresholds at t; not impartial)
+    naive-sim:t        one-shot deletion at t, select top remaining >= t+1 (not
+                       impartial)
+    twin:T,t           iterated deletion at t, select top remaining >= T (the
+                       traced variant lives in :mod:`impsel.twin_threshold`)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from ._deletion import indegree_array, select_top, twin_select
 from .graphs import DirectedGraph
@@ -52,16 +62,12 @@ class Outcome:
     def none(cls) -> "Outcome":
         return cls(frozenset(), 0)
 
-
-def _outcome(graph: DirectedGraph, v: int) -> Outcome:
-    if v == 0:
-        return Outcome.none()
-    return Outcome(frozenset({v}), graph.indegrees[v - 1])
-
-
-def _check_threshold(t: int, n: int) -> None:
-    if not 1 <= t <= n - 1:
-        raise ValueError(f"threshold {t} outside 1..{n - 1}")
+    @classmethod
+    def of(cls, graph: DirectedGraph, v: int) -> "Outcome":
+        """Outcome of selecting vertex v of `graph` (0 selects nothing)."""
+        if v == 0:
+            return cls.none()
+        return cls(frozenset({v}), graph.indegrees[v - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -104,88 +110,59 @@ def _naive_sim_kernel(t: int) -> Kernel:
     return kernel
 
 
+def _twin_kernel(upper: int, lower: int) -> Kernel:
+    def kernel(n: int, outs: Sequence[Sequence[int]]) -> int:
+        return twin_select(n, outs, upper, lower)
+
+    return kernel
+
+
 # ---------------------------------------------------------------------------
-# public mechanisms
+# parameter validators: (n, params) -> None, raising ValueError
 # ---------------------------------------------------------------------------
 
 
-def select_never(graph: DirectedGraph) -> Outcome:
-    """The constant mechanism: never selects."""
-    return Outcome.none()
+def _no_params(n: int, params: tuple[int, ...]) -> None:
+    pass
 
 
-def select_max_indegree_naive(graph: DirectedGraph) -> Outcome:
-    """Greatest-index vertex among those of maximum indegree; always selects.
-
-    Deliberately manipulable: the fixed tie-breaking lets a top vertex change
-    its own fate by redirecting its nomination.  Audit negative control.
-    """
-    return _outcome(graph, _max_naive_kernel(graph.n, graph.out_tuples))
+def _check_anchor(n: int, params: tuple[int, ...]) -> None:
+    (anchor,) = params
+    if not 1 <= anchor <= n:
+        raise ValueError(f"anchor {anchor} outside 1..{n}")
 
 
-def select_follow_fixed(graph: DirectedGraph, anchor: int = 1) -> Outcome:
-    """Greatest-index out-neighbor of the fixed anchor vertex, if any.
-
-    Never selects the anchor itself, so the anchor's own edges cannot affect
-    its (non-)selection.
-    """
-    if not 1 <= anchor <= graph.n:
-        raise ValueError(f"anchor {anchor} outside 1..{graph.n}")
-    return _outcome(graph, _follow_kernel(anchor)(graph.n, graph.out_tuples))
+def _check_threshold(n: int, params: tuple[int, ...]) -> None:
+    (t,) = params
+    if not 1 <= t <= n - 1:
+        raise ValueError(f"threshold {t} outside 1..{n - 1}")
 
 
-def select_majority_threshold(graph: DirectedGraph) -> Outcome:
-    """Select the vertex with indegree at least floor(n/2)+1, else nothing.
-
-    On single-nomination graphs at most one vertex can qualify; on general
-    inputs ties resolve to the greatest index so the mechanism stays total.
-    """
-    return _outcome(graph, _majority_kernel(graph.n, graph.out_tuples))
-
-
-def select_naive_iterated(graph: DirectedGraph, t: int) -> Outcome:
-    """Iterated deletion at threshold t, then select top remaining >= t.
-
-    Equals the twin-threshold rule with both thresholds at t.  Not impartial;
-    audit negative control.
-    """
-    _check_threshold(t, graph.n)
-    return _outcome(graph, twin_select(graph.n, graph.out_tuples, t, t))
-
-
-def select_naive_simultaneous(graph: DirectedGraph, t: int) -> Outcome:
-    """One-shot deletion of the out-edges of all vertices with indegree >= t,
-    then select top remaining >= t+1.  Not impartial; audit negative control.
-    """
-    _check_threshold(t, graph.n)
-    return _outcome(graph, _naive_sim_kernel(t)(graph.n, graph.out_tuples))
-
-
-def select_twin_threshold(graph: DirectedGraph, upper: int, lower: int) -> Outcome:
-    """Twin-threshold selection without the deletion trace.
-
-    The traced variant lives in :mod:`impsel.twin_threshold`; both share the
-    same deletion core.
-    """
-    if not (1 <= lower <= upper <= graph.n - 1):
-        raise ValueError(f"thresholds ({upper}, {lower}) invalid for n={graph.n}")
-    return _outcome(graph, twin_select(graph.n, graph.out_tuples, upper, lower))
+def _check_pair(n: int, params: tuple[int, ...]) -> None:
+    upper, lower = params
+    if not 1 <= lower <= upper <= n - 1:
+        raise ValueError(f"thresholds ({upper}, {lower}) invalid for n={n}")
 
 
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 
-MECHANISM_NAMES = ("never", "max-naive", "follow", "majority", "naive-iter", "naive-sim", "twin")
 
-_PARAM_COUNT = {
-    "never": 0,
-    "max-naive": 0,
-    "follow": 1,
-    "majority": 0,
-    "naive-iter": 1,
-    "naive-sim": 1,
-    "twin": 2,
+class MechanismEntry(NamedTuple):
+    arity: int
+    validate: Callable[[int, tuple[int, ...]], None]
+    kernel: Callable[[tuple[int, ...]], Kernel]
+
+
+MECHANISMS: dict[str, MechanismEntry] = {
+    "never": MechanismEntry(0, _no_params, lambda p: _never_kernel),
+    "max-naive": MechanismEntry(0, _no_params, lambda p: _max_naive_kernel),
+    "follow": MechanismEntry(1, _check_anchor, lambda p: _follow_kernel(*p)),
+    "majority": MechanismEntry(0, _no_params, lambda p: _majority_kernel),
+    "naive-iter": MechanismEntry(1, _check_threshold, lambda p: _twin_kernel(p[0], p[0])),
+    "naive-sim": MechanismEntry(1, _check_threshold, lambda p: _naive_sim_kernel(*p)),
+    "twin": MechanismEntry(2, _check_pair, lambda p: _twin_kernel(*p)),
 }
 
 
@@ -198,11 +175,11 @@ class MechanismId:
 
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(self.params))
-        if self.name not in _PARAM_COUNT:
-            raise ValueError(f"unknown mechanism {self.name!r}; known: {', '.join(MECHANISM_NAMES)}")
-        want = _PARAM_COUNT[self.name]
-        if len(self.params) != want:
-            raise ValueError(f"mechanism {self.name!r} takes {want} parameter(s), got {len(self.params)}")
+        entry = MECHANISMS.get(self.name)
+        if entry is None:
+            raise ValueError(f"unknown mechanism {self.name!r}; known: {', '.join(MECHANISMS)}")
+        if len(self.params) != entry.arity:
+            raise ValueError(f"mechanism {self.name!r} takes {entry.arity} parameter(s), got {len(self.params)}")
 
     @classmethod
     def parse(cls, text: str) -> "MechanismId":
@@ -223,46 +200,21 @@ class MechanismId:
 
     def validate_for(self, n: int) -> None:
         """Check parameter ranges against a target vertex count."""
-        if self.name == "follow":
-            (anchor,) = self.params
-            if not 1 <= anchor <= n:
-                raise ValueError(f"anchor {anchor} outside 1..{n}")
-        elif self.name in ("naive-iter", "naive-sim"):
-            (t,) = self.params
-            _check_threshold(t, n)
-        elif self.name == "twin":
-            upper, lower = self.params
-            if not 1 <= lower <= upper <= n - 1:
-                raise ValueError(f"thresholds ({upper}, {lower}) invalid for n={n}")
+        MECHANISMS[self.name].validate(n, self.params)
 
 
 def kernel_for(mid: MechanismId) -> Kernel:
     """Raw kernel for audit loops: (n, out-tuples) -> selected vertex or 0."""
-    if mid.name == "never":
-        return _never_kernel
-    if mid.name == "max-naive":
-        return _max_naive_kernel
-    if mid.name == "follow":
-        return _follow_kernel(mid.params[0])
-    if mid.name == "majority":
-        return _majority_kernel
-    if mid.name == "naive-iter":
-        t = mid.params[0]
-        return lambda n, outs: twin_select(n, outs, t, t)
-    if mid.name == "naive-sim":
-        return _naive_sim_kernel(mid.params[0])
-    if mid.name == "twin":
-        upper, lower = mid.params
-        return lambda n, outs: twin_select(n, outs, upper, lower)
-    raise ValueError(f"unknown mechanism {mid.name!r}")
+    return MECHANISMS[mid.name].kernel(mid.params)
 
 
 def resolve(mid: MechanismId) -> Callable[[DirectedGraph], Outcome]:
-    """Graph-level callable for a registry mechanism."""
+    """Graph-level callable for a registry mechanism; validates the parameters
+    against each graph's vertex count."""
     kernel = kernel_for(mid)
 
     def mechanism(graph: DirectedGraph) -> Outcome:
         mid.validate_for(graph.n)
-        return _outcome(graph, kernel(graph.n, graph.out_tuples))
+        return Outcome.of(graph, kernel(graph.n, graph.out_tuples))
 
     return mechanism

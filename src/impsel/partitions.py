@@ -23,7 +23,7 @@ point never enters any comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import comb, factorial
 from typing import Iterator, NamedTuple
 
 from .graphs import CapExceeded, DirectedGraph
@@ -109,11 +109,17 @@ class FubiniResult(NamedTuple):
     odd: bool
 
 
-def fubini(n: int, cap: int = COMPOSITION_CAP) -> FubiniResult:
-    """Number of weak orders on n elements: the multiplicity sum over all
-    compositions of n.  The parity flag is part of the result because the
-    certificate construction hinges on it being odd."""
-    total = sum(lambda_of(p) for p in enumerate_compositions(n, cap))
+def fubini(n: int) -> FubiniResult:
+    """Number of weak orders on n elements, which is the multiplicity sum over
+    all compositions of n, by the recurrence a(m) = sum_k C(m, k) a(m - k)
+    (choose the k elements of the top level).  The parity flag is part of the
+    result because the certificate construction hinges on it being odd."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    a = [1]
+    for m in range(1, n + 1):
+        a.append(sum(comb(m, k) * a[m - k] for k in range(1, m + 1)))
+    total = a[n]
     return FubiniResult(total, total % 2 == 1)
 
 
@@ -311,7 +317,8 @@ def build_certificate(n: int, cap: int = COMPOSITION_CAP) -> Certificate:
     plus_even = even_total - odd_total
     sign_even = 1 if plus_even < 0 else -1
     rhs_total = sign_even * even_total - sign_even * odd_total
-    assert rhs_total < 0 and rhs_total % 2 != 0, f"signed total {rhs_total} must be odd and negative"
+    if rhs_total >= 0 or rhs_total % 2 == 0:
+        raise RuntimeError(f"signed total {rhs_total} must be odd and negative")
 
     rows = []
     for p in comps:

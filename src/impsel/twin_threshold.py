@@ -84,8 +84,7 @@ def run_twin_threshold(graph: DirectedGraph, thresholds: ThresholdPair) -> tuple
         istar=istar,
         dstar=dstar,
     )
-    outcome = Outcome(frozenset({selected}), graph.indegrees[selected - 1]) if selected else Outcome.none()
-    return outcome, trace
+    return Outcome.of(graph, selected), trace
 
 
 def additive_gap(graph: DirectedGraph, outcome: Outcome) -> int:
@@ -183,8 +182,10 @@ def plan_thresholds_k1(n: int) -> PlanReport:
             degenerate=True,
             note=f"raw thresholds (T={upper_raw}, t={t_raw}) clamped to 1..{n - 1}; mechanism may never select",
         )
-    assert report.impartial_certified, f"k=1 plan for n={n} failed its own certification"
-    assert report.alpha_bound**2 <= 8 * n, f"k=1 plan for n={n} broke alpha^2 <= 8n"
+    if not report.impartial_certified:
+        raise RuntimeError(f"k=1 plan for n={n} failed its own certification")
+    if report.alpha_bound**2 > 8 * n:
+        raise RuntimeError(f"k=1 plan for n={n} broke alpha^2 <= 8n")
     return report
 
 

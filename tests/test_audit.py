@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import impsel.audit
 from impsel import (
     CapExceeded,
     DirectedGraph,
@@ -113,6 +114,34 @@ def test_results_do_not_depend_on_worker_count():
     g1 = measure_gap(MechanismId.parse("never"), spec, jobs=1)
     g3 = measure_gap(MechanismId.parse("never"), spec, jobs=3)
     assert (g1.worst_gap, g1.witness, g1.graphs_checked) == (g3.worst_gap, g3.witness, g3.graphs_checked)
+
+
+def test_worker_pool_is_clamped_to_cpus_and_chunks(monkeypatch):
+    # A fake pool records the worker count the dispatch helper asks for and
+    # runs the chunks here, so a huge --jobs starts no process at all.
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(impsel.audit, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(impsel.audit.os, "cpu_count", lambda: 4)
+    mid, spec = MechanismId.parse("max-naive"), GraphClassSpec(4, 1)
+    serial = check_impartiality(mid, spec)
+    assert check_impartiality(mid, spec, jobs=10**9) == serial
+    assert measure_gap(mid, spec, jobs=10**9) == measure_gap(mid, spec)
+    assert asked == [4, 4, 4]  # outcome table, pair scan, gap scan
+    assert impsel.audit._worker_count(10**9, 3) == 3
 
 
 # ---- gaps ----

@@ -140,6 +140,16 @@ def test_audit_impartiality_violations_exit_1(capsys):
     assert first["graph_a"].startswith("n 4\n") and first["selected_a"] != first["selected_b"]
 
 
+def test_audit_rejects_jobs_below_one(capsys):
+    for kind in ("impartiality", "gap"):
+        for mode in (("--exhaustive",), ("--samples", "2", "--seed", "1")):
+            for jobs in ("0", "-3"):
+                argv = ("audit", kind, "--mechanism", "never", "--n", "3", *mode, "--jobs", jobs)
+                code, out, err = run_cli(capsys, *argv)
+                assert code == 2 and out == ""
+                assert err.startswith("error:") and "jobs" in err
+
+
 def test_audit_output_independent_of_jobs(capsys):
     args = ["audit", "impartiality", "--mechanism", "max-naive", "--n", "4", "--k", "1", "--exhaustive", "--json"]
     _, one, _ = run_cli(capsys, *args, "--jobs", "1")

@@ -11,8 +11,6 @@ from impsel import (
     GraphClassSpec,
     GraphFormatError,
     Permutation,
-    class_membership,
-    class_size,
     degree_profile,
     deviations,
     enumerate_graphs,
@@ -21,6 +19,8 @@ from impsel import (
     sample_graph,
     sample_stream,
 )
+from impsel.audit import _chunks
+from impsel.graphs import iter_combos
 from conftest import graph
 
 
@@ -122,18 +122,19 @@ def test_spec_validation():
 
 def test_class_membership_examples():
     single = graph(2, (1, 2))
-    assert not class_membership(single, GraphClassSpec(2, 1, True))  # vertex 2 abstains
-    assert class_membership(single, GraphClassSpec(2, 1, False))
+    assert not GraphClassSpec(2, 1, True).contains(single)  # vertex 2 abstains
+    assert GraphClassSpec(2, 1, False).contains(single)
     complete3 = graph(3, (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
-    assert not class_membership(complete3, GraphClassSpec(3, 1))
-    assert not class_membership(single, GraphClassSpec(3, 1))  # wrong vertex count
+    assert not GraphClassSpec(3, 1).contains(complete3)
+    assert not GraphClassSpec(3, 1).contains(single)  # wrong vertex count
 
 
 def test_enumeration_counts():
-    assert class_size(GraphClassSpec(2, 1)) == 4
-    assert class_size(GraphClassSpec(4, 1)) == 256
-    assert class_size(GraphClassSpec(4, None, True)) == 7**4
+    assert GraphClassSpec(2, 1).size == 4
+    assert GraphClassSpec(4, 1).size == 256
+    assert GraphClassSpec(4, None, True).size == 7**4
     assert len(list(enumerate_graphs(GraphClassSpec(2, 1)))) == 4
+    assert list(enumerate_graphs(GraphClassSpec(1, None, True))) == []  # a lone vertex cannot nominate
 
 
 @pytest.mark.parametrize(
@@ -158,7 +159,7 @@ def test_enumeration_matches_closed_form_and_is_duplicate_free(spec):
         assert spec.contains(g)
         seen.add(g.key)
         count += 1
-    assert count == expected == class_size(spec)
+    assert count == expected == spec.size
     assert len(seen) == count
 
 
@@ -178,6 +179,16 @@ def test_graph_at_index_agrees_with_enumeration():
             assert graph_at_index(spec, i) == g
     with pytest.raises(ValueError):
         graph_at_index(GraphClassSpec(2, 1), 4)
+
+
+def test_enumerator_starts_mid_range_at_chunk_boundaries():
+    # audits with jobs > 1 start the enumerator at the boundaries _chunks makes
+    for spec in (GraphClassSpec(3, None), GraphClassSpec(3, 1, True), GraphClassSpec(4, 1)):
+        chunks = _chunks(spec.size, 3)
+        assert len(chunks) == 3 and chunks[-1][1] == spec.size
+        for lo, hi in chunks:
+            got = [DirectedGraph(spec.n, tuple(map(frozenset, combo))) for combo in iter_combos(spec, lo, hi)]
+            assert got == [graph_at_index(spec, i) for i in range(lo, hi)]
 
 
 def test_enumeration_cap():

@@ -4,94 +4,91 @@ from impsel import (
     DirectedGraph,
     GraphClassSpec,
     MechanismId,
+    Outcome,
     check_impartiality,
     enumerate_graphs,
     measure_gap,
     resolve,
-    select_follow_fixed,
-    select_majority_threshold,
-    select_max_indegree_naive,
-    select_naive_iterated,
-    select_naive_simultaneous,
-    select_never,
-    select_twin_threshold,
 )
 from conftest import graph
 
 STAR5 = graph(5, (2, 1), (3, 1), (4, 1), (5, 1))
 
 
+def run(text: str, g: DirectedGraph) -> Outcome:
+    return resolve(MechanismId.parse(text))(g)
+
+
 def test_never():
-    assert select_never(STAR5).selected == frozenset()
-    assert select_never(DirectedGraph.empty(3)).selected_indegree == 0
-    assert STAR5.max_indegree - select_never(STAR5).selected_indegree == 4
+    assert run("never", STAR5).selected == frozenset()
+    assert run("never", DirectedGraph.empty(3)).selected_indegree == 0
+    assert STAR5.max_indegree - run("never", STAR5).selected_indegree == 4
 
 
 def test_max_indegree_naive():
-    assert select_max_indegree_naive(DirectedGraph.empty(3)).vertex == 3  # all tie at 0
-    assert select_max_indegree_naive(STAR5).vertex == 1
-    assert select_max_indegree_naive(graph(2, (1, 2), (2, 1))).vertex == 2
-    assert select_max_indegree_naive(DirectedGraph.empty(1)).vertex == 1
+    assert run("max-naive", DirectedGraph.empty(3)).vertex == 3  # all tie at 0
+    assert run("max-naive", STAR5).vertex == 1
+    assert run("max-naive", graph(2, (1, 2), (2, 1))).vertex == 2
+    assert run("max-naive", DirectedGraph.empty(1)).vertex == 1
 
 
 def test_follow_fixed():
     g = graph(4, (1, 2), (1, 4))
-    out = select_follow_fixed(g, 1)
+    out = run("follow:1", g)
     assert out.vertex == 4 and out.selected_indegree == 1
-    assert select_follow_fixed(DirectedGraph.empty(4), 1).vertex is None
-    assert select_follow_fixed(g, 3).vertex is None  # anchor abstains
+    assert run("follow:1", DirectedGraph.empty(4)).vertex is None
+    assert run("follow:3", g).vertex is None  # anchor abstains
     with pytest.raises(ValueError):
-        select_follow_fixed(g, 5)
+        run("follow:5", g)
 
 
 def test_follow_fixed_never_selects_anchor_and_bounds_gap():
     # positive outdegree forces a nonempty outcome with indegree >= 1
     spec = GraphClassSpec(3, None, True)
     for g in enumerate_graphs(spec):
-        out = select_follow_fixed(g, 1)
+        out = run("follow:1", g)
         assert out.vertex is not None and out.vertex != 1
         assert out.selected_indegree >= 1
         assert g.max_indegree - out.selected_indegree <= g.n - 2
 
 
 def test_majority_threshold():
-    assert select_majority_threshold(STAR5).vertex == 1  # 4 >= floor(5/2)+1 = 3
+    assert run("majority", STAR5).vertex == 1  # 4 >= floor(5/2)+1 = 3
     two_low = graph(5, (2, 1), (3, 1), (4, 5), (1, 5))  # two vertices at indegree 2
-    assert select_majority_threshold(two_low).vertex is None
-    assert select_majority_threshold(DirectedGraph.empty(4)).vertex is None
+    assert run("majority", two_low).vertex is None
+    assert run("majority", DirectedGraph.empty(4)).vertex is None
 
 
 def test_naive_iterated():
     low = graph(4, (2, 1))  # max indegree 1 < t
-    assert select_naive_iterated(low, 2).vertex is None
-    assert select_naive_iterated(STAR5, 2).vertex == 1
+    assert run("naive-iter:2", low).vertex is None
+    assert run("naive-iter:2", STAR5).vertex == 1
     with pytest.raises(ValueError):
-        select_naive_iterated(STAR5, 5)
+        run("naive-iter:5", STAR5)
 
 
 def test_naive_iterated_equals_twin_with_equal_thresholds():
     spec = GraphClassSpec(4, 1)
     for g in enumerate_graphs(spec):
-        assert select_naive_iterated(g, 2) == select_twin_threshold(g, 2, 2)
+        assert run("naive-iter:2", g) == run("twin:2,2", g)
 
 
 def test_naive_simultaneous():
     low = graph(4, (2, 1))
-    assert select_naive_simultaneous(low, 2).vertex is None
+    assert run("naive-sim:2", low).vertex is None
     # mutual top pair: deleting both outgoing sets at once leaves nobody above t+1
     g = graph(5, (1, 2), (2, 1), (3, 1), (4, 1), (5, 2))  # indegrees 3, 2 at t=2
-    assert select_naive_simultaneous(g, 2).vertex is None
+    assert run("naive-sim:2", g).vertex is None
     # without the back edge, only vertex 1 is above t and keeps its support
     g2 = graph(5, (2, 1), (3, 1), (4, 1), (5, 2))
-    assert select_naive_simultaneous(g2, 2).vertex == 1
+    assert run("naive-sim:2", g2).vertex == 1
     with pytest.raises(ValueError):
-        select_naive_simultaneous(low, 0)
+        run("naive-sim:0", low)
 
 
 def test_mechanisms_are_pure():
-    for fn in (select_never, select_max_indegree_naive, select_majority_threshold):
-        assert fn(STAR5) == fn(STAR5)
-    assert select_naive_iterated(STAR5, 2) == select_naive_iterated(STAR5, 2)
+    for text in ("never", "max-naive", "majority", "naive-iter:2"):
+        assert run(text, STAR5) == run(text, STAR5)
 
 
 # ---- registry ----
@@ -116,17 +113,19 @@ def test_mechanism_id_rejects_bad_input():
 
 
 def test_resolve_matches_direct_calls():
-    cases = [
-        ("never", select_never(STAR5)),
-        ("max-naive", select_max_indegree_naive(STAR5)),
-        ("follow:2", select_follow_fixed(STAR5, 2)),
-        ("majority", select_majority_threshold(STAR5)),
-        ("naive-iter:2", select_naive_iterated(STAR5, 2)),
-        ("naive-sim:2", select_naive_simultaneous(STAR5, 2)),
-        ("twin:3,2", select_twin_threshold(STAR5, 3, 2)),
-    ]
-    for text, expected in cases:
-        assert resolve(MechanismId.parse(text))(STAR5) == expected
+    hub = Outcome(frozenset({1}), 4)
+    expected = {
+        "never": Outcome.none(),
+        "max-naive": hub,
+        "follow:2": hub,
+        "majority": hub,
+        "naive-iter:2": hub,
+        "naive-sim:2": hub,
+        "twin:3,2": hub,
+        "follow:1": Outcome.none(),  # the hub abstains
+    }
+    for text, outcome in expected.items():
+        assert run(text, STAR5) == outcome, text
 
 
 # ---- audit-facing contracts ----

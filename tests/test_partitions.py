@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from impsel import (
@@ -89,6 +91,17 @@ def test_fubini_small_values_and_parity():
 def test_fubini_is_multiplicity_sum():
     for n in range(1, 10):
         assert fubini(n).value == sum(lambda_of(p) for p in enumerate_compositions(n))
+
+
+def test_fubini_past_the_composition_cap():
+    # weak orders with k levels: k! times the Stirling number S(n, k)
+    n = 25
+    stirling = [1] + [0] * n  # S(m, k) for the current m, starting at m = 0
+    for _ in range(n):
+        stirling = [0] + [k * stirling[k] + stirling[k - 1] for k in range(1, n + 1)]
+    result = fubini(n)
+    assert result.value == sum(math.factorial(k) * stirling[k] for k in range(n + 1))
+    assert result.odd
 
 
 # ---- generated graphs ----

@@ -1,21 +1,24 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import impsel.twin_threshold
 from impsel import (
     DirectedGraph,
     GraphClassSpec,
+    MechanismId,
     ThresholdPair,
     additive_gap,
     check_trace_invariants,
     enumerate_graphs,
     plan_thresholds_general,
     plan_thresholds_k1,
+    resolve,
     run_twin_threshold,
     sample_graph,
-    select_twin_threshold,
     validate_thresholds,
 )
 from conftest import graph
@@ -78,7 +81,7 @@ def test_traced_and_untraced_paths_agree_on_a_class():
     for g in enumerate_graphs(spec):
         for pair in (ThresholdPair(2, 1), ThresholdPair(3, 2), ThresholdPair(3, 3)):
             out, _ = run_twin_threshold(g, pair)
-            assert out == select_twin_threshold(g, pair.upper, pair.lower)
+            assert out == resolve(MechanismId("twin", (pair.upper, pair.lower)))(g)
 
 
 def test_additive_gap_examples():
@@ -179,12 +182,24 @@ def test_plan_general_alpha_stays_order_root_n_for_constant_k():
 
 
 def test_plan_k1_dense_range_never_breaks_its_own_promises():
-    # the planner asserts certification and alpha^2 <= 8n internally whenever
+    # the planner checks certification and alpha^2 <= 8n internally whenever
     # the raw thresholds were in range; sweep a dense range to exercise that
     for n in range(2, 600):
         r = plan_thresholds_k1(n)
         assert r.degenerate or (r.impartial_certified and r.alpha_bound**2 <= 8 * n)
         assert 1 <= r.thresholds.lower <= r.thresholds.upper <= n - 1
+
+
+def test_plan_k1_raises_when_its_own_certification_fails(monkeypatch):
+    # The contract must hold under python -O too, so it cannot be an assert.
+    real = impsel.twin_threshold.validate_thresholds
+
+    def uncertified(*args):
+        return dataclasses.replace(real(*args), impartial_certified=False)
+
+    monkeypatch.setattr(impsel.twin_threshold, "validate_thresholds", uncertified)
+    with pytest.raises(RuntimeError, match="failed its own certification"):
+        plan_thresholds_k1(100)
 
 
 def test_gap_bound_holds_on_sampled_graphs():
