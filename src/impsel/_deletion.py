@@ -20,7 +20,7 @@ def indegree_array(n: int, outs: OutLists) -> list[int]:
     return deg
 
 
-def run_deletion(n: int, outs: OutLists, t: int) -> tuple[list[int], list[tuple[int, int, int]], list[bool]]:
+def run_deletion(n: int, outs: OutLists, t: int) -> tuple[list[int], list[tuple[int, int, int]]]:
     """Iteratively delete outgoing edges of vertices with remaining indegree >= t.
 
     A sweep value d starts at the maximum indegree and decreases only when no
@@ -28,9 +28,8 @@ def run_deletion(n: int, outs: OutLists, t: int) -> tuple[list[int], list[tuple[
     greatest-index such vertex loses its outgoing edges, decrementing the
     remaining indegree of each of its out-neighbors (deleted or not).
 
-    Returns (deg, deletions, deleted): the final remaining indegrees, the
-    ordered per-iteration records (iteration, vertex, degree_at_deletion), and
-    the deletion flags.
+    Returns (deg, deletions): the final remaining indegrees and the ordered
+    per-iteration records (iteration, vertex, degree_at_deletion).
     """
     deg = indegree_array(n, outs)
     d = max(deg)
@@ -51,7 +50,7 @@ def run_deletion(n: int, outs: OutLists, t: int) -> tuple[list[int], list[tuple[
         for u in outs[v - 1]:
             deg[u] -= 1
         i += 1
-    return deg, deletions, deleted
+    return deg, deletions
 
 
 def select_top(n: int, deg: Sequence[int], threshold: int) -> int:
@@ -68,5 +67,5 @@ def select_top(n: int, deg: Sequence[int], threshold: int) -> int:
 
 def twin_select(n: int, outs: OutLists, upper: int, lower: int) -> int:
     """Selected vertex (0 for none) of the twin-threshold rule, without tracing."""
-    deg, _, _ = run_deletion(n, outs, lower)
+    deg, _ = run_deletion(n, outs, lower)
     return select_top(n, deg, upper)

@@ -2,14 +2,17 @@
 
 Impartiality is checked directly against its definition: for every base graph
 and every vertex, every admissible rewrite of that vertex's outgoing edges
-must leave the vertex's selection status unchanged.  Exhaustive mode scans a
-whole graph class (optionally split across worker processes; results are
-independent of the worker count), sampled mode draws seeded base graphs and
-still checks all of their deviations.
+must leave the vertex's selection status unchanged.  Exhaustive mode runs the
+mechanism kernel once on every graph of a class into an outcome table; only
+that kernel pass is split across worker processes, and results are
+independent of the worker count.  Both scans over the table, for violating
+deviation pairs and for additive gaps, are whole-table numpy operations.
+Sampled mode draws seeded base graphs and still checks all of their
+deviations.
 
-Worst additive gaps are measured the same way, trace invariants are re-derived
-from recorded deletion traces, and randomized lifts/symmetrizations are
-evaluated in exact rational arithmetic (never floating point: downstream
+Worst additive gaps are measured in the same two modes, trace invariants are
+re-derived from recorded deletion traces, and randomized lifts/symmetrizations
+are evaluated in exact rational arithmetic (never floating point: downstream
 infeasibility arguments compare masses against exactly 1).
 """
 
@@ -19,11 +22,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import repeat
 from math import factorial
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
-from ._deletion import indegree_array
+import numpy as np
+
 from .graphs import (
     CapExceeded,
     DirectedGraph,
@@ -109,58 +113,16 @@ class GapReport:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive scans (index-based, parallelizable)
+# exhaustive scans: one kernel pass, then whole-table numpy
 # ---------------------------------------------------------------------------
 
 
-def _outcome_chunk(args) -> list[int]:
+def _outcome_chunk(args) -> np.ndarray:
+    """Selected vertex (0 for none) of every graph with index in [start, end)."""
     mid, spec, start, end = args
     kern = kernel_for(mid)
     n = spec.n
-    return [kern(n, combo) for combo in iter_combos(spec, start, end)]
-
-
-def _pair_chunk(args) -> list[tuple[int, int, int, bool, bool]]:
-    """Scan deviation pairs with base index in [start, end).
-
-    Each unordered pair is reported once, from its smaller index: the partner
-    index of a deviation differs in a single mixed-radix digit, so scanning
-    only larger digits covers every pair exactly once.
-    """
-    outcomes, n, radix, start, end = args
-    powers = [radix ** (n - 1 - i) for i in range(n)]
-    found: list[tuple[int, int, int, bool, bool]] = []
-    for idx in range(start, end):
-        sel = outcomes[idx]
-        rem = idx
-        for vi in range(n):
-            p = powers[vi]
-            digit, rem = divmod(rem, p)
-            vtx = vi + 1
-            here = sel == vtx
-            j = idx
-            for _ in range(digit + 1, radix):
-                j += p
-                if (outcomes[j] == vtx) != here:
-                    found.append((idx, j, vtx, here, outcomes[j] == vtx))
-    return found
-
-
-def _gap_chunk(args) -> tuple[int, int, int]:
-    """Worst (gap, attaining index) over enumeration indices [start, end)."""
-    mid, spec, start, end = args
-    kern = kernel_for(mid)
-    n = spec.n
-    best_gap, best_idx = -1, -1
-    idx = start
-    for combo in iter_combos(spec, start, end):
-        deg = indegree_array(n, combo)
-        sel = kern(n, combo)
-        gap = max(deg) - (deg[sel] if sel else 0)
-        if gap > best_gap:
-            best_gap, best_idx = gap, idx
-        idx += 1
-    return best_gap, best_idx, end - start
+    return np.fromiter((kern(n, combo) for combo in iter_combos(spec, start, end)), np.int8, end - start)
 
 
 def _chunks(size: int, jobs: int) -> list[tuple[int, int]]:
@@ -175,19 +137,13 @@ def _check_jobs(jobs: int) -> None:
 
 def _worker_count(jobs: int, chunks: int) -> int:
     """Worker processes for `chunks` chunks: never more than asked for, than
-    there are CPUs, or than there are chunks."""
-    return min(jobs, os.cpu_count() or 1, chunks)
-
-
-def _map_chunks(fn, size: int, jobs: int, *fixed) -> list:
-    """``fn((*fixed, lo, hi))`` for every chunk [lo, hi) of range(size), in
-    chunk order: here when one worker suffices, else in a process pool."""
-    args = [(*fixed, lo, hi) for lo, hi in _chunks(size, jobs)]
-    workers = _worker_count(jobs, len(args))
-    if workers == 1:
-        return [fn(a) for a in args]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args))
+    there are usable CPUs (the affinity mask where the platform has one), or
+    than there are chunks."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(jobs, cpus, chunks)
 
 
 def _check_exhaustive_pre(spec: GraphClassSpec, cap: int) -> int:
@@ -197,8 +153,59 @@ def _check_exhaustive_pre(spec: GraphClassSpec, cap: int) -> int:
     return size
 
 
-def _outcome_table(mid: MechanismId, spec: GraphClassSpec, jobs: int) -> list[int]:
-    return list(chain.from_iterable(_map_chunks(_outcome_chunk, spec.size, jobs, mid, spec)))
+def _outcome_table(mid: MechanismId, spec: GraphClassSpec, jobs: int) -> np.ndarray:
+    """Entry i is the vertex selected (0 for none) on the i-th graph of a
+    non-empty class.  This kernel pass is the only work split across worker
+    processes; they receive index ranges, never the table."""
+    args = [(mid, spec, lo, hi) for lo, hi in _chunks(spec.size, jobs)]
+    workers = _worker_count(jobs, len(args))
+    if workers == 1:
+        return np.concatenate([_outcome_chunk(a) for a in args])
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return np.concatenate(list(pool.map(_outcome_chunk, args)))
+
+
+def _violating_pairs(table: np.ndarray, n: int, radix: int) -> Iterator[tuple[int, int, int, bool, bool]]:
+    """Every violating deviation pair of the outcome table, exactly once, as
+    (index_a, index_b, deviator, selected_a, selected_b) with index_a < index_b.
+
+    Indices that differ only in vertex v's digit form a line along axis 1 of
+    the (R**(v-1), R, R**(n-v)) reshape, R = radix.  Digits d1 < d2 on a line
+    whose "v is selected" flags differ are one violation.
+    """
+    for v in range(1, n + 1):
+        stride = radix ** (n - v)
+        flags = (table == v).reshape(-1, radix, stride)
+        for d1 in range(radix - 1):
+            for d2 in range(d1 + 1, radix):
+                head, tail = np.nonzero(flags[:, d1] != flags[:, d2])
+                index_a = (head * radix + d1) * stride + tail
+                index_b = index_a + (d2 - d1) * stride
+                selected_a = flags[head, d1, tail]
+                yield from zip(
+                    index_a.tolist(), index_b.tolist(), repeat(v), selected_a.tolist(), (~selected_a).tolist()
+                )
+
+
+def _gap_table(spec: GraphClassSpec, table: np.ndarray) -> np.ndarray:
+    """Additive gap of every graph of the class, from its outcome table.
+
+    Vertex u's indegree across the class is the sum, over the other vertices
+    v, of "u is in v's out-set" broadcast along v's digit axis.  Only the
+    running maximum indegree and the selected vertex's indegree are kept.
+    """
+    n, radix = spec.n, spec.outset_count
+    outsets = [spec.admissible_outsets(v) for v in range(1, n + 1)]
+    top = np.zeros_like(table)
+    chosen = np.zeros_like(table)
+    for u in range(1, n + 1):
+        deg = np.zeros_like(table)
+        for v in spec.targets(u):
+            lines = deg.reshape(-1, radix, radix ** (n - v))
+            lines += np.array([u in s for s in outsets[v - 1]], np.int8)[:, None]
+        np.maximum(top, deg, out=top)
+        np.copyto(chosen, deg, where=table == u)
+    return top - chosen
 
 
 def check_impartiality(
@@ -218,16 +225,14 @@ def check_impartiality(
     _check_jobs(jobs)
     if isinstance(mode, Sampled):
         return _check_impartiality_sampled(mid, spec, mode)
-    size = _check_exhaustive_pre(spec, cap)
-    if size == 0:
+    if _check_exhaustive_pre(spec, cap) == 0:
         return []
-    outcomes = _outcome_table(mid, spec, jobs)
-    raw = chain.from_iterable(_map_chunks(_pair_chunk, size, jobs, outcomes, spec.n, spec.outset_count))
+    table = _outcome_table(mid, spec, jobs)
     violations = [
         _orient_violation(
             graph_at_index(spec, ia), graph_at_index(spec, ib), vtx, sel_a, sel_b
         )
-        for ia, ib, vtx, sel_a, sel_b in set(raw)
+        for ia, ib, vtx, sel_a, sel_b in _violating_pairs(table, spec.n, spec.outset_count)
     ]
     violations.sort(key=lambda w: (w.graph_a.serialize(), w.graph_b.serialize(), w.deviator))
     return violations
@@ -293,11 +298,9 @@ def measure_gap(
         size = _check_exhaustive_pre(spec, cap)
         if size == 0:
             raise ValueError(f"class {spec.describe()} is empty, no gap to measure")
-        best_gap, best_idx = -1, -1
-        for gap, idx, _ in _map_chunks(_gap_chunk, size, jobs, mid, spec):
-            if gap > best_gap or (gap == best_gap and idx < best_idx):
-                best_gap, best_idx = gap, idx
-        report = GapReport(best_gap, graph_at_index(spec, best_idx), size, mode.describe())
+        gaps = _gap_table(spec, _outcome_table(mid, spec, jobs))
+        best_idx = int(np.argmax(gaps))  # the first maximum: the smallest index
+        report = GapReport(int(gaps[best_idx]), graph_at_index(spec, best_idx), size, mode.describe())
     check = additive_gap(report.witness, mechanism(report.witness))
     if check != report.worst_gap:
         raise RuntimeError(f"witness recomputation gave {check} != {report.worst_gap}")
@@ -479,10 +482,12 @@ def symmetrized_table(
     """Symmetrized vectors for every graph of a class, keyed by graph key.
 
     Classes are closed under relabeling, so one outcome pass over the class
-    serves all n! relabelings of every member.
+    serves all n! relabelings of every member.  Classes larger than
+    ``AUDIT_CAP`` are refused before any graph is built.
     """
     if spec.n > cap:
         raise CapExceeded(f"symmetrization of n={spec.n} exceeds factorial cap {cap}")
+    _check_exhaustive_pre(spec, AUDIT_CAP)
     mid.validate_for(spec.n)
     kern = kernel_for(mid)
     n = spec.n

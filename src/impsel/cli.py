@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--exhaustive", action="store_true")
     audit.add_argument("--samples", type=int)
     audit.add_argument("--seed", type=int)
-    audit.add_argument("--jobs", type=int, default=1)
+    audit.add_argument("--jobs", type=int, default=1, help="exhaustive audits: worker processes (at most the usable CPUs)")
     audit.add_argument("--cap", type=int, default=AUDIT_CAP)
     audit.add_argument("--T", type=int, help="trace audits: upper threshold (default: planned)")
     audit.add_argument("--t", type=int, help="trace audits: lower threshold (default: planned)")

@@ -148,15 +148,6 @@ class DirectedGraph:
     def in_neighbors(self, v: int) -> frozenset[int]:
         return self.in_sets[v - 1]
 
-    def out_neighbors(self, v: int) -> frozenset[int]:
-        return self.out_sets[v - 1]
-
-    def indegree(self, v: int) -> int:
-        return self.indegrees[v - 1]
-
-    def outdegree(self, v: int) -> int:
-        return len(self.out_sets[v - 1])
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.out_sets[u - 1]
 

@@ -68,7 +68,7 @@ def run_twin_threshold(graph: DirectedGraph, thresholds: ThresholdPair) -> tuple
     """Run the mechanism and return the outcome together with its deletion trace."""
     thresholds.validate_for(graph.n)
     n = graph.n
-    deg, deletions, _ = run_deletion(n, graph.out_tuples, thresholds.lower)
+    deg, deletions = run_deletion(n, graph.out_tuples, thresholds.lower)
     selected = select_top(n, deg, thresholds.upper)
     iterations = len(deletions)
     istar = {v: iterations for v in range(1, n + 1)}

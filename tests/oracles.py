@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own counting and scanning shortcuts:
 weak orders are counted by enumerating level maps, isomorphism multiplicities
-by relabeling, and impartiality violations by literally comparing mechanism
-runs across deviation pairs of graph objects.
+by relabeling, impartiality violations by literally comparing mechanism runs
+across deviation pairs of graph objects, and additive gaps by counting
+indegrees graph by graph.
 """
 
 from __future__ import annotations
@@ -51,3 +52,20 @@ def violations_by_definition(mechanism, spec: GraphClassSpec) -> set[tuple]:
                 if (mechanism(other).vertex == v) != here:
                     found.add((min(base.key, other.key), max(base.key, other.key), v))
     return found
+
+
+def gap_by_definition(mechanism, spec: GraphClassSpec) -> tuple[int, DirectedGraph]:
+    """Maximum additive gap over the class and the first graph attaining it.
+
+    `mechanism` maps a graph to an Outcome.  A graph's gap is its maximum
+    indegree minus the selected vertex's indegree (0 when nothing is
+    selected), with indegrees counted here from the out-sets.
+    """
+    best = None
+    for graph in enumerate_graphs(spec):
+        deg = [sum(u in outs for outs in graph.out_sets) for u in range(1, spec.n + 1)]
+        v = mechanism(graph).vertex
+        gap = max(deg) - (deg[v - 1] if v else 0)
+        if best is None or gap > best[0]:
+            best = (gap, graph)
+    return best

@@ -25,7 +25,7 @@ from impsel import (
     symmetrized_table,
 )
 from conftest import graph
-from oracles import violations_by_definition
+from oracles import gap_by_definition, violations_by_definition
 
 
 # ---- impartiality ----
@@ -42,13 +42,23 @@ def test_certified_twin_has_no_violations_small():
 
 
 def test_max_naive_violations_match_definition_oracle():
-    for spec in (GraphClassSpec(3, None), GraphClassSpec(3, 1), GraphClassSpec(4, 1), GraphClassSpec(3, 2, True)):
-        mid = MechanismId.parse("max-naive")
-        fast = check_impartiality(mid, spec)
-        triples = {(w.graph_a.key, w.graph_b.key, w.deviator) for w in fast}
-        canonical = {(min(a, b), max(a, b), v) for a, b, v in triples}
-        assert canonical == violations_by_definition(resolve(mid), spec)
-        assert len(fast) == len(canonical)  # dedup drops nothing distinct
+    # G+_4(2) has more out-sets per vertex than vertices (6 > 4), G+_2 just one
+    specs = (
+        GraphClassSpec(3, None),
+        GraphClassSpec(3, 1),
+        GraphClassSpec(4, 1),
+        GraphClassSpec(3, 2, True),
+        GraphClassSpec(4, 2, True),
+        GraphClassSpec(2, None, True),
+    )
+    for text in ("max-naive", "follow:1", "majority", "naive-sim:1", "naive-iter:1"):
+        mid = MechanismId.parse(text)
+        for spec in specs:
+            fast = check_impartiality(mid, spec)
+            triples = {(w.graph_a.key, w.graph_b.key, w.deviator) for w in fast}
+            canonical = {(min(a, b), max(a, b), v) for a, b, v in triples}
+            assert canonical == violations_by_definition(resolve(mid), spec), (text, spec.describe())
+            assert len(fast) == len(canonical)  # each pair is reported once
 
 
 def test_violation_objects_are_structurally_sound():
@@ -117,10 +127,8 @@ def test_results_do_not_depend_on_worker_count():
 
 
 def test_worker_pool_is_clamped_to_cpus_and_chunks(monkeypatch):
-    # A fake pool records the worker count the dispatch helper asks for and
-    # runs the chunks here, so a huge --jobs starts no process at all.
-    asked = []
-
+    # A fake pool records the worker count and the arguments the kernel pass
+    # asks for and runs the chunks here, so a huge --jobs starts no process.
     class RecordingPool:
         def __init__(self, max_workers):
             asked.append(max_workers)
@@ -132,16 +140,31 @@ def test_worker_pool_is_clamped_to_cpus_and_chunks(monkeypatch):
             return False
 
         def map(self, fn, args):
+            mapped.extend(args)
             return map(fn, args)
 
+    asked, mapped = [], []
     monkeypatch.setattr(impsel.audit, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(impsel.audit.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(impsel.audit.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     mid, spec = MechanismId.parse("max-naive"), GraphClassSpec(4, 1)
     serial = check_impartiality(mid, spec)
     assert check_impartiality(mid, spec, jobs=10**9) == serial
     assert measure_gap(mid, spec, jobs=10**9) == measure_gap(mid, spec)
-    assert asked == [4, 4, 4]  # outcome table, pair scan, gap scan
+    assert asked == [4, 4]  # the outcome table of each audit; its scans run here
+    # workers get index ranges, never the outcome table
+    assert mapped == [(mid, spec, lo, lo + 1) for lo in range(spec.size)] * 2
     assert impsel.audit._worker_count(10**9, 3) == 3
+
+
+def test_worker_count_reads_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(impsel.audit.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(impsel.audit.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert impsel.audit._worker_count(2, 8) == 1
+    # platforms without an affinity mask fall back to the CPU count
+    monkeypatch.delattr(impsel.audit.os, "sched_getaffinity", raising=False)
+    assert impsel.audit._worker_count(2, 8) == 2
+    monkeypatch.setattr(impsel.audit.os, "cpu_count", lambda: None)
+    assert impsel.audit._worker_count(2, 8) == 1
 
 
 # ---- gaps ----
@@ -152,6 +175,14 @@ def test_never_gap_is_n_minus_1_with_star_witness():
     assert report.worst_gap == 3
     assert report.witness.max_indegree == 3  # a 3-star into some vertex
     assert report.graphs_checked == 256
+
+
+def test_exhaustive_gap_matches_definition_oracle():
+    for text in ("never", "majority", "follow:1", "twin:2,1"):
+        mid = MechanismId.parse(text)
+        for spec in (GraphClassSpec(4, 1), GraphClassSpec(4, 2, True), GraphClassSpec(3, None)):
+            report = measure_gap(mid, spec)
+            assert (report.worst_gap, report.witness) == gap_by_definition(resolve(mid), spec), (text, spec.describe())
 
 
 def test_gap_sampled_mode():
@@ -238,6 +269,12 @@ def test_symmetrize_examples():
 def test_symmetrize_respects_factorial_cap():
     with pytest.raises(CapExceeded):
         symmetrize_eval(lift_deterministic(MechanismId.parse("never")), DirectedGraph.empty(5), cap=4)
+
+
+def test_symmetrized_table_refuses_classes_over_the_audit_cap():
+    # G_6(2) has 16^6 graphs: under the factorial cap, over the audit cap
+    with pytest.raises(CapExceeded, match="audit cap"):
+        symmetrized_table(MechanismId.parse("never"), GraphClassSpec(6, 2))
 
 
 def test_symmetry_law_by_direct_enumeration():
