@@ -3,11 +3,21 @@
 Operates on plain sequences so the audit harness can run it on raw per-vertex
 out-tuples without building graph objects.  Vertices are 1..n; degree arrays
 are 1-based lists with index 0 unused.
+
+The row-wise numpy versions (``*_rows``) run the same rules on a block of
+graphs at once, one graph per row.  A block is given by a membership array
+``members`` of shape (n, R, n+1), where ``members[v-1, r, u]`` is 1 when u is
+in the r-th admissible out-set of v (column 0 is always 0), and a digit array
+of shape (B, n) holding each graph's out-set rank per vertex.  Degree arrays
+are (B, n+1) with column 0 unused.  Results equal the scalar functions' on
+every row; the scalar functions are the reference the tests compare against.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+import numpy as np
 
 OutLists = Sequence[Sequence[int]]
 
@@ -69,3 +79,69 @@ def twin_select(n: int, outs: OutLists, upper: int, lower: int) -> int:
     """Selected vertex (0 for none) of the twin-threshold rule, without tracing."""
     deg, _ = run_deletion(n, outs, lower)
     return select_top(n, deg, upper)
+
+
+# ---------------------------------------------------------------------------
+# row-wise numpy versions: one graph per row
+# ---------------------------------------------------------------------------
+
+
+def membership_array(n: int, outset_lists: Sequence[Sequence[Sequence[int]]]) -> np.ndarray:
+    """(n, R, n+1) int8 array: entry [v-1, r, u] is 1 when u is in v's r-th out-set."""
+    members = np.zeros((n, len(outset_lists[0]), n + 1), np.int8)
+    for v, outsets in enumerate(outset_lists):
+        for r, outs in enumerate(outsets):
+            members[v, r, list(outs)] = 1
+    return members
+
+
+def out_rows(members: np.ndarray, digits: np.ndarray, v: int) -> np.ndarray:
+    """(B, n+1) membership rows of vertex v's out-set in every graph of the block."""
+    return members[v - 1, digits[:, v - 1]]
+
+
+def indegree_rows(members: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    deg = np.zeros((len(digits), members.shape[2]), np.int8)
+    for v in range(1, members.shape[0] + 1):
+        deg += out_rows(members, digits, v)
+    return deg
+
+
+def _greatest_vertex(hit: np.ndarray) -> np.ndarray:
+    """Per row, the greatest vertex column of the (B, n+1) mask that is set
+    (garbage on rows where none is)."""
+    n = hit.shape[1] - 1
+    return n - np.argmax(hit[:, :0:-1], axis=1)
+
+
+def run_deletion_rows(members: np.ndarray, digits: np.ndarray, t: int) -> np.ndarray:
+    """Final remaining indegrees of ``run_deletion`` on every graph of the block.
+
+    The scalar sweep keeps one invariant: no undeleted vertex has remaining
+    indegree above d.  It holds at the start (d is the maximum indegree),
+    deletions only lower degrees, and d steps down only when no undeleted
+    vertex sits at d.  So the sweep's next deletion is always at the largest
+    undeleted degree, and each block step jumps d there and deletes the
+    greatest-index undeleted vertex at it, on every row where d >= t.  A row
+    deletes each vertex at most once, so a block needs at most n+1 steps.
+    """
+    deg = indegree_rows(members, digits)
+    live = deg.copy()  # remaining indegree of undeleted vertices, negative elsewhere
+    live[:, 0] = -1
+    while True:
+        d = live.max(axis=1)
+        rows = np.flatnonzero(d >= t)
+        if rows.size == 0:
+            return deg
+        v = _greatest_vertex(live[rows] == d[rows, None])
+        outs = members[v - 1, digits[rows, v - 1]]
+        deg[rows] -= outs
+        live[rows] -= outs
+        live[rows, v] = -1
+
+
+def select_top_rows(deg: np.ndarray, threshold: int) -> np.ndarray:
+    """``select_top`` on every row: int8 selected vertex, 0 for none."""
+    top = deg[:, 1:].max(axis=1)
+    v = _greatest_vertex(deg == top[:, None])
+    return np.where(top >= threshold, v, 0).astype(np.int8)

@@ -2,11 +2,15 @@
 
 Impartiality is checked directly against its definition: for every base graph
 and every vertex, every admissible rewrite of that vertex's outgoing edges
-must leave the vertex's selection status unchanged.  Exhaustive mode runs the
-mechanism kernel once on every graph of a class into an outcome table; only
-that kernel pass is split across worker processes, and results are
+must leave the vertex's selection status unchanged.  Exhaustive mode fills an
+outcome table, the selected vertex of every graph of a class, with the
+mechanism's batch kernel: index ranges are evaluated in blocks of
+``KERNEL_BLOCK`` graphs, each a numpy pass over the block's out-set ranks, so
+no Python runs per graph and memory beyond the table is bounded by the block.
+Only that kernel pass is split across worker processes, and results are
 independent of the worker count.  Both scans over the table, for violating
-deviation pairs and for additive gaps, are whole-table numpy operations.
+deviation pairs and for additive gaps, are whole-table numpy operations, and
+each witness graph is unranked once however many violations it is part of.
 Sampled mode draws seeded base graphs and still checks all of their
 deviations.
 
@@ -28,23 +32,28 @@ from typing import Callable, Iterator, Union
 
 import numpy as np
 
+from ._deletion import membership_array
 from .graphs import (
     CapExceeded,
     DirectedGraph,
     GraphClassSpec,
     Permutation,
     deviations,
+    digit_block,
     enumerate_graphs,
     graph_at_index,
-    iter_combos,
     sample_stream,
 )
-from .mechanisms import MechanismId, Outcome, kernel_for, resolve
+from .mechanisms import MechanismId, Outcome, batch_kernel_for, kernel_for, resolve
 from .twin_threshold import DeletionTrace, ThresholdPair, additive_gap, run_twin_threshold
 
 #: Exhaustive audits refuse classes larger than this by default (memory: the
 #: outcome table holds one entry per graph).  Override per call.
 AUDIT_CAP = 10**7
+
+#: Graphs per batch-kernel call in exhaustive audits; bounds the working
+#: arrays (a few (block, n+1) int8 arrays) independently of the class size.
+KERNEL_BLOCK = 1 << 16
 
 #: Symmetrization enumerates all n! vertex permutations; refuse past this n.
 FACTORIAL_CAP = 7
@@ -118,11 +127,16 @@ class GapReport:
 
 
 def _outcome_chunk(args) -> np.ndarray:
-    """Selected vertex (0 for none) of every graph with index in [start, end)."""
+    """Selected vertex (0 for none) of every graph with index in [start, end),
+    by the batch kernel, ``KERNEL_BLOCK`` graphs at a time."""
     mid, spec, start, end = args
-    kern = kernel_for(mid)
-    n = spec.n
-    return np.fromiter((kern(n, combo) for combo in iter_combos(spec, start, end)), np.int8, end - start)
+    kern = batch_kernel_for(mid)
+    members = membership_array(spec.n, spec.outset_lists)
+    out = np.empty(end - start, np.int8)
+    for lo in range(start, end, KERNEL_BLOCK):
+        hi = min(lo + KERNEL_BLOCK, end)
+        out[lo - start : hi - start] = kern(members, digit_block(spec, lo, hi))
+    return out
 
 
 def _chunks(size: int, jobs: int) -> list[tuple[int, int]]:
@@ -195,14 +209,14 @@ def _gap_table(spec: GraphClassSpec, table: np.ndarray) -> np.ndarray:
     running maximum indegree and the selected vertex's indegree are kept.
     """
     n, radix = spec.n, spec.outset_count
-    outsets = [spec.admissible_outsets(v) for v in range(1, n + 1)]
+    members = membership_array(n, spec.outset_lists)
     top = np.zeros_like(table)
     chosen = np.zeros_like(table)
     for u in range(1, n + 1):
         deg = np.zeros_like(table)
         for v in spec.targets(u):
             lines = deg.reshape(-1, radix, radix ** (n - v))
-            lines += np.array([u in s for s in outsets[v - 1]], np.int8)[:, None]
+            lines += members[v - 1, :, u, None]
         np.maximum(top, deg, out=top)
         np.copyto(chosen, deg, where=table == u)
     return top - chosen
@@ -227,15 +241,17 @@ def check_impartiality(
         return _check_impartiality_sampled(mid, spec, mode)
     if _check_exhaustive_pre(spec, cap) == 0:
         return []
-    table = _outcome_table(mid, spec, jobs)
+    pairs = list(_violating_pairs(_outcome_table(mid, spec, jobs), spec.n, spec.outset_count))
+    witnesses = {i: graph_at_index(spec, i) for i in {i for pair in pairs for i in pair[:2]}}
     violations = [
-        _orient_violation(
-            graph_at_index(spec, ia), graph_at_index(spec, ib), vtx, sel_a, sel_b
-        )
-        for ia, ib, vtx, sel_a, sel_b in _violating_pairs(table, spec.n, spec.outset_count)
+        _orient_violation(witnesses[ia], witnesses[ib], vtx, sel_a, sel_b) for ia, ib, vtx, sel_a, sel_b in pairs
     ]
-    violations.sort(key=lambda w: (w.graph_a.serialize(), w.graph_b.serialize(), w.deviator))
+    violations.sort(key=_canonical_order)
     return violations
+
+
+def _canonical_order(w: Violation) -> tuple[str, str, int]:
+    return w.graph_a.serialize(), w.graph_b.serialize(), w.deviator
 
 
 def _orient_violation(a: DirectedGraph, b: DirectedGraph, vtx: int, sel_a: bool, sel_b: bool) -> Violation:
@@ -263,7 +279,7 @@ def _check_impartiality_sampled(mid: MechanismId, spec: GraphClassSpec, mode: Sa
                     continue
                 seen.add(dedup)
                 violations.append(_orient_violation(base, other, v, here, there))
-    violations.sort(key=lambda w: (w.graph_a.serialize(), w.graph_b.serialize(), w.deviator))
+    violations.sort(key=_canonical_order)
     return violations
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .audit import (
@@ -116,7 +117,7 @@ def _cmd_plan(args) -> int:
     elif args.k == 1:
         report = plan_thresholds_k1(args.n)
     else:
-        report = plan_thresholds_general(args.n, args.k, 0.0, float(args.k))
+        report = plan_thresholds_general(args.n, args.k, 0, args.k)
     payload = {
         "n": report.n,
         "k": report.k,
@@ -215,7 +216,7 @@ def _cmd_audit(args) -> int:
         pair = plan_thresholds_k1(args.n).thresholds
     else:
         k = spec.bound
-        pair = plan_thresholds_general(args.n, k, 0.0, float(k)).thresholds
+        pair = plan_thresholds_general(args.n, k, 0, k).thresholds
     failures = []
     count = 0
     for graph in sample_stream(spec, args.seed, args.samples):
@@ -323,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     plan = sub.add_parser("plan", help="plan or validate threshold pairs")
     plan.add_argument("--n", type=int, required=True)
     plan.add_argument("--k", type=int, default=1, help="outdegree bound (default 1)")
-    plan.add_argument("--kappa", type=float, help="outdegree growth exponent in [0, 1]")
-    plan.add_argument("--c", type=float, help="outdegree growth coefficient (k <= c*n^kappa)")
+    plan.add_argument("--kappa", type=Fraction, help="outdegree growth exponent in [0, 1], exact (e.g. 0.5 or 1/2)")
+    plan.add_argument("--c", type=Fraction, help="outdegree growth coefficient (k <= c*n^kappa), exact")
     plan.add_argument("--T", type=int, help="validate this upper threshold instead of planning")
     plan.add_argument("--t", type=int, help="validate this lower threshold instead of planning")
     plan.add_argument("--json", action="store_true")

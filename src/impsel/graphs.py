@@ -15,10 +15,12 @@ targets {1, 2, 3} and no bound this gives
     (), (1,), (1, 2), (1, 2, 3), (1, 3), (2,), (2, 3), (3,).
 
 A class is enumerated in lexicographic order of the per-vertex choice tuple,
-the choice of vertex 1 varying slowest.  ``iter_combos`` walks any index range
-of that order and is the one enumerator (``enumerate_graphs`` wraps it);
-``graph_at_index`` unranks the same order, so index arithmetic can replace
-materialized streams.
+the choice of vertex 1 varying slowest: graph i has the base-R digits of i as
+its per-vertex out-set ranks, vertex 1 the most significant (R out-sets per
+vertex).  ``iter_combos`` walks any index range of that order and is the one
+enumerator (``enumerate_graphs`` wraps it); ``digit_block`` gives the same
+ranks as a numpy array for batched kernels, and ``graph_at_index`` unranks
+single indices.  All three read the spec's cached ``outset_lists``.
 
 Sampling
 --------
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb
 from typing import Iterable, Iterator
 
@@ -164,7 +166,12 @@ class DirectedGraph:
         return DirectedGraph(self.n, tuple(outs))
 
     def serialize(self) -> str:
-        """Canonical file form: header, then edge lines sorted by (u, v)."""
+        """Canonical file form: header, then edge lines sorted by (u, v).
+        Computed once per graph."""
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
         lines = [f"n {self.n}"]
         lines.extend(f"e {u} {v}" for u, v in self.edges)
         return "\n".join(lines) + "\n"
@@ -286,6 +293,21 @@ class GraphClassSpec:
         )
         return sorted(sets)
 
+    @cached_property
+    def outset_lists(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """``admissible_outsets`` of every vertex (entry v-1), computed once.
+
+        Holds n * R tuples: meant for classes small enough to enumerate, not
+        for sampling large ones (which unranks with ``outset_at``).
+        """
+        return tuple(tuple(self.admissible_outsets(v)) for v in range(1, self.n + 1))
+
+    @cached_property
+    def _frozen_outsets(self) -> tuple[tuple[frozenset[int], ...], ...]:
+        """``outset_lists`` as frozensets, shared by every graph ``graph_at_index``
+        builds (graphs are immutable, so sharing them is safe)."""
+        return tuple(tuple(map(frozenset, outsets)) for outsets in self.outset_lists)
+
     def outset_at(self, v: int, rank: int) -> tuple[int, ...]:
         """Unrank: the rank-th admissible out-set of v in the documented order."""
         if not 0 <= rank < self.outset_count:
@@ -298,6 +320,7 @@ class GraphClassSpec:
         return f"G{plus}_{self.n}{bound}"
 
 
+@cache
 def _count_upto(m: int, b: int) -> int:
     """Number of subsets of an m-element pool with at most b elements."""
     if b < 0:
@@ -354,7 +377,7 @@ def iter_combos(spec: GraphClassSpec, start: int, end: int) -> Iterator[list[tup
     """
     if start >= end:
         return
-    choices = [spec.admissible_outsets(v) for v in range(1, spec.n + 1)]
+    choices = spec.outset_lists
     n, radix = spec.n, spec.outset_count
     digits = []
     x = start
@@ -376,19 +399,25 @@ def iter_combos(spec: GraphClassSpec, start: int, end: int) -> Iterator[list[tup
             v -= 1
 
 
+def digit_block(spec: GraphClassSpec, start: int, end: int) -> np.ndarray:
+    """(end - start, n) int64 array: row i - start holds graph i's out-set
+    ranks, column v-1 that of vertex v."""
+    radix = spec.outset_count
+    place = radix ** np.arange(spec.n - 1, -1, -1, dtype=np.int64)  # vertex 1 most significant
+    return np.arange(start, end, dtype=np.int64)[:, None] // place % radix
+
+
 def graph_at_index(spec: GraphClassSpec, index: int) -> DirectedGraph:
     """The index-th graph of the enumeration order, by mixed-radix unranking."""
     if not 0 <= index < spec.size:
         raise ValueError(f"index {index} outside 0..{spec.size - 1}")
     radix = spec.outset_count
-    digits = []
+    outs = [frozenset()] * spec.n
     x = index
-    for _ in range(spec.n):
+    for v in range(spec.n - 1, -1, -1):  # vertex n is the least significant digit
         x, digit = divmod(x, radix)
-        digits.append(digit)
-    digits.reverse()  # vertex 1 is the most significant digit
-    outs = tuple(frozenset(spec.outset_at(v, digit)) for v, digit in enumerate(digits, start=1))
-    return DirectedGraph(spec.n, outs)
+        outs[v] = spec._frozen_outsets[v][digit]
+    return DirectedGraph(spec.n, tuple(outs))
 
 
 def deviations(graph: DirectedGraph, v: int, spec: GraphClassSpec) -> Iterator[DirectedGraph]:

@@ -5,8 +5,11 @@ functions of the input graph and never raise on degenerate inputs (n=1, no
 edges): where the rule yields nothing they return the empty outcome.
 
 ``MECHANISMS`` is the one registry: it maps each name to its parameter count,
-a validator of the parameters against a vertex count, and a kernel factory.
-``MechanismId`` construction and parsing, ``validate_for``, ``kernel_for`` and
+a validator of the parameters against a vertex count, a kernel factory and a
+batch-kernel factory.  The kernel runs on one graph; the batch kernel runs the
+same rule on a block of graphs at once (see :mod:`impsel._deletion` for the
+block layout) and is what exhaustive audits use.  ``MechanismId`` construction
+and parsing, ``validate_for``, ``kernel_for``, ``batch_kernel_for`` and
 ``resolve`` are all lookups in it.  Names and parameter syntax (the CLI
 contract):
 
@@ -30,10 +33,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from ._deletion import indegree_array, select_top, twin_select
+import numpy as np
+
+from ._deletion import (
+    indegree_array,
+    indegree_rows,
+    out_rows,
+    run_deletion_rows,
+    select_top,
+    select_top_rows,
+    twin_select,
+)
 from .graphs import DirectedGraph
 
 Kernel = Callable[[int, Sequence[Sequence[int]]], int]
+BatchKernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -118,6 +132,51 @@ def _twin_kernel(upper: int, lower: int) -> Kernel:
 
 
 # ---------------------------------------------------------------------------
+# batch kernels: (members (n, R, n+1), digits (B, n)) -> int8 selected vertex
+# per graph, 0 for none
+# ---------------------------------------------------------------------------
+
+
+def _never_batch(members: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    return np.zeros(len(digits), np.int8)
+
+
+def _max_naive_batch(members: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    return select_top_rows(indegree_rows(members, digits), 0)
+
+
+def _follow_batch(anchor: int) -> BatchKernel:
+    def kernel(members: np.ndarray, digits: np.ndarray) -> np.ndarray:
+        # greatest member of each of the anchor's out-sets, 0 for the empty one
+        top = (members[anchor - 1] * np.arange(members.shape[2], dtype=np.int8)).max(axis=1)
+        return top[digits[:, anchor - 1]]
+
+    return kernel
+
+
+def _majority_batch(members: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    return select_top_rows(indegree_rows(members, digits), members.shape[0] // 2 + 1)
+
+
+def _naive_sim_batch(t: int) -> BatchKernel:
+    def kernel(members: np.ndarray, digits: np.ndarray) -> np.ndarray:
+        deg = indegree_rows(members, digits)
+        remaining = deg.copy()
+        for v in range(1, members.shape[0] + 1):
+            remaining -= out_rows(members, digits, v) * (deg[:, v] >= t)[:, None]
+        return select_top_rows(remaining, t + 1)
+
+    return kernel
+
+
+def _twin_batch(upper: int, lower: int) -> BatchKernel:
+    def kernel(members: np.ndarray, digits: np.ndarray) -> np.ndarray:
+        return select_top_rows(run_deletion_rows(members, digits, lower), upper)
+
+    return kernel
+
+
+# ---------------------------------------------------------------------------
 # parameter validators: (n, params) -> None, raising ValueError
 # ---------------------------------------------------------------------------
 
@@ -153,16 +212,19 @@ class MechanismEntry(NamedTuple):
     arity: int
     validate: Callable[[int, tuple[int, ...]], None]
     kernel: Callable[[tuple[int, ...]], Kernel]
+    batch: Callable[[tuple[int, ...]], BatchKernel]
 
 
 MECHANISMS: dict[str, MechanismEntry] = {
-    "never": MechanismEntry(0, _no_params, lambda p: _never_kernel),
-    "max-naive": MechanismEntry(0, _no_params, lambda p: _max_naive_kernel),
-    "follow": MechanismEntry(1, _check_anchor, lambda p: _follow_kernel(*p)),
-    "majority": MechanismEntry(0, _no_params, lambda p: _majority_kernel),
-    "naive-iter": MechanismEntry(1, _check_threshold, lambda p: _twin_kernel(p[0], p[0])),
-    "naive-sim": MechanismEntry(1, _check_threshold, lambda p: _naive_sim_kernel(*p)),
-    "twin": MechanismEntry(2, _check_pair, lambda p: _twin_kernel(*p)),
+    "never": MechanismEntry(0, _no_params, lambda p: _never_kernel, lambda p: _never_batch),
+    "max-naive": MechanismEntry(0, _no_params, lambda p: _max_naive_kernel, lambda p: _max_naive_batch),
+    "follow": MechanismEntry(1, _check_anchor, lambda p: _follow_kernel(*p), lambda p: _follow_batch(*p)),
+    "majority": MechanismEntry(0, _no_params, lambda p: _majority_kernel, lambda p: _majority_batch),
+    "naive-iter": MechanismEntry(
+        1, _check_threshold, lambda p: _twin_kernel(p[0], p[0]), lambda p: _twin_batch(p[0], p[0])
+    ),
+    "naive-sim": MechanismEntry(1, _check_threshold, lambda p: _naive_sim_kernel(*p), lambda p: _naive_sim_batch(*p)),
+    "twin": MechanismEntry(2, _check_pair, lambda p: _twin_kernel(*p), lambda p: _twin_batch(*p)),
 }
 
 
@@ -206,6 +268,12 @@ class MechanismId:
 def kernel_for(mid: MechanismId) -> Kernel:
     """Raw kernel for audit loops: (n, out-tuples) -> selected vertex or 0."""
     return MECHANISMS[mid.name].kernel(mid.params)
+
+
+def batch_kernel_for(mid: MechanismId) -> BatchKernel:
+    """Block kernel for exhaustive audits: (members, digits) -> int8 selected
+    vertex per graph, 0 for none; equal to ``kernel_for(mid)`` on every graph."""
+    return MECHANISMS[mid.name].batch(mid.params)
 
 
 def resolve(mid: MechanismId) -> Callable[[DirectedGraph], Outcome]:

@@ -7,15 +7,14 @@ maximum remaining indegree provided that maximum reaches the upper threshold
 T.  The full deletion trace is recorded so audits can re-derive every claim
 about the run from first principles.
 
-Threshold planning never floors a floating-point square root: the choice of t
-and T for the single-nomination case is computed with integer square-root
-predicates on scaled integers, and every certification decision is an exact
-integer comparison.
+Threshold planning never floors a floating-point root: t and T are computed
+with integer-root predicates on scaled integers (the growth parameters kappa
+and c of the general planner are exact rationals), and every certification
+decision is an exact integer comparison.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
@@ -189,27 +188,62 @@ def plan_thresholds_k1(n: int) -> PlanReport:
     return report
 
 
-def plan_thresholds_general(n: int, k: int, kappa: float, c: float) -> PlanReport:
+#: Largest denominator accepted for the growth exponent kappa: the exact
+#: comparisons raise integers to powers of twice this denominator.
+KAPPA_DENOMINATOR_CAP = 10**4
+
+
+def _rational(x: Fraction | int | float | str) -> Fraction:
+    """Exact value of a planner parameter; a float is read as the decimal it
+    prints as (0.3 means 3/10)."""
+    return Fraction(repr(x)) if isinstance(x, float) else Fraction(x)
+
+
+def _floor_root(num: int, den: int, r: int) -> int:
+    """Largest integer x >= 0 with x**r * den <= num, for num >= 0 and den >= 1."""
+    lo, hi = 0, 1
+    while hi**r * den <= num:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**r * den <= num:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def plan_thresholds_general(
+    n: int, k: int, kappa: Fraction | int | float | str, c: Fraction | int | float | str
+) -> PlanReport:
     """Threshold plan for outdegree bound k <= c * n**kappa.
 
-    Evaluates the real-valued targets T = (5/2) sqrt(c) n^((1+kappa)/2) - 1 and
-    t = (1/2) sqrt(c) n^((1+kappa)/2), rounds T up and t down, clamps into
-    1..n-1 with t <= T, and re-certifies the rounded pair exactly; the
-    certification never relies on the real-valued formula.
+    With s = sqrt(c) n^((1+kappa)/2), takes t = floor(s/2) (at least 1) and
+    T = ceil(5s/2) - 1, clamps into 1..n-1 with t <= T, and re-certifies the
+    pair exactly.  kappa and c are exact rationals, so for kappa = p/q and
+    c = a/b, s is the 2q-th root of a^q n^(q+p) / b^q, and both roundings and
+    the domain check k^q b^q <= a^q n^p are integer comparisons.
     """
+    kappa, c = _rational(kappa), _rational(c)
     if n < 2:
         raise ValueError(f"planning needs n >= 2, got {n}")
     if not 0 <= kappa <= 1:
         raise ValueError(f"kappa {kappa} outside [0, 1]")
+    if kappa.denominator > KAPPA_DENOMINATOR_CAP:
+        raise ValueError(f"kappa {kappa} has a denominator above {KAPPA_DENOMINATOR_CAP}")
     if c <= 0:
         raise ValueError(f"coefficient c must be positive, got {c}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"outdegree bound {k} outside 1..{n - 1}")
-    if k > c * n**kappa + 1e-9:
-        raise ValueError(f"bound k={k} exceeds c*n^kappa = {c * n**kappa:.6g}")
-    scale = math.sqrt(c) * n ** ((1 + kappa) / 2)
-    upper_raw = math.ceil(2.5 * scale - 1)
-    lower_raw = max(1, math.floor(scale / 2))
+    p, q = kappa.numerator, kappa.denominator
+    a, b = c.numerator, c.denominator
+    if (k * b) ** q > a**q * n**p:
+        raise ValueError(f"bound k={k} exceeds c*n^kappa = {float(c) * n ** float(kappa):.6g}")
+    radicand, den = a**q * n ** (q + p), 4**q * b**q  # (s/2)^(2q) = radicand / den
+    lower_raw = max(1, _floor_root(radicand, den, 2 * q))
+    five_halves = _floor_root(25**q * radicand, den, 2 * q)  # floor(5s/2)
+    exact = five_halves ** (2 * q) * den == 25**q * radicand
+    upper_raw = five_halves - 1 if exact else five_halves
     degenerate = upper_raw > n - 1 or lower_raw > n - 1
     upper = min(upper_raw, n - 1)
     lower = min(lower_raw, upper)

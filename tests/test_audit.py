@@ -1,5 +1,7 @@
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 
 import impsel.audit
@@ -24,6 +26,8 @@ from impsel import (
     symmetrize_eval,
     symmetrized_table,
 )
+from impsel.graphs import iter_combos
+from impsel.mechanisms import MECHANISMS, kernel_for
 from conftest import graph
 from oracles import gap_by_definition, violations_by_definition
 
@@ -154,6 +158,81 @@ def test_worker_pool_is_clamped_to_cpus_and_chunks(monkeypatch):
     # workers get index ranges, never the outcome table
     assert mapped == [(mid, spec, lo, lo + 1) for lo in range(spec.size)] * 2
     assert impsel.audit._worker_count(10**9, 3) == 3
+
+
+def _every_mechanism(n: int):
+    """Every registry mechanism with every parameter tuple its validator accepts at n."""
+    for name, entry in MECHANISMS.items():
+        for params in product(range(1, n + 1), repeat=entry.arity):
+            try:
+                entry.validate(n, params)
+            except ValueError:
+                continue
+            yield MechanismId(name, params)
+
+
+def _scalar_outcomes(mid, spec, start, end):
+    kernel = kernel_for(mid)
+    return [kernel(spec.n, combo) for combo in iter_combos(spec, start, end)]
+
+
+@pytest.mark.parametrize(
+    "spec, block",
+    [
+        (GraphClassSpec(2), 7),
+        (GraphClassSpec(3), 7),
+        (GraphClassSpec(4), 7),
+        (GraphClassSpec(5, 1), 7),
+        (GraphClassSpec(4, 2, True), 7),  # 6 out-sets per vertex, more than vertices
+        (GraphClassSpec(2, None, True), 7),  # one out-set per vertex
+        (GraphClassSpec(6, 1), 997),
+    ],
+    ids=lambda x: x.describe() if isinstance(x, GraphClassSpec) else f"block{x}",
+)
+def test_batch_kernels_match_scalar_kernels(monkeypatch, spec, block):
+    # Blocks smaller than the chunks (three, run here) straddle chunk ends.
+    monkeypatch.setattr(impsel.audit, "KERNEL_BLOCK", block)
+    monkeypatch.setattr(impsel.audit, "_worker_count", lambda jobs, chunks: 1)
+    for mid in _every_mechanism(spec.n):
+        table = impsel.audit._outcome_table(mid, spec, 3)
+        assert table.tolist() == _scalar_outcomes(mid, spec, 0, spec.size), mid.text()
+
+
+def test_batch_kernels_match_scalar_kernels_on_windows_of_g5(monkeypatch):
+    # G_5 has 2**20 graphs; the scalar reference on all of them, for every
+    # mechanism, takes minutes, so windows spread over the class stand in.
+    monkeypatch.setattr(impsel.audit, "KERNEL_BLOCK", 7)
+    spec = GraphClassSpec(5)
+    width = 400
+    windows = [(lo, lo + width) for lo in range(0, spec.size - width, spec.size // 6 + 1)]
+    windows.append((spec.size - width, spec.size))
+    for mid in _every_mechanism(spec.n):
+        for lo, hi in windows:
+            got = impsel.audit._outcome_chunk((mid, spec, lo, hi))
+            assert got.tolist() == _scalar_outcomes(mid, spec, lo, hi), (mid.text(), lo)
+
+
+def test_batch_outcome_table_does_not_depend_on_worker_count():
+    spec = GraphClassSpec(6, 1)
+    for text in ("max-naive", "twin:4,1", "naive-sim:2"):
+        mid = MechanismId.parse(text)
+        assert np.array_equal(impsel.audit._outcome_table(mid, spec, 2), impsel.audit._outcome_table(mid, spec, 1))
+
+
+def test_each_witness_graph_is_unranked_once(monkeypatch):
+    unranked = []
+    unrank = impsel.audit.graph_at_index
+
+    def counting(spec, index):
+        unranked.append(index)
+        return unrank(spec, index)
+
+    monkeypatch.setattr(impsel.audit, "graph_at_index", counting)
+    spec = GraphClassSpec(5, 1)
+    violations = check_impartiality(MechanismId.parse("max-naive"), spec)
+    witnesses = {w.graph_a.key for w in violations} | {w.graph_b.key for w in violations}
+    assert violations and len(unranked) == len(set(unranked)) == len(witnesses)
+    assert {unrank(spec, i).key for i in unranked} == witnesses
 
 
 def test_worker_count_reads_cpu_affinity(monkeypatch):

@@ -100,6 +100,15 @@ def test_plan_general(capsys):
     assert code == 0 and (payload["T"], payload["t"]) == (24, 5) and payload["certified"]
     code, out, _ = run_cli(capsys, "plan", "--n", "16", "--k", "1", "--kappa", "1", "--c", "1", "--json")
     assert code == 0 and json.loads(out)["degenerate"] is True
+    code, out, _ = run_cli(capsys, "plan", "--n", "256", "--k", "16", "--kappa", "1/2", "--c", "1", "--json")
+    assert code == 0 and (json.loads(out)["T"], json.loads(out)["t"]) == (159, 32)
+
+
+def test_plan_default_is_exact_at_perfect_squares(capsys):
+    # t = floor(sqrt(3 * 12) / 2) = 3; a floored float root gave t=2, alpha=27
+    code, out, _ = run_cli(capsys, "plan", "--n", "12", "--k", "3", "--json")
+    payload = json.loads(out)
+    assert code == 0 and (payload["t"], payload["alpha_bound"]) == (3, 21)
 
 
 def test_plan_rejects_partial_flags(capsys):

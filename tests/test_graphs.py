@@ -181,6 +181,18 @@ def test_graph_at_index_agrees_with_enumeration():
         graph_at_index(GraphClassSpec(2, 1), 4)
 
 
+@pytest.mark.parametrize(
+    "spec", [GraphClassSpec(5), GraphClassSpec(6, 2), GraphClassSpec(5, 3, True), GraphClassSpec(2, None, True)]
+)
+def test_unranking_matches_the_outset_lists(spec):
+    for v in range(1, spec.n + 1):
+        outsets = spec.admissible_outsets(v)
+        assert len(outsets) == spec.outset_count
+        assert spec.outset_lists[v - 1] == tuple(outsets)
+        for r, outs in enumerate(outsets):
+            assert spec.outset_at(v, r) == outs
+
+
 def test_enumerator_starts_mid_range_at_chunk_boundaries():
     # audits with jobs > 1 start the enumerator at the boundaries _chunks makes
     for spec in (GraphClassSpec(3, None), GraphClassSpec(3, 1, True), GraphClassSpec(4, 1)):

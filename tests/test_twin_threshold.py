@@ -1,5 +1,7 @@
 import dataclasses
 from fractions import Fraction
+from itertools import count
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -170,6 +172,43 @@ def test_plan_general_rejects_bad_domains():
         plan_thresholds_general(10, 2, 0.5, -1.0)
     with pytest.raises(ValueError):
         plan_thresholds_general(1, 1, 0.0, 1.0)
+
+
+def test_plan_general_is_exact_where_c_times_n_is_a_perfect_square():
+    # s = sqrt(3n) is an integer at these n; flooring a float root gave t one low
+    for n in (12, 27, 48, 75, 192, 768, 2028):
+        for k in (1, 2, 3):
+            r = plan_thresholds_general(n, k, 0, 3)
+            lower = max(1, isqrt(3 * n) // 2)  # floor(s/2) = floor(floor(s)/2)
+            upper = next(m for m in count(1) if 4 * m * m >= 25 * 3 * n) - 1  # ceil(5s/2) - 1
+            assert r.degenerate == (upper > n - 1)
+            upper = min(upper, n - 1)
+            assert (r.thresholds.upper, r.thresholds.lower) == (upper, min(lower, upper)), (n, k)
+    r = plan_thresholds_general(12, 3, 0, 3)
+    assert (r.thresholds.lower, r.alpha_bound) == (3, 21)
+    # the bench's trace plan keeps its thresholds
+    r = plan_thresholds_general(50, 3, 0.0, 3.0)
+    assert (r.thresholds.upper, r.thresholds.lower) == (30, 6)
+
+
+def test_plan_general_reads_kappa_and_c_exactly():
+    # s = 256^(3/4) = 64 exactly: t = 32, T = 160 - 1
+    for kappa in ("1/2", Fraction(1, 2), 0.5):
+        r = plan_thresholds_general(256, 16, kappa, 1)
+        assert (r.thresholds.upper, r.thresholds.lower) == (159, 32)
+    # s = 81^(3/4) = 27: t = floor(13.5), T = ceil(67.5) - 1
+    r = plan_thresholds_general(81, 9, "1/2", "1")
+    assert (r.thresholds.upper, r.thresholds.lower) == (67, 13)
+    # a float is the decimal it prints as
+    assert plan_thresholds_general(100, 3, 0.3, 1.0) == plan_thresholds_general(100, 3, "3/10", 1)
+    # the domain check k <= c*n^kappa is exact at its boundary
+    plan_thresholds_general(256, 16, "1/2", 1)
+    with pytest.raises(ValueError, match="exceeds"):
+        plan_thresholds_general(256, 17, "1/2", 1)
+    with pytest.raises(ValueError, match="exceeds"):
+        plan_thresholds_general(12, 3, 0, "2.9999999999")  # a 1e-9 float slack accepted this
+    with pytest.raises(ValueError, match="denominator"):
+        plan_thresholds_general(100, 1, "1/100001", 1)
 
 
 def test_plan_general_alpha_stays_order_root_n_for_constant_k():
