@@ -29,12 +29,10 @@ from .audit import (
 from .graphs import (
     ENUMERATION_CAP,
     CapExceeded,
-    DegreeProfile,
     DirectedGraph,
     GraphClassSpec,
     GraphFormatError,
     Permutation,
-    degree_profile,
     deviations,
     enumerate_graphs,
     graph_at_index,

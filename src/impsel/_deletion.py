@@ -75,12 +75,6 @@ def select_top(n: int, deg: Sequence[int], threshold: int) -> int:
     return best_v if best_d >= threshold else 0
 
 
-def twin_select(n: int, outs: OutLists, upper: int, lower: int) -> int:
-    """Selected vertex (0 for none) of the twin-threshold rule, without tracing."""
-    deg, _ = run_deletion(n, outs, lower)
-    return select_top(n, deg, upper)
-
-
 # ---------------------------------------------------------------------------
 # row-wise numpy versions: one graph per row
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ One binary, five subcommands:
     impsel reduce      apply a graph reduction and emit the result
 
 Exit codes: 0 success, 1 an audit found violations (or failed trace checks),
-2 usage or input errors.  With --json every report is a single JSON document;
+2 usage or input errors, 141 (128 + SIGPIPE) stdout closed before the output
+was written, as in ``impsel partitions --n 12 | head -1``; nothing more is
+printed then.  With --json every report is a single JSON document;
 output is deterministic for deterministic inputs and independent of --jobs.
 """
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -40,7 +43,9 @@ from .partitions import (
     reduce_add_isolated,
 )
 from .twin_threshold import (
+    PlanReport,
     ThresholdPair,
+    additive_gap,
     plan_thresholds_general,
     plan_thresholds_k1,
     run_twin_threshold,
@@ -70,6 +75,15 @@ def _class_spec(args) -> GraphClassSpec:
     return GraphClassSpec(args.n, args.k, args.positive_outdegree)
 
 
+def _default_plan(n: int, k: int | None) -> PlanReport:
+    """Plan used when no thresholds are given: the k=1 planner for ``--k 1``,
+    else the general planner at kappa=0, c=k (``--k unbounded`` is k = n-1)."""
+    if k == 1:
+        return plan_thresholds_k1(n)
+    bound = n - 1 if k is None else k
+    return plan_thresholds_general(n, bound, 0, bound)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -79,7 +93,7 @@ def _cmd_run(args) -> int:
     graph = _load_graph(args.graph)
     outcome, trace = run_twin_threshold(graph, ThresholdPair(args.T, args.t))
     selected = sorted(outcome.selected)
-    gap = graph.max_indegree - outcome.selected_indegree
+    gap = additive_gap(graph, outcome)
     payload = {
         "n": graph.n,
         "T": args.T,
@@ -114,10 +128,8 @@ def _cmd_plan(args) -> int:
         if args.T is None or args.t is None:
             raise ValueError("--T and --t must be given together")
         report = validate_thresholds(args.n, args.k, ThresholdPair(args.T, args.t))
-    elif args.k == 1:
-        report = plan_thresholds_k1(args.n)
     else:
-        report = plan_thresholds_general(args.n, args.k, 0, args.k)
+        report = _default_plan(args.n, args.k)
     payload = {
         "n": report.n,
         "k": report.k,
@@ -212,11 +224,8 @@ def _cmd_audit(args) -> int:
         raise ValueError("--T and --t must be given together")
     if args.T is not None:
         pair = ThresholdPair(args.T, args.t)
-    elif args.k == 1:
-        pair = plan_thresholds_k1(args.n).thresholds
     else:
-        k = spec.bound
-        pair = plan_thresholds_general(args.n, k, 0, k).thresholds
+        pair = _default_plan(args.n, args.k).thresholds
     failures = []
     count = 0
     for graph in sample_stream(spec, args.seed, args.samples):
@@ -368,7 +377,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered, and the flush at
+        # exit, to devnull so that no second error is printed
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, CapExceeded, GraphFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

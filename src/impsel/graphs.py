@@ -17,10 +17,10 @@ targets {1, 2, 3} and no bound this gives
 A class is enumerated in lexicographic order of the per-vertex choice tuple,
 the choice of vertex 1 varying slowest: graph i has the base-R digits of i as
 its per-vertex out-set ranks, vertex 1 the most significant (R out-sets per
-vertex).  ``iter_combos`` walks any index range of that order and is the one
-enumerator (``enumerate_graphs`` wraps it); ``digit_block`` gives the same
-ranks as a numpy array for batched kernels, and ``graph_at_index`` unranks
-single indices.  All three read the spec's cached ``outset_lists``.
+vertex).  That digit layout is the one way to walk a class: ``digit_block``
+gives the ranks of an index range as a numpy array for batched kernels, and
+``graph_at_index`` unranks single indices into graphs that share the spec's
+cached ``outset_lists`` (``enumerate_graphs`` yields it for every index).
 
 Sampling
 --------
@@ -215,23 +215,6 @@ class Permutation:
             yield cls(images)
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Per-vertex degrees plus the maximum indegree and its largest attaining vertex."""
-
-    indegrees: tuple[int, ...]
-    outdegrees: tuple[int, ...]
-    max_indegree: int
-    argmax_vertex: int
-
-
-def degree_profile(graph: DirectedGraph) -> DegreeProfile:
-    """Degrees of every vertex; ties for the maximum resolve to the greatest index."""
-    ins = graph.indegrees
-    best = max(range(1, graph.n + 1), key=lambda v: (ins[v - 1], v))
-    return DegreeProfile(ins, graph.outdegrees, ins[best - 1], best)
-
-
 # ---------------------------------------------------------------------------
 # graph classes
 # ---------------------------------------------------------------------------
@@ -294,19 +277,15 @@ class GraphClassSpec:
         return sorted(sets)
 
     @cached_property
-    def outset_lists(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """``admissible_outsets`` of every vertex (entry v-1), computed once.
+    def outset_lists(self) -> tuple[tuple[frozenset[int], ...], ...]:
+        """``admissible_outsets`` of every vertex (entry v-1) as frozensets,
+        computed once and shared by every graph ``graph_at_index`` builds
+        (graphs are immutable, so sharing them is safe).
 
-        Holds n * R tuples: meant for classes small enough to enumerate, not
+        Holds n * R sets: meant for classes small enough to enumerate, not
         for sampling large ones (which unranks with ``outset_at``).
         """
-        return tuple(tuple(self.admissible_outsets(v)) for v in range(1, self.n + 1))
-
-    @cached_property
-    def _frozen_outsets(self) -> tuple[tuple[frozenset[int], ...], ...]:
-        """``outset_lists`` as frozensets, shared by every graph ``graph_at_index``
-        builds (graphs are immutable, so sharing them is safe)."""
-        return tuple(tuple(map(frozenset, outsets)) for outsets in self.outset_lists)
+        return tuple(tuple(map(frozenset, self.admissible_outsets(v))) for v in range(1, self.n + 1))
 
     def outset_at(self, v: int, rank: int) -> tuple[int, ...]:
         """Unrank: the rank-th admissible out-set of v in the documented order."""
@@ -331,30 +310,28 @@ def _count_upto(m: int, b: int) -> int:
 def _unrank_outset(rank: int, pool: tuple[int, ...], lo: int, hi: int) -> tuple[int, ...]:
     """rank-th subset of `pool` with size in [lo, hi], in lexicographic tuple order.
 
-    lo is 0 or 1; the empty set, when allowed, is rank 0.
+    lo is 0 or 1; the empty set, when allowed, is rank 0.  One forward scan
+    over the pool: a chosen prefix is itself the first subset that starts with
+    it, so x counts the subsets still to pass after the current prefix, and
+    the answer is the prefix at which x reaches 0.
     """
+    x = rank - 1 + lo  # past the empty prefix, which is rank 0 when lo is 0
+    if x < 0:
+        return ()
     chosen: list[int] = []
-    i, m = 0, len(pool)
-    budget = hi
-    allow_empty = lo == 0
-    x = rank
-    while True:
-        if allow_empty:
+    rest = hi - 1  # members that may still follow the next chosen one
+    count = _count_upto  # local name: this loop is the sampler's inner loop
+    for u, left in zip(pool, range(len(pool) - 1, -1, -1)):
+        block = count(left, rest)  # subsets that start with chosen + [u]
+        if x < block:
+            chosen.append(u)
             if x == 0:
                 return tuple(chosen)
+            rest -= 1
             x -= 1
-        while i < m:
-            block = _count_upto(m - i - 1, budget - 1)
-            if x < block:
-                chosen.append(pool[i])
-                i += 1
-                budget -= 1
-                allow_empty = True
-                break
-            x -= block
-            i += 1
         else:
-            raise ValueError(f"rank {rank} out of range")
+            x -= block
+    raise ValueError(f"rank {rank} out of range")
 
 
 def enumerate_graphs(spec: GraphClassSpec, cap: int = ENUMERATION_CAP) -> Iterator[DirectedGraph]:
@@ -364,39 +341,8 @@ def enumerate_graphs(spec: GraphClassSpec, cap: int = ENUMERATION_CAP) -> Iterat
     """
     if spec.size > cap:
         raise CapExceeded(f"class {spec.describe()} has {spec.size} graphs, cap is {cap}")
-    for combo in iter_combos(spec, 0, spec.size):
-        yield DirectedGraph(spec.n, tuple(frozenset(s) for s in combo))
-
-
-def iter_combos(spec: GraphClassSpec, start: int, end: int) -> Iterator[list[tuple[int, ...]]]:
-    """Per-vertex out-tuples of the graphs with enumeration indices [start, end).
-
-    The class's only enumerator: ``enumerate_graphs`` wraps it and audits scan
-    index ranges with it.  It yields one internal list that is mutated between
-    yields; consumers must not hold on to it.
-    """
-    if start >= end:
-        return
-    choices = spec.outset_lists
-    n, radix = spec.n, spec.outset_count
-    digits = []
-    x = start
-    for _ in range(n):
-        x, r = divmod(x, radix)
-        digits.append(r)
-    digits.reverse()  # vertex 1 is the most significant digit
-    combo = [choices[v][digits[v]] for v in range(n)]
-    for _ in range(start, end):
-        yield combo
-        v = n - 1
-        while v >= 0:
-            digits[v] += 1
-            if digits[v] < radix:
-                combo[v] = choices[v][digits[v]]
-                break
-            digits[v] = 0
-            combo[v] = choices[v][0]
-            v -= 1
+    for index in range(spec.size):
+        yield graph_at_index(spec, index)
 
 
 def digit_block(spec: GraphClassSpec, start: int, end: int) -> np.ndarray:
@@ -416,7 +362,7 @@ def graph_at_index(spec: GraphClassSpec, index: int) -> DirectedGraph:
     x = index
     for v in range(spec.n - 1, -1, -1):  # vertex n is the least significant digit
         x, digit = divmod(x, radix)
-        outs[v] = spec._frozen_outsets[v][digit]
+        outs[v] = spec.outset_lists[v][digit]
     return DirectedGraph(spec.n, tuple(outs))
 
 

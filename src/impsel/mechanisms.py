@@ -39,10 +39,10 @@ from ._deletion import (
     indegree_array,
     indegree_rows,
     out_rows,
+    run_deletion,
     run_deletion_rows,
     select_top,
     select_top_rows,
-    twin_select,
 )
 from .graphs import DirectedGraph
 
@@ -126,7 +126,8 @@ def _naive_sim_kernel(t: int) -> Kernel:
 
 def _twin_kernel(upper: int, lower: int) -> Kernel:
     def kernel(n: int, outs: Sequence[Sequence[int]]) -> int:
-        return twin_select(n, outs, upper, lower)
+        deg, _ = run_deletion(n, outs, lower)
+        return select_top(n, deg, upper)
 
     return kernel
 

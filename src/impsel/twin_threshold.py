@@ -15,7 +15,7 @@ decision is an exact integer comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import isqrt
 
@@ -146,6 +146,12 @@ def validate_thresholds(n: int, k: int, thresholds: ThresholdPair) -> PlanReport
     )
 
 
+def _clamped(report: PlanReport, upper_raw: int, lower_raw: int) -> PlanReport:
+    """`report` marked degenerate: its raw thresholds fell outside 1..n-1."""
+    note = f"raw thresholds (T={upper_raw}, t={lower_raw}) clamped to 1..{report.n - 1}; mechanism may never select"
+    return replace(report, degenerate=True, note=note)
+
+
 def _ceil_sqrt(n: int) -> int:
     return 1 + isqrt(n - 1) if n > 0 else 0
 
@@ -170,17 +176,7 @@ def plan_thresholds_k1(n: int) -> PlanReport:
     lower = min(t_raw, upper)
     report = validate_thresholds(n, 1, ThresholdPair(upper, lower))
     if degenerate:
-        return PlanReport(
-            n=n,
-            k=1,
-            thresholds=report.thresholds,
-            condition_lhs=report.condition_lhs,
-            condition_rhs=report.condition_rhs,
-            impartial_certified=report.impartial_certified,
-            alpha_bound=report.alpha_bound,
-            degenerate=True,
-            note=f"raw thresholds (T={upper_raw}, t={t_raw}) clamped to 1..{n - 1}; mechanism may never select",
-        )
+        return _clamped(report, upper_raw, t_raw)
     if not report.impartial_certified:
         raise RuntimeError(f"k=1 plan for n={n} failed its own certification")
     if report.alpha_bound**2 > 8 * n:
@@ -248,16 +244,4 @@ def plan_thresholds_general(
     upper = min(upper_raw, n - 1)
     lower = min(lower_raw, upper)
     report = validate_thresholds(n, k, ThresholdPair(upper, lower))
-    if degenerate:
-        return PlanReport(
-            n=n,
-            k=k,
-            thresholds=report.thresholds,
-            condition_lhs=report.condition_lhs,
-            condition_rhs=report.condition_rhs,
-            impartial_certified=report.impartial_certified,
-            alpha_bound=report.alpha_bound,
-            degenerate=True,
-            note=f"raw thresholds (T={upper_raw}, t={lower_raw}) clamped to 1..{n - 1}; mechanism may never select",
-        )
-    return report
+    return _clamped(report, upper_raw, lower_raw) if degenerate else report

@@ -26,7 +26,7 @@ from impsel import (
     symmetrize_eval,
     symmetrized_table,
 )
-from impsel.graphs import iter_combos
+from impsel.graphs import graph_at_index
 from impsel.mechanisms import MECHANISMS, kernel_for
 from conftest import graph
 from oracles import gap_by_definition, violations_by_definition
@@ -171,9 +171,15 @@ def _every_mechanism(n: int):
             yield MechanismId(name, params)
 
 
-def _scalar_outcomes(mid, spec, start, end):
+def _out_tuples(spec, start, end):
+    """Per-vertex out-tuples of the graphs with indices [start, end), built
+    once per window and shared by every mechanism's scalar reference."""
+    return [graph_at_index(spec, i).out_tuples for i in range(start, end)]
+
+
+def _scalar_outcomes(mid, n, window):
     kernel = kernel_for(mid)
-    return [kernel(spec.n, combo) for combo in iter_combos(spec, start, end)]
+    return [kernel(n, outs) for outs in window]
 
 
 @pytest.mark.parametrize(
@@ -193,9 +199,10 @@ def test_batch_kernels_match_scalar_kernels(monkeypatch, spec, block):
     # Blocks smaller than the chunks (three, run here) straddle chunk ends.
     monkeypatch.setattr(impsel.audit, "KERNEL_BLOCK", block)
     monkeypatch.setattr(impsel.audit, "_worker_count", lambda jobs, chunks: 1)
+    window = _out_tuples(spec, 0, spec.size)
     for mid in _every_mechanism(spec.n):
         table = impsel.audit._outcome_table(mid, spec, 3)
-        assert table.tolist() == _scalar_outcomes(mid, spec, 0, spec.size), mid.text()
+        assert table.tolist() == _scalar_outcomes(mid, spec.n, window), mid.text()
 
 
 def test_batch_kernels_match_scalar_kernels_on_windows_of_g5(monkeypatch):
@@ -206,10 +213,11 @@ def test_batch_kernels_match_scalar_kernels_on_windows_of_g5(monkeypatch):
     width = 400
     windows = [(lo, lo + width) for lo in range(0, spec.size - width, spec.size // 6 + 1)]
     windows.append((spec.size - width, spec.size))
+    outs = {(lo, hi): _out_tuples(spec, lo, hi) for lo, hi in windows}
     for mid in _every_mechanism(spec.n):
         for lo, hi in windows:
             got = impsel.audit._outcome_chunk((mid, spec, lo, hi))
-            assert got.tolist() == _scalar_outcomes(mid, spec, lo, hi), (mid.text(), lo)
+            assert got.tolist() == _scalar_outcomes(mid, spec.n, outs[lo, hi]), (mid.text(), lo)
 
 
 def test_batch_outcome_table_does_not_depend_on_worker_count():

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from impsel.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 STAR5 = "n 5\ne 2 1\ne 3 1\ne 4 1\ne 5 1\n"
 
@@ -61,6 +67,22 @@ def test_run_rejects_bad_thresholds(capsys, star5):
 def test_run_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", "--graph", str(tmp_path / "nope.g"), "--T", "2", "--t", "1")
     assert code == 2 and "error:" in err
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    # the n=14 table (about 320 kB) outgrows the pipe buffer, so the writer
+    # is still printing when the reader goes away
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    argv = [sys.executable, "-m", "impsel.cli", "partitions", "--n", "14"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"compositions of 14:")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""
+    missing = [sys.executable, "-m", "impsel.cli", "run", "--graph", str(tmp_path / "nope.g"), "--T", "2", "--t", "1"]
+    proc = subprocess.run(missing, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stderr.startswith("error:")
 
 
 def test_run_bad_graph_file_reports_line(capsys, tmp_path):
