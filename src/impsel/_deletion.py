@@ -5,16 +5,18 @@ out-tuples without building graph objects.  Vertices are 1..n; degree arrays
 are 1-based lists with index 0 unused.
 
 The row-wise numpy versions (``*_rows``) run the same rules on a block of
-graphs at once, one graph per row.  A block is given by a membership array
-``members`` of shape (n, R, n+1), where ``members[v-1, r, u]`` is 1 when u is
-in the r-th admissible out-set of v (column 0 is always 0), and a digit array
-of shape (B, n) holding each graph's out-set rank per vertex.  Degree arrays
-are (B, n+1) with column 0 unused.  Results equal the scalar functions' on
-every row; the scalar functions are the reference the tests compare against.
+graphs at once, one graph per row.  A block is a table ``members`` of out-set
+rows, shape (M, n+1), where ``members[i, u]`` is 1 when u is in out-set i
+(column 0 is always 0), and a choice array of shape (B, n): graph b gives
+vertex v the out-set in row ``choice[b, v-1]``.  Degree arrays are (B, n+1)
+with column 0 unused, in the table's dtype.  Results equal the scalar
+functions' on every row; the scalar functions are the reference the tests
+compare against.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -80,24 +82,34 @@ def select_top(n: int, deg: Sequence[int], threshold: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def membership_array(n: int, outset_lists: Sequence[Sequence[Sequence[int]]]) -> np.ndarray:
-    """(n, R, n+1) int8 array: entry [v-1, r, u] is 1 when u is in v's r-th out-set."""
-    members = np.zeros((n, len(outset_lists[0]), n + 1), np.int8)
-    for v, outsets in enumerate(outset_lists):
-        for r, outs in enumerate(outsets):
-            members[v, r, list(outs)] = 1
-    return members
+def outset_rows(n: int, outsets: Sequence[Sequence[int]]) -> np.ndarray:
+    """(len(outsets), n+1) table: entry [i, u] is 1 when u is in outsets[i].
+    Its dtype is the smallest signed type holding every vertex id and -1."""
+    rows = np.zeros((len(outsets), n + 1), np.min_scalar_type(-n - 1))
+    sizes = [len(outs) for outs in outsets]
+    rows[np.repeat(np.arange(len(outsets)), sizes), list(chain.from_iterable(outsets))] = 1
+    return rows
 
 
-def out_rows(members: np.ndarray, digits: np.ndarray, v: int) -> np.ndarray:
+def vertex_rows(last: np.ndarray, v: int) -> np.ndarray:
+    """Vertex v's out-set rows from vertex n's: v's admissible out-sets are
+    n's with every member >= v moved up by one, a monotone map that keeps the
+    documented order (row r is v's r-th out-set when row r of `last` is n's)."""
+    rows = np.zeros_like(last)
+    rows[:, 1:v] = last[:, 1:v]
+    rows[:, v + 1 :] = last[:, v:-1]
+    return rows
+
+
+def out_rows(members: np.ndarray, choice: np.ndarray, v: int) -> np.ndarray:
     """(B, n+1) membership rows of vertex v's out-set in every graph of the block."""
-    return members[v - 1, digits[:, v - 1]]
+    return members[choice[:, v - 1]]
 
 
-def indegree_rows(members: np.ndarray, digits: np.ndarray) -> np.ndarray:
-    deg = np.zeros((len(digits), members.shape[2]), np.int8)
-    for v in range(1, members.shape[0] + 1):
-        deg += out_rows(members, digits, v)
+def indegree_rows(members: np.ndarray, choice: np.ndarray) -> np.ndarray:
+    deg = np.zeros((len(choice), members.shape[1]), members.dtype)
+    for v in range(1, choice.shape[1] + 1):
+        deg += out_rows(members, choice, v)
     return deg
 
 
@@ -108,7 +120,7 @@ def _greatest_vertex(hit: np.ndarray) -> np.ndarray:
     return n - np.argmax(hit[:, :0:-1], axis=1)
 
 
-def run_deletion_rows(members: np.ndarray, digits: np.ndarray, t: int) -> np.ndarray:
+def run_deletion_rows(members: np.ndarray, choice: np.ndarray, t: int) -> np.ndarray:
     """Final remaining indegrees of ``run_deletion`` on every graph of the block.
 
     The scalar sweep keeps one invariant: no undeleted vertex has remaining
@@ -119,7 +131,7 @@ def run_deletion_rows(members: np.ndarray, digits: np.ndarray, t: int) -> np.nda
     greatest-index undeleted vertex at it, on every row where d >= t.  A row
     deletes each vertex at most once, so a block needs at most n+1 steps.
     """
-    deg = indegree_rows(members, digits)
+    deg = indegree_rows(members, choice)
     live = deg.copy()  # remaining indegree of undeleted vertices, negative elsewhere
     live[:, 0] = -1
     while True:
@@ -128,14 +140,14 @@ def run_deletion_rows(members: np.ndarray, digits: np.ndarray, t: int) -> np.nda
         if rows.size == 0:
             return deg
         v = _greatest_vertex(live[rows] == d[rows, None])
-        outs = members[v - 1, digits[rows, v - 1]]
+        outs = members[choice[rows, v - 1]]
         deg[rows] -= outs
         live[rows] -= outs
         live[rows, v] = -1
 
 
 def select_top_rows(deg: np.ndarray, threshold: int) -> np.ndarray:
-    """``select_top`` on every row: int8 selected vertex, 0 for none."""
+    """``select_top`` on every row: selected vertex in the degrees' dtype, 0 for none."""
     top = deg[:, 1:].max(axis=1)
     v = _greatest_vertex(deg == top[:, None])
-    return np.where(top >= threshold, v, 0).astype(np.int8)
+    return np.where(top >= threshold, v, 0).astype(deg.dtype)

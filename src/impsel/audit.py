@@ -2,17 +2,16 @@
 
 Impartiality is checked directly against its definition: for every base graph
 and every vertex, every admissible rewrite of that vertex's outgoing edges
-must leave the vertex's selection status unchanged.  Exhaustive mode fills an
-outcome table, the selected vertex of every graph of a class, with the
-mechanism's batch kernel: index ranges are evaluated in blocks of
-``KERNEL_BLOCK`` graphs, each a numpy pass over the block's out-set ranks, so
-no Python runs per graph and memory beyond the table is bounded by the block.
-Only that kernel pass is split across worker processes, and results are
-independent of the worker count.  Both scans over the table, for violating
-deviation pairs and for additive gaps, are whole-table numpy operations, and
-each witness graph is unranked once however many violations it is part of.
-Sampled mode draws seeded base graphs and still checks all of their
-deviations.
+must leave the vertex's selection status unchanged.  Every audit evaluates
+the mechanism with its batch kernel, in blocks of at most ``KERNEL_BLOCK``
+graphs, so no Python runs per graph and memory is bounded by the block.
+Exhaustive mode fills an outcome table, the selected vertex of every graph of
+a class; only that kernel pass is split across worker processes, and the
+scans for violating deviation pairs and gaps are whole-table numpy.  Sampled
+impartiality audits evaluate each seeded base graph's n deviation lines (v's
+out-set swept, the rest fixed) and compare every graph on them with the base
+graph; sampled gap audits stack the samples into blocks.  Each witness graph
+is built once however many violations it is part of.
 
 Worst additive gaps are measured in the same two modes, trace invariants are
 re-derived from recorded deletion traces, and randomized lifts/symmetrizations
@@ -26,33 +25,37 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from functools import partial
+from itertools import islice, repeat
 from math import factorial
 from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from ._deletion import membership_array
+from ._deletion import indegree_rows, outset_rows, vertex_rows
 from .graphs import (
     CapExceeded,
     DirectedGraph,
     GraphClassSpec,
     Permutation,
-    deviations,
+    deviations,  # bound only for the bench tracer, which wraps it here
     digit_block,
     enumerate_graphs,
     graph_at_index,
-    sample_stream,
+    graph_of_ranks,
+    sample_ranks,
+    sample_stream,  # bound only for the bench tracer, which wraps it here
 )
 from .mechanisms import MechanismId, Outcome, batch_kernel_for, kernel_for, resolve
 from .twin_threshold import DeletionTrace, ThresholdPair, additive_gap, run_twin_threshold
 
-#: Exhaustive audits refuse classes larger than this by default (memory: the
-#: outcome table holds one entry per graph).  Override per call.
+#: Exhaustive audits refuse classes larger than this by default (the outcome
+#: table holds one entry per graph), sampled impartiality audits base graphs
+#: whose deviation lines hold more graphs.  Override per call.
 AUDIT_CAP = 10**7
 
-#: Graphs per batch-kernel call in exhaustive audits; bounds the working
-#: arrays (a few (block, n+1) int8 arrays) independently of the class size.
+#: Graphs per batch-kernel call (table entries per stacked sampled gap
+#: block); bounds the working arrays independently of the class size.
 KERNEL_BLOCK = 1 << 16
 
 #: Symmetrization enumerates all n! vertex permutations; refuse past this n.
@@ -69,7 +72,9 @@ class Exhaustive:
 
 @dataclass(frozen=True)
 class Sampled:
-    """Examine `trials` seeded uniform base graphs (all deviations of each)."""
+    """Examine `trials` seeded uniform base graphs: gap audits measure them,
+    impartiality audits compare each with every graph on its n deviation
+    lines (n*R graphs, R admissible out-sets per vertex)."""
 
     seed: int
     trials: int
@@ -122,21 +127,34 @@ class GapReport:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive scans: one kernel pass, then whole-table numpy
+# kernel passes; exhaustive scans read the outcome table with whole-table numpy
 # ---------------------------------------------------------------------------
 
 
+def _blocks(start: int, end: int) -> Iterator[tuple[int, int]]:
+    return ((lo, min(lo + KERNEL_BLOCK, end)) for lo in range(start, end, KERNEL_BLOCK))
+
+
+def _class_block(spec: GraphClassSpec) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
+    """block(lo, hi): the batch kernel's (members, choice) for graphs [lo, hi) of the class."""
+    n, radix = spec.n, spec.outset_count
+    last = outset_rows(n, spec.admissible_outsets(n))
+    members = np.concatenate([vertex_rows(last, v) for v in range(1, n + 1)])
+    offsets = np.arange(n) * radix  # vertex v's out-sets start at row (v-1)*R
+    return lambda lo, hi: (members, digit_block(spec, lo, hi) + offsets)
+
+
 def _outcome_chunk(args) -> np.ndarray:
-    """Selected vertex (0 for none) of every graph with index in [start, end),
-    by the batch kernel, ``KERNEL_BLOCK`` graphs at a time."""
+    """Selected vertex (0 for none) of every graph with index in [start, end)."""
     mid, spec, start, end = args
-    kern = batch_kernel_for(mid)
-    members = membership_array(spec.n, spec.outset_lists)
-    out = np.empty(end - start, np.int8)
-    for lo in range(start, end, KERNEL_BLOCK):
-        hi = min(lo + KERNEL_BLOCK, end)
-        out[lo - start : hi - start] = kern(members, digit_block(spec, lo, hi))
-    return out
+    kern, block = batch_kernel_for(mid), _class_block(spec)
+    return np.concatenate([kern(*block(lo, hi)) for lo, hi in _blocks(start, end)])
+
+
+def _gaps(members: np.ndarray, choice: np.ndarray, selected: np.ndarray) -> np.ndarray:
+    """Additive gap of every graph of a block, given the vertex each selects."""
+    deg = indegree_rows(members, choice)
+    return deg.max(axis=1) - deg[np.arange(len(choice)), selected]
 
 
 def _chunks(size: int, jobs: int) -> list[tuple[int, int]]:
@@ -153,10 +171,7 @@ def _worker_count(jobs: int, chunks: int) -> int:
     """Worker processes for `chunks` chunks: never more than asked for, than
     there are usable CPUs (the affinity mask where the platform has one), or
     than there are chunks."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return min(jobs, cpus, chunks)
 
 
@@ -196,30 +211,7 @@ def _violating_pairs(table: np.ndarray, n: int, radix: int) -> Iterator[tuple[in
                 index_a = (head * radix + d1) * stride + tail
                 index_b = index_a + (d2 - d1) * stride
                 selected_a = flags[head, d1, tail]
-                yield from zip(
-                    index_a.tolist(), index_b.tolist(), repeat(v), selected_a.tolist(), (~selected_a).tolist()
-                )
-
-
-def _gap_table(spec: GraphClassSpec, table: np.ndarray) -> np.ndarray:
-    """Additive gap of every graph of the class, from its outcome table.
-
-    Vertex u's indegree across the class is the sum, over the other vertices
-    v, of "u is in v's out-set" broadcast along v's digit axis.  Only the
-    running maximum indegree and the selected vertex's indegree are kept.
-    """
-    n, radix = spec.n, spec.outset_count
-    members = membership_array(n, spec.outset_lists)
-    top = np.zeros_like(table)
-    chosen = np.zeros_like(table)
-    for u in range(1, n + 1):
-        deg = np.zeros_like(table)
-        for v in spec.targets(u):
-            lines = deg.reshape(-1, radix, radix ** (n - v))
-            lines += members[v - 1, :, u, None]
-        np.maximum(top, deg, out=top)
-        np.copyto(chosen, deg, where=table == u)
-    return top - chosen
+                yield from zip(index_a.tolist(), index_b.tolist(), repeat(v), selected_a.tolist(), (~selected_a).tolist())
 
 
 def check_impartiality(
@@ -238,49 +230,75 @@ def check_impartiality(
     mid.validate_for(spec.n)
     _check_jobs(jobs)
     if isinstance(mode, Sampled):
-        return _check_impartiality_sampled(mid, spec, mode)
+        return _violations(_sampled_pairs(mid, spec, mode, cap), partial(graph_of_ranks, spec))
     if _check_exhaustive_pre(spec, cap) == 0:
         return []
     pairs = list(_violating_pairs(_outcome_table(mid, spec, jobs), spec.n, spec.outset_count))
-    witnesses = {i: graph_at_index(spec, i) for i in {i for pair in pairs for i in pair[:2]}}
-    violations = [
-        _orient_violation(witnesses[ia], witnesses[ib], vtx, sel_a, sel_b) for ia, ib, vtx, sel_a, sel_b in pairs
-    ]
-    violations.sort(key=_canonical_order)
+    return _violations(pairs, partial(graph_at_index, spec))
+
+
+def _violations(pairs: list[tuple], build: Callable[..., DirectedGraph]) -> list[Violation]:
+    """Violations of (a, b, deviator, selected_a, selected_b) pairs, the graph
+    with the smaller serialization first, in canonical order; build(a) makes
+    each witness graph, once."""
+    graphs = {x: build(x) for x in {x for pair in pairs for x in pair[:2]}}
+    violations = []
+    for a, b, v, sel_a, sel_b in pairs:
+        a, b = graphs[a], graphs[b]
+        if b.serialize() < a.serialize():
+            a, b, sel_a, sel_b = b, a, sel_b, sel_a
+        violations.append(Violation(a, b, v, sel_a, sel_b))
+    violations.sort(key=lambda w: (w.graph_a.serialize(), w.graph_b.serialize(), w.deviator))
     return violations
 
 
-def _canonical_order(w: Violation) -> tuple[str, str, int]:
-    return w.graph_a.serialize(), w.graph_b.serialize(), w.deviator
+def _line_outcomes(kern, last: np.ndarray, fixed: np.ndarray, v: int) -> np.ndarray:
+    """Selected vertex on every graph of a base graph's deviation line along
+    v, by v's out-set rank.  `last` holds vertex n's out-set rows and `fixed`
+    the base graph's, vertex w's in row w-1."""
+    n, outcomes = len(fixed), []
+    for lo, hi in _blocks(0, len(last)):
+        choice = np.tile(np.arange(n), (hi - lo, 1))
+        choice[:, v - 1] = n + np.arange(hi - lo)
+        outcomes.append(kern(np.concatenate([fixed, vertex_rows(last[lo:hi], v)]), choice))
+    return np.concatenate(outcomes)
 
 
-def _orient_violation(a: DirectedGraph, b: DirectedGraph, vtx: int, sel_a: bool, sel_b: bool) -> Violation:
-    if b.serialize() < a.serialize():
-        a, b, sel_a, sel_b = b, a, sel_b, sel_a
-    return Violation(a, b, vtx, sel_a, sel_b)
+def _sampled_pairs(mid: MechanismId, spec: GraphClassSpec, mode: Sampled, cap: int) -> list[tuple]:
+    """Each sampled base graph against every graph on its deviation lines: one
+    whose "v is selected" flag differs from the base graph's is a violating
+    pair with deviator v, kept once per unordered pair.  Graphs are rank tuples."""
+    n, radix = spec.n, spec.outset_count
+    if n * radix > cap:
+        raise CapExceeded(f"deviation lines of a {spec.describe()} graph hold {n * radix} graphs, audit cap is {cap}")
+    kern, last = batch_kernel_for(mid), outset_rows(n, spec.admissible_outsets(n))
+    found: dict[tuple, tuple] = {}
+    for base in sample_ranks(spec, mode.seed, mode.trials):
+        fixed = np.concatenate([vertex_rows(last[[r]], w) for w, r in enumerate(base, start=1)])
+        for v, rank in enumerate(base, start=1):
+            flags = _line_outcomes(kern, last, fixed, v) == v
+            here = bool(flags[rank])
+            for d in np.flatnonzero(flags != here).tolist():
+                other = base[: v - 1] + (d,) + base[v:]
+                found.setdefault((min(base, other), max(base, other), v), (base, other, v, here, not here))
+    return list(found.values())
 
 
-def _check_impartiality_sampled(mid: MechanismId, spec: GraphClassSpec, mode: Sampled) -> list[Violation]:
-    mechanism = resolve(mid)
-    seen: set[tuple] = set()
-    violations: list[Violation] = []
-    for base in sample_stream(spec, mode.seed, mode.trials):
-        base_sel = mechanism(base).vertex
-        for v in range(1, spec.n + 1):
-            here = base_sel == v
-            for other in deviations(base, v, spec):
-                if other.key == base.key:
-                    continue
-                there = mechanism(other).vertex == v
-                if there == here:
-                    continue
-                dedup = (min(base.key, other.key), max(base.key, other.key), v)
-                if dedup in seen:
-                    continue
-                seen.add(dedup)
-                violations.append(_orient_violation(base, other, v, here, there))
-    violations.sort(key=_canonical_order)
-    return violations
+def _measure_gap_sampled(mid: MechanismId, spec: GraphClassSpec, mode: Sampled) -> GapReport:
+    """Gaps of the sampled graphs, stacked into blocks whose table holds at
+    most ``KERNEL_BLOCK`` entries: graph b of a block gives vertex v the
+    out-set in row b*n + v-1 of the block's table."""
+    kern, n = batch_kernel_for(mid), spec.n
+    samples = sample_ranks(spec, mode.seed, mode.trials)
+    best_gap, best = -1, ()
+    while chunk := list(islice(samples, max(1, KERNEL_BLOCK // (n * (n + 1))))):
+        members = outset_rows(n, [spec.outset_at(v, r) for ranks in chunk for v, r in enumerate(ranks, start=1)])
+        choice = np.arange(len(members)).reshape(len(chunk), n)
+        gaps = _gaps(members, choice, kern(members, choice))
+        b = int(np.argmax(gaps))  # the first maximum: the earliest sample
+        if gaps[b] > best_gap:
+            best_gap, best = int(gaps[b]), chunk[b]
+    return GapReport(best_gap, graph_of_ranks(spec, best), mode.trials, mode.describe())
 
 
 def measure_gap(
@@ -298,26 +316,17 @@ def measure_gap(
     """
     mid.validate_for(spec.n)
     _check_jobs(jobs)
-    mechanism = resolve(mid)
     if isinstance(mode, Sampled):
-        best_gap, witness = -1, None
-        count = 0
-        for graph in sample_stream(spec, mode.seed, mode.trials):
-            gap = additive_gap(graph, mechanism(graph))
-            if gap > best_gap:
-                best_gap, witness = gap, graph
-            count += 1
-        if witness is None:
-            raise RuntimeError("sampled gap audit needs at least one trial")
-        report = GapReport(best_gap, witness, count, mode.describe())
+        report = _measure_gap_sampled(mid, spec, mode)
     else:
         size = _check_exhaustive_pre(spec, cap)
         if size == 0:
             raise ValueError(f"class {spec.describe()} is empty, no gap to measure")
-        gaps = _gap_table(spec, _outcome_table(mid, spec, jobs))
+        table, block = _outcome_table(mid, spec, jobs), _class_block(spec)
+        gaps = np.concatenate([_gaps(*block(lo, hi), table[lo:hi]) for lo, hi in _blocks(0, size)])
         best_idx = int(np.argmax(gaps))  # the first maximum: the smallest index
         report = GapReport(int(gaps[best_idx]), graph_at_index(spec, best_idx), size, mode.describe())
-    check = additive_gap(report.witness, mechanism(report.witness))
+    check = additive_gap(report.witness, resolve(mid)(report.witness))
     if check != report.worst_gap:
         raise RuntimeError(f"witness recomputation gave {check} != {report.worst_gap}")
     return report
@@ -398,17 +407,9 @@ def check_trace_invariants(graph: DirectedGraph, thresholds: ThresholdPair) -> T
 
     problems = []
     for v in sorted(trace.deleted_set):
-        dv = trace.dstar[v]
-        indeg = graph.indegrees[v - 1]
+        dv, indeg, at = trace.dstar[v], graph.indegrees[v - 1], trace.degree_at_deletion
         r = indeg - dv
-        above = sorted(
-            (
-                (trace.degree_at_deletion(u), u)
-                for u in graph.in_neighbors(v)
-                if (trace.degree_at_deletion(u), u) > (dv, v)
-            ),
-            reverse=True,
-        )
+        above = sorted(((at(u), u) for u in graph.in_neighbors(v) if (at(u), u) > (dv, v)), reverse=True)
         if len(above) != r:
             problems.append(f"vertex {v}: {len(above)} in-neighbors above it, expected drop {r}")
             continue
@@ -416,7 +417,7 @@ def check_trace_invariants(graph: DirectedGraph, thresholds: ThresholdPair) -> T
             if not pair > (indeg - j, v):
                 problems.append(f"vertex {v}: witness {j} at {pair} not above ({indeg - j}, {v})")
         for u in graph.in_neighbors(v):
-            pair = (trace.degree_at_deletion(u), u)
+            pair = (at(u), u)
             if pair not in above and not pair < (dv, v):
                 problems.append(f"vertex {v}: in-neighbor {u} at {pair} neither witness nor below ({dv}, {v})")
     checks.append(TraceCheck("inneighbor_witness", not problems, "; ".join(problems)))
@@ -453,10 +454,10 @@ class ProbabilityVector:
 Randomized = Callable[[DirectedGraph], ProbabilityVector]
 
 
-def lift_deterministic(mechanism: MechanismId | Callable[[DirectedGraph], Outcome]) -> Randomized:
+def lift_deterministic(mid: MechanismId) -> Randomized:
     """Degenerate randomized view of a deterministic mechanism: probability 1
     on the selected vertex, all-zero when nothing is selected."""
-    f = resolve(mechanism) if isinstance(mechanism, MechanismId) else mechanism
+    f = resolve(mid)
 
     def randomized(graph: DirectedGraph) -> ProbabilityVector:
         v = f(graph).vertex
@@ -468,45 +469,40 @@ def lift_deterministic(mechanism: MechanismId | Callable[[DirectedGraph], Outcom
     return randomized
 
 
-def symmetrize_eval(randomized: Randomized, graph: DirectedGraph, cap: int = FACTORIAL_CAP) -> ProbabilityVector:
+def symmetrize_eval(randomized: Randomized, graph: DirectedGraph) -> ProbabilityVector:
     """Average the mechanism over all n! vertex relabelings, exactly.
 
     Entry v is (1/n!) times the sum over permutations pi of the probability the
     mechanism puts on pi(v) when run on the relabeled graph.
     """
     n = graph.n
-    if n > cap:
-        raise CapExceeded(f"symmetrization of n={n} exceeds factorial cap {cap}")
+    if n > FACTORIAL_CAP:
+        raise CapExceeded(f"symmetrization of n={n} exceeds factorial cap {FACTORIAL_CAP}")
     totals = [Fraction(0)] * n
     cache: dict[tuple[int, ...], ProbabilityVector] = {}
     for perm in Permutation.all_of(n):
         relabeled = graph.relabel(perm)
-        vector = cache.get(relabeled.key)
-        if vector is None:
-            vector = randomized(relabeled)
-            cache[relabeled.key] = vector
-        images = perm.images
+        if relabeled.key not in cache:
+            cache[relabeled.key] = randomized(relabeled)
+        vector, images = cache[relabeled.key], perm.images
         for v in range(1, n + 1):
             totals[v - 1] += vector.probs[images[v - 1] - 1]
     scale = factorial(n)
     return ProbabilityVector(tuple(p / scale for p in totals))
 
 
-def symmetrized_table(
-    mid: MechanismId, spec: GraphClassSpec, cap: int = FACTORIAL_CAP
-) -> dict[tuple[int, ...], ProbabilityVector]:
+def symmetrized_table(mid: MechanismId, spec: GraphClassSpec) -> dict[tuple[int, ...], ProbabilityVector]:
     """Symmetrized vectors for every graph of a class, keyed by graph key.
 
     Classes are closed under relabeling, so one outcome pass over the class
     serves all n! relabelings of every member.  Classes larger than
     ``AUDIT_CAP`` are refused before any graph is built.
     """
-    if spec.n > cap:
-        raise CapExceeded(f"symmetrization of n={spec.n} exceeds factorial cap {cap}")
+    if spec.n > FACTORIAL_CAP:
+        raise CapExceeded(f"symmetrization of n={spec.n} exceeds factorial cap {FACTORIAL_CAP}")
     _check_exhaustive_pre(spec, AUDIT_CAP)
     mid.validate_for(spec.n)
-    kern = kernel_for(mid)
-    n = spec.n
+    kern, n = kernel_for(mid), spec.n
     graphs = list(enumerate_graphs(spec))
     selected = {g.key: kern(n, g.out_tuples) for g in graphs}
     perms = [(perm, perm.inverse()) for perm in Permutation.all_of(n)]
@@ -533,9 +529,7 @@ class WeakUnanimityReport:
     detail: str = ""
 
 
-def check_weak_unanimity_inheritance(
-    mid: MechanismId, spec: GraphClassSpec, cap: int = FACTORIAL_CAP
-) -> WeakUnanimityReport:
+def check_weak_unanimity_inheritance(mid: MechanismId, spec: GraphClassSpec) -> WeakUnanimityReport:
     """On graphs with a vertex of indegree n-1: if the base mechanism always
     selects a positive-indegree vertex there, its symmetrization must place
     mass exactly 1 on positive-indegree vertices (checked in exact rationals).
@@ -547,15 +541,11 @@ def check_weak_unanimity_inheritance(
     for g in stars:
         v = mechanism(g).vertex
         if v is None or g.indegrees[v - 1] < 1:
-            return WeakUnanimityReport(
-                premise_holds=False,
-                ok=True,
-                graphs_checked=len(stars),
-                detail=f"{mid.text()} does not select a positive-indegree vertex on some such graph",
-            )
+            detail = f"{mid.text()} does not select a positive-indegree vertex on some such graph"
+            return WeakUnanimityReport(premise_holds=False, ok=True, graphs_checked=len(stars), detail=detail)
     problems = []
     for g in stars:
-        vector = symmetrize_eval(lifted, g, cap)
+        vector = symmetrize_eval(lifted, g)
         mass = sum((vector.prob(v) for v in range(1, n + 1) if g.indegrees[v - 1] >= 1), Fraction(0))
         if mass != 1:
             problems.append(f"graph {g.key}: positive-indegree mass {mass} != 1")

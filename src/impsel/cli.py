@@ -71,10 +71,6 @@ def _outdegree_bound(text: str) -> int | None:
     return int(text)
 
 
-def _class_spec(args) -> GraphClassSpec:
-    return GraphClassSpec(args.n, args.k, args.positive_outdegree)
-
-
 def _default_plan(n: int, k: int | None) -> PlanReport:
     """Plan used when no thresholds are given: the k=1 planner for ``--k 1``,
     else the general planner at kappa=0, c=k (``--k unbounded`` is k = n-1)."""
@@ -166,7 +162,7 @@ def _audit_mode(args):
 
 def _cmd_audit(args) -> int:
     mid = MechanismId.parse(args.mechanism)
-    spec = _class_spec(args)
+    spec = GraphClassSpec(args.n, args.k, args.positive_outdegree)
     if args.kind == "impartiality":
         mode = _audit_mode(args)
         violations = check_impartiality(mid, spec, mode, cap=args.cap, jobs=args.jobs)
@@ -350,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--samples", type=int)
     audit.add_argument("--seed", type=int)
     audit.add_argument("--jobs", type=int, default=1, help="exhaustive audits: worker processes (at most the usable CPUs)")
-    audit.add_argument("--cap", type=int, default=AUDIT_CAP)
+    cap_help = "most graphs in an exhaustive audit's class or on one sampled graph's deviation lines (default 10^7)"
+    audit.add_argument("--cap", type=int, default=AUDIT_CAP, help=cap_help)
     audit.add_argument("--T", type=int, help="trace audits: upper threshold (default: planned)")
     audit.add_argument("--t", type=int, help="trace audits: lower threshold (default: planned)")
     audit.add_argument("--json", action="store_true")

@@ -38,7 +38,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -265,12 +265,9 @@ class GraphClassSpec:
         lo, hi = self.min_outdegree, self.bound
         return all(lo <= len(s) <= hi for s in graph.out_sets)
 
-    def targets(self, v: int) -> tuple[int, ...]:
-        return tuple(u for u in range(1, self.n + 1) if u != v)
-
     def admissible_outsets(self, v: int) -> list[tuple[int, ...]]:
         """All admissible out-sets of vertex v in the documented order."""
-        pool = self.targets(v)
+        pool = [u for u in range(1, self.n + 1) if u != v]
         sets = itertools.chain.from_iterable(
             itertools.combinations(pool, j) for j in range(self.min_outdegree, self.bound + 1)
         )
@@ -279,19 +276,18 @@ class GraphClassSpec:
     @cached_property
     def outset_lists(self) -> tuple[tuple[frozenset[int], ...], ...]:
         """``admissible_outsets`` of every vertex (entry v-1) as frozensets,
-        computed once and shared by every graph ``graph_at_index`` builds
-        (graphs are immutable, so sharing them is safe).
-
-        Holds n * R sets: meant for classes small enough to enumerate, not
-        for sampling large ones (which unranks with ``outset_at``).
-        """
+        shared by every graph ``graph_at_index`` builds.  Holds n * R sets:
+        meant for classes small enough to enumerate, not for sampling."""
         return tuple(tuple(map(frozenset, self.admissible_outsets(v))) for v in range(1, self.n + 1))
 
     def outset_at(self, v: int, rank: int) -> tuple[int, ...]:
-        """Unrank: the rank-th admissible out-set of v in the documented order."""
+        """Unrank: the rank-th admissible out-set of v in the documented order.
+        It is vertex n's (a subset of 1..n-1) with every member >= v moved up
+        by one, a monotone map that keeps the order."""
         if not 0 <= rank < self.outset_count:
             raise ValueError(f"out-set rank {rank} outside 0..{self.outset_count - 1}")
-        return _unrank_outset(rank, self.targets(v), self.min_outdegree, self.bound)
+        outs = _unrank_outset(rank, range(1, self.n), self.min_outdegree, self.bound)
+        return tuple(u + (u >= v) for u in outs)
 
     def describe(self) -> str:
         plus = "+" if self.require_positive_outdegree else ""
@@ -307,7 +303,7 @@ def _count_upto(m: int, b: int) -> int:
     return sum(comb(m, j) for j in range(0, min(b, m) + 1))
 
 
-def _unrank_outset(rank: int, pool: tuple[int, ...], lo: int, hi: int) -> tuple[int, ...]:
+def _unrank_outset(rank: int, pool: Sequence[int], lo: int, hi: int) -> tuple[int, ...]:
     """rank-th subset of `pool` with size in [lo, hi], in lexicographic tuple order.
 
     lo is 0 or 1; the empty set, when allowed, is rank 0.  One forward scan
@@ -335,10 +331,8 @@ def _unrank_outset(rank: int, pool: tuple[int, ...], lo: int, hi: int) -> tuple[
 
 
 def enumerate_graphs(spec: GraphClassSpec, cap: int = ENUMERATION_CAP) -> Iterator[DirectedGraph]:
-    """All graphs of the class, each exactly once, in the documented order.
-
-    Refuses upfront when the advertised count exceeds `cap`.
-    """
+    """All graphs of the class, each exactly once, in the documented order;
+    refuses upfront when the class has more than `cap` graphs."""
     if spec.size > cap:
         raise CapExceeded(f"class {spec.describe()} has {spec.size} graphs, cap is {cap}")
     for index in range(spec.size):
@@ -367,11 +361,9 @@ def graph_at_index(spec: GraphClassSpec, index: int) -> DirectedGraph:
 
 
 def deviations(graph: DirectedGraph, v: int, spec: GraphClassSpec) -> Iterator[DirectedGraph]:
-    """All class members that agree with `graph` outside v's outgoing edges.
-
-    Emits every admissible replacement of v's out-set exactly once, in the
-    documented order, including `graph` itself.
-    """
+    """All class members that agree with `graph` outside v's outgoing edges:
+    every admissible out-set of v once, in the documented order, including
+    `graph` itself."""
     if not 1 <= v <= graph.n:
         raise ValueError(f"vertex {v} outside 1..{graph.n}")
     if not spec.contains(graph):
@@ -419,25 +411,32 @@ class _PhiloxWords:
 
 
 def sample_graph(spec: GraphClassSpec, seed: int) -> DirectedGraph:
-    """Uniform member of the class, deterministic for a fixed seed.
-
-    Each vertex's out-set is drawn uniformly from its admissible out-sets,
-    independently, for vertices 1..n in order (one draw per vertex).
-    """
+    """Uniform member of the class, deterministic for a fixed seed: each
+    vertex's out-set is drawn uniformly and independently, vertices 1..n in
+    order (one draw per vertex)."""
     return next(sample_stream(spec, seed, 1))
+
+
+def sample_ranks(spec: GraphClassSpec, seed: int, count: int) -> Iterator[tuple[int, ...]]:
+    """Out-set ranks, vertex 1 first, of `count` independent uniform samples
+    drawn from one seeded Philox stream; ``sample_stream`` builds its graphs
+    from them."""
+    if spec.outset_count == 0:
+        raise ValueError(f"class {spec.describe()} is empty")
+    words = _PhiloxWords(seed)
+    for _ in range(count):
+        yield tuple(words.below(spec.outset_count) for _ in range(spec.n))
+
+
+def graph_of_ranks(spec: GraphClassSpec, ranks: Sequence[int]) -> DirectedGraph:
+    """The class member whose vertex v has out-set rank ranks[v-1]."""
+    return DirectedGraph(spec.n, tuple(frozenset(spec.outset_at(v, r)) for v, r in enumerate(ranks, start=1)))
 
 
 def sample_stream(spec: GraphClassSpec, seed: int, count: int) -> Iterator[DirectedGraph]:
     """`count` independent uniform samples drawn from one seeded Philox stream."""
-    if spec.outset_count == 0:
-        raise ValueError(f"class {spec.describe()} is empty")
-    words = _PhiloxWords(seed)
-    per_vertex = spec.outset_count
-    for _ in range(count):
-        outs = tuple(
-            frozenset(spec.outset_at(v, words.below(per_vertex))) for v in range(1, spec.n + 1)
-        )
-        yield DirectedGraph(spec.n, outs)
+    for ranks in sample_ranks(spec, seed, count):
+        yield graph_of_ranks(spec, ranks)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ edges): where the rule yields nothing they return the empty outcome.
 a validator of the parameters against a vertex count, a kernel factory and a
 batch-kernel factory.  The kernel runs on one graph; the batch kernel runs the
 same rule on a block of graphs at once (see :mod:`impsel._deletion` for the
-block layout) and is what exhaustive audits use.  ``MechanismId`` construction
-and parsing, ``validate_for``, ``kernel_for``, ``batch_kernel_for`` and
-``resolve`` are all lookups in it.  Names and parameter syntax (the CLI
+block layout) and is what every audit, exhaustive or sampled, evaluates.
+``MechanismId`` construction and parsing, ``validate_for``, ``kernel_for``,
+``batch_kernel_for`` and ``resolve`` are all lookups in it.  Names and parameter syntax (the CLI
 contract):
 
     never              select nothing, always
@@ -133,46 +133,46 @@ def _twin_kernel(upper: int, lower: int) -> Kernel:
 
 
 # ---------------------------------------------------------------------------
-# batch kernels: (members (n, R, n+1), digits (B, n)) -> int8 selected vertex
-# per graph, 0 for none
+# batch kernels: (members (M, n+1), choice (B, n)) -> selected vertex per
+# graph in the members' dtype, 0 for none
 # ---------------------------------------------------------------------------
 
 
-def _never_batch(members: np.ndarray, digits: np.ndarray) -> np.ndarray:
-    return np.zeros(len(digits), np.int8)
+def _never_batch(members: np.ndarray, choice: np.ndarray) -> np.ndarray:
+    return np.zeros(len(choice), members.dtype)
 
 
-def _max_naive_batch(members: np.ndarray, digits: np.ndarray) -> np.ndarray:
-    return select_top_rows(indegree_rows(members, digits), 0)
+def _max_naive_batch(members: np.ndarray, choice: np.ndarray) -> np.ndarray:
+    return select_top_rows(indegree_rows(members, choice), 0)
 
 
 def _follow_batch(anchor: int) -> BatchKernel:
-    def kernel(members: np.ndarray, digits: np.ndarray) -> np.ndarray:
-        # greatest member of each of the anchor's out-sets, 0 for the empty one
-        top = (members[anchor - 1] * np.arange(members.shape[2], dtype=np.int8)).max(axis=1)
-        return top[digits[:, anchor - 1]]
+    def kernel(members: np.ndarray, choice: np.ndarray) -> np.ndarray:
+        # greatest member of every listed out-set, 0 for the empty one
+        top = (members * np.arange(members.shape[1], dtype=members.dtype)).max(axis=1)
+        return top[choice[:, anchor - 1]]
 
     return kernel
 
 
-def _majority_batch(members: np.ndarray, digits: np.ndarray) -> np.ndarray:
-    return select_top_rows(indegree_rows(members, digits), members.shape[0] // 2 + 1)
+def _majority_batch(members: np.ndarray, choice: np.ndarray) -> np.ndarray:
+    return select_top_rows(indegree_rows(members, choice), choice.shape[1] // 2 + 1)
 
 
 def _naive_sim_batch(t: int) -> BatchKernel:
-    def kernel(members: np.ndarray, digits: np.ndarray) -> np.ndarray:
-        deg = indegree_rows(members, digits)
+    def kernel(members: np.ndarray, choice: np.ndarray) -> np.ndarray:
+        deg = indegree_rows(members, choice)
         remaining = deg.copy()
-        for v in range(1, members.shape[0] + 1):
-            remaining -= out_rows(members, digits, v) * (deg[:, v] >= t)[:, None]
+        for v in range(1, choice.shape[1] + 1):
+            remaining -= out_rows(members, choice, v) * (deg[:, v] >= t)[:, None]
         return select_top_rows(remaining, t + 1)
 
     return kernel
 
 
 def _twin_batch(upper: int, lower: int) -> BatchKernel:
-    def kernel(members: np.ndarray, digits: np.ndarray) -> np.ndarray:
-        return select_top_rows(run_deletion_rows(members, digits, lower), upper)
+    def kernel(members: np.ndarray, choice: np.ndarray) -> np.ndarray:
+        return select_top_rows(run_deletion_rows(members, choice, lower), upper)
 
     return kernel
 
@@ -267,13 +267,13 @@ class MechanismId:
 
 
 def kernel_for(mid: MechanismId) -> Kernel:
-    """Raw kernel for audit loops: (n, out-tuples) -> selected vertex or 0."""
+    """Per-graph kernel: (n, out-tuples) -> selected vertex or 0."""
     return MECHANISMS[mid.name].kernel(mid.params)
 
 
 def batch_kernel_for(mid: MechanismId) -> BatchKernel:
-    """Block kernel for exhaustive audits: (members, digits) -> int8 selected
-    vertex per graph, 0 for none; equal to ``kernel_for(mid)`` on every graph."""
+    """Block kernel for audits: (members, choice) -> selected vertex per
+    graph, 0 for none; equal to ``kernel_for(mid)`` on every graph."""
     return MECHANISMS[mid.name].batch(mid.params)
 
 

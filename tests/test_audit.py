@@ -26,10 +26,17 @@ from impsel import (
     symmetrize_eval,
     symmetrized_table,
 )
+from impsel._deletion import outset_rows
+from impsel.audit import FACTORIAL_CAP
 from impsel.graphs import graph_at_index
-from impsel.mechanisms import MECHANISMS, kernel_for
+from impsel.mechanisms import MECHANISMS, batch_kernel_for, kernel_for
 from conftest import graph
-from oracles import gap_by_definition, violations_by_definition
+from oracles import (
+    gap_by_definition,
+    sampled_gap_by_definition,
+    sampled_violations_by_definition,
+    violations_by_definition,
+)
 
 
 # ---- impartiality ----
@@ -254,6 +261,83 @@ def test_worker_count_reads_cpu_affinity(monkeypatch):
     assert impsel.audit._worker_count(2, 8) == 1
 
 
+# ---- sampled audits ----
+
+
+@pytest.mark.parametrize(
+    "spec, trials",
+    [
+        (GraphClassSpec(4, 1), 12),
+        (GraphClassSpec(4, 2, True), 8),  # 6 out-sets per vertex, more than vertices
+        (GraphClassSpec(2, None, True), 5),  # one out-set per vertex
+        (GraphClassSpec(6, 2), 3),
+        (GraphClassSpec(5, 3, True), 4),
+    ],
+    ids=lambda x: x.describe() if isinstance(x, GraphClassSpec) else f"trials{x}",
+)
+@pytest.mark.parametrize("seed, block", [(1, None), (8, 5)], ids=["seed1", "seed8-block5"])
+def test_sampled_audits_match_definition_oracles(monkeypatch, spec, trials, seed, block):
+    # A 5-entry block splits deviation lines into several kernel calls and
+    # stacks one sampled graph per gap block, so the first maximum is kept
+    # across blocks.
+    if block is not None:
+        monkeypatch.setattr(impsel.audit, "KERNEL_BLOCK", block)
+    for mid in _every_mechanism(spec.n):
+        mechanism = resolve(mid)
+        got = check_impartiality(mid, spec, Sampled(seed, trials))
+        assert got == sampled_violations_by_definition(mechanism, spec, seed, trials), mid.text()
+        report = measure_gap(mid, spec, Sampled(seed, 10 * trials))
+        expect = sampled_gap_by_definition(mechanism, spec, seed, 10 * trials)
+        assert (report.worst_gap, report.witness, report.graphs_checked) == expect, mid.text()
+
+
+def test_batch_kernels_widen_rows_past_int8_vertex_ids():
+    # stars into vertices 128..130 have vertex ids and indegrees above 127
+    n = 130
+    stars = [DirectedGraph.from_edges(n, [(u, c) for u in range(1, n + 1) if u != c]) for c in (128, 129, 130)]
+    stars.append(DirectedGraph.from_edges(n, [(u, 129) for u in range(1, 129)] + [(129, 130), (130, 1)]))
+    texts = ("never", "max-naive", "follow:130", "follow:129", "majority", "naive-iter:100", "naive-sim:100")
+    for text in (*texts, "twin:128,2", "twin:129,129"):
+        mid = MechanismId.parse(text)
+        for g in stars:
+            members = outset_rows(n, g.out_tuples)
+            got = batch_kernel_for(mid)(members, np.arange(n)[None, :])
+            assert got.tolist() == [kernel_for(mid)(n, g.out_tuples)], text
+    spec = GraphClassSpec(n, 1)
+    for text in ("max-naive", "twin:20,3"):
+        report = measure_gap(MechanismId.parse(text), spec, Sampled(2, 30))
+        expect = sampled_gap_by_definition(resolve(MechanismId.parse(text)), spec, 2, 30)
+        assert (report.worst_gap, report.witness, report.graphs_checked) == expect
+
+
+def test_sampled_impartiality_refuses_long_deviation_lines_before_sampling(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled before the cap check")
+
+    monkeypatch.setattr(impsel.audit, "sample_ranks", no_sampling)
+    spec = GraphClassSpec(50, 3)  # 50 lines of 19,650 graphs per base graph
+    with pytest.raises(CapExceeded, match="982500 graphs"):
+        check_impartiality(MechanismId.parse("twin:30,6"), spec, Sampled(1, 1), cap=982_499)
+
+
+def test_sampled_audits_run_the_batch_kernels_only(monkeypatch):
+    # the per-graph mechanism runs once per gap audit, to recheck the witness
+    calls = []
+    resolved = impsel.audit.resolve
+
+    def counting(mid):
+        mechanism = resolved(mid)
+        return lambda g: calls.append(g) or mechanism(g)
+
+    monkeypatch.setattr(impsel.audit, "resolve", counting)
+    monkeypatch.setattr(impsel.audit, "kernel_for", None)
+    monkeypatch.setattr(impsel.audit, "deviations", None)
+    mid, spec = MechanismId.parse("max-naive"), GraphClassSpec(5, 2)
+    assert check_impartiality(mid, spec, Sampled(1, 4)) and calls == []
+    report = measure_gap(mid, spec, Sampled(1, 40))
+    assert calls == [report.witness]
+
+
 # ---- gaps ----
 
 
@@ -355,7 +439,7 @@ def test_symmetrize_examples():
 
 def test_symmetrize_respects_factorial_cap():
     with pytest.raises(CapExceeded):
-        symmetrize_eval(lift_deterministic(MechanismId.parse("never")), DirectedGraph.empty(5), cap=4)
+        symmetrize_eval(lift_deterministic(MechanismId.parse("never")), DirectedGraph.empty(FACTORIAL_CAP + 1))
 
 
 def test_symmetrized_table_refuses_classes_over_the_audit_cap():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -229,6 +230,45 @@ def test_audit_cap_exit_2(capsys):
         "--exhaustive", "--cap", "100",
     )
     assert code == 2 and "cap" in err
+    # a sampled impartiality audit refuses when one base graph's deviation
+    # lines (n * R = 4 * 4 graphs on G_4(1)) exceed the cap
+    code, out, err = run_cli(
+        capsys, "audit", "impartiality", "--mechanism", "never", "--n", "4", "--k", "1",
+        "--samples", "1", "--seed", "1", "--cap", "15",
+    )
+    assert code == 2 and out == "" and "cap" in err
+    code, _, _ = run_cli(
+        capsys, "audit", "impartiality", "--mechanism", "never", "--n", "4", "--k", "1",
+        "--samples", "1", "--seed", "1", "--cap", "16",
+    )
+    assert code == 0
+
+
+# stdout sha256 of sampled reports as the per-graph sampled loops wrote them
+SAMPLED_REPORTS = [
+    (
+        ("impartiality", "--mechanism", "max-naive", "--n", "5", "--k", "1", "--samples", "30", "--seed", "2"),
+        1, "violation_count", 43, "031d5030aa1b6ff36ffb5929509e58e173bcc960aad7a946658e627aea344dbb",
+    ),
+    (
+        ("impartiality", "--mechanism", "naive-sim:2", "--n", "9", "--k", "3", "--positive-outdegree",
+         "--samples", "5", "--seed", "4"),
+        1, "violation_count", 25, "e3f0cf518733d8e55b251d0f2c56f3da76cf1fa647737ac27f41f7edc6c08557",
+    ),
+    (
+        ("gap", "--mechanism", "majority", "--n", "6", "--k", "2", "--samples", "50", "--seed", "3"),
+        0, "worst_gap", 3, "19e21a849cc6c9857118f2b2a899277656af7def6d9c6e10ece9d9019f1b8e1c",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, key, value, digest", SAMPLED_REPORTS, ids=lambda x: x[0] if isinstance(x, tuple) else None
+)
+def test_sampled_reports_are_byte_identical(capsys, argv, code, key, value, digest):
+    got, out, _ = run_cli(capsys, "audit", *argv, "--json")
+    assert got == code and json.loads(out)[key] == value
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---- partitions ----

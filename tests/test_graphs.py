@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -20,7 +21,7 @@ from impsel import (
     sample_stream,
 )
 from impsel.audit import _chunks
-from impsel.graphs import digit_block
+from impsel.graphs import digit_block, graph_of_ranks, sample_ranks
 from conftest import graph
 
 
@@ -289,6 +290,23 @@ def test_sampling_stream_matches_repeated_protocol():
 def test_sampling_empty_class():
     with pytest.raises(ValueError, match="empty"):
         sample_graph(GraphClassSpec(1, None, True), 0)
+
+
+def test_sampled_keys_at_n50_k3_are_pinned():
+    # sha256 of the keys of 1,000 samples per seed, as the per-vertex pool
+    # unranker drew them; unranking every vertex against vertex n's pool
+    # must not move a single sample
+    pinned = {
+        1: "656bc48debbbc618d1909b7f676a566bc94160d28fe4fd58e994f59a2323b079",
+        2: "99122e8165a565fecfc0d87f0ddd1c7fd6e1abe9d0a712fcc263c61089b09bc9",
+        3: "5bf72ee3301a870a0c639a83700cbfcacd119b52ac77f05306871df11a9252c8",
+        11: "6f55d3b40ebab2490bc6caea4aab90ff3d3208bbf3c161e1e3f8d21e83e2fcb5",
+    }
+    spec = GraphClassSpec(50, 3)
+    for seed, digest in pinned.items():
+        keys = [g.key for g in sample_stream(spec, seed, 1000)]
+        assert hashlib.sha256(repr(keys).encode()).hexdigest() == digest, seed
+        assert [graph_of_ranks(spec, r).key for r in sample_ranks(spec, seed, 20)] == keys[:20]
 
 
 def test_sampling_golden_values():

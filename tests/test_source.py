@@ -1,11 +1,15 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "impsel").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "impsel").glob("*.py"))
+MODULES = [path for path in SOURCES if path.name != "__init__.py"]
 
 
 def test_package_sources_are_found():
@@ -19,3 +23,41 @@ def test_contracts_raise_instead_of_asserting(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert statements at lines {lines}"
+
+
+@pytest.fixture(scope="module")
+def tracer_hooks():
+    """Module file name -> names the bench tracer wraps on that module, loaded
+    as tests/test_bench_tracer.py loads it."""
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave bench/ untouched
+    try:
+        spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+    finally:
+        sys.dont_write_bytecode = saved
+    hooks: dict[str, set[str]] = {}
+    for owner, attr, _, _ in tracer.PATCHES:
+        if isinstance(owner, type(sys)):
+            hooks.setdefault(owner.__name__.rpartition(".")[2] + ".py", set()).add(attr)
+    return hooks
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path, tracer_hooks):
+    # a name imported but never read is dead code, unless the bench tracer
+    # wraps it on this module; such an import says so in a comment
+    text = path.read_text(encoding="utf-8")
+    tree = ast.parse(text, filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                imported[(alias.asname or alias.name).partition(".")[0]] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(set(imported) - used - tracer_hooks.get(path.name, set()))
+    assert unused == [], f"{path.name}: imported but unused: {unused}"
+    lines = text.splitlines()
+    for name in sorted(set(imported) - used):
+        assert "tracer" in lines[imported[name] - 1], f"{path.name}: {name} is kept for the tracer without a comment"
