@@ -35,6 +35,7 @@ from .audit import (
 from .graphs import CapExceeded, GraphClassSpec, GraphFormatError, parse_graph, sample_stream
 from .mechanisms import MechanismId
 from .partitions import (
+    COMPOSITION_CAP,
     build_certificate,
     enumerate_compositions,
     fubini,
@@ -216,6 +217,7 @@ def _cmd_audit(args) -> int:
     # trace invariants over sampled graphs
     if args.samples is None or args.seed is None:
         raise ValueError("trace audits need --samples N and --seed S")
+    mode = Sampled(args.seed, args.samples)  # refuses fewer than one trial
     if (args.T is None) != (args.t is None):
         raise ValueError("--T and --t must be given together")
     if args.T is not None:
@@ -224,7 +226,7 @@ def _cmd_audit(args) -> int:
         pair = _default_plan(args.n, args.k).thresholds
     failures = []
     count = 0
-    for graph in sample_stream(spec, args.seed, args.samples):
+    for graph in sample_stream(spec, mode.seed, mode.trials):
         report = check_trace_invariants(graph, pair)
         count += 1
         if not report.ok:
@@ -253,9 +255,16 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_partitions(args) -> int:
-    rows = []
-    for p in enumerate_compositions(args.n, args.cap):
-        rows.append({"composition": list(p.parts), "r": p.r, "lambda": lambda_of(p)})
+    if args.certificate:
+        cert = build_certificate(args.n, args.cap)
+        rows = [
+            {"composition": list(r.composition.parts), "r": r.composition.r, "lambda": r.lam}
+            | {"sign": r.sign, "sense": r.sense, "multiplier": r.multiplier}
+            for r in cert.rows
+        ]
+    else:
+        comps = enumerate_compositions(args.n, args.cap)
+        rows = [{"composition": list(p.parts), "r": p.r, "lambda": lambda_of(p)} for p in comps]
     total = fubini(args.n)
     payload = {
         "n": args.n,
@@ -265,12 +274,8 @@ def _cmd_partitions(args) -> int:
         "rows": rows,
     }
     lines = [f"compositions of {args.n}: {len(rows)}, multiplicity sum {total.value} (odd={total.odd})"]
+    header = f"{'composition':<20} {'r':>3} {'lambda':>10}"
     if args.certificate:
-        cert = build_certificate(args.n, args.cap)
-        for row, crow in zip(rows, cert.rows):
-            row["sign"] = crow.sign
-            row["sense"] = crow.sense
-            row["multiplier"] = crow.multiplier
         payload["certificate"] = {
             "rhs_total": cert.rhs_total,
             "rhs_alternate": cert.rhs_alternate,
@@ -282,8 +287,6 @@ def _cmd_partitions(args) -> int:
             f"certificate: rhs_total={cert.rhs_total} (alternate {cert.rhs_alternate}),"
             f" cancellation_ok={cert.cancellation_ok}"
         )
-    header = f"{'composition':<20} {'r':>3} {'lambda':>10}"
-    if args.certificate:
         header += f" {'sign':>5} {'sense':>13} {'multiplier':>11}"
     lines.append(header)
     for row in rows:
@@ -356,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     partitions = sub.add_parser("partitions", help="composition table and certificate")
     partitions.add_argument("--n", type=int, required=True)
     partitions.add_argument("--certificate", action="store_true")
-    partitions.add_argument("--cap", type=int, default=24)
+    partitions.add_argument("--cap", type=int, default=COMPOSITION_CAP, help="largest n accepted (default %(default)s)")
     partitions.add_argument("--json", action="store_true")
     partitions.set_defaults(func=_cmd_partitions)
 

@@ -7,14 +7,16 @@ The number of labeled graphs isomorphic to that generated graph is the
 multinomial n!/prod(s_i!), and the sum of those multiplicities over all 2^(n-1)
 compositions counts weak orders.
 
-Merging a singleton block into its left neighbor is a transition; transitions
-pair up the (composition, block) terms of two inequality families - selection
-mass at most 1, and full mass on nominated vertices when someone is nominated
-by everybody - so that a signed multinomial-weighted combination cancels every
-variable while the constants sum to an odd negative number.  The resulting
-``Certificate`` is an exact-arithmetic proof object that no selection rule can
-satisfy both families at once; the reductions at the bottom of the module
-transport it to bounded-outdegree and no-abstention settings.
+Merging a singleton block into its left neighbor is a transition, and the
+transition edges pair the (composition, block) terms of two inequality
+families - selection mass at most 1, and full mass on nominated vertices when
+someone is nominated by everybody: p --j--> q pairs (p, j) with (q, j-1).  One
+walk over the edges checks that every term is paired once; under signed
+multinomial weights each pair cancels while the constants sum to an odd
+negative number.  The resulting ``Certificate`` is an exact-arithmetic proof
+that no selection rule satisfies both families (``certificate_problems`` in
+``tests/oracles.py`` re-checks it from the graphs); the reductions at the
+bottom transport it to bounded-outdegree and no-abstention settings.
 
 All arithmetic is arbitrary-precision integer or exact rational; floating
 point never enters any comparison.
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .graphs import CapExceeded, DirectedGraph
 
@@ -153,39 +155,59 @@ class TransitionEdge:
     j: int
 
 
+def _merges(parts: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The transitions out of one composition: each singleton block j >= 2
+    merges into block j-1.  Yields (j, merged parts) in increasing j."""
+    for j in range(2, len(parts) + 1):
+        if parts[j - 1] == 1:
+            yield j, parts[: j - 2] + (parts[j - 2] + 1,) + parts[j:]
+
+
+def _walk(comps: list[tuple[int, ...]], visit: Callable[[tuple, int, tuple], None]) -> tuple[int, list[str]]:
+    """Walk every transition edge of `comps` (the part tuples of all
+    compositions of one n) once, in the order of `comps` and then of j; the
+    edge p --j--> q links the term (p, j) to the term (q, j-1), and `visit`
+    sees (p, j, q).  Returns the number of links and the pairing's problems:
+    a block entered twice, or a composition whose entered blocks are not
+    exactly its variable blocks (all but a singleton first block)."""
+    entered = dict.fromkeys(comps, 0)
+    problems = []
+
+    def enter(parts: tuple[int, ...], block: int) -> None:
+        if entered[parts] >> block & 1:
+            problems.append(f"{parts} block {block}: entered twice")
+        entered[parts] |= 1 << block
+
+    links = 0
+    for p in comps:
+        for j, q in _merges(p):
+            visit(p, j, q)
+            enter(p, j)
+            enter(q, j - 1)
+            links += 1
+    for parts, mask in entered.items():
+        first = 2 if parts[0] == 1 else 1
+        if mask != (1 << len(parts) + 1) - (1 << first):
+            problems.append(f"{parts}: blocks entered {mask:b}, variable blocks {first}..{len(parts)}")
+    return links, problems
+
+
 def transition_target(p: OrderedPartition, j: int) -> OrderedPartition:
     """Merge singleton block j (j >= 2) into block j-1."""
     if not 2 <= j <= p.r:
         raise ValueError(f"transition index {j} outside 2..{p.r}")
-    if p.parts[j - 1] != 1:
+    merged = dict(_merges(p.parts)).get(j)
+    if merged is None:
         raise ValueError(f"block {j} of {p.parts} is not a singleton")
-    parts = p.parts[: j - 2] + (p.parts[j - 2] + 1,) + p.parts[j:]
-    return OrderedPartition(parts)
+    return OrderedPartition(merged)
 
 
 def transitions(n: int, cap: int = COMPOSITION_CAP) -> list[TransitionEdge]:
     """Every valid (source, j) pair contributes exactly one edge."""
     edges = []
-    for p in enumerate_compositions(n, cap):
-        for j in range(2, p.r + 1):
-            if p.parts[j - 1] == 1:
-                edges.append(TransitionEdge(p, transition_target(p, j), j))
+    comps = [p.parts for p in enumerate_compositions(n, cap)]
+    _walk(comps, lambda p, j, q: edges.append(TransitionEdge(OrderedPartition(p), OrderedPartition(q), j)))
     return edges
-
-
-def _partner_term(p: OrderedPartition, i: int) -> tuple[OrderedPartition, int]:
-    """The unique opposite-parity term (q, i') whose coefficient cancels (p, i).
-
-    A singleton block i merges down (an i-transition from p, partner index
-    i-1); a larger block i is the merge target of the unique split of p at i
-    (an (i+1)-transition into p, partner index i+1).
-    """
-    if p.parts[i - 1] == 1:
-        if i < 2:
-            raise ValueError(f"block 1 of {p.parts} is a singleton and carries no variable")
-        return transition_target(p, i), i - 1
-    split = p.parts[: i - 1] + (p.parts[i - 1] - 1, 1) + p.parts[i:]
-    return OrderedPartition(split), i + 1
 
 
 @dataclass(frozen=True)
@@ -207,59 +229,36 @@ class TransitionStructureReport:
 
 
 def verify_transition_structure(n: int, cap: int = COMPOSITION_CAP) -> TransitionStructureReport:
-    """Re-derive the three facts the certificate construction rests on.
+    """Check, in one walk over the transition edges, the three facts the
+    certificate construction rests on.
 
-    unique_partner: every term (composition, block index >= its variable floor)
-        has exactly one partner term, found in the independently built edge
-        list, and partnering is an involution.
+    unique_partner: the transition edges pair the terms.  Every term
+        (composition, block index >= its variable floor) is entered by exactly
+        one edge, as the singleton block j of its source or as block j-1 of
+        its target, and no other block is entered.
     bipartite_by_parity: every transition changes the part count by one, so the
         transition graph is bipartite by parity of the part count.
     coefficient_identity: along every edge the multinomial-weighted block sizes
         agree: lambda(target) * target_part(j-1) = lambda(source) * source_part(j).
     """
-    comps = list(enumerate_compositions(n, cap))
-    edges = transitions(n, cap)
-    by_source: dict[tuple[tuple[int, ...], int], list[TransitionEdge]] = {}
-    by_target: dict[tuple[tuple[int, ...], int], list[TransitionEdge]] = {}
-    for e in edges:
-        by_source.setdefault((e.source.parts, e.j), []).append(e)
-        by_target.setdefault((e.target.parts, e.j), []).append(e)
+    lam = {p.parts: lambda_of(p) for p in enumerate_compositions(n, cap)}
+    parity: list[str] = []
+    identity: list[str] = []
 
-    problems = []
-    for p in comps:
-        for i in range(p.first_block_index, p.r + 1):
-            q, i2 = _partner_term(p, i)
-            if not q.first_block_index <= i2 <= q.r:
-                problems.append(f"{p.parts} term {i}: partner index {i2} outside range of {q.parts}")
-                continue
-            if _partner_term(q, i2) != (p, i):
-                problems.append(f"{p.parts} term {i}: partnering is not an involution")
-            if p.parts[i - 1] == 1:
-                hits = by_source.get((p.parts, i), [])
-                if len(hits) != 1 or hits[0].target != q:
-                    problems.append(f"{p.parts} term {i}: expected one {i}-transition to {q.parts}")
-            else:
-                hits = by_target.get((p.parts, i + 1), [])
-                if len(hits) != 1 or hits[0].source != q:
-                    problems.append(f"{p.parts} term {i}: expected one {i + 1}-transition from {q.parts}")
-    unique = StructureCheck("unique_partner", not problems, "; ".join(problems))
-
-    problems = [
-        f"{e.source.parts} -> {e.target.parts}: part counts {e.source.r}, {e.target.r}"
-        for e in edges
-        if e.source.r != e.target.r + 1
-    ]
-    bipartite = StructureCheck("bipartite_by_parity", not problems, "; ".join(problems))
-
-    problems = []
-    for e in edges:
-        left = lambda_of(e.target) * e.target.parts[e.j - 2]
-        right = lambda_of(e.source) * e.source.parts[e.j - 1]
+    def check(p: tuple[int, ...], j: int, q: tuple[int, ...]) -> None:
+        if len(p) != len(q) + 1:
+            parity.append(f"{p} -> {q}: part counts {len(p)}, {len(q)}")
+        left, right = lam[q] * q[j - 2], lam[p] * p[j - 1]
         if left != right:
-            problems.append(f"{e.source.parts} -> {e.target.parts} (j={e.j}): {left} != {right}")
-    identity = StructureCheck("coefficient_identity", not problems, "; ".join(problems))
+            identity.append(f"{p} -> {q} (j={j}): {left} != {right}")
 
-    return TransitionStructureReport(n, len(edges), (unique, bipartite, identity))
+    links, partner = _walk(list(lam), check)
+    checks = (
+        StructureCheck("unique_partner", not partner, "; ".join(partner)),
+        StructureCheck("bipartite_by_parity", not parity, "; ".join(parity)),
+        StructureCheck("coefficient_identity", not identity, "; ".join(identity)),
+    )
+    return TransitionStructureReport(n, links, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +288,13 @@ class Certificate:
     whenever some vertex is nominated by everyone.
 
     ``cancellation_ok`` records that every variable's signed coefficient sums
-    to zero across the system, verified pair by pair; ``rhs_total`` is the
-    signed multiplicity sum, oriented negative (the alternate orientation is
-    its negation).  Zero is impossible since the total multiplicity is odd.
+    to zero across the system: the transition edges pair every variable term
+    with exactly one other, and each pair's two coefficients cancel.
+    ``certificate_problems`` in ``tests/oracles.py`` checks the same from the
+    composition graphs, with links found by comparing every pair.
+    ``rhs_total`` is the signed multiplicity sum, oriented negative (the
+    alternate orientation is its negation).  Zero is impossible since the
+    total multiplicity is odd.
     """
 
     n: int
@@ -307,47 +310,38 @@ class Certificate:
 
 def build_certificate(n: int, cap: int = COMPOSITION_CAP) -> Certificate:
     """Construct and verify the infeasibility certificate for n >= 2."""
+    comps = list(enumerate_compositions(n, cap))
     if n < 2:
         raise ValueError(f"certificate needs n >= 2, got {n}")
-    comps = list(enumerate_compositions(n, cap))
-    lam = {p.parts: lambda_of(p) for p in comps}
-
-    even_total = sum(lam[p.parts] for p in comps if p.r % 2 == 0)
-    odd_total = sum(lam[p.parts] for p in comps if p.r % 2 == 1)
-    plus_even = even_total - odd_total
-    sign_even = 1 if plus_even < 0 else -1
-    rhs_total = sign_even * even_total - sign_even * odd_total
+    lams = [lambda_of(p) for p in comps]
+    even_total = sum(lam for p, lam in zip(comps, lams) if p.r % 2 == 0)
+    odd_total = sum(lam for p, lam in zip(comps, lams) if p.r % 2 == 1)
+    sign_even = 1 if even_total < odd_total else -1
+    rhs_total = sign_even * (even_total - odd_total)
     if rhs_total >= 0 or rhs_total % 2 == 0:
         raise RuntimeError(f"signed total {rhs_total} must be odd and negative")
 
     rows = []
-    for p in comps:
+    for p, lam in zip(comps, lams):
         sign = sign_even if p.r % 2 == 0 else -sign_even
-        sense = AT_MOST_ONE if sign > 0 else AT_LEAST_ONE
-        rows.append(CertificateRow(p, lam[p.parts], sign, sense))
+        rows.append(CertificateRow(p, lam, sign, AT_MOST_ONE if sign > 0 else AT_LEAST_ONE))
 
-    cancellation_ok = True
-    for p in comps:
-        sign = sign_even if p.r % 2 == 0 else -sign_even
-        for i in range(p.first_block_index, p.r + 1):
-            q, i2 = _partner_term(p, i)
-            partner_sign = sign_even if q.r % 2 == 0 else -sign_even
-            coefficient = sign * lam[p.parts] * p.parts[i - 1]
-            partner_coefficient = partner_sign * lam[q.parts] * q.parts[i2 - 1]
-            if (
-                _partner_term(q, i2) != (p, i)
-                or not q.first_block_index <= i2 <= q.r
-                or coefficient + partner_coefficient != 0
-            ):
-                cancellation_ok = False
+    # a singleton block's coefficient is its row's multiplier
+    mult = {row.composition.parts: row.multiplier for row in rows}
+    uncancelled = []
 
+    def cancel(p: tuple[int, ...], j: int, q: tuple[int, ...]) -> None:
+        if mult[p] + mult[q] * q[j - 2] != 0:
+            uncancelled.append((p, j))
+
+    _, problems = _walk(list(mult), cancel)
     return Certificate(
         n=n,
         rows=tuple(rows),
         rhs_total=rhs_total,
         rhs_alternate=-rhs_total,
         sign_even_parts=sign_even,
-        cancellation_ok=cancellation_ok,
+        cancellation_ok=not problems and not uncancelled,
     )
 
 

@@ -227,10 +227,10 @@ def plan_thresholds_general(
         raise ValueError(f"kappa {kappa} outside [0, 1]")
     if kappa.denominator > KAPPA_DENOMINATOR_CAP:
         raise ValueError(f"kappa {kappa} has a denominator above {KAPPA_DENOMINATOR_CAP}")
-    if c <= 0:
-        raise ValueError(f"coefficient c must be positive, got {c}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"outdegree bound {k} outside 1..{n - 1}")
+    if c <= 0:
+        raise ValueError(f"coefficient c must be positive, got {c}")
     p, q = kappa.numerator, kappa.denominator
     a, b = c.numerator, c.denominator
     if (k * b) ** q > a**q * n**p:

@@ -5,21 +5,26 @@ weak orders are counted by enumerating level maps, isomorphism multiplicities
 by relabeling, impartiality violations by literally comparing mechanism runs
 across deviation pairs of graph objects, and additive gaps by counting
 indegrees graph by graph.  The sampled oracles run the same per-graph loops
-over the graphs ``sample_stream`` draws.
+over the graphs ``sample_stream`` draws.  Infeasibility certificates are
+checked against an inequality system written from the composition graphs,
+with impartiality links found by comparing every pair of graphs.
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from impsel import (
+    Certificate,
     DirectedGraph,
     GraphClassSpec,
+    OrderedPartition,
     Permutation,
     Violation,
     additive_gap,
     deviations,
     enumerate_graphs,
+    graph_of_composition,
     sample_stream,
 )
 
@@ -124,3 +129,109 @@ def sampled_gap_by_definition(
             best_gap, witness = gap, graph
         count += 1
     return best_gap, witness, count
+
+
+def _compositions(n: int) -> list[OrderedPartition]:
+    """Every composition of n, one per set of cut points in 1..n-1."""
+    comps = []
+    for k in range(n):
+        for cuts in combinations(range(1, n), k):
+            bounds = (0, *cuts, n)
+            comps.append(OrderedPartition(tuple(b - a for a, b in zip(bounds, bounds[1:]))))
+    return comps
+
+
+def composition_links(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Impartiality links among composition graphs on n vertices, by comparing
+    every pair: (parts a, parts b, v) when the two graphs' out-sets differ at
+    vertex v alone, so an impartial rule selects v with the same probability
+    in both."""
+    graphs = [(p.parts, graph_of_composition(p).out_sets) for p in _compositions(n)]
+    links = []
+    for (a, outs_a), (b, outs_b) in combinations(graphs, 2):
+        differ = [v for v in range(1, n + 1) if outs_a[v - 1] != outs_b[v - 1]]
+        if len(differ) == 1:
+            links.append((a, b, differ[0]))
+    return links
+
+
+def certificate_problems(cert: Certificate, links: list[tuple] | None = None) -> list[str]:
+    """Why `cert` does not prove infeasibility, checked from the definition
+    (an empty list when it does).
+
+    Each composition graph carries one variable per (composition, block): the
+    probability that a vertex of that block is selected, the same for all of
+    the block since permutations inside a block are automorphisms.  The rows
+    are "mass <= 1" and, because the last block is nominated by everybody,
+    "mass on positive-indegree vertices >= 1".  A row of sense at_most_one
+    takes a multiplier >= 0 and one of sense at_least_one a multiplier <= 0,
+    so each row scaled reads (coefficients . x) <= multiplier.  Variables
+    joined by `links` (default: ``composition_links(cert.n)``) are equal.
+    Summed, every linked class must cancel exactly and every other variable
+    must keep a coefficient >= 0, so the sum is >= 0 for nonnegative x, while
+    the constants add up to a negative number.
+    """
+    n = cert.n
+    links = composition_links(n) if links is None else links
+    problems = []
+    block_of = {}  # (parts, vertex) -> variable
+    graphs = {}
+    for p in _compositions(n):
+        g = graph_of_composition(p)
+        graphs[p.parts] = g
+        for b, block in enumerate(p.blocks(), start=1):
+            block_of.update(((p.parts, v), (p.parts, b)) for v in block)
+            for v in block[:-1]:  # adjacent transpositions generate the block's permutations
+                images = list(range(1, n + 1))
+                images[v - 1], images[v] = v + 1, v
+                if g.relabel(Permutation(tuple(images))) != g:
+                    problems.append(f"{p.parts}: swapping {v} and {v + 1} is not an automorphism")
+        if max(g.indegrees) != n - 1:
+            problems.append(f"{p.parts}: nobody is nominated by everybody")
+    if sorted(row.composition.parts for row in cert.rows) != sorted(graphs):
+        problems.append("certificate rows are not one per composition")
+
+    parent = {var: var for var in block_of.values()}
+
+    def find(var):
+        while parent[var] != var:
+            parent[var] = parent[parent[var]]
+            var = parent[var]
+        return var
+
+    linked = set()
+    for a, b, v in links:
+        x, y = block_of[(a, v)], block_of[(b, v)]
+        linked.update((x, y))
+        parent[find(x)] = find(y)
+
+    total: dict = {}
+    constant = 0
+    for row in cert.rows:
+        parts, m = row.composition.parts, row.multiplier
+        if row.sense == "at_most_one":
+            if m < 0:
+                problems.append(f"{parts}: at_most_one row with multiplier {m}")
+            counted = range(1, n + 1)
+        elif row.sense == "at_least_one":
+            if m > 0:
+                problems.append(f"{parts}: at_least_one row with multiplier {m}")
+            counted = [v for v in range(1, n + 1) if graphs[parts].indegrees[v - 1] > 0]
+        else:
+            problems.append(f"{parts}: unknown sense {row.sense!r}")
+            continue
+        for v in counted:
+            var = find(block_of[(parts, v)])
+            total[var] = total.get(var, 0) + m
+        constant += m
+
+    linked_roots = {find(var) for var in linked}
+    for root in sorted({find(var) for var in parent}):
+        coefficient = total.get(root, 0)
+        if coefficient < 0 or (root in linked_roots and coefficient != 0):
+            problems.append(f"class of {root}: coefficient {coefficient}")
+    if constant >= 0:
+        problems.append(f"constants sum to {constant}, no contradiction")
+    if constant != cert.rhs_total:
+        problems.append(f"constants sum to {constant}, certificate says {cert.rhs_total}")
+    return problems

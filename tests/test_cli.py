@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from impsel.cli import main
+from impsel import COMPOSITION_CAP
+from impsel.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -139,6 +140,16 @@ def test_plan_rejects_partial_flags(capsys):
     assert code == 2 and "together" in err
 
 
+def test_plan_refuses_an_outdegree_bound_below_one(capsys):
+    # the default plan passes k as the general planner's c, so the bound is
+    # checked first and the error names it
+    for extra in ((), ("--kappa", "0", "--c", "1")):
+        for k in ("0", "-2"):
+            code, out, err = run_cli(capsys, "plan", "--n", "5", "--k", k, *extra)
+            assert code == 2 and out == ""
+            assert err == f"error: outdegree bound {k} outside 1..4\n"
+
+
 # ---- audit ----
 
 
@@ -217,6 +228,14 @@ def test_audit_trace(capsys):
     assert payload["runs"] == 50 and payload["failure_count"] == 0
 
 
+def test_audit_refuses_fewer_than_one_sample(capsys):
+    for kind in ("impartiality", "gap", "trace"):
+        for samples in ("0", "-3"):
+            code, out, err = run_cli(capsys, "audit", kind, "--n", "5", "--k", "1", "--samples", samples, "--seed", "1")
+            assert code == 2 and out == ""
+            assert err == f"error: need at least one trial, got {samples}\n"
+
+
 def test_audit_unknown_mechanism(capsys):
     code, _, err = run_cli(
         capsys, "audit", "impartiality", "--mechanism", "nope", "--n", "4", "--k", "1", "--exhaustive",
@@ -287,6 +306,26 @@ def test_partitions_with_certificate(capsys):
 def test_partitions_table_only(capsys):
     code, out, _ = run_cli(capsys, "partitions", "--n", "4")
     assert code == 0 and "multiplicity sum 75" in out
+
+
+def test_partitions_cap_defaults_to_the_composition_cap(capsys):
+    assert build_parser().parse_args(["partitions", "--n", "3"]).cap == COMPOSITION_CAP
+    code, out, err = run_cli(capsys, "partitions", "--n", str(COMPOSITION_CAP + 1))
+    assert code == 2 and out == "" and f"cap {COMPOSITION_CAP}" in err
+
+
+# stdout sha256 of the certificate tables as written when the table and the
+# certificate each enumerated the compositions
+PARTITIONS_REPORTS = [
+    (("--n", "10", "--certificate", "--json"), "6148fa754cea1f66e4bc69afd30d49487ec21b88ce2d7996d749c4e5d8b693d3"),
+    (("--n", "10", "--certificate"), "6531b31e878a0a1a22f55888f5b98277102425be9528b7920e29894d98159b79"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PARTITIONS_REPORTS)
+def test_partitions_reports_are_byte_identical(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, "partitions", *argv)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---- reduce ----

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -19,8 +20,9 @@ from impsel import (
     transitions,
     verify_transition_structure,
 )
+from impsel import partitions
 from conftest import graph
-from oracles import count_isomorphic_labelings, count_weak_orders
+from oracles import certificate_problems, composition_links, count_isomorphic_labelings, count_weak_orders
 
 
 def comps(n):
@@ -186,6 +188,20 @@ def test_transition_structure_verifies_through_8():
         assert report.ok, [c for c in report.checks if not c.ok]
 
 
+def test_walk_pairs_every_variable_term_once():
+    comps = [p.parts for p in enumerate_compositions(5)]
+    seen = []
+    links, problems = partitions._walk(comps, lambda p, j, q: seen.append((p, j, q)))
+    assert problems == [] and links == len(seen) == len(transitions(5))
+    assert seen == [(e.source.parts, e.j, e.target.parts) for e in transitions(5)]
+    # (1, 1, 1, 1, 1) listed twice enters each of its links' blocks twice
+    _, problems = partitions._walk(comps + comps[:1], lambda p, j, q: None)
+    assert problems and all("entered twice" in problem for problem in problems)
+    # without it, the blocks its links enter in (2, 1, 1, 1) and the rest stay empty
+    _, problems = partitions._walk(comps[1:], lambda p, j, q: None)
+    assert len(problems) == 4 and not any("entered twice" in problem for problem in problems)
+
+
 def test_coefficient_identity_examples():
     p = OrderedPartition((1, 1, 1))
     q = transition_target(p, 2)  # (2, 1)
@@ -221,6 +237,39 @@ def test_certificate_soundness_through_8():
             assert row.sense == ("at_most_one" if row.sign > 0 else "at_least_one")
             assert row.lam == lambda_of(row.composition)
         assert sum(cert.multipliers()) == cert.rhs_total
+
+
+def test_certificate_passes_the_definition_oracle_through_8():
+    for n in range(2, 9):
+        assert certificate_problems(build_certificate(n)) == [], n
+
+
+def test_brute_force_links_are_the_transition_edges():
+    # the deviator of p --j--> q is the vertex of p's singleton block j
+    for n in range(2, 8):
+        links = {(frozenset((a, b)), v) for a, b, v in composition_links(n)}
+        moves = {(frozenset((e.source.parts, e.target.parts)), sum(e.source.parts[: e.j - 1]) + 1) for e in transitions(n)}
+        assert links == moves, n
+
+
+def _with_row(cert, i, **changes):
+    rows = list(cert.rows)
+    rows[i] = replace(rows[i], **changes)
+    return replace(cert, rows=tuple(rows))
+
+
+def test_certificate_oracle_rejects_mutations():
+    cert = build_certificate(5)
+    links = composition_links(5)
+    other = {"at_most_one": "at_least_one", "at_least_one": "at_most_one"}
+    for i, row in enumerate(cert.rows):
+        assert certificate_problems(_with_row(cert, i, sign=-row.sign), links)  # flipped multiplier
+        assert certificate_problems(_with_row(cert, i, sense=other[row.sense]), links)  # swapped sense
+        # flipped with a matching sense: the classes no longer cancel
+        problems = certificate_problems(_with_row(cert, i, sign=-row.sign, sense=other[row.sense]), links)
+        assert any(problem.startswith("class of") for problem in problems)
+    for k in range(len(links)):
+        assert certificate_problems(cert, links[:k] + links[k + 1 :])  # dropped link
 
 
 def test_certificate_rejects_trivial_n():
