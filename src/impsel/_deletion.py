@@ -1,16 +1,16 @@
 """Iterated-deletion core shared by the threshold mechanisms.
 
-Operates on plain sequences so the audit harness can run it on raw per-vertex
-out-tuples without building graph objects.  Vertices are 1..n; degree arrays
-are 1-based lists with index 0 unused.
+``run_deletion`` and ``select_top`` are the per-graph rules: they run on one
+graph and its degree sequence, vertex v's degree at index v-1, as
+``DirectedGraph.indegrees`` gives it.
 
 The row-wise numpy versions (``*_rows``) run the same rules on a block of
 graphs at once, one graph per row.  A block is a table ``members`` of out-set
 rows, shape (M, n+1), where ``members[i, u]`` is 1 when u is in out-set i
 (column 0 is always 0), and a choice array of shape (B, n): graph b gives
 vertex v the out-set in row ``choice[b, v-1]``.  Degree arrays are (B, n+1)
-with column 0 unused, in the table's dtype.  Results equal the scalar
-functions' on every row; the scalar functions are the reference the tests
+with column 0 unused, in the table's dtype.  Results equal the per-graph
+functions' on every row; the per-graph functions are the reference the tests
 compare against.
 """
 
@@ -21,18 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-OutLists = Sequence[Sequence[int]]
+from .graphs import DirectedGraph
 
 
-def indegree_array(n: int, outs: OutLists) -> list[int]:
-    deg = [0] * (n + 1)
-    for targets in outs:
-        for u in targets:
-            deg[u] += 1
-    return deg
-
-
-def run_deletion(n: int, outs: OutLists, t: int) -> tuple[list[int], list[tuple[int, int, int]]]:
+def run_deletion(graph: DirectedGraph, t: int) -> tuple[list[int], list[tuple[int, int, int]]]:
     """Iteratively delete outgoing edges of vertices with remaining indegree >= t.
 
     A sweep value d starts at the maximum indegree and decreases only when no
@@ -40,40 +32,39 @@ def run_deletion(n: int, outs: OutLists, t: int) -> tuple[list[int], list[tuple[
     greatest-index such vertex loses its outgoing edges, decrementing the
     remaining indegree of each of its out-neighbors (deleted or not).
 
-    Returns (deg, deletions): the final remaining indegrees and the ordered
-    per-iteration records (iteration, vertex, degree_at_deletion).
+    Returns (deg, deletions): the final remaining indegrees, vertex v's at
+    index v-1, and the ordered per-iteration records (iteration, vertex,
+    degree_at_deletion).
     """
-    deg = indegree_array(n, outs)
+    deg = list(graph.indegrees)
     d = max(deg)
-    deleted = [False] * (n + 1)
+    deleted = [False] * graph.n
     deletions: list[tuple[int, int, int]] = []
     i = 0
     while d >= t:
         v = 0
-        for u in range(n, 0, -1):
+        for u in range(graph.n - 1, -1, -1):  # u is vertex u+1's index
             if deg[u] == d and not deleted[u]:
-                v = u
+                v = u + 1
                 break
         if v == 0:
             d -= 1
             continue
         deletions.append((i, v, d))
-        deleted[v] = True
-        for u in outs[v - 1]:
-            deg[u] -= 1
+        deleted[v - 1] = True
+        for u in graph.out_sets[v - 1]:
+            deg[u - 1] -= 1
         i += 1
     return deg, deletions
 
 
-def select_top(n: int, deg: Sequence[int], threshold: int) -> int:
-    """Greatest-index vertex of maximum degree, if that maximum reaches `threshold`.
-
-    Returns 0 for no selection.
-    """
-    best_v, best_d = 1, deg[1]
-    for u in range(2, n + 1):
-        if deg[u] >= best_d:
-            best_v, best_d = u, deg[u]
+def select_top(deg: Sequence[int], threshold: int) -> int:
+    """Greatest-index vertex of maximum degree, if that maximum reaches
+    `threshold`; vertex v's degree is deg[v-1].  Returns 0 for no selection."""
+    best_v, best_d = 0, deg[0]
+    for v, d in enumerate(deg, start=1):
+        if d >= best_d:
+            best_v, best_d = v, d
     return best_v if best_d >= threshold else 0
 
 

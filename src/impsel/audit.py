@@ -46,7 +46,7 @@ from .graphs import (
     sample_ranks,
     sample_stream,  # bound only for the bench tracer, which wraps it here
 )
-from .mechanisms import MechanismId, Outcome, batch_kernel_for, kernel_for, resolve
+from .mechanisms import MechanismId, Outcome, batch_kernel_for, kernel_for, resolve  # kernel_for: for the tracer
 from .twin_threshold import DeletionTrace, ThresholdPair, additive_gap, run_twin_threshold
 
 #: Exhaustive audits refuse classes larger than this by default (the outcome
@@ -486,36 +486,40 @@ def symmetrize_eval(randomized: Randomized, graph: DirectedGraph) -> Probability
             cache[relabeled.key] = randomized(relabeled)
         vector, images = cache[relabeled.key], perm.images
         for v in range(1, n + 1):
-            totals[v - 1] += vector.probs[images[v - 1] - 1]
+            p = vector.probs[images[v - 1] - 1]
+            if p:  # a lifted deterministic mechanism has one nonzero entry
+                totals[v - 1] += p
     scale = factorial(n)
     return ProbabilityVector(tuple(p / scale for p in totals))
 
 
-def symmetrized_table(mid: MechanismId, spec: GraphClassSpec) -> dict[tuple[int, ...], ProbabilityVector]:
-    """Symmetrized vectors for every graph of a class, keyed by graph key.
-
-    Classes are closed under relabeling, so one outcome pass over the class
-    serves all n! relabelings of every member.  Classes larger than
-    ``AUDIT_CAP`` are refused before any graph is built.
-    """
+def _check_symmetrizable(spec: GraphClassSpec) -> None:
+    """Refuse, before any graph is built, a class whose symmetrization needs
+    more than ``FACTORIAL_CAP``! relabelings per graph or more than
+    ``AUDIT_CAP`` graphs."""
     if spec.n > FACTORIAL_CAP:
         raise CapExceeded(f"symmetrization of n={spec.n} exceeds factorial cap {FACTORIAL_CAP}")
     _check_exhaustive_pre(spec, AUDIT_CAP)
+
+
+def symmetrized_table(mid: MechanismId, spec: GraphClassSpec) -> dict[tuple[int, ...], ProbabilityVector]:
+    """``symmetrize_eval`` of the lifted mechanism for every graph of a class,
+    keyed by graph key.
+
+    Classes are closed under relabeling, so the lift is memoized by graph key
+    and each class graph is evaluated once for all n! relabelings of every
+    member.  Refused upfront as ``_check_symmetrizable`` says.
+    """
+    _check_symmetrizable(spec)
     mid.validate_for(spec.n)
-    kern, n = kernel_for(mid), spec.n
-    graphs = list(enumerate_graphs(spec))
-    selected = {g.key: kern(n, g.out_tuples) for g in graphs}
-    perms = [(perm, perm.inverse()) for perm in Permutation.all_of(n)]
-    scale = factorial(n)
-    table: dict[tuple[int, ...], ProbabilityVector] = {}
-    for g in graphs:
-        counts = [0] * n
-        for perm, inverse in perms:
-            s = selected[g.relabel(perm).key]
-            if s:
-                counts[inverse(s) - 1] += 1
-        table[g.key] = ProbabilityVector(tuple(Fraction(c, scale) for c in counts))
-    return table
+    lifted, lifts = lift_deterministic(mid), {}
+
+    def memoized(graph: DirectedGraph) -> ProbabilityVector:
+        if graph.key not in lifts:
+            lifts[graph.key] = lifted(graph)
+        return lifts[graph.key]
+
+    return {g.key: symmetrize_eval(memoized, g) for g in enumerate_graphs(spec)}
 
 
 @dataclass(frozen=True)
@@ -533,7 +537,9 @@ def check_weak_unanimity_inheritance(mid: MechanismId, spec: GraphClassSpec) -> 
     """On graphs with a vertex of indegree n-1: if the base mechanism always
     selects a positive-indegree vertex there, its symmetrization must place
     mass exactly 1 on positive-indegree vertices (checked in exact rationals).
+    Refused upfront as ``symmetrized_table`` is.
     """
+    _check_symmetrizable(spec)
     mechanism = resolve(mid)
     lifted = lift_deterministic(mid)
     n = spec.n

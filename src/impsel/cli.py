@@ -152,7 +152,12 @@ def _cmd_plan(args) -> int:
 
 
 def _audit_mode(args):
+    """Mode of an impartiality or gap audit, refusing flags it would ignore."""
+    if args.T is not None or args.t is not None:
+        raise ValueError("--T and --t apply to trace audits only")
     if args.exhaustive:
+        if args.samples is not None or args.seed is not None:
+            raise ValueError("--exhaustive excludes --samples and --seed")
         return Exhaustive()
     if args.samples is None:
         raise ValueError("choose --exhaustive or --samples N")
@@ -215,6 +220,8 @@ def _cmd_audit(args) -> int:
         _emit(payload, args.json, lines)
         return 0
     # trace invariants over sampled graphs
+    if args.exhaustive:
+        raise ValueError("trace audits are sampled; --exhaustive does not apply")
     if args.samples is None or args.seed is None:
         raise ValueError("trace audits need --samples N and --seed S")
     mode = Sampled(args.seed, args.samples)  # refuses fewer than one trial

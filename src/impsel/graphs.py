@@ -106,11 +106,6 @@ class DirectedGraph:
     # ---- derived views ----
 
     @cached_property
-    def out_tuples(self) -> tuple[tuple[int, ...], ...]:
-        """Out-neighborhoods as sorted tuples; the form the audit kernels consume."""
-        return tuple(tuple(sorted(s)) for s in self.out_sets)
-
-    @cached_property
     def in_sets(self) -> tuple[frozenset[int], ...]:
         ins: list[set[int]] = [set() for _ in range(self.n)]
         for v, outs in enumerate(self.out_sets, start=1):

@@ -31,12 +31,11 @@ contract):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ._deletion import (
-    indegree_array,
     indegree_rows,
     out_rows,
     run_deletion,
@@ -46,7 +45,7 @@ from ._deletion import (
 )
 from .graphs import DirectedGraph
 
-Kernel = Callable[[int, Sequence[Sequence[int]]], int]
+Kernel = Callable[[DirectedGraph], int]
 BatchKernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -85,49 +84,45 @@ class Outcome:
 
 
 # ---------------------------------------------------------------------------
-# kernels: (n, out-tuples) -> selected vertex id, 0 for none
+# kernels: graph -> selected vertex id, 0 for none
 # ---------------------------------------------------------------------------
 
 
-def _never_kernel(n: int, outs: Sequence[Sequence[int]]) -> int:
+def _never_kernel(graph: DirectedGraph) -> int:
     return 0
 
 
-def _max_naive_kernel(n: int, outs: Sequence[Sequence[int]]) -> int:
-    deg = indegree_array(n, outs)
-    return select_top(n, deg, 0)
+def _max_naive_kernel(graph: DirectedGraph) -> int:
+    return select_top(graph.indegrees, 0)
 
 
 def _follow_kernel(anchor: int) -> Kernel:
-    def kernel(n: int, outs: Sequence[Sequence[int]]) -> int:
-        targets = outs[anchor - 1]
-        return max(targets) if targets else 0
+    def kernel(graph: DirectedGraph) -> int:
+        return max(graph.out_sets[anchor - 1], default=0)
 
     return kernel
 
 
-def _majority_kernel(n: int, outs: Sequence[Sequence[int]]) -> int:
-    deg = indegree_array(n, outs)
-    return select_top(n, deg, n // 2 + 1)
+def _majority_kernel(graph: DirectedGraph) -> int:
+    return select_top(graph.indegrees, graph.n // 2 + 1)
 
 
 def _naive_sim_kernel(t: int) -> Kernel:
-    def kernel(n: int, outs: Sequence[Sequence[int]]) -> int:
-        deg = indegree_array(n, outs)
-        high = [v for v in range(1, n + 1) if deg[v] >= t]
-        remaining = list(deg)
-        for v in high:
-            for u in outs[v - 1]:
-                remaining[u] -= 1
-        return select_top(n, remaining, t + 1)
+    def kernel(graph: DirectedGraph) -> int:
+        remaining = list(graph.indegrees)
+        for outs, d in zip(graph.out_sets, graph.indegrees):
+            if d >= t:
+                for u in outs:
+                    remaining[u - 1] -= 1
+        return select_top(remaining, t + 1)
 
     return kernel
 
 
 def _twin_kernel(upper: int, lower: int) -> Kernel:
-    def kernel(n: int, outs: Sequence[Sequence[int]]) -> int:
-        deg, _ = run_deletion(n, outs, lower)
-        return select_top(n, deg, upper)
+    def kernel(graph: DirectedGraph) -> int:
+        deg, _ = run_deletion(graph, lower)
+        return select_top(deg, upper)
 
     return kernel
 
@@ -267,7 +262,8 @@ class MechanismId:
 
 
 def kernel_for(mid: MechanismId) -> Kernel:
-    """Per-graph kernel: (n, out-tuples) -> selected vertex or 0."""
+    """Per-graph kernel: graph -> selected vertex or 0; ``resolve`` wraps it
+    into an ``Outcome``, and the tests check the batch kernel against it."""
     return MECHANISMS[mid.name].kernel(mid.params)
 
 
@@ -284,6 +280,6 @@ def resolve(mid: MechanismId) -> Callable[[DirectedGraph], Outcome]:
 
     def mechanism(graph: DirectedGraph) -> Outcome:
         mid.validate_for(graph.n)
-        return Outcome.of(graph, kernel(graph.n, graph.out_tuples))
+        return Outcome.of(graph, kernel(graph))
 
     return mechanism

@@ -15,8 +15,9 @@ decision is an exact integer comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 
 from ._deletion import run_deletion, select_top
@@ -45,18 +46,34 @@ class DeletionTrace:
     """Full record of one run's iterated deletion phase.
 
     ``deletions`` holds one (iteration, vertex, degree_at_deletion) record per
-    deletion, in iteration order.  ``istar`` maps every vertex to the iteration
-    its outgoing edges were deleted, with the convention istar(v) =
-    iteration_count for vertices never deleted.  ``dstar`` maps deleted
-    vertices to their remaining indegree at the moment of deletion.
+    deletion, in iteration order, and ``final_degrees`` the remaining
+    indegrees, vertex v's at index v-1.  The other views derive from
+    ``deletions``: ``istar`` maps every vertex to the iteration its outgoing
+    edges were deleted, with the convention istar(v) = iteration_count for
+    vertices never deleted, and ``dstar`` maps deleted vertices to their
+    remaining indegree at the moment of deletion.
     """
 
     deletions: tuple[tuple[int, int, int], ...]
     final_degrees: tuple[int, ...]
-    deleted_set: frozenset[int]
-    iteration_count: int
-    istar: dict[int, int] = field(repr=False)
-    dstar: dict[int, int] = field(repr=False)
+
+    @property
+    def iteration_count(self) -> int:
+        return len(self.deletions)
+
+    @cached_property
+    def istar(self) -> dict[int, int]:
+        istar = dict.fromkeys(range(1, len(self.final_degrees) + 1), self.iteration_count)
+        istar.update((v, i) for i, v, _ in self.deletions)
+        return istar
+
+    @cached_property
+    def dstar(self) -> dict[int, int]:
+        return {v: d for _, v, d in self.deletions}
+
+    @cached_property
+    def deleted_set(self) -> frozenset[int]:
+        return frozenset(self.dstar)
 
     def degree_at_deletion(self, v: int) -> int:
         """dstar extended to undeleted vertices by their final remaining indegree."""
@@ -66,24 +83,9 @@ class DeletionTrace:
 def run_twin_threshold(graph: DirectedGraph, thresholds: ThresholdPair) -> tuple[Outcome, DeletionTrace]:
     """Run the mechanism and return the outcome together with its deletion trace."""
     thresholds.validate_for(graph.n)
-    n = graph.n
-    deg, deletions = run_deletion(n, graph.out_tuples, thresholds.lower)
-    selected = select_top(n, deg, thresholds.upper)
-    iterations = len(deletions)
-    istar = {v: iterations for v in range(1, n + 1)}
-    dstar: dict[int, int] = {}
-    for i, v, d in deletions:
-        istar[v] = i
-        dstar[v] = d
-    trace = DeletionTrace(
-        deletions=tuple(deletions),
-        final_degrees=tuple(deg[1:]),
-        deleted_set=frozenset(dstar),
-        iteration_count=iterations,
-        istar=istar,
-        dstar=dstar,
-    )
-    return Outcome.of(graph, selected), trace
+    deg, deletions = run_deletion(graph, thresholds.lower)
+    outcome = Outcome.of(graph, select_top(deg, thresholds.upper))
+    return outcome, DeletionTrace(tuple(deletions), tuple(deg))
 
 
 def additive_gap(graph: DirectedGraph, outcome: Outcome) -> int:

@@ -178,15 +178,15 @@ def _every_mechanism(n: int):
             yield MechanismId(name, params)
 
 
-def _out_tuples(spec, start, end):
-    """Per-vertex out-tuples of the graphs with indices [start, end), built
-    once per window and shared by every mechanism's scalar reference."""
-    return [graph_at_index(spec, i).out_tuples for i in range(start, end)]
+def _graphs(spec, start, end):
+    """The graphs with indices [start, end), built once per window and shared
+    by every mechanism's scalar reference."""
+    return [graph_at_index(spec, i) for i in range(start, end)]
 
 
-def _scalar_outcomes(mid, n, window):
+def _scalar_outcomes(mid, window):
     kernel = kernel_for(mid)
-    return [kernel(n, outs) for outs in window]
+    return [kernel(g) for g in window]
 
 
 @pytest.mark.parametrize(
@@ -206,10 +206,10 @@ def test_batch_kernels_match_scalar_kernels(monkeypatch, spec, block):
     # Blocks smaller than the chunks (three, run here) straddle chunk ends.
     monkeypatch.setattr(impsel.audit, "KERNEL_BLOCK", block)
     monkeypatch.setattr(impsel.audit, "_worker_count", lambda jobs, chunks: 1)
-    window = _out_tuples(spec, 0, spec.size)
+    window = _graphs(spec, 0, spec.size)
     for mid in _every_mechanism(spec.n):
         table = impsel.audit._outcome_table(mid, spec, 3)
-        assert table.tolist() == _scalar_outcomes(mid, spec.n, window), mid.text()
+        assert table.tolist() == _scalar_outcomes(mid, window), mid.text()
 
 
 def test_batch_kernels_match_scalar_kernels_on_windows_of_g5(monkeypatch):
@@ -220,11 +220,11 @@ def test_batch_kernels_match_scalar_kernels_on_windows_of_g5(monkeypatch):
     width = 400
     windows = [(lo, lo + width) for lo in range(0, spec.size - width, spec.size // 6 + 1)]
     windows.append((spec.size - width, spec.size))
-    outs = {(lo, hi): _out_tuples(spec, lo, hi) for lo, hi in windows}
+    graphs = {(lo, hi): _graphs(spec, lo, hi) for lo, hi in windows}
     for mid in _every_mechanism(spec.n):
         for lo, hi in windows:
             got = impsel.audit._outcome_chunk((mid, spec, lo, hi))
-            assert got.tolist() == _scalar_outcomes(mid, spec.n, outs[lo, hi]), (mid.text(), lo)
+            assert got.tolist() == _scalar_outcomes(mid, graphs[lo, hi]), (mid.text(), lo)
 
 
 def test_batch_outcome_table_does_not_depend_on_worker_count():
@@ -300,9 +300,9 @@ def test_batch_kernels_widen_rows_past_int8_vertex_ids():
     for text in (*texts, "twin:128,2", "twin:129,129"):
         mid = MechanismId.parse(text)
         for g in stars:
-            members = outset_rows(n, g.out_tuples)
+            members = outset_rows(n, g.out_sets)
             got = batch_kernel_for(mid)(members, np.arange(n)[None, :])
-            assert got.tolist() == [kernel_for(mid)(n, g.out_tuples)], text
+            assert got.tolist() == [kernel_for(mid)(g)], text
     spec = GraphClassSpec(n, 1)
     for text in ("max-naive", "twin:20,3"):
         report = measure_gap(MechanismId.parse(text), spec, Sampled(2, 30))
@@ -446,6 +446,27 @@ def test_symmetrized_table_refuses_classes_over_the_audit_cap():
     # G_6(2) has 16^6 graphs: under the factorial cap, over the audit cap
     with pytest.raises(CapExceeded, match="audit cap"):
         symmetrized_table(MechanismId.parse("never"), GraphClassSpec(6, 2))
+
+
+@pytest.mark.parametrize(
+    "spec, refusal",
+    [
+        (GraphClassSpec(8, 1), "factorial cap"),
+        (GraphClassSpec(6, 2), "audit cap"),
+        (GraphClassSpec(6, 2, True), "audit cap"),
+    ],
+    ids=lambda x: x.describe() if isinstance(x, GraphClassSpec) else None,
+)
+def test_symmetrization_refuses_before_enumerating(monkeypatch, spec, refusal):
+    # G_8(1) is over the factorial cap; G_6(2) (16^6 graphs) and G+_6(2)
+    # (15^6) are under it but over the audit cap
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated before the cap check")
+
+    monkeypatch.setattr(impsel.audit, "enumerate_graphs", no_enumeration)
+    for check in (symmetrized_table, check_weak_unanimity_inheritance):
+        with pytest.raises(CapExceeded, match=refusal):
+            check(MechanismId.parse("max-naive"), spec)
 
 
 def test_symmetry_law_by_direct_enumeration():

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from impsel import COMPOSITION_CAP
+from impsel import COMPOSITION_CAP, GraphClassSpec
 from impsel.cli import build_parser, main
+from impsel.graphs import sample_graph
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -57,6 +58,25 @@ def test_run_human_output_and_trace_flag(capsys, star5):
     code, out, _ = run_cli(capsys, "run", "--graph", star5, "--T", "3", "--t", "2", "--trace")
     assert code == 0
     assert "selected: 1" in out and "deletions" in out
+
+
+# stdout sha256 of `run` on a seeded G_2000(1) graph at T=5, t=2 (424
+# deletions, vertex 1553 selected), as the raw out-tuple kernels wrote it
+RUN_REPORTS = [
+    (("--json", "--trace"), "b2d705ec51b3f90c241821bec445ea900d2f666f1ff15b0850719740305921ee"),
+    (("--trace",), "ae997111fb7cbfb861a87d2653730d540846e9fe33c7ac2cf709aaa05fd1eaa2"),
+]
+
+
+@pytest.mark.parametrize("flags, digest", RUN_REPORTS, ids=["json-trace", "trace"])
+def test_run_reports_are_byte_identical(capsys, tmp_path, flags, digest):
+    path = tmp_path / "g2000.g"
+    path.write_text(sample_graph(GraphClassSpec(2000, 1), 1).serialize())
+    code, out, _ = run_cli(capsys, "run", "--graph", str(path), "--T", "5", "--t", "2", *flags)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+    if "--json" in flags:
+        payload = json.loads(out)
+        assert len(payload["trace"]) == 424 and payload["selected"] == [1553]
 
 
 def test_run_rejects_bad_thresholds(capsys, star5):
@@ -234,6 +254,26 @@ def test_audit_refuses_fewer_than_one_sample(capsys):
             code, out, err = run_cli(capsys, "audit", kind, "--n", "5", "--k", "1", "--samples", samples, "--seed", "1")
             assert code == 2 and out == ""
             assert err == f"error: need at least one trial, got {samples}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("impartiality", "--mechanism", "never", "--exhaustive", "--samples", "3", "--seed", "1"),
+         "--exhaustive excludes"),
+        (("impartiality", "--exhaustive", "--samples", "3"), "--exhaustive excludes"),
+        (("gap", "--exhaustive", "--seed", "1"), "--exhaustive excludes"),
+        (("trace", "--exhaustive", "--samples", "2", "--seed", "1"), "--exhaustive does not apply"),
+        (("impartiality", "--exhaustive", "--T", "2", "--t", "1"), "trace audits only"),
+        (("gap", "--samples", "3", "--seed", "1", "--t", "1"), "trace audits only"),
+        (("gap", "--exhaustive", "--T", "2"), "trace audits only"),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, tuple) else None,
+)
+def test_audit_refuses_flags_its_mode_would_ignore(capsys, argv, message):
+    code, out, err = run_cli(capsys, "audit", *argv, "--n", "4", "--k", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_audit_unknown_mechanism(capsys):
