@@ -18,7 +18,7 @@ graph = DirectedGraph.from_edges(10, edges)
 print("indegrees:", dict(enumerate(graph.indegrees, start=1)))
 
 thresholds = ThresholdPair(upper=4, lower=3)
-outcome, trace = run_twin_threshold(graph, thresholds)
+selected, trace = run_twin_threshold(graph, thresholds)
 
 print(f"\nlower threshold t={thresholds.lower}: vertices at or above it lose their outgoing edges,")
 print("highest remaining indegree first, ties to the greater index:")
@@ -27,8 +27,11 @@ for i, v, d in trace.deletions:
 
 print("\nremaining indegrees:", dict(enumerate(trace.final_degrees, start=1)))
 print(f"selection needs remaining indegree >= T={thresholds.upper}")
-print(f"selected: {sorted(outcome.selected) or 'nobody'} with original indegree {outcome.selected_indegree}")
-print(f"additive gap versus the true maximum: {additive_gap(graph, outcome)}")
+if selected:
+    print(f"selected: vertex {selected} with original indegree {graph.indegrees[selected - 1]}")
+else:
+    print("selected: nobody (an empty selection counts as indegree 0)")
+print(f"additive gap versus the true maximum: {additive_gap(graph, selected)}")
 
 # The same rule with both thresholds collapsed to t is manipulable; the gap
 # between t and T is what buys impartiality (see demo 03).

@@ -12,18 +12,18 @@ from impsel import (
     MechanismId,
     OrderedPartition,
     graph_of_composition,
-    lift_deterministic,
     reduce_add_inneighbors,
     reduce_add_isolated,
+    resolve,
     symmetrize_eval,
 )
 
 # A fixed-tie-break rule is asymmetric; its symmetrization is not.
 graph = graph_of_composition(OrderedPartition((1, 2)))  # 1 nominates 2 and 3, which nominate each other
 print("graph edges:", graph.edges, "indegrees:", graph.indegrees)
-lifted = lift_deterministic(MechanismId.parse("max-naive"))
-print("deterministic rule picks:", [lifted(graph).prob(v) for v in (1, 2, 3)])
-symmetric = symmetrize_eval(lifted, graph)
+mechanism = resolve(MechanismId.parse("max-naive"))
+print("deterministic rule picks vertex", mechanism(graph))
+symmetric = symmetrize_eval(mechanism, graph)
 print("symmetrized:", [str(symmetric.prob(v)) for v in (1, 2, 3)], "mass", symmetric.mass)
 
 # Isolated padding: a 3-vertex instance living inside G_8(2).

@@ -21,7 +21,6 @@ from .audit import (
     check_impartiality,
     check_trace_invariants,
     check_weak_unanimity_inheritance,
-    lift_deterministic,
     measure_gap,
     symmetrize_eval,
     symmetrized_table,
@@ -42,7 +41,6 @@ from .graphs import (
 )
 from .mechanisms import (
     MechanismId,
-    Outcome,
     kernel_for,
     resolve,
 )

@@ -14,9 +14,10 @@ graph; sampled gap audits stack the samples into blocks.  Each witness graph
 is built once however many violations it is part of.
 
 Worst additive gaps are measured in the same two modes, trace invariants are
-re-derived from recorded deletion traces, and randomized lifts/symmetrizations
-are evaluated in exact rational arithmetic (never floating point: downstream
-infeasibility arguments compare masses against exactly 1).
+re-derived from recorded deletion traces, and symmetrizations (the selection
+averaged over all vertex relabelings) are evaluated in exact rational
+arithmetic (never floating point: downstream infeasibility arguments compare
+masses against exactly 1).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .graphs import (
     sample_ranks,
     sample_stream,  # bound only for the bench tracer, which wraps it here
 )
-from .mechanisms import MechanismId, Outcome, batch_kernel_for, kernel_for, resolve  # kernel_for: for the tracer
+from .mechanisms import Kernel, MechanismId, batch_kernel_for, kernel_for, resolve  # kernel_for: for the tracer
 from .twin_threshold import DeletionTrace, ThresholdPair, additive_gap, run_twin_threshold
 
 #: Exhaustive audits refuse classes larger than this by default (the outcome
@@ -349,7 +350,7 @@ class TraceReport:
     """Per-invariant verdicts for one traced run, with counter-witness details."""
 
     thresholds: ThresholdPair
-    outcome: Outcome
+    selected: int
     trace: DeletionTrace
     checks: tuple[TraceCheck, ...]
 
@@ -372,7 +373,7 @@ def check_trace_invariants(graph: DirectedGraph, thresholds: ThresholdPair) -> T
         vertex in that order, the j-th of them above (original indegree - j),
         and every other in-neighbor strictly below the vertex.
     """
-    outcome, trace = run_twin_threshold(graph, thresholds)
+    selected, trace = run_twin_threshold(graph, thresholds)
     lower = thresholds.lower
     n = graph.n
     checks = []
@@ -422,11 +423,11 @@ def check_trace_invariants(graph: DirectedGraph, thresholds: ThresholdPair) -> T
                 problems.append(f"vertex {v}: in-neighbor {u} at {pair} neither witness nor below ({dv}, {v})")
     checks.append(TraceCheck("inneighbor_witness", not problems, "; ".join(problems)))
 
-    return TraceReport(thresholds, outcome, trace, tuple(checks))
+    return TraceReport(thresholds, selected, trace, tuple(checks))
 
 
 # ---------------------------------------------------------------------------
-# randomized lifts and symmetrization (exact rationals)
+# symmetrization (exact rationals)
 # ---------------------------------------------------------------------------
 
 
@@ -451,46 +452,23 @@ class ProbabilityVector:
         return self.probs[v - 1]
 
 
-Randomized = Callable[[DirectedGraph], ProbabilityVector]
+def symmetrize_eval(mechanism: Kernel, graph: DirectedGraph) -> ProbabilityVector:
+    """Average a mechanism (graph -> selected vertex, 0 for none) over all n!
+    vertex relabelings, exactly.
 
-
-def lift_deterministic(mid: MechanismId) -> Randomized:
-    """Degenerate randomized view of a deterministic mechanism: probability 1
-    on the selected vertex, all-zero when nothing is selected."""
-    f = resolve(mid)
-
-    def randomized(graph: DirectedGraph) -> ProbabilityVector:
-        v = f(graph).vertex
-        probs = [Fraction(0)] * graph.n
-        if v is not None:
-            probs[v - 1] = Fraction(1)
-        return ProbabilityVector(tuple(probs))
-
-    return randomized
-
-
-def symmetrize_eval(randomized: Randomized, graph: DirectedGraph) -> ProbabilityVector:
-    """Average the mechanism over all n! vertex relabelings, exactly.
-
-    Entry v is (1/n!) times the sum over permutations pi of the probability the
-    mechanism puts on pi(v) when run on the relabeled graph.
+    Entry v is the share of permutations pi for which the mechanism selects
+    pi(v) on the relabeled graph.
     """
     n = graph.n
     if n > FACTORIAL_CAP:
         raise CapExceeded(f"symmetrization of n={n} exceeds factorial cap {FACTORIAL_CAP}")
-    totals = [Fraction(0)] * n
-    cache: dict[tuple[int, ...], ProbabilityVector] = {}
+    counts = [0] * n
     for perm in Permutation.all_of(n):
-        relabeled = graph.relabel(perm)
-        if relabeled.key not in cache:
-            cache[relabeled.key] = randomized(relabeled)
-        vector, images = cache[relabeled.key], perm.images
-        for v in range(1, n + 1):
-            p = vector.probs[images[v - 1] - 1]
-            if p:  # a lifted deterministic mechanism has one nonzero entry
-                totals[v - 1] += p
+        w = mechanism(graph.relabel(perm))
+        if w:
+            counts[perm.images.index(w)] += 1  # the v with pi(v) = w
     scale = factorial(n)
-    return ProbabilityVector(tuple(p / scale for p in totals))
+    return ProbabilityVector(tuple(Fraction(c, scale) for c in counts))
 
 
 def _check_symmetrizable(spec: GraphClassSpec) -> None:
@@ -503,21 +481,21 @@ def _check_symmetrizable(spec: GraphClassSpec) -> None:
 
 
 def symmetrized_table(mid: MechanismId, spec: GraphClassSpec) -> dict[tuple[int, ...], ProbabilityVector]:
-    """``symmetrize_eval`` of the lifted mechanism for every graph of a class,
-    keyed by graph key.
+    """``symmetrize_eval`` of the mechanism for every graph of a class, keyed
+    by graph key.
 
-    Classes are closed under relabeling, so the lift is memoized by graph key
-    and each class graph is evaluated once for all n! relabelings of every
-    member.  Refused upfront as ``_check_symmetrizable`` says.
+    Classes are closed under relabeling, so the selected vertex is memoized by
+    graph key and each class graph is evaluated once for all n! relabelings of
+    every member.  Refused upfront as ``_check_symmetrizable`` says.
     """
     _check_symmetrizable(spec)
     mid.validate_for(spec.n)
-    lifted, lifts = lift_deterministic(mid), {}
+    mechanism, selections = resolve(mid), {}
 
-    def memoized(graph: DirectedGraph) -> ProbabilityVector:
-        if graph.key not in lifts:
-            lifts[graph.key] = lifted(graph)
-        return lifts[graph.key]
+    def memoized(graph: DirectedGraph) -> int:
+        if graph.key not in selections:
+            selections[graph.key] = mechanism(graph)
+        return selections[graph.key]
 
     return {g.key: symmetrize_eval(memoized, g) for g in enumerate_graphs(spec)}
 
@@ -541,17 +519,16 @@ def check_weak_unanimity_inheritance(mid: MechanismId, spec: GraphClassSpec) -> 
     """
     _check_symmetrizable(spec)
     mechanism = resolve(mid)
-    lifted = lift_deterministic(mid)
     n = spec.n
     stars = [g for g in enumerate_graphs(spec) if g.max_indegree == n - 1]
     for g in stars:
-        v = mechanism(g).vertex
-        if v is None or g.indegrees[v - 1] < 1:
+        v = mechanism(g)
+        if v == 0 or g.indegrees[v - 1] < 1:
             detail = f"{mid.text()} does not select a positive-indegree vertex on some such graph"
             return WeakUnanimityReport(premise_holds=False, ok=True, graphs_checked=len(stars), detail=detail)
     problems = []
     for g in stars:
-        vector = symmetrize_eval(lifted, g)
+        vector = symmetrize_eval(mechanism, g)
         mass = sum((vector.prob(v) for v in range(1, n + 1) if g.indegrees[v - 1] >= 1), Fraction(0))
         if mass != 1:
             problems.append(f"graph {g.key}: positive-indegree mass {mass} != 1")

@@ -88,15 +88,15 @@ def _default_plan(n: int, k: int | None) -> PlanReport:
 
 def _cmd_run(args) -> int:
     graph = _load_graph(args.graph)
-    outcome, trace = run_twin_threshold(graph, ThresholdPair(args.T, args.t))
-    selected = sorted(outcome.selected)
-    gap = additive_gap(graph, outcome)
+    selected, trace = run_twin_threshold(graph, ThresholdPair(args.T, args.t))
+    selected_indegree = graph.indegrees[selected - 1] if selected else 0
+    gap = additive_gap(graph, selected)
     payload = {
         "n": graph.n,
         "T": args.T,
         "t": args.t,
-        "selected": selected,
-        "selected_indegree": outcome.selected_indegree,
+        "selected": [selected] if selected else [],
+        "selected_indegree": selected_indegree,
         "max_indegree": graph.max_indegree,
         "gap": gap,
         "trace": [{"i": i, "v": v, "dstar": d} for i, v, d in trace.deletions],
@@ -104,8 +104,7 @@ def _cmd_run(args) -> int:
     }
     lines = [
         f"n={graph.n} thresholds T={args.T} t={args.t}",
-        f"selected: {selected[0] if selected else 'nothing'}"
-        + (f" (indegree {outcome.selected_indegree})" if selected else ""),
+        f"selected: {selected} (indegree {selected_indegree})" if selected else "selected: nothing",
         f"max indegree {graph.max_indegree}, gap {gap}",
     ]
     if args.trace:
@@ -152,7 +151,8 @@ def _cmd_plan(args) -> int:
 
 
 def _audit_mode(args):
-    """Mode of an impartiality or gap audit, refusing flags it would ignore."""
+    """Mode of an impartiality or gap audit, refusing flags it would ignore:
+    sampled audits run in one process, and sampled gap audits have no cap."""
     if args.T is not None or args.t is not None:
         raise ValueError("--T and --t apply to trace audits only")
     if args.exhaustive:
@@ -163,15 +163,23 @@ def _audit_mode(args):
         raise ValueError("choose --exhaustive or --samples N")
     if args.seed is None:
         raise ValueError("sampled audits need an explicit --seed")
+    if args.jobs is not None:
+        raise ValueError("--jobs applies to exhaustive audits only")
+    if args.kind == "gap" and args.cap is not None:
+        raise ValueError("--cap applies to exhaustive gap audits only")
     return Sampled(args.seed, args.samples)
 
 
 def _cmd_audit(args) -> int:
-    mid = MechanismId.parse(args.mechanism)
+    if args.kind == "trace" and (args.mechanism, args.cap, args.jobs) != (None, None, None):
+        raise ValueError("trace audits run the twin-threshold pair; --mechanism, --cap and --jobs do not apply")
+    mid = MechanismId.parse("twin:2,1" if args.mechanism is None else args.mechanism)
     spec = GraphClassSpec(args.n, args.k, args.positive_outdegree)
+    cap = AUDIT_CAP if args.cap is None else args.cap
+    jobs = 1 if args.jobs is None else args.jobs
     if args.kind == "impartiality":
         mode = _audit_mode(args)
-        violations = check_impartiality(mid, spec, mode, cap=args.cap, jobs=args.jobs)
+        violations = check_impartiality(mid, spec, mode, cap=cap, jobs=jobs)
         payload = {
             "kind": "impartiality",
             "mechanism": mid.text(),
@@ -202,7 +210,7 @@ def _cmd_audit(args) -> int:
         return 1 if violations else 0
     if args.kind == "gap":
         mode = _audit_mode(args)
-        report = measure_gap(mid, spec, mode, cap=args.cap, jobs=args.jobs)
+        report = measure_gap(mid, spec, mode, cap=cap, jobs=jobs)
         payload = {
             "kind": "gap",
             "mechanism": mid.text(),
@@ -348,16 +356,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     audit = sub.add_parser("audit", help="impartiality / gap / trace audits")
     audit.add_argument("kind", choices=("impartiality", "gap", "trace"))
-    audit.add_argument("--mechanism", default="twin:2,1", help="e.g. never, max-naive, follow:1, twin:4,1")
+    audit.add_argument("--mechanism", help="e.g. never, max-naive, follow:1, twin:4,1 (default twin:2,1)")
     audit.add_argument("--n", type=int, required=True)
     audit.add_argument("--k", type=_outdegree_bound, default=None, help="outdegree bound or 'unbounded'")
     audit.add_argument("--positive-outdegree", action="store_true")
     audit.add_argument("--exhaustive", action="store_true")
     audit.add_argument("--samples", type=int)
     audit.add_argument("--seed", type=int)
-    audit.add_argument("--jobs", type=int, default=1, help="exhaustive audits: worker processes (at most the usable CPUs)")
-    cap_help = "most graphs in an exhaustive audit's class or on one sampled graph's deviation lines (default 10^7)"
-    audit.add_argument("--cap", type=int, default=AUDIT_CAP, help=cap_help)
+    jobs_help = "exhaustive audits: worker processes (at most the usable CPUs; default 1)"
+    audit.add_argument("--jobs", type=int, help=jobs_help)
+    cap_help = "most graphs in an exhaustive audit's class or on a sampled impartiality graph's deviation lines"
+    audit.add_argument("--cap", type=int, help=cap_help + " (default 10^7)")
     audit.add_argument("--T", type=int, help="trace audits: upper threshold (default: planned)")
     audit.add_argument("--t", type=int, help="trace audits: lower threshold (default: planned)")
     audit.add_argument("--json", action="store_true")

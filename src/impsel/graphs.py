@@ -35,6 +35,7 @@ portably across machines and runs.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import comb
@@ -444,11 +445,12 @@ def parse_graph(text: str) -> DirectedGraph:
 
     Comment lines start with '#'; exactly one header line ``n <count>`` must
     precede the edge lines ``e <u> <v>``.  Self-loops, out-of-range ids and
-    duplicate edges are rejected with the offending line number.
+    duplicate edges are rejected with the offending line number.  Out-sets
+    are filled as the edges are read, keyed by source vertex, so a large
+    header costs nothing until the graph is built.
     """
     n: int | None = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    outs: defaultdict[int, set[int]] = defaultdict(set)
     last_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         last_line = lineno
@@ -480,12 +482,11 @@ def parse_graph(text: str) -> DirectedGraph:
                 raise GraphFormatError(lineno, f"edge ({u}, {v}) outside 1..{n}")
             if u == v:
                 raise GraphFormatError(lineno, f"self-loop at vertex {u}")
-            if (u, v) in seen:
+            if v in outs[u]:
                 raise GraphFormatError(lineno, f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-            edges.append((u, v))
+            outs[u].add(v)
         else:
             raise GraphFormatError(lineno, f"unrecognized directive {fields[0]!r}")
     if n is None:
         raise GraphFormatError(last_line + 1, "missing 'n <count>' header")
-    return DirectedGraph.from_edges(n, edges)
+    return DirectedGraph(n, tuple(frozenset(outs.get(u, ())) for u in range(1, n + 1)))

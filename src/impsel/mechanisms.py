@@ -2,7 +2,8 @@
 
 Every mechanism maps a graph to at most one vertex.  All of them are pure
 functions of the input graph and never raise on degenerate inputs (n=1, no
-edges): where the rule yields nothing they return the empty outcome.
+edges): a selection is the selected vertex's id, and where the rule yields
+nothing they return 0.
 
 ``MECHANISMS`` is the one registry: it maps each name to its parameter count,
 a validator of the parameters against a vertex count, a kernel factory and a
@@ -47,40 +48,6 @@ from .graphs import DirectedGraph
 
 Kernel = Callable[[DirectedGraph], int]
 BatchKernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class Outcome:
-    """Result of one mechanism run: at most one selected vertex.
-
-    ``selected_indegree`` is the selected vertex's indegree in the input graph,
-    with the empty-selection convention 0.
-    """
-
-    selected: frozenset[int]
-    selected_indegree: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "selected", frozenset(self.selected))
-        if len(self.selected) > 1:
-            raise ValueError(f"at most one vertex may be selected, got {sorted(self.selected)}")
-        if not self.selected and self.selected_indegree != 0:
-            raise ValueError("empty selection must report indegree 0")
-
-    @property
-    def vertex(self) -> int | None:
-        return next(iter(self.selected)) if self.selected else None
-
-    @classmethod
-    def none(cls) -> "Outcome":
-        return cls(frozenset(), 0)
-
-    @classmethod
-    def of(cls, graph: DirectedGraph, v: int) -> "Outcome":
-        """Outcome of selecting vertex v of `graph` (0 selects nothing)."""
-        if v == 0:
-            return cls.none()
-        return cls(frozenset({v}), graph.indegrees[v - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +229,8 @@ class MechanismId:
 
 
 def kernel_for(mid: MechanismId) -> Kernel:
-    """Per-graph kernel: graph -> selected vertex or 0; ``resolve`` wraps it
-    into an ``Outcome``, and the tests check the batch kernel against it."""
+    """Per-graph kernel: graph -> selected vertex, 0 for none; ``resolve``
+    adds the parameter check, and the tests check the batch kernel against it."""
     return MECHANISMS[mid.name].kernel(mid.params)
 
 
@@ -273,13 +240,14 @@ def batch_kernel_for(mid: MechanismId) -> BatchKernel:
     return MECHANISMS[mid.name].batch(mid.params)
 
 
-def resolve(mid: MechanismId) -> Callable[[DirectedGraph], Outcome]:
-    """Graph-level callable for a registry mechanism; validates the parameters
-    against each graph's vertex count."""
+def resolve(mid: MechanismId) -> Kernel:
+    """Graph-level mechanism: graph -> selected vertex, 0 for none.  It is
+    ``kernel_for(mid)`` after validating the parameters against each graph's
+    vertex count."""
     kernel = kernel_for(mid)
 
-    def mechanism(graph: DirectedGraph) -> Outcome:
+    def mechanism(graph: DirectedGraph) -> int:
         mid.validate_for(graph.n)
-        return Outcome.of(graph, kernel(graph))
+        return kernel(graph)
 
     return mechanism

@@ -22,7 +22,6 @@ from math import isqrt
 
 from ._deletion import run_deletion, select_top
 from .graphs import DirectedGraph
-from .mechanisms import Outcome
 
 
 @dataclass(frozen=True)
@@ -80,22 +79,19 @@ class DeletionTrace:
         return self.dstar.get(v, self.final_degrees[v - 1])
 
 
-def run_twin_threshold(graph: DirectedGraph, thresholds: ThresholdPair) -> tuple[Outcome, DeletionTrace]:
-    """Run the mechanism and return the outcome together with its deletion trace."""
+def run_twin_threshold(graph: DirectedGraph, thresholds: ThresholdPair) -> tuple[int, DeletionTrace]:
+    """Run the mechanism; return the selected vertex (0 for none) and the deletion trace."""
     thresholds.validate_for(graph.n)
     deg, deletions = run_deletion(graph, thresholds.lower)
-    outcome = Outcome.of(graph, select_top(deg, thresholds.upper))
-    return outcome, DeletionTrace(tuple(deletions), tuple(deg))
+    return select_top(deg, thresholds.upper), DeletionTrace(tuple(deletions), tuple(deg))
 
 
-def additive_gap(graph: DirectedGraph, outcome: Outcome) -> int:
-    """Shortfall of the selected vertex's indegree against the maximum indegree.
+def additive_gap(graph: DirectedGraph, v: int) -> int:
+    """Shortfall of selected vertex v's indegree against the maximum indegree.
 
-    Recomputed from the graph; an empty selection counts as indegree 0.
+    Recomputed from the graph; v = 0 selects nothing and counts as indegree 0.
     """
-    v = outcome.vertex
-    selected_indegree = graph.indegrees[v - 1] if v is not None else 0
-    return graph.max_indegree - selected_indegree
+    return graph.max_indegree - (graph.indegrees[v - 1] if v else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -53,18 +53,18 @@ def count_isomorphic_labelings(graph: DirectedGraph) -> int:
 def violations_by_definition(mechanism, spec: GraphClassSpec) -> set[tuple]:
     """Unordered impartiality-violation triples straight from the definition.
 
-    `mechanism` maps a graph to an Outcome.  Returns canonical triples
-    (smaller graph key, larger graph key, deviator).
+    `mechanism` maps a graph to the selected vertex, 0 for none.  Returns
+    canonical triples (smaller graph key, larger graph key, deviator).
     """
     found = set()
     for base in enumerate_graphs(spec):
-        selected = mechanism(base).vertex
+        selected = mechanism(base)
         for v in range(1, spec.n + 1):
             here = selected == v
             for other in deviations(base, v, spec):
                 if other.key == base.key:
                     continue
-                if (mechanism(other).vertex == v) != here:
+                if (mechanism(other) == v) != here:
                     found.add((min(base.key, other.key), max(base.key, other.key), v))
     return found
 
@@ -72,14 +72,14 @@ def violations_by_definition(mechanism, spec: GraphClassSpec) -> set[tuple]:
 def gap_by_definition(mechanism, spec: GraphClassSpec) -> tuple[int, DirectedGraph]:
     """Maximum additive gap over the class and the first graph attaining it.
 
-    `mechanism` maps a graph to an Outcome.  A graph's gap is its maximum
+    `mechanism` maps a graph to the selected vertex.  A graph's gap is its maximum
     indegree minus the selected vertex's indegree (0 when nothing is
     selected), with indegrees counted here from the out-sets.
     """
     best = None
     for graph in enumerate_graphs(spec):
         deg = [sum(u in outs for outs in graph.out_sets) for u in range(1, spec.n + 1)]
-        v = mechanism(graph).vertex
+        v = mechanism(graph)
         gap = max(deg) - (deg[v - 1] if v else 0)
         if best is None or gap > best[0]:
             best = (gap, graph)
@@ -88,20 +88,20 @@ def gap_by_definition(mechanism, spec: GraphClassSpec) -> tuple[int, DirectedGra
 
 def sampled_violations_by_definition(mechanism, spec: GraphClassSpec, seed: int, trials: int) -> list[Violation]:
     """The violations a sampled impartiality audit reports, by running
-    `mechanism` (graph -> Outcome) on every deviation of every vertex of each
+    `mechanism` (graph -> selected vertex, 0 for none) on every deviation of every vertex of each
     sampled base graph: one per unordered pair and deviator, the graph with
     the smaller serialization first, sorted by (graph_a, graph_b, deviator)
     serializations."""
     seen: set[tuple] = set()
     violations: list[Violation] = []
     for base in sample_stream(spec, seed, trials):
-        base_sel = mechanism(base).vertex
+        base_sel = mechanism(base)
         for v in range(1, spec.n + 1):
             here = base_sel == v
             for other in deviations(base, v, spec):
                 if other.key == base.key:
                     continue
-                there = mechanism(other).vertex == v
+                there = mechanism(other) == v
                 if there == here:
                     continue
                 dedup = (min(base.key, other.key), max(base.key, other.key), v)

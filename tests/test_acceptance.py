@@ -6,6 +6,8 @@ expected value is exact (integer or rational); no tolerance is approximate.
 
 from fractions import Fraction
 
+import pytest
+
 from impsel import (
     GraphClassSpec,
     MechanismId,
@@ -79,17 +81,17 @@ def test_c02_impartiality_negative_controls():
 
     # pinned regression witnesses, re-checked by direct mechanism evaluation
     naive = resolve(MechanismId.parse("max-naive"))
-    pin1 = naive(graph(4)).vertex == 4 and naive(graph(4, (4, 1))).vertex != 4
+    pin1 = naive(graph(4)) == 4 and naive(graph(4, (4, 1))) != 4
 
     it = resolve(MechanismId.parse("naive-iter:2"))
     a = graph(4, (1, 2), (2, 1), (3, 1), (4, 2))
     b = graph(4, (1, 3), (2, 1), (3, 1), (4, 2))
-    pin2 = it(a).vertex != 1 and it(b).vertex == 1  # vertex 1 flips itself in by renominating
+    pin2 = it(a) != 1 and it(b) == 1  # vertex 1 flips itself in by renominating
 
     sim = resolve(MechanismId.parse("naive-sim:2"))
     c = graph(5, (1, 2), (2, 1), (3, 1), (4, 1), (5, 2))
     d = graph(5, (1, 3), (2, 1), (3, 1), (4, 1), (5, 2))
-    pin3 = sim(c).vertex != 1 and sim(d).vertex == 1
+    pin3 = sim(c) != 1 and sim(d) == 1
 
     ok = bool(max_naive) and iter_n == 4 and sim_n == 5 and pin1 and pin2 and pin3
     report(
@@ -132,6 +134,7 @@ def test_c04_k1_planner():
     report("c04", ok, f"plans {spots}; alpha^2 <= 8n and certified for all six sizes")
 
 
+@pytest.mark.slow
 def test_c05_trace_invariants_on_random_graphs():
     failures = 0
     runs = 0

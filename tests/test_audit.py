@@ -20,7 +20,6 @@ from impsel import (
     check_weak_unanimity_inheritance,
     deviations,
     enumerate_graphs,
-    lift_deterministic,
     measure_gap,
     resolve,
     symmetrize_eval,
@@ -390,7 +389,7 @@ def test_trace_checks_over_a_whole_class():
         assert report.ok, (g.edges, [c for c in report.checks if not c.ok])
 
 
-# ---- randomized lifts and symmetrization ----
+# ---- symmetrization ----
 
 
 def test_probability_vector_validation():
@@ -402,44 +401,27 @@ def test_probability_vector_validation():
     assert v.mass == Fraction(2, 3) and v.prob(2) == Fraction(1, 3)
 
 
-def test_lift_examples():
-    star = graph(5, (2, 1), (3, 1), (4, 1), (5, 1))
-    never = lift_deterministic(MechanismId.parse("never"))(star)
-    assert never.mass == 0
-    majority = lift_deterministic(MechanismId.parse("majority"))(star)
-    assert majority.prob(1) == 1 and majority.mass == 1
-
-
-def test_lift_preserves_violations_one_to_one():
-    mid = MechanismId.parse("max-naive")
-    spec = GraphClassSpec(3, 1)
-    lifted = lift_deterministic(mid)
-    direct = violations_by_definition(resolve(mid), spec)
-    via_lift = set()
-    for base in enumerate_graphs(spec):
-        for v in range(1, 4):
-            for other in deviations(base, v, spec):
-                if other.key != base.key and lifted(base).prob(v) != lifted(other).prob(v):
-                    via_lift.add((min(base.key, other.key), max(base.key, other.key), v))
-    assert via_lift == direct
-
-
 def test_symmetrize_examples():
-    zero = symmetrize_eval(lift_deterministic(MechanismId.parse("never")), graph(3, (1, 2)))
+    zero = symmetrize_eval(resolve(MechanismId.parse("never")), graph(3, (1, 2)))
     assert zero.mass == 0
 
     # both relabelings of the single edge select the image of vertex 2
-    v = symmetrize_eval(lift_deterministic(MechanismId.parse("max-naive")), graph(2, (1, 2)))
+    v = symmetrize_eval(resolve(MechanismId.parse("max-naive")), graph(2, (1, 2)))
     assert v.probs == (Fraction(0), Fraction(1))
 
     complete = graph(3, (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
-    uniform = symmetrize_eval(lift_deterministic(MechanismId.parse("max-naive")), complete)
+    uniform = symmetrize_eval(resolve(MechanismId.parse("max-naive")), complete)
     assert uniform.probs == (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
+
+    # follow:1 selects pi(3) on the relabeled edge pi(2) -> pi(3) exactly when
+    # pi(2) = 1: two of the six permutations, all of them crediting vertex 3
+    lone = symmetrize_eval(resolve(MechanismId.parse("follow:1")), graph(3, (2, 3)))
+    assert lone.probs == (Fraction(0), Fraction(0), Fraction(1, 3))
 
 
 def test_symmetrize_respects_factorial_cap():
     with pytest.raises(CapExceeded):
-        symmetrize_eval(lift_deterministic(MechanismId.parse("never")), DirectedGraph.empty(FACTORIAL_CAP + 1))
+        symmetrize_eval(resolve(MechanismId.parse("never")), DirectedGraph.empty(FACTORIAL_CAP + 1))
 
 
 def test_symmetrized_table_refuses_classes_over_the_audit_cap():
@@ -470,13 +452,12 @@ def test_symmetrization_refuses_before_enumerating(monkeypatch, spec, refusal):
 
 
 def test_symmetry_law_by_direct_enumeration():
-    mid = MechanismId.parse("max-naive")
-    lifted = lift_deterministic(mid)
+    mechanism = resolve(MechanismId.parse("max-naive"))
     spec = GraphClassSpec(3, 1)
     for g in enumerate_graphs(spec):
-        fs = symmetrize_eval(lifted, g)
+        fs = symmetrize_eval(mechanism, g)
         for perm in Permutation.all_of(3):
-            relabeled = symmetrize_eval(lifted, g.relabel(perm))
+            relabeled = symmetrize_eval(mechanism, g.relabel(perm))
             for v in range(1, 4):
                 assert relabeled.prob(perm(v)) == fs.prob(v)
 
@@ -485,9 +466,8 @@ def test_symmetrized_table_matches_symmetrize_eval():
     mid = MechanismId.parse("majority")
     spec = GraphClassSpec(3, 1)
     table = symmetrized_table(mid, spec)
-    lifted = lift_deterministic(mid)
     for g in enumerate_graphs(spec):
-        assert table[g.key] == symmetrize_eval(lifted, g)
+        assert table[g.key] == symmetrize_eval(resolve(mid), g)
 
 
 def test_symmetrization_inherits_impartiality_on_impartial_base():

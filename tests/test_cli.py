@@ -60,23 +60,39 @@ def test_run_human_output_and_trace_flag(capsys, star5):
     assert "selected: 1" in out and "deletions" in out
 
 
-# stdout sha256 of `run` on a seeded G_2000(1) graph at T=5, t=2 (424
-# deletions, vertex 1553 selected), as the raw out-tuple kernels wrote it
+# stdout sha256 of `run`: on a seeded G_2000(1) graph at T=5, t=2 (424
+# deletions, vertex 1553 selected), as the raw out-tuple kernels wrote it,
+# and on a 4-vertex graph at T=2, t=1 where 1 and 2 nominate each other and
+# are both deleted (2 deletions, nothing selected), as recorded before
+# selections became plain vertex ids
+RUN_GRAPHS = {
+    "g2000": (lambda: sample_graph(GraphClassSpec(2000, 1), 1).serialize(), "5", "2", 424, [1553]),
+    "pair": (lambda: "n 4\ne 1 2\ne 2 1\ne 3 1\ne 4 2\n", "2", "1", 2, []),
+}
 RUN_REPORTS = [
-    (("--json", "--trace"), "b2d705ec51b3f90c241821bec445ea900d2f666f1ff15b0850719740305921ee"),
-    (("--trace",), "ae997111fb7cbfb861a87d2653730d540846e9fe33c7ac2cf709aaa05fd1eaa2"),
+    pytest.param("g2000", ("--json", "--trace"), "b2d705ec51b3f90c241821bec445ea900d2f666f1ff15b0850719740305921ee",
+                 id="json-trace"),
+    pytest.param("g2000", ("--trace",), "ae997111fb7cbfb861a87d2653730d540846e9fe33c7ac2cf709aaa05fd1eaa2",
+                 id="trace"),
+    pytest.param("pair", ("--json",), "8f1895db978743bad8b3c0f6ac0b60d870b9dcb9f1319214d72eed13c48cbe41",
+                 id="nothing-json"),
+    pytest.param("pair", ("--json", "--trace"), "8f1895db978743bad8b3c0f6ac0b60d870b9dcb9f1319214d72eed13c48cbe41",
+                 id="nothing-json-trace"),
+    pytest.param("pair", ("--trace",), "6f85c2dadc26a22e5609c76efe83ba29c6044b17d32dfb533e9659cc033891c4",
+                 id="nothing-trace"),
 ]
 
 
-@pytest.mark.parametrize("flags, digest", RUN_REPORTS, ids=["json-trace", "trace"])
-def test_run_reports_are_byte_identical(capsys, tmp_path, flags, digest):
-    path = tmp_path / "g2000.g"
-    path.write_text(sample_graph(GraphClassSpec(2000, 1), 1).serialize())
-    code, out, _ = run_cli(capsys, "run", "--graph", str(path), "--T", "5", "--t", "2", *flags)
+@pytest.mark.parametrize("graph, flags, digest", RUN_REPORTS)
+def test_run_reports_are_byte_identical(capsys, tmp_path, graph, flags, digest):
+    text, upper, lower, deletions, selected = RUN_GRAPHS[graph]
+    path = tmp_path / f"{graph}.g"
+    path.write_text(text())
+    code, out, _ = run_cli(capsys, "run", "--graph", str(path), "--T", upper, "--t", lower, *flags)
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
     if "--json" in flags:
         payload = json.loads(out)
-        assert len(payload["trace"]) == 424 and payload["selected"] == [1553]
+        assert len(payload["trace"]) == deletions and payload["selected"] == selected
 
 
 def test_run_rejects_bad_thresholds(capsys, star5):
@@ -267,6 +283,17 @@ def test_audit_refuses_fewer_than_one_sample(capsys):
         (("impartiality", "--exhaustive", "--T", "2", "--t", "1"), "trace audits only"),
         (("gap", "--samples", "3", "--seed", "1", "--t", "1"), "trace audits only"),
         (("gap", "--exhaustive", "--T", "2"), "trace audits only"),
+        (("trace", "--samples", "2", "--seed", "1", "--cap", "5", "--mechanism", "never", "--jobs", "3"),
+         "--mechanism, --cap and --jobs do not apply"),
+        (("trace", "--samples", "2", "--seed", "1", "--mechanism", "twin:2,1"), "do not apply"),
+        (("trace", "--samples", "2", "--seed", "1", "--cap", "5"), "do not apply"),
+        (("trace", "--samples", "2", "--seed", "1", "--jobs", "1"), "do not apply"),
+        (("gap", "--mechanism", "never", "--samples", "2", "--seed", "1", "--jobs", "3"),
+         "--jobs applies to exhaustive"),
+        (("impartiality", "--mechanism", "never", "--samples", "2", "--seed", "1", "--jobs", "1"),
+         "--jobs applies to exhaustive"),
+        (("gap", "--mechanism", "never", "--samples", "2", "--seed", "1", "--cap", "1"),
+         "--cap applies to exhaustive gap"),
     ],
     ids=lambda x: " ".join(x) if isinstance(x, tuple) else None,
 )

@@ -4,7 +4,7 @@ from impsel import (
     DirectedGraph,
     GraphClassSpec,
     MechanismId,
-    Outcome,
+    additive_gap,
     check_impartiality,
     enumerate_graphs,
     measure_gap,
@@ -15,54 +15,53 @@ from conftest import graph
 STAR5 = graph(5, (2, 1), (3, 1), (4, 1), (5, 1))
 
 
-def run(text: str, g: DirectedGraph) -> Outcome:
+def run(text: str, g: DirectedGraph) -> int:
     return resolve(MechanismId.parse(text))(g)
 
 
 def test_never():
-    assert run("never", STAR5).selected == frozenset()
-    assert run("never", DirectedGraph.empty(3)).selected_indegree == 0
-    assert STAR5.max_indegree - run("never", STAR5).selected_indegree == 4
+    assert run("never", STAR5) == 0
+    assert run("never", DirectedGraph.empty(3)) == 0
+    assert additive_gap(STAR5, run("never", STAR5)) == 4
 
 
 def test_max_indegree_naive():
-    assert run("max-naive", DirectedGraph.empty(3)).vertex == 3  # all tie at 0
-    assert run("max-naive", STAR5).vertex == 1
-    assert run("max-naive", graph(2, (1, 2), (2, 1))).vertex == 2
-    assert run("max-naive", DirectedGraph.empty(1)).vertex == 1
+    assert run("max-naive", DirectedGraph.empty(3)) == 3  # all tie at 0
+    assert run("max-naive", STAR5) == 1
+    assert run("max-naive", graph(2, (1, 2), (2, 1))) == 2
+    assert run("max-naive", DirectedGraph.empty(1)) == 1
 
 
 def test_follow_fixed():
     g = graph(4, (1, 2), (1, 4))
-    out = run("follow:1", g)
-    assert out.vertex == 4 and out.selected_indegree == 1
-    assert run("follow:1", DirectedGraph.empty(4)).vertex is None
-    assert run("follow:3", g).vertex is None  # anchor abstains
+    assert run("follow:1", g) == 4
+    assert run("follow:1", DirectedGraph.empty(4)) == 0
+    assert run("follow:3", g) == 0  # anchor abstains
     with pytest.raises(ValueError):
         run("follow:5", g)
 
 
 def test_follow_fixed_never_selects_anchor_and_bounds_gap():
-    # positive outdegree forces a nonempty outcome with indegree >= 1
+    # positive outdegree forces a selection with indegree >= 1
     spec = GraphClassSpec(3, None, True)
     for g in enumerate_graphs(spec):
-        out = run("follow:1", g)
-        assert out.vertex is not None and out.vertex != 1
-        assert out.selected_indegree >= 1
-        assert g.max_indegree - out.selected_indegree <= g.n - 2
+        v = run("follow:1", g)
+        assert v not in (0, 1)
+        assert g.indegrees[v - 1] >= 1
+        assert g.max_indegree - g.indegrees[v - 1] <= g.n - 2
 
 
 def test_majority_threshold():
-    assert run("majority", STAR5).vertex == 1  # 4 >= floor(5/2)+1 = 3
+    assert run("majority", STAR5) == 1  # 4 >= floor(5/2)+1 = 3
     two_low = graph(5, (2, 1), (3, 1), (4, 5), (1, 5))  # two vertices at indegree 2
-    assert run("majority", two_low).vertex is None
-    assert run("majority", DirectedGraph.empty(4)).vertex is None
+    assert run("majority", two_low) == 0
+    assert run("majority", DirectedGraph.empty(4)) == 0
 
 
 def test_naive_iterated():
     low = graph(4, (2, 1))  # max indegree 1 < t
-    assert run("naive-iter:2", low).vertex is None
-    assert run("naive-iter:2", STAR5).vertex == 1
+    assert run("naive-iter:2", low) == 0
+    assert run("naive-iter:2", STAR5) == 1
     with pytest.raises(ValueError):
         run("naive-iter:5", STAR5)
 
@@ -75,13 +74,13 @@ def test_naive_iterated_equals_twin_with_equal_thresholds():
 
 def test_naive_simultaneous():
     low = graph(4, (2, 1))
-    assert run("naive-sim:2", low).vertex is None
+    assert run("naive-sim:2", low) == 0
     # mutual top pair: deleting both outgoing sets at once leaves nobody above t+1
     g = graph(5, (1, 2), (2, 1), (3, 1), (4, 1), (5, 2))  # indegrees 3, 2 at t=2
-    assert run("naive-sim:2", g).vertex is None
+    assert run("naive-sim:2", g) == 0
     # without the back edge, only vertex 1 is above t and keeps its support
     g2 = graph(5, (2, 1), (3, 1), (4, 1), (5, 2))
-    assert run("naive-sim:2", g2).vertex == 1
+    assert run("naive-sim:2", g2) == 1
     with pytest.raises(ValueError):
         run("naive-sim:0", low)
 
@@ -113,19 +112,18 @@ def test_mechanism_id_rejects_bad_input():
 
 
 def test_resolve_matches_direct_calls():
-    hub = Outcome(frozenset({1}), 4)
     expected = {
-        "never": Outcome.none(),
-        "max-naive": hub,
-        "follow:2": hub,
-        "majority": hub,
-        "naive-iter:2": hub,
-        "naive-sim:2": hub,
-        "twin:3,2": hub,
-        "follow:1": Outcome.none(),  # the hub abstains
+        "never": 0,
+        "max-naive": 1,
+        "follow:2": 1,
+        "majority": 1,
+        "naive-iter:2": 1,
+        "naive-sim:2": 1,
+        "twin:3,2": 1,
+        "follow:1": 0,  # the hub abstains
     }
-    for text, outcome in expected.items():
-        assert run(text, STAR5) == outcome, text
+    for text, selected in expected.items():
+        assert run(text, STAR5) == selected, text
 
 
 # ---- audit-facing contracts ----

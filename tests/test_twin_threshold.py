@@ -37,8 +37,8 @@ def test_threshold_pair_validation():
 
 
 def test_run_on_empty_graph():
-    out, trace = run_twin_threshold(DirectedGraph.empty(5), ThresholdPair(3, 2))
-    assert out.vertex is None
+    selected, trace = run_twin_threshold(DirectedGraph.empty(5), ThresholdPair(3, 2))
+    assert selected == 0
     assert trace.deletions == () and trace.iteration_count == 0
     assert trace.deleted_set == frozenset()
     assert trace.final_degrees == (0, 0, 0, 0, 0)
@@ -46,8 +46,8 @@ def test_run_on_empty_graph():
 
 def test_run_star_keeps_top_vertex():
     star = graph(5, (2, 1), (3, 1), (4, 1), (5, 1))
-    out, trace = run_twin_threshold(star, ThresholdPair(3, 2))
-    assert out.selected == frozenset({1}) and out.selected_indegree == 4
+    selected, trace = run_twin_threshold(star, ThresholdPair(3, 2))
+    assert selected == 1 and star.indegrees[selected - 1] == 4
     assert trace.deletions == ((0, 1, 4),)  # only the hub reaches the lower threshold
     assert trace.final_degrees == (4, 0, 0, 0, 0)
     assert trace.istar[1] == 0 and trace.istar[2] == trace.iteration_count == 1
@@ -56,47 +56,46 @@ def test_run_star_keeps_top_vertex():
 
 def test_run_cascade_two_deletions():
     g = graph(5, (1, 5), (2, 5), (3, 5), (5, 4), (3, 4))
-    out, trace = run_twin_threshold(g, ThresholdPair(2, 1))
+    selected, trace = run_twin_threshold(g, ThresholdPair(2, 1))
     assert trace.deletions == ((0, 5, 3), (1, 4, 1))  # 5 first, dropping 4 to degree 1
-    assert out.selected == frozenset({5})
+    assert selected == 5
     assert trace.final_degrees[4] == 3  # vertex 5 keeps its support
 
 
 def test_no_deletion_below_lower_threshold():
     g = graph(4, (2, 1))
-    out, trace = run_twin_threshold(g, ThresholdPair(3, 2))
-    assert trace.deletions == () and out.vertex is None
+    selected, trace = run_twin_threshold(g, ThresholdPair(3, 2))
+    assert trace.deletions == () and selected == 0
 
 
 def test_deleted_vertex_degrees_keep_dropping_after_deletion():
     # 1 and 2 nominate each other; both are deleted, and the later deletion
     # lowers the earlier victim's remaining degree before selection.
     g = graph(4, (1, 2), (2, 1), (3, 1), (4, 2))
-    out, trace = run_twin_threshold(g, ThresholdPair(2, 1))
+    selected, trace = run_twin_threshold(g, ThresholdPair(2, 1))
     assert trace.deletions == ((0, 2, 2), (1, 1, 1))
     assert trace.final_degrees == (1, 1, 0, 0)
-    assert out.vertex is None  # nothing left at the upper threshold
+    assert selected == 0  # nothing left at the upper threshold
 
 
 def test_traced_and_untraced_paths_agree_on_a_class():
     spec = GraphClassSpec(4, None)
     for g in enumerate_graphs(spec):
         for pair in (ThresholdPair(2, 1), ThresholdPair(3, 2), ThresholdPair(3, 3)):
-            out, _ = run_twin_threshold(g, pair)
-            assert out == resolve(MechanismId("twin", (pair.upper, pair.lower)))(g)
+            selected, _ = run_twin_threshold(g, pair)
+            assert selected == resolve(MechanismId("twin", (pair.upper, pair.lower)))(g)
 
 
 def test_additive_gap_examples():
     empty = DirectedGraph.empty(4)
-    out, _ = run_twin_threshold(empty, ThresholdPair(2, 1))
-    assert additive_gap(empty, out) == 0
+    selected, _ = run_twin_threshold(empty, ThresholdPair(2, 1))
+    assert additive_gap(empty, selected) == 0
 
     star = graph(5, (2, 1), (3, 1), (4, 1), (5, 1))
-    got, _ = run_twin_threshold(star, ThresholdPair(3, 2))
-    assert additive_gap(star, got) == 0
-    from impsel import Outcome
-
-    assert additive_gap(star, Outcome.none()) == 4
+    selected, _ = run_twin_threshold(star, ThresholdPair(3, 2))
+    assert additive_gap(star, selected) == 0
+    assert additive_gap(star, 0) == 4  # nothing selected counts as indegree 0
+    assert additive_gap(star, 2) == 4
 
 
 # ---- validation ----
