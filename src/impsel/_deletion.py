@@ -2,7 +2,8 @@
 
 ``run_deletion`` and ``select_top`` are the per-graph rules: they run on one
 graph and its degree sequence, vertex v's degree at index v-1, as
-``DirectedGraph.indegrees`` gives it.
+``DirectedGraph.indegrees`` gives it.  ``run_deletion`` sweeps a bucket queue
+of remaining indegrees, so it is linear in n + m up to one sort per level.
 
 The row-wise numpy versions (``*_rows``) run the same rules on a block of
 graphs at once, one graph per row.  A block is a table ``members`` of out-set
@@ -32,29 +33,32 @@ def run_deletion(graph: DirectedGraph, t: int) -> tuple[list[int], list[tuple[in
     greatest-index such vertex loses its outgoing edges, decrementing the
     remaining indegree of each of its out-neighbors (deleted or not).
 
+    A bucket queue makes this O(n + m) plus one sort per level: bucket c gets
+    each undeleted vertex whose remaining indegree reaches c.  No undeleted
+    vertex sits above d (``run_deletion_rows``' invariant), so none joins level
+    d during its sweep: d's bucket, greatest index first, minus entries a
+    deletion pushed below d, gives the deletions at d.
+
     Returns (deg, deletions): the final remaining indegrees, vertex v's at
     index v-1, and the ordered per-iteration records (iteration, vertex,
     degree_at_deletion).
     """
     deg = list(graph.indegrees)
-    d = max(deg)
+    top = max(deg)
+    buckets: list[list[int]] = [[] for _ in range(top + 1)]  # index u is vertex u+1
+    for u, c in enumerate(deg):
+        buckets[c].append(u)
     deleted = [False] * graph.n
     deletions: list[tuple[int, int, int]] = []
-    i = 0
-    while d >= t:
-        v = 0
-        for u in range(graph.n - 1, -1, -1):  # u is vertex u+1's index
-            if deg[u] == d and not deleted[u]:
-                v = u + 1
-                break
-        if v == 0:
-            d -= 1
-            continue
-        deletions.append((i, v, d))
-        deleted[v - 1] = True
-        for u in graph.out_sets[v - 1]:
-            deg[u - 1] -= 1
-        i += 1
+    for d in range(top, t - 1, -1):
+        for u in sorted(buckets[d], reverse=True):
+            if deg[u] == d:
+                deletions.append((len(deletions), u + 1, d))
+                deleted[u] = True
+                for w in graph.out_sets[u]:
+                    c = deg[w - 1] = deg[w - 1] - 1
+                    if c >= t and not deleted[w - 1]:
+                        buckets[c].append(w - 1)
     return deg, deletions
 
 

@@ -26,7 +26,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import islice, repeat
 from math import factorial
 from typing import Callable, Iterator, Union
@@ -452,6 +452,11 @@ class ProbabilityVector:
         return self.probs[v - 1]
 
 
+@cache
+def _relabelings(n: int) -> tuple[Permutation, ...]:
+    return tuple(Permutation.all_of(n))  # built once per n <= FACTORIAL_CAP
+
+
 def symmetrize_eval(mechanism: Kernel, graph: DirectedGraph) -> ProbabilityVector:
     """Average a mechanism (graph -> selected vertex, 0 for none) over all n!
     vertex relabelings, exactly.
@@ -463,7 +468,7 @@ def symmetrize_eval(mechanism: Kernel, graph: DirectedGraph) -> ProbabilityVecto
     if n > FACTORIAL_CAP:
         raise CapExceeded(f"symmetrization of n={n} exceeds factorial cap {FACTORIAL_CAP}")
     counts = [0] * n
-    for perm in Permutation.all_of(n):
+    for perm in _relabelings(n):
         w = mechanism(graph.relabel(perm))
         if w:
             counts[perm.images.index(w)] += 1  # the v with pi(v) = w

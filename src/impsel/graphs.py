@@ -35,6 +35,7 @@ portably across machines and runs.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -282,7 +283,7 @@ class GraphClassSpec:
         by one, a monotone map that keeps the order."""
         if not 0 <= rank < self.outset_count:
             raise ValueError(f"out-set rank {rank} outside 0..{self.outset_count - 1}")
-        outs = _unrank_outset(rank, range(1, self.n), self.min_outdegree, self.bound)
+        outs = _unrank_outset(rank, self.n - 1, self.min_outdegree, self.bound)
         return tuple(u + (u >= v) for u in outs)
 
     def describe(self) -> str:
@@ -291,7 +292,6 @@ class GraphClassSpec:
         return f"G{plus}_{self.n}{bound}"
 
 
-@cache
 def _count_upto(m: int, b: int) -> int:
     """Number of subsets of an m-element pool with at most b elements."""
     if b < 0:
@@ -299,31 +299,36 @@ def _count_upto(m: int, b: int) -> int:
     return sum(comb(m, j) for j in range(0, min(b, m) + 1))
 
 
-def _unrank_outset(rank: int, pool: Sequence[int], lo: int, hi: int) -> tuple[int, ...]:
-    """rank-th subset of `pool` with size in [lo, hi], in lexicographic tuple order.
+@cache
+def _cumulative_counts(m: int, b: int) -> tuple[int, ...]:
+    """Entry i: subsets of 1..m with 1..b+1 members, the least of them <= i."""
+    return (0, *itertools.accumulate(_count_upto(m - 1 - i, b) for i in range(m)))
 
-    lo is 0 or 1; the empty set, when allowed, is rank 0.  One forward scan
-    over the pool: a chosen prefix is itself the first subset that starts with
-    it, so x counts the subsets still to pass after the current prefix, and
-    the answer is the prefix at which x reaches 0.
+
+def _unrank_outset(rank: int, m: int, lo: int, hi: int) -> tuple[int, ...]:
+    """rank-th subset of 1..m with size in [lo, hi], in lexicographic tuple order.
+
+    lo is 0 or 1; the empty set, when allowed, is rank 0.  A chosen prefix is
+    itself the first subset that starts with it, so x counts the subsets still
+    to pass after the current prefix, and the answer is the prefix at which x
+    reaches 0.  Each next member is found by bisecting the cumulative subset
+    counts of the current size budget: O(log m) steps per member.
     """
     x = rank - 1 + lo  # past the empty prefix, which is rank 0 when lo is 0
     if x < 0:
         return ()
     chosen: list[int] = []
-    rest = hi - 1  # members that may still follow the next chosen one
-    count = _count_upto  # local name: this loop is the sampler's inner loop
-    for u, left in zip(pool, range(len(pool) - 1, -1, -1)):
-        block = count(left, rest)  # subsets that start with chosen + [u]
-        if x < block:
-            chosen.append(u)
-            if x == 0:
-                return tuple(chosen)
-            rest -= 1
-            x -= 1
-        else:
-            x -= block
-    raise ValueError(f"rank {rank} out of range")
+    p, rest = 0, hi - 1  # next candidate's index; members that may follow it
+    while True:
+        cum = _cumulative_counts(m, rest)
+        q = bisect_right(cum, x + cum[p], p) - 1  # the candidate whose block holds x
+        if q == m:
+            raise ValueError(f"rank {rank} out of range")
+        chosen.append(q + 1)
+        x -= cum[q] - cum[p]
+        if x == 0:
+            return tuple(chosen)
+        p, rest, x = q + 1, rest - 1, x - 1
 
 
 def enumerate_graphs(spec: GraphClassSpec, cap: int = ENUMERATION_CAP) -> Iterator[DirectedGraph]:

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own counting and scanning shortcuts:
 weak orders are counted by enumerating level maps, isomorphism multiplicities
 by relabeling, impartiality violations by literally comparing mechanism runs
-across deviation pairs of graph objects, and additive gaps by counting
-indegrees graph by graph.  The sampled oracles run the same per-graph loops
+across deviation pairs of graph objects, additive gaps by counting indegrees
+graph by graph, and the iterated deletion by rescanning every vertex at each
+step of the sweep.  The sampled oracles run the same per-graph loops
 over the graphs ``sample_stream`` draws.  Infeasibility certificates are
 checked against an inequality system written from the composition graphs,
 with impartiality links found by comparing every pair of graphs.
@@ -48,6 +49,32 @@ def count_isomorphic_labelings(graph: DirectedGraph) -> int:
     for images in permutations(range(1, graph.n + 1)):
         seen.add(graph.relabel(Permutation(images)).key)
     return len(seen)
+
+
+def deletion_by_definition(graph: DirectedGraph, t: int) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """``run_deletion`` straight from the definition: at each step, rescan all
+    vertices for the greatest-index undeleted one at remaining indegree d,
+    stepping d down when there is none."""
+    deg = list(graph.indegrees)
+    d = max(deg)
+    deleted = [False] * graph.n
+    deletions: list[tuple[int, int, int]] = []
+    i = 0
+    while d >= t:
+        v = 0
+        for u in range(graph.n - 1, -1, -1):  # u is vertex u+1's index
+            if deg[u] == d and not deleted[u]:
+                v = u + 1
+                break
+        if v == 0:
+            d -= 1
+            continue
+        deletions.append((i, v, d))
+        deleted[v - 1] = True
+        for u in graph.out_sets[v - 1]:
+            deg[u - 1] -= 1
+        i += 1
+    return deg, deletions
 
 
 def violations_by_definition(mechanism, spec: GraphClassSpec) -> set[tuple]:

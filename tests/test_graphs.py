@@ -21,7 +21,7 @@ from impsel import (
     sample_stream,
 )
 from impsel.audit import _chunks
-from impsel.graphs import digit_block, graph_of_ranks, sample_ranks
+from impsel.graphs import _unrank_outset, digit_block, graph_of_ranks, sample_ranks
 from conftest import graph
 
 
@@ -205,6 +205,21 @@ def test_unranking_matches_the_outset_lists(spec):
         assert spec.outset_lists[v - 1] == tuple(map(frozenset, outsets))
         for r, outs in enumerate(outsets):
             assert spec.outset_at(v, r) == outs
+
+
+@pytest.mark.parametrize("spec", [GraphClassSpec(50, 3), GraphClassSpec(20, 2, True), GraphClassSpec(13)])
+def test_unranking_matches_the_outset_lists_of_larger_classes(spec):
+    # G_50(3) has 19,650 out-sets per vertex: every rank at the first, a
+    # middle and the last vertex
+    for v in (1, (spec.n + 1) // 2, spec.n):
+        outsets = spec.admissible_outsets(v)
+        assert len(outsets) == spec.outset_count
+        assert [spec.outset_at(v, r) for r in range(spec.outset_count)] == outsets
+        for rank in (-1, spec.outset_count):
+            with pytest.raises(ValueError, match="out-set rank"):
+                spec.outset_at(v, rank)
+    with pytest.raises(ValueError, match="out of range"):
+        _unrank_outset(spec.outset_count, spec.n - 1, spec.min_outdegree, spec.bound)
 
 
 def test_enumerator_starts_mid_range_at_chunk_boundaries():

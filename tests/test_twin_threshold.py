@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction
 from itertools import count
 from math import isqrt
@@ -21,9 +22,12 @@ from impsel import (
     resolve,
     run_twin_threshold,
     sample_graph,
+    sample_stream,
     validate_thresholds,
 )
+from impsel._deletion import run_deletion
 from conftest import graph
+from oracles import deletion_by_definition
 
 
 def test_threshold_pair_validation():
@@ -84,6 +88,50 @@ def test_traced_and_untraced_paths_agree_on_a_class():
         for pair in (ThresholdPair(2, 1), ThresholdPair(3, 2), ThresholdPair(3, 3)):
             selected, _ = run_twin_threshold(g, pair)
             assert selected == resolve(MechanismId("twin", (pair.upper, pair.lower)))(g)
+
+
+def _hub_and_voter_graph(n: int, seed: int) -> DirectedGraph:
+    """Voters nominate one hub each, t..2t voters per hub (t = ceil(sqrt n)),
+    and every hub nominates another hub, so deletions lower waiting hubs."""
+    rng = random.Random(seed)
+    t = isqrt(n - 1) + 1
+    quotas = []
+    while sum(quotas) + (d := rng.randint(t, 2 * t)) <= n - len(quotas) - 1:
+        quotas.append(d)
+    first_hub = n - len(quotas) + 1
+    voters = list(range(1, first_hub))
+    rng.shuffle(voters)
+    edges = []
+    for hub, quota in enumerate(quotas, start=first_hub):
+        edges += [(u, hub) for u in voters[:quota]]
+        del voters[:quota]
+        other = rng.randrange(first_hub, n)
+        edges.append((hub, other + (other >= hub)))
+    return DirectedGraph.from_edges(n, edges)
+
+
+def test_deletion_drops_into_a_lower_level_out_of_index_order():
+    # at level 2, deleting 5 drops 3 and then deleting 4 drops 2 into level 1,
+    # where 1 already waits: level 1 must still go 3, 2, and deleting 3 pushes
+    # 1 below the level before its turn
+    g = graph(11, (6, 5), (7, 5), (8, 4), (9, 4), (5, 3), (10, 3), (4, 2), (11, 2), (3, 1))
+    assert run_deletion(g, 1)[1] == [(0, 5, 2), (1, 4, 2), (2, 3, 1), (3, 2, 1)]
+    for t in range(1, g.n):
+        assert run_deletion(g, t) == deletion_by_definition(g, t), t
+
+
+@pytest.mark.parametrize("spec", [GraphClassSpec(8, 3), GraphClassSpec(10, 2, True), GraphClassSpec(12, 11), GraphClassSpec(30, 4)])
+def test_deletion_matches_the_rescan_oracle_on_sampled_graphs(spec):
+    for g in sample_stream(spec, 5, 40):
+        for t in range(1, spec.n):
+            assert run_deletion(g, t) == deletion_by_definition(g, t), (g, t)
+
+
+def test_deletion_matches_the_rescan_oracle_on_a_hub_and_voter_graph():
+    g = _hub_and_voter_graph(3000, 1)
+    assert len(run_deletion(g, 1)[1]) > 10
+    for t in range(1, g.n):
+        assert run_deletion(g, t) == deletion_by_definition(g, t), t
 
 
 def test_additive_gap_examples():
