@@ -14,10 +14,10 @@ graph; sampled gap audits stack the samples into blocks.  Each witness graph
 is built once however many violations it is part of.
 
 Worst additive gaps are measured in the same two modes, trace invariants are
-re-derived from recorded deletion traces, and symmetrizations (the selection
-averaged over all vertex relabelings) are evaluated in exact rational
-arithmetic (never floating point: downstream infeasibility arguments compare
-masses against exactly 1).
+re-derived from recorded deletion traces, and a class's symmetrization (the
+selection averaged over all n! vertex relabelings) reads the outcome table as
+integer counts with one division by n!, never floats: downstream
+infeasibility arguments compare masses against exactly 1.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from itertools import islice, repeat
 from math import factorial
 from typing import Callable, Iterator, Union
@@ -452,11 +452,6 @@ class ProbabilityVector:
         return self.probs[v - 1]
 
 
-@cache
-def _relabelings(n: int) -> tuple[Permutation, ...]:
-    return tuple(Permutation.all_of(n))  # built once per n <= FACTORIAL_CAP
-
-
 def symmetrize_eval(mechanism: Kernel, graph: DirectedGraph) -> ProbabilityVector:
     """Average a mechanism (graph -> selected vertex, 0 for none) over all n!
     vertex relabelings, exactly.
@@ -468,7 +463,7 @@ def symmetrize_eval(mechanism: Kernel, graph: DirectedGraph) -> ProbabilityVecto
     if n > FACTORIAL_CAP:
         raise CapExceeded(f"symmetrization of n={n} exceeds factorial cap {FACTORIAL_CAP}")
     counts = [0] * n
-    for perm in _relabelings(n):
+    for perm in Permutation.all_of(n):
         w = mechanism(graph.relabel(perm))
         if w:
             counts[perm.images.index(w)] += 1  # the v with pi(v) = w
@@ -476,33 +471,40 @@ def symmetrize_eval(mechanism: Kernel, graph: DirectedGraph) -> ProbabilityVecto
     return ProbabilityVector(tuple(Fraction(c, scale) for c in counts))
 
 
-def _check_symmetrizable(spec: GraphClassSpec) -> None:
+def _check_symmetrizable(mid: MechanismId, spec: GraphClassSpec) -> None:
     """Refuse, before any graph is built, a class whose symmetrization needs
     more than ``FACTORIAL_CAP``! relabelings per graph or more than
-    ``AUDIT_CAP`` graphs."""
+    ``AUDIT_CAP`` graphs, and parameters the mechanism rejects for n."""
     if spec.n > FACTORIAL_CAP:
         raise CapExceeded(f"symmetrization of n={spec.n} exceeds factorial cap {FACTORIAL_CAP}")
     _check_exhaustive_pre(spec, AUDIT_CAP)
+    mid.validate_for(spec.n)
 
 
 def symmetrized_table(mid: MechanismId, spec: GraphClassSpec) -> dict[tuple[int, ...], ProbabilityVector]:
-    """``symmetrize_eval`` of the mechanism for every graph of a class, keyed
-    by graph key.
-
-    Classes are closed under relabeling, so the selected vertex is memoized by
-    graph key and each class graph is evaluated once for all n! relabelings of
-    every member.  Refused upfront as ``_check_symmetrizable`` says.
-    """
-    _check_symmetrizable(spec)
-    mid.validate_for(spec.n)
-    mechanism, selections = resolve(mid), {}
-
-    def memoized(graph: DirectedGraph) -> int:
-        if graph.key not in selections:
-            selections[graph.key] = mechanism(graph)
-        return selections[graph.key]
-
-    return {g.key: symmetrize_eval(memoized, g) for g in enumerate_graphs(spec)}
+    """``symmetrize_eval`` of the mechanism on every graph of a class, keyed by
+    graph key in enumeration order.  Relabeling by pi moves v's out-set S to
+    pi(v) as pi(S), so graph i's image is the class graph of index sum_v
+    rank(pi(S_v)) * R**(n - pi(v)): its outcome-table entry w counts for
+    pi^-1(w), and the integer counts are divided by n! once.  Refused upfront
+    as ``_check_symmetrizable`` says."""
+    _check_symmetrizable(mid, spec)
+    if spec.size == 0:
+        return {}
+    n, radix, table = spec.n, spec.outset_count, _outcome_table(mid, spec, 1)
+    rank = [{s: d for d, s in enumerate(outs)} for outs in spec.outset_lists]
+    perms = [perm.images for perm in Permutation.all_of(n)]
+    # row pi, column (v-1)*R + d: what v's out-set of rank d adds to the image's index
+    weights = np.array([[rank[w - 1][frozenset(p[u - 1] for u in s)] * radix ** (n - w)
+                         for w, outs in zip(p, spec.outset_lists) for s in outs] for p in perms])
+    inverses = np.argsort(np.pad(perms, ((0, 0), (1, 0))), axis=1)  # pi^-1, with 0 (none) fixed
+    counts = np.zeros((spec.size, n + 1), dtype=np.int16)  # column 0: no selection; n! <= 7! fits
+    for lo, hi in _blocks(0, spec.size):
+        flat, rows = digit_block(spec, lo, hi) + np.arange(n) * radix, np.arange(lo, hi)
+        for weight, inverse in zip(weights, inverses):
+            counts[rows, inverse[table[weight[flat].sum(axis=1)]]] += 1
+    vectors = (ProbabilityVector(tuple(Fraction(c, factorial(n)) for c in row[1:])) for row in counts.tolist())
+    return {g.key: vector for g, vector in zip(enumerate_graphs(spec), vectors)}
 
 
 @dataclass(frozen=True)
@@ -518,23 +520,21 @@ class WeakUnanimityReport:
 
 def check_weak_unanimity_inheritance(mid: MechanismId, spec: GraphClassSpec) -> WeakUnanimityReport:
     """On graphs with a vertex of indegree n-1: if the base mechanism always
-    selects a positive-indegree vertex there, its symmetrization must place
-    mass exactly 1 on positive-indegree vertices (checked in exact rationals).
+    selects a positive-indegree vertex there, ``symmetrized_table`` must place
+    mass exactly 1 on positive-indegree vertices (in exact rationals).
     Refused upfront as ``symmetrized_table`` is.
     """
-    _check_symmetrizable(spec)
-    mechanism = resolve(mid)
-    n = spec.n
+    _check_symmetrizable(mid, spec)
+    mechanism, n = resolve(mid), spec.n
     stars = [g for g in enumerate_graphs(spec) if g.max_indegree == n - 1]
     for g in stars:
         v = mechanism(g)
         if v == 0 or g.indegrees[v - 1] < 1:
             detail = f"{mid.text()} does not select a positive-indegree vertex on some such graph"
             return WeakUnanimityReport(premise_holds=False, ok=True, graphs_checked=len(stars), detail=detail)
-    problems = []
+    problems, table = [], symmetrized_table(mid, spec)
     for g in stars:
-        vector = symmetrize_eval(mechanism, g)
-        mass = sum((vector.prob(v) for v in range(1, n + 1) if g.indegrees[v - 1] >= 1), Fraction(0))
+        mass = sum((table[g.key].prob(v) for v in range(1, n + 1) if g.indegrees[v - 1] >= 1), Fraction(0))
         if mass != 1:
             problems.append(f"graph {g.key}: positive-indegree mass {mass} != 1")
     return WeakUnanimityReport(True, not problems, len(stars), "; ".join(problems))

@@ -147,9 +147,6 @@ class DirectedGraph:
     def in_neighbors(self, v: int) -> frozenset[int]:
         return self.in_sets[v - 1]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.out_sets[u - 1]
-
     # ---- transformations ----
 
     def relabel(self, perm: "Permutation") -> "DirectedGraph":
@@ -195,16 +192,6 @@ class Permutation:
 
     def __call__(self, v: int) -> int:
         return self.images[v - 1]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for v, image in enumerate(self.images, start=1):
-            inv[image - 1] = v
-        return Permutation(tuple(inv))
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
 
     @classmethod
     def all_of(cls, n: int) -> Iterator["Permutation"]:
@@ -384,6 +371,8 @@ class _PhiloxWords:
     """Buffered stream of 64-bit words from a Philox4x64 generator keyed by `seed`."""
 
     def __init__(self, seed: int, block: int = 512):
+        if not 0 <= seed < 2**128:
+            raise ValueError(f"seed {seed} outside 0..2**128-1")
         self._gen = np.random.Generator(np.random.Philox(key=seed))
         self._block = block
         self._buf: list[int] = []

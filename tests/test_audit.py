@@ -431,24 +431,31 @@ def test_symmetrized_table_refuses_classes_over_the_audit_cap():
 
 
 @pytest.mark.parametrize(
-    "spec, refusal",
+    "spec, texts, error, refusal",
     [
-        (GraphClassSpec(8, 1), "factorial cap"),
-        (GraphClassSpec(6, 2), "audit cap"),
-        (GraphClassSpec(6, 2, True), "audit cap"),
+        pytest.param(GraphClassSpec(8, 1), ("max-naive",), CapExceeded, "factorial cap", id="G_8(1)-factorial cap"),
+        pytest.param(GraphClassSpec(6, 2), ("max-naive",), CapExceeded, "audit cap", id="G_6(2)-audit cap"),
+        pytest.param(GraphClassSpec(6, 2, True), ("max-naive",), CapExceeded, "audit cap", id="G+_6(2)-audit cap"),
+        pytest.param(
+            GraphClassSpec(3, 1), ("twin:5,1", "follow:4"), ValueError, r"invalid for n=3|outside 1\.\.3",
+            id="G_3(1)-parameters",
+        ),
     ],
-    ids=lambda x: x.describe() if isinstance(x, GraphClassSpec) else None,
 )
-def test_symmetrization_refuses_before_enumerating(monkeypatch, spec, refusal):
+def test_symmetrization_refuses_before_enumerating(monkeypatch, spec, texts, error, refusal):
     # G_8(1) is over the factorial cap; G_6(2) (16^6 graphs) and G+_6(2)
-    # (15^6) are under it but over the audit cap
+    # (15^6) are under it but over the audit cap.  The batch kernels do not
+    # check parameters: twin:5,1 would never select on G_3(1), and follow:4
+    # would index past its rows.
     def no_enumeration(*args, **kwargs):
-        raise AssertionError("enumerated before the cap check")
+        raise AssertionError("enumerated before the cap and parameter checks")
 
     monkeypatch.setattr(impsel.audit, "enumerate_graphs", no_enumeration)
-    for check in (symmetrized_table, check_weak_unanimity_inheritance):
-        with pytest.raises(CapExceeded, match=refusal):
-            check(MechanismId.parse("max-naive"), spec)
+    monkeypatch.setattr(impsel.audit, "_outcome_table", no_enumeration)
+    for text in texts:
+        for check in (symmetrized_table, check_weak_unanimity_inheritance):
+            with pytest.raises(error, match=refusal):
+                check(MechanismId.parse(text), spec)
 
 
 def test_symmetry_law_by_direct_enumeration():
@@ -462,12 +469,25 @@ def test_symmetry_law_by_direct_enumeration():
                 assert relabeled.prob(perm(v)) == fs.prob(v)
 
 
-def test_symmetrized_table_matches_symmetrize_eval():
-    mid = MechanismId.parse("majority")
-    spec = GraphClassSpec(3, 1)
-    table = symmetrized_table(mid, spec)
-    for g in enumerate_graphs(spec):
-        assert table[g.key] == symmetrize_eval(resolve(mid), g)
+@pytest.mark.parametrize(
+    "spec, texts",
+    [
+        pytest.param(GraphClassSpec(3, 1), None, id="G_3(1)"),
+        pytest.param(GraphClassSpec(4, 1), None, id="G_4(1)"),
+        pytest.param(GraphClassSpec(4), ("max-naive", "twin:2,1"), id="G_4", marks=pytest.mark.slow),
+        pytest.param(GraphClassSpec(4, 2, True), None, id="G+_4(2)", marks=pytest.mark.slow),
+    ],
+)
+def test_symmetrized_table_matches_symmetrize_eval(monkeypatch, spec, texts):
+    # texts None: every registry mechanism valid for n.  Blocks of 7 graphs
+    # make the class span several blocks.
+    monkeypatch.setattr(impsel.audit, "KERNEL_BLOCK", 7)
+    graphs = list(enumerate_graphs(spec))
+    for mid in _every_mechanism(spec.n) if texts is None else map(MechanismId.parse, texts):
+        table = symmetrized_table(mid, spec)
+        assert list(table) == [g.key for g in graphs]
+        for g in graphs:
+            assert table[g.key] == symmetrize_eval(resolve(mid), g), (mid, g)
 
 
 def test_symmetrization_inherits_impartiality_on_impartial_base():

@@ -255,6 +255,18 @@ def test_audit_sampled_requires_seed(capsys):
     assert code == 2
 
 
+def test_audit_seed_outside_the_philox_key_range_exits_2(capsys):
+    for kind in ("impartiality", "gap", "trace"):
+        argv = ("audit", kind, "--n", "5", "--k", "1", "--samples", "2", "--seed")
+        for seed in (-1, 2**128):
+            code, out, err = run_cli(capsys, *argv, str(seed))
+            assert code == 2 and out == ""
+            assert err == f"error: seed {seed} outside 0..2**128-1\n"
+        for seed in (0, 2**128 - 1):
+            code, out, err = run_cli(capsys, *argv, str(seed))
+            assert code in (0, 1) and out and err == ""
+
+
 def test_audit_trace(capsys):
     code, out, _ = run_cli(
         capsys, "audit", "trace", "--n", "12", "--k", "1", "--samples", "50", "--seed", "3", "--json",

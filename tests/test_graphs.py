@@ -53,7 +53,7 @@ def test_edge_views():
     assert g.indegrees == (1, 2, 0)
     assert g.outdegrees == (1, 1, 1)
     assert g.in_neighbors(2) == frozenset({1, 3})
-    assert g.has_edge(1, 2) and not g.has_edge(2, 3)
+    assert 2 in g.out_sets[0] and 3 not in g.out_sets[1]
     assert g.max_indegree == 2
     assert g.edge_count == 3
 
@@ -81,13 +81,12 @@ def test_permutation_validation():
     with pytest.raises(ValueError):
         Permutation((1, 1))
     p = Permutation((2, 3, 1))
-    assert p(1) == 2 and p.inverse()(2) == 1
-    assert p.inverse().images == (3, 1, 2)
+    assert p(1) == 2 and p(3) == 1 and p.n == 3
 
 
 def test_relabel_examples():
     g = graph(2, (1, 2))
-    assert g.relabel(Permutation.identity(2)) == g
+    assert g.relabel(Permutation((1, 2))) == g
     swapped = g.relabel(Permutation((2, 1)))
     assert swapped.edges == ((2, 1),)
 
@@ -98,7 +97,8 @@ def test_relabel_inverse_and_degree_multiset(g, rnd):
     rnd.shuffle(images)
     perm = Permutation(tuple(images))
     relabeled = g.relabel(perm)
-    assert relabeled.relabel(perm.inverse()) == g
+    inverse = Permutation(tuple(images.index(v) + 1 for v in range(1, g.n + 1)))
+    assert relabeled.relabel(inverse) == g
     assert sorted(relabeled.indegrees) == sorted(g.indegrees)
     assert sorted(relabeled.outdegrees) == sorted(g.outdegrees)
 
