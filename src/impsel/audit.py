@@ -50,9 +50,10 @@ from .graphs import (
 from .mechanisms import Kernel, MechanismId, batch_kernel_for, kernel_for, resolve  # kernel_for: for the tracer
 from .twin_threshold import DeletionTrace, ThresholdPair, additive_gap, run_twin_threshold
 
-#: Exhaustive audits refuse classes larger than this by default (the outcome
-#: table holds one entry per graph), sampled impartiality audits base graphs
-#: whose deviation lines hold more graphs.  Override per call.
+#: Exhaustive audits refuse classes larger than this unless their mode's `cap`
+#: raises it (the outcome table holds one entry per graph); sampled
+#: impartiality audits refuse base graphs whose deviation lines hold more
+#: graphs, with no override.
 AUDIT_CAP = 10**7
 
 #: Graphs per batch-kernel call (table entries per stacked sampled gap
@@ -65,7 +66,19 @@ FACTORIAL_CAP = 7
 
 @dataclass(frozen=True)
 class Exhaustive:
-    """Examine every graph of the class and every deviation of every vertex."""
+    """Examine every graph of the class and every deviation of every vertex.
+
+    The class may hold at most `cap` graphs.  Its outcome table is filled by
+    min(jobs, usable CPUs, class size) worker processes, one chunk of the
+    class each; the results do not depend on `jobs`.
+    """
+
+    jobs: int = 1
+    cap: int = AUDIT_CAP
+
+    def __post_init__(self):
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
 
     def describe(self) -> str:
         return "exhaustive"
@@ -73,9 +86,10 @@ class Exhaustive:
 
 @dataclass(frozen=True)
 class Sampled:
-    """Examine `trials` seeded uniform base graphs: gap audits measure them,
-    impartiality audits compare each with every graph on its n deviation
-    lines (n*R graphs, R admissible out-sets per vertex)."""
+    """Examine `trials` seeded uniform base graphs in one process: gap audits
+    measure them, impartiality audits compare each with every graph on its n
+    deviation lines (n*R graphs, R admissible out-sets per vertex, at most
+    ``AUDIT_CAP``)."""
 
     seed: int
     trials: int
@@ -158,22 +172,17 @@ def _gaps(members: np.ndarray, choice: np.ndarray, selected: np.ndarray) -> np.n
     return deg.max(axis=1) - deg[np.arange(len(choice)), selected]
 
 
-def _chunks(size: int, jobs: int) -> list[tuple[int, int]]:
-    step = (size + jobs - 1) // jobs
-    return [(lo, min(lo + step, size)) for lo in range(0, size, step)]
+def _chunks(size: int, parts: int) -> list[tuple[int, int]]:
+    """[0, size) cut into `parts` consecutive ranges, non-empty for parts <= size."""
+    return [(size * i // parts, size * (i + 1) // parts) for i in range(parts)]
 
 
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-
-
-def _worker_count(jobs: int, chunks: int) -> int:
-    """Worker processes for `chunks` chunks: never more than asked for, than
-    there are usable CPUs (the affinity mask where the platform has one), or
-    than there are chunks."""
+def _worker_count(jobs: int, size: int) -> int:
+    """Worker processes for a class of `size` graphs: never more than asked
+    for, than there are usable CPUs (the affinity mask where the platform has
+    one), or than there are graphs."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(jobs, cpus, chunks)
+    return min(jobs, cpus, size)
 
 
 def _check_exhaustive_pre(spec: GraphClassSpec, cap: int) -> int:
@@ -186,11 +195,12 @@ def _check_exhaustive_pre(spec: GraphClassSpec, cap: int) -> int:
 def _outcome_table(mid: MechanismId, spec: GraphClassSpec, jobs: int) -> np.ndarray:
     """Entry i is the vertex selected (0 for none) on the i-th graph of a
     non-empty class.  This kernel pass is the only work split across worker
-    processes; they receive index ranges, never the table."""
-    args = [(mid, spec, lo, hi) for lo, hi in _chunks(spec.size, jobs)]
-    workers = _worker_count(jobs, len(args))
+    processes, one chunk of the class each; they receive index ranges, never
+    the table."""
+    workers = _worker_count(jobs, spec.size)
+    args = [(mid, spec, lo, hi) for lo, hi in _chunks(spec.size, workers)]
     if workers == 1:
-        return np.concatenate([_outcome_chunk(a) for a in args])
+        return _outcome_chunk(args[0])
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return np.concatenate(list(pool.map(_outcome_chunk, args)))
 
@@ -215,26 +225,18 @@ def _violating_pairs(table: np.ndarray, n: int, radix: int) -> Iterator[tuple[in
                 yield from zip(index_a.tolist(), index_b.tolist(), repeat(v), selected_a.tolist(), (~selected_a).tolist())
 
 
-def check_impartiality(
-    mid: MechanismId,
-    spec: GraphClassSpec,
-    mode: AuditMode = Exhaustive(),
-    *,
-    cap: int = AUDIT_CAP,
-    jobs: int = 1,
-) -> list[Violation]:
+def check_impartiality(mid: MechanismId, spec: GraphClassSpec, mode: AuditMode = Exhaustive()) -> list[Violation]:
     """All impartiality violations found in the examined set, deduplicated by
     unordered graph pair and sorted canonically.  An empty list means no
     violation was found, not a proof beyond the examined set (it is a proof
     for the whole class in exhaustive mode).
     """
     mid.validate_for(spec.n)
-    _check_jobs(jobs)
     if isinstance(mode, Sampled):
-        return _violations(_sampled_pairs(mid, spec, mode, cap), partial(graph_of_ranks, spec))
-    if _check_exhaustive_pre(spec, cap) == 0:
+        return _violations(_sampled_pairs(mid, spec, mode), partial(graph_of_ranks, spec))
+    if _check_exhaustive_pre(spec, mode.cap) == 0:
         return []
-    pairs = list(_violating_pairs(_outcome_table(mid, spec, jobs), spec.n, spec.outset_count))
+    pairs = list(_violating_pairs(_outcome_table(mid, spec, mode.jobs), spec.n, spec.outset_count))
     return _violations(pairs, partial(graph_at_index, spec))
 
 
@@ -265,13 +267,13 @@ def _line_outcomes(kern, last: np.ndarray, fixed: np.ndarray, v: int) -> np.ndar
     return np.concatenate(outcomes)
 
 
-def _sampled_pairs(mid: MechanismId, spec: GraphClassSpec, mode: Sampled, cap: int) -> list[tuple]:
+def _sampled_pairs(mid: MechanismId, spec: GraphClassSpec, mode: Sampled) -> list[tuple]:
     """Each sampled base graph against every graph on its deviation lines: one
     whose "v is selected" flag differs from the base graph's is a violating
     pair with deviator v, kept once per unordered pair.  Graphs are rank tuples."""
     n, radix = spec.n, spec.outset_count
-    if n * radix > cap:
-        raise CapExceeded(f"deviation lines of a {spec.describe()} graph hold {n * radix} graphs, audit cap is {cap}")
+    if n * radix > AUDIT_CAP:
+        raise CapExceeded(f"deviation lines of a {spec.describe()} graph hold {n * radix} graphs, audit cap is {AUDIT_CAP}")
     kern, last = batch_kernel_for(mid), outset_rows(n, spec.admissible_outsets(n))
     found: dict[tuple, tuple] = {}
     for base in sample_ranks(spec, mode.seed, mode.trials):
@@ -302,28 +304,20 @@ def _measure_gap_sampled(mid: MechanismId, spec: GraphClassSpec, mode: Sampled) 
     return GapReport(best_gap, graph_of_ranks(spec, best), mode.trials, mode.describe())
 
 
-def measure_gap(
-    mid: MechanismId,
-    spec: GraphClassSpec,
-    mode: AuditMode = Exhaustive(),
-    *,
-    cap: int = AUDIT_CAP,
-    jobs: int = 1,
-) -> GapReport:
+def measure_gap(mid: MechanismId, spec: GraphClassSpec, mode: AuditMode = Exhaustive()) -> GapReport:
     """Worst additive gap over the examined graphs, with its witness.
 
     Ties between witnesses resolve to the smallest enumeration index, so the
     report does not depend on the worker count.
     """
     mid.validate_for(spec.n)
-    _check_jobs(jobs)
     if isinstance(mode, Sampled):
         report = _measure_gap_sampled(mid, spec, mode)
     else:
-        size = _check_exhaustive_pre(spec, cap)
+        size = _check_exhaustive_pre(spec, mode.cap)
         if size == 0:
             raise ValueError(f"class {spec.describe()} is empty, no gap to measure")
-        table, block = _outcome_table(mid, spec, jobs), _class_block(spec)
+        table, block = _outcome_table(mid, spec, mode.jobs), _class_block(spec)
         gaps = np.concatenate([_gaps(*block(lo, hi), table[lo:hi]) for lo, hi in _blocks(0, size)])
         best_idx = int(np.argmax(gaps))  # the first maximum: the smallest index
         report = GapReport(int(gaps[best_idx]), graph_at_index(spec, best_idx), size, mode.describe())
@@ -481,29 +475,38 @@ def _check_symmetrizable(mid: MechanismId, spec: GraphClassSpec) -> None:
     mid.validate_for(spec.n)
 
 
-def symmetrized_table(mid: MechanismId, spec: GraphClassSpec) -> dict[tuple[int, ...], ProbabilityVector]:
-    """``symmetrize_eval`` of the mechanism on every graph of a class, keyed by
-    graph key in enumeration order.  Relabeling by pi moves v's out-set S to
-    pi(v) as pi(S), so graph i's image is the class graph of index sum_v
-    rank(pi(S_v)) * R**(n - pi(v)): its outcome-table entry w counts for
-    pi^-1(w), and the integer counts are divided by n! once.  Refused upfront
-    as ``_check_symmetrizable`` says."""
-    _check_symmetrizable(mid, spec)
+def _symmetrized_counts(mid: MechanismId, spec: GraphClassSpec) -> np.ndarray:
+    """(size, n+1) int16 array: row i, column v counts the relabelings pi of
+    graph i on which the mechanism selects pi(v), column 0 those selecting
+    nobody.  Relabeling by pi moves v's out-set S to pi(v) as pi(S), so graph
+    i's image is the class graph of index sum_v rank(pi(S_v)) * R**(n - pi(v)):
+    its outcome-table entry w counts for pi^-1(w)."""
+    n, radix = spec.n, spec.outset_count
+    counts = np.zeros((spec.size, n + 1), dtype=np.int16)  # n! <= 7! fits
     if spec.size == 0:
-        return {}
-    n, radix, table = spec.n, spec.outset_count, _outcome_table(mid, spec, 1)
+        return counts
+    table = _outcome_table(mid, spec, 1)
     rank = [{s: d for d, s in enumerate(outs)} for outs in spec.outset_lists]
     perms = [perm.images for perm in Permutation.all_of(n)]
     # row pi, column (v-1)*R + d: what v's out-set of rank d adds to the image's index
     weights = np.array([[rank[w - 1][frozenset(p[u - 1] for u in s)] * radix ** (n - w)
                          for w, outs in zip(p, spec.outset_lists) for s in outs] for p in perms])
     inverses = np.argsort(np.pad(perms, ((0, 0), (1, 0))), axis=1)  # pi^-1, with 0 (none) fixed
-    counts = np.zeros((spec.size, n + 1), dtype=np.int16)  # column 0: no selection; n! <= 7! fits
     for lo, hi in _blocks(0, spec.size):
         flat, rows = digit_block(spec, lo, hi) + np.arange(n) * radix, np.arange(lo, hi)
         for weight, inverse in zip(weights, inverses):
             counts[rows, inverse[table[weight[flat].sum(axis=1)]]] += 1
-    vectors = (ProbabilityVector(tuple(Fraction(c, factorial(n)) for c in row[1:])) for row in counts.tolist())
+    return counts
+
+
+def symmetrized_table(mid: MechanismId, spec: GraphClassSpec) -> dict[tuple[int, ...], ProbabilityVector]:
+    """``symmetrize_eval`` of the mechanism on every graph of a class, keyed by
+    graph key in enumeration order: the integer counts of
+    ``_symmetrized_counts``, divided by n! once.  Refused upfront as
+    ``_check_symmetrizable`` says."""
+    _check_symmetrizable(mid, spec)
+    counts, scale = _symmetrized_counts(mid, spec).tolist(), factorial(spec.n)
+    vectors = (ProbabilityVector(tuple(Fraction(c, scale) for c in row[1:])) for row in counts)
     return {g.key: vector for g, vector in zip(enumerate_graphs(spec), vectors)}
 
 
@@ -520,21 +523,22 @@ class WeakUnanimityReport:
 
 def check_weak_unanimity_inheritance(mid: MechanismId, spec: GraphClassSpec) -> WeakUnanimityReport:
     """On graphs with a vertex of indegree n-1: if the base mechanism always
-    selects a positive-indegree vertex there, ``symmetrized_table`` must place
-    mass exactly 1 on positive-indegree vertices (in exact rationals).
-    Refused upfront as ``symmetrized_table`` is.
+    selects a positive-indegree vertex there, the symmetrization must place
+    mass exactly 1 on positive-indegree vertices: their relabeling counts in
+    ``_symmetrized_counts`` sum to n!.  Refused upfront as
+    ``symmetrized_table`` is.
     """
     _check_symmetrizable(mid, spec)
     mechanism, n = resolve(mid), spec.n
-    stars = [g for g in enumerate_graphs(spec) if g.max_indegree == n - 1]
-    for g in stars:
+    stars = [(i, g) for i, g in enumerate(enumerate_graphs(spec)) if g.max_indegree == n - 1]
+    for _, g in stars:
         v = mechanism(g)
         if v == 0 or g.indegrees[v - 1] < 1:
             detail = f"{mid.text()} does not select a positive-indegree vertex on some such graph"
             return WeakUnanimityReport(premise_holds=False, ok=True, graphs_checked=len(stars), detail=detail)
-    problems, table = [], symmetrized_table(mid, spec)
-    for g in stars:
-        mass = sum((table[g.key].prob(v) for v in range(1, n + 1) if g.indegrees[v - 1] >= 1), Fraction(0))
-        if mass != 1:
-            problems.append(f"graph {g.key}: positive-indegree mass {mass} != 1")
+    problems, counts, scale = [], _symmetrized_counts(mid, spec), factorial(n)
+    for i, g in stars:
+        total = int(counts[i, [v for v in range(1, n + 1) if g.indegrees[v - 1] >= 1]].sum())
+        if total != scale:
+            problems.append(f"graph {g.key}: positive-indegree mass {Fraction(total, scale)} != 1")
     return WeakUnanimityReport(True, not problems, len(stars), "; ".join(problems))

@@ -152,21 +152,19 @@ def _cmd_plan(args) -> int:
 
 def _audit_mode(args):
     """Mode of an impartiality or gap audit, refusing flags it would ignore:
-    sampled audits run in one process, and sampled gap audits have no cap."""
+    --jobs and --cap are settings of exhaustive audits."""
     if args.T is not None or args.t is not None:
         raise ValueError("--T and --t apply to trace audits only")
     if args.exhaustive:
         if args.samples is not None or args.seed is not None:
             raise ValueError("--exhaustive excludes --samples and --seed")
-        return Exhaustive()
+        return Exhaustive(1 if args.jobs is None else args.jobs, AUDIT_CAP if args.cap is None else args.cap)
     if args.samples is None:
         raise ValueError("choose --exhaustive or --samples N")
     if args.seed is None:
         raise ValueError("sampled audits need an explicit --seed")
-    if args.jobs is not None:
-        raise ValueError("--jobs applies to exhaustive audits only")
-    if args.kind == "gap" and args.cap is not None:
-        raise ValueError("--cap applies to exhaustive gap audits only")
+    if args.jobs is not None or args.cap is not None:
+        raise ValueError("--jobs and --cap apply to exhaustive audits only")
     return Sampled(args.seed, args.samples)
 
 
@@ -175,11 +173,9 @@ def _cmd_audit(args) -> int:
         raise ValueError("trace audits run the twin-threshold pair; --mechanism, --cap and --jobs do not apply")
     mid = MechanismId.parse("twin:2,1" if args.mechanism is None else args.mechanism)
     spec = GraphClassSpec(args.n, args.k, args.positive_outdegree)
-    cap = AUDIT_CAP if args.cap is None else args.cap
-    jobs = 1 if args.jobs is None else args.jobs
     if args.kind == "impartiality":
         mode = _audit_mode(args)
-        violations = check_impartiality(mid, spec, mode, cap=cap, jobs=jobs)
+        violations = check_impartiality(mid, spec, mode)
         payload = {
             "kind": "impartiality",
             "mechanism": mid.text(),
@@ -210,7 +206,7 @@ def _cmd_audit(args) -> int:
         return 1 if violations else 0
     if args.kind == "gap":
         mode = _audit_mode(args)
-        report = measure_gap(mid, spec, mode, cap=cap, jobs=jobs)
+        report = measure_gap(mid, spec, mode)
         payload = {
             "kind": "gap",
             "mechanism": mid.text(),
@@ -363,10 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--exhaustive", action="store_true")
     audit.add_argument("--samples", type=int)
     audit.add_argument("--seed", type=int)
-    jobs_help = "exhaustive audits: worker processes (at most the usable CPUs; default 1)"
+    jobs_help = "exhaustive audits: worker processes, one chunk of the class each (at most the usable CPUs; default 1)"
     audit.add_argument("--jobs", type=int, help=jobs_help)
-    cap_help = "most graphs in an exhaustive audit's class or on a sampled impartiality graph's deviation lines"
-    audit.add_argument("--cap", type=int, help=cap_help + " (default 10^7)")
+    audit.add_argument("--cap", type=int, help="exhaustive audits: most graphs in the class (default 10^7)")
     audit.add_argument("--T", type=int, help="trace audits: upper threshold (default: planned)")
     audit.add_argument("--t", type=int, help="trace audits: lower threshold (default: planned)")
     audit.add_argument("--json", action="store_true")

@@ -44,7 +44,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-#: Refuse to enumerate classes larger than this unless the caller raises the cap.
+#: ``enumerate_graphs`` refuses classes larger than this.
 ENUMERATION_CAP = 10**8
 
 
@@ -318,11 +318,11 @@ def _unrank_outset(rank: int, m: int, lo: int, hi: int) -> tuple[int, ...]:
         p, rest, x = q + 1, rest - 1, x - 1
 
 
-def enumerate_graphs(spec: GraphClassSpec, cap: int = ENUMERATION_CAP) -> Iterator[DirectedGraph]:
+def enumerate_graphs(spec: GraphClassSpec) -> Iterator[DirectedGraph]:
     """All graphs of the class, each exactly once, in the documented order;
-    refuses upfront when the class has more than `cap` graphs."""
-    if spec.size > cap:
-        raise CapExceeded(f"class {spec.describe()} has {spec.size} graphs, cap is {cap}")
+    refuses upfront when the class has more than ``ENUMERATION_CAP`` graphs."""
+    if spec.size > ENUMERATION_CAP:
+        raise CapExceeded(f"class {spec.describe()} has {spec.size} graphs, cap is {ENUMERATION_CAP}")
     for index in range(spec.size):
         yield graph_at_index(spec, index)
 
@@ -368,18 +368,17 @@ def deviations(graph: DirectedGraph, v: int, spec: GraphClassSpec) -> Iterator[D
 
 
 class _PhiloxWords:
-    """Buffered stream of 64-bit words from a Philox4x64 generator keyed by `seed`."""
+    """Stream of 64-bit words from a Philox4x64 generator keyed by `seed`, buffered 512 at a time."""
 
-    def __init__(self, seed: int, block: int = 512):
+    def __init__(self, seed: int):
         if not 0 <= seed < 2**128:
             raise ValueError(f"seed {seed} outside 0..2**128-1")
         self._gen = np.random.Generator(np.random.Philox(key=seed))
-        self._block = block
         self._buf: list[int] = []
 
     def next_word(self) -> int:
         if not self._buf:
-            words = self._gen.integers(0, 2**64, size=self._block, dtype=np.uint64)
+            words = self._gen.integers(0, 2**64, size=512, dtype=np.uint64)
             self._buf = [int(w) for w in reversed(words)]
         return self._buf.pop()
 

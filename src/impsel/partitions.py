@@ -56,16 +56,6 @@ class OrderedPartition:
     def r(self) -> int:
         return len(self.parts)
 
-    @property
-    def first_block_index(self) -> int:
-        """Lowest block index carrying a constraint variable: 2 when the first
-        block is a singleton (its vertex has indegree 0), else 1."""
-        return 2 if self.parts[0] == 1 else 1
-
-    @property
-    def is_palindromic(self) -> bool:
-        return self.parts == self.parts[::-1]
-
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Consecutive vertex blocks: block i holds s_i vertices in order."""
         out = []
@@ -202,10 +192,10 @@ def transition_target(p: OrderedPartition, j: int) -> OrderedPartition:
     return OrderedPartition(merged)
 
 
-def transitions(n: int, cap: int = COMPOSITION_CAP) -> list[TransitionEdge]:
+def transitions(n: int) -> list[TransitionEdge]:
     """Every valid (source, j) pair contributes exactly one edge."""
     edges = []
-    comps = [p.parts for p in enumerate_compositions(n, cap)]
+    comps = [p.parts for p in enumerate_compositions(n)]
     _walk(comps, lambda p, j, q: edges.append(TransitionEdge(OrderedPartition(p), OrderedPartition(q), j)))
     return edges
 
@@ -228,7 +218,7 @@ class TransitionStructureReport:
         return all(c.ok for c in self.checks)
 
 
-def verify_transition_structure(n: int, cap: int = COMPOSITION_CAP) -> TransitionStructureReport:
+def verify_transition_structure(n: int) -> TransitionStructureReport:
     """Check, in one walk over the transition edges, the three facts the
     certificate construction rests on.
 
@@ -241,7 +231,7 @@ def verify_transition_structure(n: int, cap: int = COMPOSITION_CAP) -> Transitio
     coefficient_identity: along every edge the multinomial-weighted block sizes
         agree: lambda(target) * target_part(j-1) = lambda(source) * source_part(j).
     """
-    lam = {p.parts: lambda_of(p) for p in enumerate_compositions(n, cap)}
+    lam = {p.parts: lambda_of(p) for p in enumerate_compositions(n)}
     parity: list[str] = []
     identity: list[str] = []
 

@@ -8,6 +8,7 @@ import impsel.audit
 from impsel import (
     CapExceeded,
     DirectedGraph,
+    Exhaustive,
     GraphClassSpec,
     MechanismId,
     Permutation,
@@ -122,17 +123,17 @@ def test_empty_class_and_degenerate_modes():
 
 def test_exhaustive_cap_refuses_upfront():
     with pytest.raises(CapExceeded):
-        check_impartiality(MechanismId.parse("never"), GraphClassSpec(5, None), cap=100)
+        check_impartiality(MechanismId.parse("never"), GraphClassSpec(5, None), Exhaustive(cap=100))
     with pytest.raises(CapExceeded):
-        measure_gap(MechanismId.parse("never"), GraphClassSpec(5, None), cap=100)
+        measure_gap(MechanismId.parse("never"), GraphClassSpec(5, None), Exhaustive(cap=100))
 
 
 def test_results_do_not_depend_on_worker_count():
     mid = MechanismId.parse("max-naive")
     spec = GraphClassSpec(4, 1)
-    assert check_impartiality(mid, spec, jobs=1) == check_impartiality(mid, spec, jobs=3)
-    g1 = measure_gap(MechanismId.parse("never"), spec, jobs=1)
-    g3 = measure_gap(MechanismId.parse("never"), spec, jobs=3)
+    assert check_impartiality(mid, spec, Exhaustive(jobs=1)) == check_impartiality(mid, spec, Exhaustive(jobs=3))
+    g1 = measure_gap(MechanismId.parse("never"), spec, Exhaustive(jobs=1))
+    g3 = measure_gap(MechanismId.parse("never"), spec, Exhaustive(jobs=3))
     assert (g1.worst_gap, g1.witness, g1.graphs_checked) == (g3.worst_gap, g3.witness, g3.graphs_checked)
 
 
@@ -158,11 +159,11 @@ def test_worker_pool_is_clamped_to_cpus_and_chunks(monkeypatch):
     monkeypatch.setattr(impsel.audit.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     mid, spec = MechanismId.parse("max-naive"), GraphClassSpec(4, 1)
     serial = check_impartiality(mid, spec)
-    assert check_impartiality(mid, spec, jobs=10**9) == serial
-    assert measure_gap(mid, spec, jobs=10**9) == measure_gap(mid, spec)
+    assert check_impartiality(mid, spec, Exhaustive(jobs=10**9)) == serial
+    assert measure_gap(mid, spec, Exhaustive(jobs=10**9)) == measure_gap(mid, spec)
     assert asked == [4, 4]  # the outcome table of each audit; its scans run here
-    # workers get index ranges, never the outcome table
-    assert mapped == [(mid, spec, lo, lo + 1) for lo in range(spec.size)] * 2
+    # workers get index ranges, never the outcome table, one chunk each
+    assert mapped == [(mid, spec, lo, lo + 64) for lo in range(0, spec.size, 64)] * 2
     assert impsel.audit._worker_count(10**9, 3) == 3
 
 
@@ -202,7 +203,7 @@ def _scalar_outcomes(mid, window):
     ids=lambda x: x.describe() if isinstance(x, GraphClassSpec) else f"block{x}",
 )
 def test_batch_kernels_match_scalar_kernels(monkeypatch, spec, block):
-    # Blocks smaller than the chunks (three, run here) straddle chunk ends.
+    # Blocks smaller than the class (one chunk, run here) straddle its end.
     monkeypatch.setattr(impsel.audit, "KERNEL_BLOCK", block)
     monkeypatch.setattr(impsel.audit, "_worker_count", lambda jobs, chunks: 1)
     window = _graphs(spec, 0, spec.size)
@@ -314,9 +315,9 @@ def test_sampled_impartiality_refuses_long_deviation_lines_before_sampling(monke
         raise AssertionError("sampled before the cap check")
 
     monkeypatch.setattr(impsel.audit, "sample_ranks", no_sampling)
-    spec = GraphClassSpec(50, 3)  # 50 lines of 19,650 graphs per base graph
-    with pytest.raises(CapExceeded, match="982500 graphs"):
-        check_impartiality(MechanismId.parse("twin:30,6"), spec, Sampled(1, 1), cap=982_499)
+    spec = GraphClassSpec(50, 4)  # 50 lines of 231,526 graphs per base graph
+    with pytest.raises(CapExceeded, match="11576300 graphs"):
+        check_impartiality(MechanismId.parse("twin:30,6"), spec, Sampled(1, 1))
 
 
 def test_sampled_audits_run_the_batch_kernels_only(monkeypatch):

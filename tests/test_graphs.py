@@ -237,7 +237,7 @@ def test_enumerator_starts_mid_range_at_chunk_boundaries():
 
 def test_enumeration_cap():
     with pytest.raises(CapExceeded):
-        list(enumerate_graphs(GraphClassSpec(6, None), cap=10))
+        list(enumerate_graphs(GraphClassSpec(7)))  # 64**7 graphs
 
 
 # ---- deviations ----
