@@ -156,7 +156,7 @@ def _class_block(spec: GraphClassSpec) -> Callable[[int, int], tuple[np.ndarray,
     last = outset_rows(n, spec.admissible_outsets(n))
     members = np.concatenate([vertex_rows(last, v) for v in range(1, n + 1)])
     offsets = np.arange(n) * radix  # vertex v's out-sets start at row (v-1)*R
-    return lambda lo, hi: (members, digit_block(spec, lo, hi) + offsets)
+    return lambda lo, hi: (members, digit_block(spec, np.arange(lo, hi)) + offsets)
 
 
 def _outcome_chunk(args) -> np.ndarray:
@@ -475,15 +475,16 @@ def _check_symmetrizable(mid: MechanismId, spec: GraphClassSpec) -> None:
     mid.validate_for(spec.n)
 
 
-def _symmetrized_counts(mid: MechanismId, spec: GraphClassSpec) -> np.ndarray:
-    """(size, n+1) int16 array: row i, column v counts the relabelings pi of
-    graph i on which the mechanism selects pi(v), column 0 those selecting
-    nobody.  Relabeling by pi moves v's out-set S to pi(v) as pi(S), so graph
-    i's image is the class graph of index sum_v rank(pi(S_v)) * R**(n - pi(v)):
-    its outcome-table entry w counts for pi^-1(w)."""
+def _symmetrized_counts(mid: MechanismId, spec: GraphClassSpec, indices: np.ndarray) -> np.ndarray:
+    """(len(indices), n+1) int16 array: row j, column v counts the relabelings
+    pi of graph indices[j] on which the mechanism selects pi(v), column 0
+    those selecting nobody.  Relabeling by pi moves v's out-set S to pi(v) as
+    pi(S), so graph i's image is the class graph of index
+    sum_v rank(pi(S_v)) * R**(n - pi(v)): its outcome-table entry w counts for
+    pi^-1(w)."""
     n, radix = spec.n, spec.outset_count
-    counts = np.zeros((spec.size, n + 1), dtype=np.int16)  # n! <= 7! fits
-    if spec.size == 0:
+    counts = np.zeros((len(indices), n + 1), dtype=np.int16)  # n! <= 7! fits
+    if len(indices) == 0:
         return counts
     table = _outcome_table(mid, spec, 1)
     rank = [{s: d for d, s in enumerate(outs)} for outs in spec.outset_lists]
@@ -492,8 +493,8 @@ def _symmetrized_counts(mid: MechanismId, spec: GraphClassSpec) -> np.ndarray:
     weights = np.array([[rank[w - 1][frozenset(p[u - 1] for u in s)] * radix ** (n - w)
                          for w, outs in zip(p, spec.outset_lists) for s in outs] for p in perms])
     inverses = np.argsort(np.pad(perms, ((0, 0), (1, 0))), axis=1)  # pi^-1, with 0 (none) fixed
-    for lo, hi in _blocks(0, spec.size):
-        flat, rows = digit_block(spec, lo, hi) + np.arange(n) * radix, np.arange(lo, hi)
+    for lo, hi in _blocks(0, len(indices)):
+        flat, rows = digit_block(spec, indices[lo:hi]) + np.arange(n) * radix, np.arange(lo, hi)
         for weight, inverse in zip(weights, inverses):
             counts[rows, inverse[table[weight[flat].sum(axis=1)]]] += 1
     return counts
@@ -505,7 +506,7 @@ def symmetrized_table(mid: MechanismId, spec: GraphClassSpec) -> dict[tuple[int,
     ``_symmetrized_counts``, divided by n! once.  Refused upfront as
     ``_check_symmetrizable`` says."""
     _check_symmetrizable(mid, spec)
-    counts, scale = _symmetrized_counts(mid, spec).tolist(), factorial(spec.n)
+    counts, scale = _symmetrized_counts(mid, spec, np.arange(spec.size)).tolist(), factorial(spec.n)
     vectors = (ProbabilityVector(tuple(Fraction(c, scale) for c in row[1:])) for row in counts)
     return {g.key: vector for g, vector in zip(enumerate_graphs(spec), vectors)}
 
@@ -536,9 +537,10 @@ def check_weak_unanimity_inheritance(mid: MechanismId, spec: GraphClassSpec) -> 
         if v == 0 or g.indegrees[v - 1] < 1:
             detail = f"{mid.text()} does not select a positive-indegree vertex on some such graph"
             return WeakUnanimityReport(premise_holds=False, ok=True, graphs_checked=len(stars), detail=detail)
-    problems, counts, scale = [], _symmetrized_counts(mid, spec), factorial(n)
-    for i, g in stars:
-        total = int(counts[i, [v for v in range(1, n + 1) if g.indegrees[v - 1] >= 1]].sum())
+    problems, scale = [], factorial(n)
+    counts = _symmetrized_counts(mid, spec, np.array([i for i, _ in stars], dtype=np.int64))
+    for row, (_, g) in zip(counts, stars):
+        total = int(row[[v for v in range(1, n + 1) if g.indegrees[v - 1] >= 1]].sum())
         if total != scale:
             problems.append(f"graph {g.key}: positive-indegree mass {Fraction(total, scale)} != 1")
     return WeakUnanimityReport(True, not problems, len(stars), "; ".join(problems))

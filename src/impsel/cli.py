@@ -11,8 +11,10 @@ One binary, five subcommands:
 Exit codes: 0 success, 1 an audit found violations (or failed trace checks),
 2 usage or input errors, 141 (128 + SIGPIPE) stdout closed before the output
 was written, as in ``impsel partitions --n 12 | head -1``; nothing more is
-printed then.  With --json every report is a single JSON document;
-output is deterministic for deterministic inputs and independent of --jobs.
+printed then.  With --json every report is a single JSON document, written
+to stdout while it is encoded, so a report's memory is that of its data, not
+of its text; output is deterministic for deterministic inputs and independent
+of --jobs.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 from .audit import (
@@ -54,9 +57,23 @@ from .twin_threshold import (
 )
 
 
+#: Encoder chunks joined per stdout write: one write per chunk is slow, one
+#: write of the whole document holds the report's text in memory at once.
+JSON_BATCH = 1 << 14
+
+
+def _write_json(payload: dict) -> None:
+    """Write ``json.dumps(payload, indent=2)`` and a newline to stdout as it is
+    encoded, ``JSON_BATCH`` chunks at a time."""
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    while batch := list(islice(chunks, JSON_BATCH)):
+        sys.stdout.write("".join(batch))
+    sys.stdout.write("\n")
+
+
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
-        print(json.dumps(payload, indent=2))
+        _write_json(payload)
     else:
         for line in lines:
             print(line)
@@ -266,46 +283,46 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_partitions(args) -> int:
+    # (composition, lambda, certificate cells) per row, read from the
+    # certificate or streamed from the composition walk
     if args.certificate:
         cert = build_certificate(args.n, args.cap)
-        rows = [
-            {"composition": list(r.composition.parts), "r": r.composition.r, "lambda": r.lam}
-            | {"sign": r.sign, "sense": r.sense, "multiplier": r.multiplier}
-            for r in cert.rows
-        ]
+        rows = ((r.composition, r.lam, (r.sign, r.sense, r.multiplier)) for r in cert.rows)
     else:
-        comps = enumerate_compositions(args.n, args.cap)
-        rows = [{"composition": list(p.parts), "r": p.r, "lambda": lambda_of(p)} for p in comps]
-    total = fubini(args.n)
-    payload = {
-        "n": args.n,
-        "compositions": len(rows),
-        "fubini": total.value,
-        "odd": total.odd,
-        "rows": rows,
-    }
-    lines = [f"compositions of {args.n}: {len(rows)}, multiplicity sum {total.value} (odd={total.odd})"]
-    header = f"{'composition':<20} {'r':>3} {'lambda':>10}"
-    if args.certificate:
-        payload["certificate"] = {
-            "rhs_total": cert.rhs_total,
-            "rhs_alternate": cert.rhs_alternate,
-            "sign_even_parts": cert.sign_even_parts,
-            "odd": cert.rhs_total % 2 != 0,
-            "cancellation_ok": cert.cancellation_ok,
+        rows = ((p, lambda_of(p), ()) for p in enumerate_compositions(args.n, args.cap))
+    count, total = 1 << (args.n - 1), fubini(args.n)
+    cells = ("sign", "sense", "multiplier") if args.certificate else ()
+    if args.json:
+        payload = {
+            "n": args.n,
+            "compositions": count,
+            "fubini": total.value,
+            "odd": total.odd,
+            "rows": [
+                {"composition": list(p.parts), "r": p.r, "lambda": lam} | dict(zip(cells, extra))
+                for p, lam, extra in rows
+            ],
         }
-        lines.append(
+        if args.certificate:
+            payload["certificate"] = {
+                "rhs_total": cert.rhs_total,
+                "rhs_alternate": cert.rhs_alternate,
+                "sign_even_parts": cert.sign_even_parts,
+                "odd": cert.rhs_total % 2 != 0,
+                "cancellation_ok": cert.cancellation_ok,
+            }
+        _write_json(payload)
+        return 0
+    print(f"compositions of {args.n}: {count}, multiplicity sum {total.value} (odd={total.odd})")
+    if args.certificate:
+        print(
             f"certificate: rhs_total={cert.rhs_total} (alternate {cert.rhs_alternate}),"
             f" cancellation_ok={cert.cancellation_ok}"
         )
-        header += f" {'sign':>5} {'sense':>13} {'multiplier':>11}"
-    lines.append(header)
-    for row in rows:
-        text = f"{str(tuple(row['composition'])):<20} {row['r']:>3} {row['lambda']:>10}"
-        if args.certificate:
-            text += f" {row['sign']:>5} {row['sense']:>13} {row['multiplier']:>11}"
-        lines.append(text)
-    _emit(payload, args.json, lines)
+    widths = (5, 13, 11)
+    print(f"{'composition':<20} {'r':>3} {'lambda':>10}" + "".join(f" {c:>{w}}" for c, w in zip(cells, widths)))
+    for p, lam, extra in rows:
+        print(f"{str(p.parts):<20} {p.r:>3} {lam:>10}" + "".join(f" {c:>{w}}" for c, w in zip(extra, widths)))
     return 0
 
 
@@ -370,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     partitions = sub.add_parser("partitions", help="composition table and certificate")
     partitions.add_argument("--n", type=int, required=True)
     partitions.add_argument("--certificate", action="store_true")
-    partitions.add_argument("--cap", type=int, default=COMPOSITION_CAP, help="largest n accepted (default %(default)s)")
+    cap_help = "largest n accepted (default %(default)s; memory doubles with n: --certificate --json at 20 needs ~0.5 GB)"
+    partitions.add_argument("--cap", type=int, default=COMPOSITION_CAP, help=cap_help)
     partitions.add_argument("--json", action="store_true")
     partitions.set_defaults(func=_cmd_partitions)
 

@@ -18,7 +18,7 @@ A class is enumerated in lexicographic order of the per-vertex choice tuple,
 the choice of vertex 1 varying slowest: graph i has the base-R digits of i as
 its per-vertex out-set ranks, vertex 1 the most significant (R out-sets per
 vertex).  That digit layout is the one way to walk a class: ``digit_block``
-gives the ranks of an index range as a numpy array for batched kernels, and
+gives the ranks of an array of indices as a numpy array for batched kernels, and
 ``graph_at_index`` unranks single indices into graphs that share the spec's
 cached ``outset_lists`` (``enumerate_graphs`` yields it for every index).
 
@@ -327,12 +327,12 @@ def enumerate_graphs(spec: GraphClassSpec) -> Iterator[DirectedGraph]:
         yield graph_at_index(spec, index)
 
 
-def digit_block(spec: GraphClassSpec, start: int, end: int) -> np.ndarray:
-    """(end - start, n) int64 array: row i - start holds graph i's out-set
+def digit_block(spec: GraphClassSpec, indices: np.ndarray) -> np.ndarray:
+    """(len(indices), n) int64 array: row j holds graph indices[j]'s out-set
     ranks, column v-1 that of vertex v."""
     radix = spec.outset_count
     place = radix ** np.arange(spec.n - 1, -1, -1, dtype=np.int64)  # vertex 1 most significant
-    return np.arange(start, end, dtype=np.int64)[:, None] // place % radix
+    return np.asarray(indices, dtype=np.int64)[:, None] // place % radix
 
 
 def graph_at_index(spec: GraphClassSpec, index: int) -> DirectedGraph:

@@ -507,6 +507,11 @@ def test_weak_unanimity_inheritance():
     assert report.premise_holds and report.ok and report.graphs_checked > 0
     report = check_weak_unanimity_inheritance(MechanismId.parse("max-naive"), GraphClassSpec(4, 1))
     assert report.premise_holds and report.ok
+    # on a G+_3(1) star centred at 1, follow:1 selects the indegree-1 vertex 1
+    # nominates, so part of the symmetrized mass sits on indegree-1 vertices
+    # and must count as positive indegree
+    report = check_weak_unanimity_inheritance(MechanismId.parse("follow:1"), GraphClassSpec(3, 1, True))
+    assert report.premise_holds and report.ok and report.graphs_checked == 6
     # never selects nothing, so the premise fails and the check is vacuous
     report = check_weak_unanimity_inheritance(MechanismId.parse("never"), GraphClassSpec(3, 1))
     assert not report.premise_holds and report.ok

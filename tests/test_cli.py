@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from impsel import COMPOSITION_CAP, GraphClassSpec
-from impsel.cli import build_parser, main
+from impsel.cli import JSON_BATCH, _emit, build_parser, main
 from impsel.graphs import sample_graph
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -123,6 +123,37 @@ def test_closed_stdout_exits_141_quietly(tmp_path):
     assert proc.returncode == 2 and proc.stderr.startswith("error:")
 
 
+def test_closed_stdout_mid_json_report_exits_141_quietly():
+    # --json reports are written while they are encoded, so the reader goes
+    # away in the middle of the document (the n=14 report is about 1.4 MB)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    argv = [sys.executable, "-m", "impsel.cli", "partitions", "--n", "14", "--json"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+def test_json_reports_are_streamed_in_batches(monkeypatch):
+    # enough encoder chunks for several batches: one write per batch and one
+    # for the newline, and joined they are the one-shot document
+    payload = {"rows": [{"i": i, "pair": [i, str(i)]} for i in range(4000)], "count": 4000}
+    chunks = len(list(json.JSONEncoder(indent=2).iterencode(payload)))
+    assert chunks > 2 * JSON_BATCH
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    _emit(payload, True, [])
+    assert len(writes) == -(-chunks // JSON_BATCH) + 1 and writes[-1] == "\n"
+    assert "".join(writes) == json.dumps(payload, indent=2) + "\n"
+
+
 def test_run_bad_graph_file_reports_line(capsys, tmp_path):
     path = tmp_path / "bad.g"
     path.write_text("n 3\ne 1 1\n")
@@ -217,6 +248,17 @@ def test_audit_impartiality_violations_exit_1(capsys):
     assert payload["violation_count"] > 0
     first = payload["violations"][0]
     assert first["graph_a"].startswith("n 4\n") and first["selected_a"] != first["selected_b"]
+
+
+def test_exhaustive_impartiality_report_is_byte_identical(capsys):
+    # stdout sha256 of the max-naive G_5(1) report (2,834 witnesses) as it was
+    # written when the whole document was encoded before the first write
+    code, out, _ = run_cli(
+        capsys, "audit", "impartiality", "--mechanism", "max-naive", "--n", "5", "--k", "1",
+        "--exhaustive", "--json",
+    )
+    assert code == 1 and json.loads(out)["violation_count"] == 2834
+    assert hashlib.sha256(out.encode()).hexdigest() == "b6966497a968be86e86146bb736474a9d26c38dd88334bfcc16240fcf7d5bfa3"
 
 
 def test_audit_rejects_jobs_below_one(capsys):

@@ -229,7 +229,7 @@ def test_enumerator_starts_mid_range_at_chunk_boundaries():
         assert len(chunks) == 3 and chunks[-1][1] == spec.size
         choices = [spec.admissible_outsets(v) for v in range(1, spec.n + 1)]
         for lo, hi in chunks:
-            rows = digit_block(spec, lo, hi)
+            rows = digit_block(spec, range(lo, hi))
             assert rows.shape == (hi - lo, spec.n)
             got = [DirectedGraph(spec.n, tuple(frozenset(choices[v][r]) for v, r in enumerate(row))) for row in rows]
             assert got == [graph_at_index(spec, i) for i in range(lo, hi)]
