@@ -3,7 +3,9 @@
 Each composition of n generates a graph on consecutive blocks; the certificate
 combines one inequality per composition (selection mass at most 1, or at least
 1 when a vertex is nominated by everyone) with signed multinomial weights.
-Every variable cancels and the constants sum to an odd negative number, so no
+One walk over the transition edges (a singleton block merging into its left
+neighbor) proves that every variable term has exactly one partner and that
+each pair cancels, while the constants sum to an odd negative number, so no
 selection rule can satisfy all rows: full mass under a universal nominee is
 incompatible with never influencing one's own selection.
 """
@@ -15,7 +17,6 @@ from impsel import (
     graph_of_composition,
     lambda_of,
     transitions,
-    verify_transition_structure,
 )
 
 n = 4
@@ -28,20 +29,18 @@ total = fubini(n)
 print(f"\nmultiplicity sum (weak orders on {n} elements): {total.value}, odd={total.odd}")
 
 print(f"\ntransitions (singleton block merges down, one vertex rewrites its edges):")
-for e in transitions(n):
-    print(f"  {e.source.parts} --{e.j}--> {e.target.parts}")
-
-structure = verify_transition_structure(n)
-print(f"structure checks: {[(c.name, c.ok) for c in structure.checks]}")
+for p, j, q in transitions(n):
+    print(f"  {p} --{j}--> {q}")
 
 cert = build_certificate(n)
+print(f"certificate checks over {cert.links} edges: {[(c.name, c.ok) for c in cert.checks]}")
 print(f"\ncertificate rows (sense is which inequality the row contributes):")
 for row in cert.rows:
     print(f"  {str(row.composition.parts):12s} {row.sense:13s} multiplier {row.multiplier:+d}")
 print(f"signed total {cert.rhs_total} (odd, negative), cancellation_ok={cert.cancellation_ok}")
 print("=> the combined system demands 0 <= " + str(cert.rhs_total) + ", which is absurd")
 
-print("\nthe same construction succeeds for every size up to the cap:")
+print("\nthe same construction succeeds for n = 2..8:")
 for m in range(2, 9):
     c = build_certificate(m)
     print(f"  n={m}: rhs_total={c.rhs_total}, cancellation_ok={c.cancellation_ok}")

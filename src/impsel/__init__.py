@@ -50,8 +50,6 @@ from .partitions import (
     CertificateRow,
     FubiniResult,
     OrderedPartition,
-    TransitionEdge,
-    TransitionStructureReport,
     build_certificate,
     composition_of_graph,
     enumerate_compositions,
@@ -60,9 +58,7 @@ from .partitions import (
     lambda_of,
     reduce_add_inneighbors,
     reduce_add_isolated,
-    transition_target,
     transitions,
-    verify_transition_structure,
 )
 from .twin_threshold import (
     DeletionTrace,

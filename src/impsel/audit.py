@@ -526,12 +526,16 @@ def check_weak_unanimity_inheritance(mid: MechanismId, spec: GraphClassSpec) -> 
     """On graphs with a vertex of indegree n-1: if the base mechanism always
     selects a positive-indegree vertex there, the symmetrization must place
     mass exactly 1 on positive-indegree vertices: their relabeling counts in
-    ``_symmetrized_counts`` sum to n!.  Refused upfront as
-    ``symmetrized_table`` is.
+    ``_symmetrized_counts`` sum to n!.  The star graphs are found blockwise
+    from the class's indegree rows, and only they are built.  Refused upfront
+    as ``symmetrized_table`` is.
     """
     _check_symmetrizable(mid, spec)
     mechanism, n = resolve(mid), spec.n
-    stars = [(i, g) for i, g in enumerate(enumerate_graphs(spec)) if g.max_indegree == n - 1]
+    block, found = _class_block(spec), []
+    for lo, hi in _blocks(0, spec.size):
+        found.append(lo + np.flatnonzero((indegree_rows(*block(lo, hi))[:, 1:] == n - 1).any(axis=1)))
+    stars = [(i, graph_at_index(spec, i)) for i in np.concatenate(found).tolist()]
     for _, g in stars:
         v = mechanism(g)
         if v == 0 or g.indegrees[v - 1] < 1:

@@ -10,13 +10,14 @@ compositions counts weak orders.
 Merging a singleton block into its left neighbor is a transition, and the
 transition edges pair the (composition, block) terms of two inequality
 families - selection mass at most 1, and full mass on nominated vertices when
-someone is nominated by everybody: p --j--> q pairs (p, j) with (q, j-1).  One
-walk over the edges checks that every term is paired once; under signed
-multinomial weights each pair cancels while the constants sum to an odd
-negative number.  The resulting ``Certificate`` is an exact-arithmetic proof
-that no selection rule satisfies both families (``certificate_problems`` in
-``tests/oracles.py`` re-checks it from the graphs); the reductions at the
-bottom transport it to bounded-outdegree and no-abstention settings.
+someone is nominated by everybody: p --j--> q pairs (p, j) with (q, j-1).
+``build_certificate`` signs each row by its multinomial weight and proves, in
+one walk over the edges, that every term is paired once and that each pair
+cancels, while the constants sum to an odd negative number.  The resulting
+``Certificate`` is an exact-arithmetic proof that no selection rule satisfies
+both families (``certificate_problems`` in ``tests/oracles.py`` re-checks it
+from the graphs); the reductions at the bottom transport it to
+bounded-outdegree and no-abstention settings.
 
 All arithmetic is arbitrary-precision integer or exact rational; floating
 point never enters any comparison.
@@ -140,19 +141,10 @@ def graph_of_composition(p: OrderedPartition) -> DirectedGraph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransitionEdge:
-    """A j-transition: the singleton block j of `source` merges into block j-1,
-    which is exactly a rewrite of that single vertex's outgoing edges."""
-
-    source: OrderedPartition
-    target: OrderedPartition
-    j: int
-
-
 def _merges(parts: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
     """The transitions out of one composition: each singleton block j >= 2
-    merges into block j-1.  Yields (j, merged parts) in increasing j."""
+    merges into block j-1, which is exactly a rewrite of that single vertex's
+    outgoing edges.  Yields (j, merged parts) in increasing j."""
     for j in range(2, len(parts) + 1):
         if parts[j - 1] == 1:
             yield j, parts[: j - 2] + (parts[j - 2] + 1,) + parts[j:]
@@ -187,22 +179,17 @@ def _walk(comps: list[tuple[int, ...]], visit: Callable[[tuple, int, tuple], Non
     return links, problems
 
 
-def transition_target(p: OrderedPartition, j: int) -> OrderedPartition:
-    """Merge singleton block j (j >= 2) into block j-1."""
-    if not 2 <= j <= p.r:
-        raise ValueError(f"transition index {j} outside 2..{p.r}")
-    merged = dict(_merges(p.parts)).get(j)
-    if merged is None:
-        raise ValueError(f"block {j} of {p.parts} is not a singleton")
-    return OrderedPartition(merged)
-
-
-def transitions(n: int) -> list[TransitionEdge]:
-    """Every valid (source, j) pair contributes exactly one edge."""
+def transitions(n: int) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
+    """Every transition edge p --j--> q of the compositions of n, as the part
+    tuples and block index (p, j, q), in the order ``_walk`` visits them."""
     edges = []
-    comps = [p.parts for p in enumerate_compositions(n)]
-    _walk(comps, lambda p, j, q: edges.append(TransitionEdge(OrderedPartition(p), OrderedPartition(q), j)))
+    _walk([p.parts for p in enumerate_compositions(n)], lambda p, j, q: edges.append((p, j, q)))
     return edges
+
+
+# ---------------------------------------------------------------------------
+# infeasibility certificate
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -210,55 +197,6 @@ class StructureCheck:
     name: str
     ok: bool
     detail: str = ""
-
-
-@dataclass(frozen=True)
-class TransitionStructureReport:
-    n: int
-    edge_count: int
-    checks: tuple[StructureCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-def verify_transition_structure(n: int) -> TransitionStructureReport:
-    """Check, in one walk over the transition edges, the three facts the
-    certificate construction rests on.
-
-    unique_partner: the transition edges pair the terms.  Every term
-        (composition, block index >= its variable floor) is entered by exactly
-        one edge, as the singleton block j of its source or as block j-1 of
-        its target, and no other block is entered.
-    bipartite_by_parity: every transition changes the part count by one, so the
-        transition graph is bipartite by parity of the part count.
-    coefficient_identity: along every edge the multinomial-weighted block sizes
-        agree: lambda(target) * target_part(j-1) = lambda(source) * source_part(j).
-    """
-    lam = {p.parts: lambda_of(p) for p in enumerate_compositions(n)}
-    parity: list[str] = []
-    identity: list[str] = []
-
-    def check(p: tuple[int, ...], j: int, q: tuple[int, ...]) -> None:
-        if len(p) != len(q) + 1:
-            parity.append(f"{p} -> {q}: part counts {len(p)}, {len(q)}")
-        left, right = lam[q] * q[j - 2], lam[p] * p[j - 1]
-        if left != right:
-            identity.append(f"{p} -> {q} (j={j}): {left} != {right}")
-
-    links, partner = _walk(list(lam), check)
-    checks = (
-        StructureCheck("unique_partner", not partner, "; ".join(partner)),
-        StructureCheck("bipartite_by_parity", not parity, "; ".join(parity)),
-        StructureCheck("coefficient_identity", not identity, "; ".join(identity)),
-    )
-    return TransitionStructureReport(n, links, checks)
-
-
-# ---------------------------------------------------------------------------
-# infeasibility certificate
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -282,32 +220,48 @@ class Certificate:
     mass at most 1 everywhere and place full mass on nominated vertices
     whenever some vertex is nominated by everyone.
 
-    ``cancellation_ok`` records that every variable's signed coefficient sums
-    to zero across the system: the transition edges pair every variable term
-    with exactly one other, and each pair's two coefficients cancel.
-    ``certificate_problems`` in ``tests/oracles.py`` checks the same from the
-    composition graphs, with links found by comparing every pair.
-    ``rhs_total`` is the signed multiplicity sum, oriented negative (the
-    alternate orientation is its negation).  Zero is impossible since the
-    total multiplicity is odd.
+    ``checks`` come from one walk over the ``links`` transition edges.
+    unique_partner: every term (composition, block index >= its variable
+    floor) is entered by exactly one edge, as the singleton block j of its
+    source or as block j-1 of its target, and no other block is entered.
+    cancellation: along every edge p --j--> q the two terms' signed
+    coefficients sum to zero.  As every lambda is positive, that holds exactly
+    when the rows have opposite signs (the part count changes by one) and
+    lambda(q) * q_(j-1) = lambda(p); a failing edge's detail names which broke.
+
+    ``cancellation_ok``, both checks passing, means every variable's signed
+    coefficient sums to zero across the system; ``certificate_problems`` in
+    ``tests/oracles.py`` checks the same from the composition graphs.
+    ``rhs_total`` is the signed multiplicity sum, oriented negative
+    (``rhs_alternate`` is its negation); it cannot be zero, since the total
+    multiplicity is odd.
     """
 
     n: int
     rows: tuple[CertificateRow, ...]
     rhs_total: int
-    rhs_alternate: int
     sign_even_parts: int
-    cancellation_ok: bool
+    links: int
+    checks: tuple[StructureCheck, ...]
+
+    @property
+    def cancellation_ok(self) -> bool:
+        return all(c.ok for c in self.checks)
+
+    @property
+    def rhs_alternate(self) -> int:
+        return -self.rhs_total
 
     def multipliers(self) -> tuple[int, ...]:
         return tuple(row.multiplier for row in self.rows)
 
 
 def build_certificate(n: int, cap: int = COMPOSITION_CAP) -> Certificate:
-    """Construct and verify the infeasibility certificate for n >= 2."""
-    comps = list(enumerate_compositions(n, cap))
+    """Construct the infeasibility certificate for n >= 2 and prove it with
+    one walk over the transition edges (``Certificate.checks``)."""
     if n < 2:
         raise ValueError(f"certificate needs n >= 2, got {n}")
+    comps = list(enumerate_compositions(n, cap))
     lams = [lambda_of(p) for p in comps]
     even_total = sum(lam for p, lam in zip(comps, lams) if p.r % 2 == 0)
     odd_total = sum(lam for p, lam in zip(comps, lams) if p.r % 2 == 1)
@@ -327,17 +281,15 @@ def build_certificate(n: int, cap: int = COMPOSITION_CAP) -> Certificate:
 
     def cancel(p: tuple[int, ...], j: int, q: tuple[int, ...]) -> None:
         if mult[p] + mult[q] * q[j - 2] != 0:
-            uncancelled.append((p, j))
+            broken = "same sign" if mult[p] * mult[q] > 0 else f"{abs(mult[q]) * q[j - 2]} != {abs(mult[p])}"
+            uncancelled.append(f"{p} -> {q} (j={j}): {broken}")
 
-    _, problems = _walk(list(mult), cancel)
-    return Certificate(
-        n=n,
-        rows=tuple(rows),
-        rhs_total=rhs_total,
-        rhs_alternate=-rhs_total,
-        sign_even_parts=sign_even,
-        cancellation_ok=not problems and not uncancelled,
+    links, problems = _walk(list(mult), cancel)
+    checks = (
+        StructureCheck("unique_partner", not problems, "; ".join(problems)),
+        StructureCheck("cancellation", not uncancelled, "; ".join(uncancelled)),
     )
+    return Certificate(n, tuple(rows), rhs_total, sign_even, links, checks)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from impsel import (
     sample_stream,
     symmetrized_table,
     validate_thresholds,
-    verify_transition_structure,
 )
 from conftest import graph
 from oracles import count_weak_orders
@@ -205,10 +204,10 @@ def test_c09_transition_structure():
     ok = True
     edge_counts = {}
     for n in range(2, 9):
-        result = verify_transition_structure(n)
-        ok &= result.ok
-        edge_counts[n] = result.edge_count
-    report("c09", ok, f"unique-partner, parity-bipartite and coefficient identity hold; edges {edge_counts}")
+        cert = build_certificate(n)
+        ok &= [c.name for c in cert.checks] == ["unique_partner", "cancellation"] and cert.cancellation_ok
+        edge_counts[n] = cert.links
+    report("c09", ok, f"unique-partner and edge-wise cancellation hold; edges {edge_counts}")
 
 
 def _registry_for(n: int) -> list[MechanismId]:

@@ -515,3 +515,21 @@ def test_weak_unanimity_inheritance():
     # never selects nothing, so the premise fails and the check is vacuous
     report = check_weak_unanimity_inheritance(MechanismId.parse("never"), GraphClassSpec(3, 1))
     assert not report.premise_holds and report.ok
+
+
+@pytest.mark.parametrize("block", [7, 1 << 16])
+def test_weak_unanimity_stars_are_the_graphs_with_a_universal_nominee(monkeypatch, block):
+    monkeypatch.setattr(impsel.audit, "KERNEL_BLOCK", block)
+    counts, seen = impsel.audit._symmetrized_counts, []
+
+    def spy(mid, spec, indices):
+        seen.append(indices.tolist())
+        return counts(mid, spec, indices)
+
+    monkeypatch.setattr(impsel.audit, "_symmetrized_counts", spy)
+    for text, spec in (("max-naive", GraphClassSpec(4, 1)), ("follow:1", GraphClassSpec(3, 1, True)),
+                       ("majority", GraphClassSpec(4))):
+        seen.clear()
+        report = check_weak_unanimity_inheritance(MechanismId.parse(text), spec)
+        stars = [i for i, g in enumerate(enumerate_graphs(spec)) if g.max_indegree == spec.n - 1]
+        assert seen == [stars] and report.graphs_checked == len(stars), (text, spec)

@@ -16,9 +16,7 @@ from impsel import (
     lambda_of,
     reduce_add_inneighbors,
     reduce_add_isolated,
-    transition_target,
     transitions,
-    verify_transition_structure,
 )
 from impsel import partitions
 from conftest import graph
@@ -148,40 +146,72 @@ def test_composition_of_graph_round_trip_and_rejection():
 
 
 def test_transitions_small():
-    assert {(e.source.parts, e.j, e.target.parts) for e in transitions(2)} == {((1, 1), 2, (2,))}
-    assert {(e.source.parts, e.j, e.target.parts) for e in transitions(3)} == {
-        ((1, 1, 1), 2, (2, 1)),
-        ((1, 1, 1), 3, (1, 2)),
-        ((2, 1), 2, (3,)),
-    }
+    assert transitions(2) == [((1, 1), 2, (2,))]
+    assert transitions(3) == [((1, 1, 1), 2, (2, 1)), ((1, 1, 1), 3, (1, 2)), ((2, 1), 2, (3,))]
 
 
 def test_transition_target_rules():
-    assert transition_target(OrderedPartition((1, 1, 1)), 2).parts == (2, 1)
-    assert transition_target(OrderedPartition((1, 1, 1)), 3).parts == (1, 2)
-    with pytest.raises(ValueError):
-        transition_target(OrderedPartition((1, 2)), 2)  # block 2 not a singleton
-    with pytest.raises(ValueError):
-        transition_target(OrderedPartition((1, 1)), 1)
+    assert dict(partitions._merges((1, 1, 1))) == {2: (2, 1), 3: (1, 2)}
+    assert dict(partitions._merges((1, 2))) == {}  # block 2 not a singleton
+    assert dict(partitions._merges((1, 1))) == {2: (2,)}  # block 1 never merges
 
 
 def test_transition_relation_properties():
     for n in range(2, 8):
         edges = transitions(n)
-        pairs = [(e.source.parts, e.target.parts) for e in edges]
+        pairs = [(p, q) for p, _, q in edges]
         assert len(set(pairs)) == len(pairs)  # at most one j per ordered pair
         pair_set = set(pairs)
         for a, b in pairs:
             assert (b, a) not in pair_set  # antisymmetry
-        for e in edges:
-            assert e.source.r == e.target.r + 1
-            assert e.source.parts[e.j - 1] == 1
+        for p, j, q in edges:
+            assert len(p) == len(q) + 1  # bipartite by parity of the part count
+            assert p[j - 1] == 1
+            # coefficient identity: lambda(q) * q_(j-1) = lambda(p) * p_j
+            assert lambda_of(OrderedPartition(q)) * q[j - 2] == lambda_of(OrderedPartition(p)) * p[j - 1]
 
 
 def test_transition_structure_verifies_through_8():
     for n in range(2, 9):
-        report = verify_transition_structure(n)
-        assert report.ok, [c for c in report.checks if not c.ok]
+        cert = build_certificate(n)
+        assert [c.name for c in cert.checks] == ["unique_partner", "cancellation"]
+        assert cert.cancellation_ok, [c for c in cert.checks if not c.ok]
+        assert cert.links == len(transitions(n))
+
+
+def _failed_checks(cert):
+    return {c.name: c.detail for c in cert.checks if not c.ok}
+
+
+def test_certificate_checks_name_the_broken_fact(monkeypatch):
+    lambda_of = partitions.lambda_of
+    with monkeypatch.context() as m:
+        m.setattr(partitions, "lambda_of", lambda p: lambda_of(p) + 2 * (p.parts == (1, 2, 1)))
+        failed = _failed_checks(build_certificate(4))
+    assert list(failed) == ["cancellation"]
+    # (1, 2, 1) is entered by (1, 1, 1, 1) --3--> and leaves by --3--> (1, 3)
+    assert failed["cancellation"] == "(1, 1, 1, 1) -> (1, 2, 1) (j=3): 28 != 24; (1, 2, 1) -> (1, 3) (j=3): 12 != 14"
+
+    merges = partitions._merges
+
+    def dropped(parts):
+        return ((j, q) for j, q in merges(parts) if (parts, j) != ((1, 1, 1, 1), 4))
+
+    with monkeypatch.context() as m:
+        m.setattr(partitions, "_merges", dropped)
+        cert = build_certificate(4)
+        failed = _failed_checks(cert)
+    assert list(failed) == ["unique_partner"] and not cert.cancellation_ok
+    assert cert.links == len(transitions(4)) - 1
+    assert failed["unique_partner"].count("variable blocks") == 2  # (1, 1, 1, 1) and (1, 1, 2)
+
+    def looped(parts):
+        return ((j, parts if (parts, j) == ((1, 1, 1, 1), 4) else q) for j, q in merges(parts))
+
+    with monkeypatch.context() as m:
+        m.setattr(partitions, "_merges", looped)
+        failed = _failed_checks(build_certificate(4))
+    assert failed["cancellation"] == "(1, 1, 1, 1) -> (1, 1, 1, 1) (j=4): same sign"
 
 
 def test_walk_pairs_every_variable_term_once():
@@ -189,7 +219,7 @@ def test_walk_pairs_every_variable_term_once():
     seen = []
     links, problems = partitions._walk(comps, lambda p, j, q: seen.append((p, j, q)))
     assert problems == [] and links == len(seen) == len(transitions(5))
-    assert seen == [(e.source.parts, e.j, e.target.parts) for e in transitions(5)]
+    assert seen == transitions(5)
     # (1, 1, 1, 1, 1) listed twice enters each of its links' blocks twice
     _, problems = partitions._walk(comps + comps[:1], lambda p, j, q: None)
     assert problems and all("entered twice" in problem for problem in problems)
@@ -200,9 +230,9 @@ def test_walk_pairs_every_variable_term_once():
 
 def test_coefficient_identity_examples():
     p = OrderedPartition((1, 1, 1))
-    q = transition_target(p, 2)  # (2, 1)
+    q = OrderedPartition(dict(partitions._merges(p.parts))[2])  # (2, 1)
     assert lambda_of(q) * q.parts[0] == lambda_of(p) * p.parts[1] == 6
-    r = transition_target(q, 2)  # (3,)
+    r = OrderedPartition(dict(partitions._merges(q.parts))[2])  # (3,)
     assert lambda_of(r) * r.parts[0] == lambda_of(q) * q.parts[1] == 3
 
 
@@ -244,7 +274,7 @@ def test_brute_force_links_are_the_transition_edges():
     # the deviator of p --j--> q is the vertex of p's singleton block j
     for n in range(2, 8):
         links = {(frozenset((a, b)), v) for a, b, v in composition_links(n)}
-        moves = {(frozenset((e.source.parts, e.target.parts)), sum(e.source.parts[: e.j - 1]) + 1) for e in transitions(n)}
+        moves = {(frozenset((p, q)), sum(p[: j - 1]) + 1) for p, j, q in transitions(n)}
         assert links == moves, n
 
 
@@ -269,8 +299,8 @@ def test_certificate_oracle_rejects_mutations():
 
 
 def test_certificate_rejects_trivial_n():
-    with pytest.raises(ValueError):
-        build_certificate(1)
+    with pytest.raises(ValueError, match="n >= 2"):
+        build_certificate(1, cap=0)  # refused before the compositions are counted against the cap
 
 
 # ---- reductions ----
