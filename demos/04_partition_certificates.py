@@ -23,10 +23,10 @@ n = 4
 print(f"compositions of {n} and their generated graphs:")
 for p in enumerate_compositions(n):
     g = graph_of_composition(p)
-    print(f"  {str(p.parts):12s} lambda={lambda_of(p):3d}  indegrees={g.indegrees}")
+    print(f"  {str(p):12s} lambda={lambda_of(p):3d}  indegrees={g.indegrees}")
 
 total = fubini(n)
-print(f"\nmultiplicity sum (weak orders on {n} elements): {total.value}, odd={total.odd}")
+print(f"\nmultiplicity sum (weak orders on {n} elements): {total}, odd={total % 2 == 1}")
 
 print(f"\ntransitions (singleton block merges down, one vertex rewrites its edges):")
 for p, j, q in transitions(n):
@@ -36,7 +36,7 @@ cert = build_certificate(n)
 print(f"certificate checks over {cert.links} edges: {[(c.name, c.ok) for c in cert.checks]}")
 print(f"\ncertificate rows (sense is which inequality the row contributes):")
 for row in cert.rows:
-    print(f"  {str(row.composition.parts):12s} {row.sense:13s} multiplier {row.multiplier:+d}")
+    print(f"  {str(row.composition):12s} {row.sense:13s} multiplier {row.multiplier:+d}")
 print(f"signed total {cert.rhs_total} (odd, negative), cancellation_ok={cert.cancellation_ok}")
 print("=> the combined system demands 0 <= " + str(cert.rhs_total) + ", which is absurd")
 

@@ -10,7 +10,6 @@ targets the no-abstention setting.
 from impsel import (
     GraphClassSpec,
     MechanismId,
-    OrderedPartition,
     graph_of_composition,
     reduce_add_inneighbors,
     reduce_add_isolated,
@@ -19,7 +18,7 @@ from impsel import (
 )
 
 # A fixed-tie-break rule is asymmetric; its symmetrization is not.
-graph = graph_of_composition(OrderedPartition((1, 2)))  # 1 nominates 2 and 3, which nominate each other
+graph = graph_of_composition((1, 2))  # 1 nominates 2 and 3, which nominate each other
 print("graph edges:", graph.edges, "indegrees:", graph.indegrees)
 mechanism = resolve(MechanismId.parse("max-naive"))
 print("deterministic rule picks vertex", mechanism(graph))
@@ -27,7 +26,7 @@ symmetric = symmetrize_eval(mechanism, graph)
 print("symmetrized:", [str(symmetric.prob(v)) for v in (1, 2, 3)], "mass", symmetric.mass)
 
 # Isolated padding: a 3-vertex instance living inside G_8(2).
-small = graph_of_composition(OrderedPartition((2, 1)))
+small = graph_of_composition((2, 1))
 padded = reduce_add_isolated(small, 8)
 print("\nisolated padding of", small.edges)
 print("  ->", padded.n, "vertices,", padded.edge_count, "edges, max indegree", padded.max_indegree)

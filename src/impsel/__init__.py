@@ -48,8 +48,6 @@ from .partitions import (
     COMPOSITION_CAP,
     Certificate,
     CertificateRow,
-    FubiniResult,
-    OrderedPartition,
     build_certificate,
     composition_of_graph,
     enumerate_compositions,

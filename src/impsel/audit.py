@@ -532,7 +532,7 @@ def check_weak_unanimity_inheritance(mid: MechanismId, spec: GraphClassSpec) -> 
     """
     _check_symmetrizable(mid, spec)
     mechanism, n = resolve(mid), spec.n
-    block, found = _class_block(spec), []
+    block, found = _class_block(spec), [np.zeros(0, dtype=np.int64)]  # none in an empty class
     for lo, hi in _blocks(0, spec.size):
         found.append(lo + np.flatnonzero((indegree_rows(*block(lo, hi))[:, 1:] == n - 1).any(axis=1)))
     stars = [(i, graph_at_index(spec, i)) for i in np.concatenate(found).tolist()]

@@ -136,6 +136,8 @@ def _cmd_plan(args) -> int:
     if args.kappa is not None or args.c is not None:
         if args.kappa is None or args.c is None:
             raise ValueError("--kappa and --c must be given together")
+        if args.T is not None or args.t is not None:
+            raise ValueError("--kappa/--c plan thresholds and --T/--t validate a pair; give one or the other")
         report = plan_thresholds_general(args.n, args.k, args.kappa, args.c)
     elif args.T is not None or args.t is not None:
         if args.T is None or args.t is None:
@@ -291,15 +293,16 @@ def _cmd_partitions(args) -> int:
     else:
         rows = ((p, lambda_of(p), ()) for p in enumerate_compositions(args.n, args.cap))
     count, total = 1 << (args.n - 1), fubini(args.n)
+    odd = total % 2 == 1
     cells = ("sign", "sense", "multiplier") if args.certificate else ()
     if args.json:
         payload = {
             "n": args.n,
             "compositions": count,
-            "fubini": total.value,
-            "odd": total.odd,
+            "fubini": total,
+            "odd": odd,
             "rows": [
-                {"composition": list(p.parts), "r": p.r, "lambda": lam} | dict(zip(cells, extra))
+                {"composition": list(p), "r": len(p), "lambda": lam} | dict(zip(cells, extra))
                 for p, lam, extra in rows
             ],
         }
@@ -313,7 +316,7 @@ def _cmd_partitions(args) -> int:
             }
         _write_json(payload)
         return 0
-    print(f"compositions of {args.n}: {count}, multiplicity sum {total.value} (odd={total.odd})")
+    print(f"compositions of {args.n}: {count}, multiplicity sum {total} (odd={odd})")
     if args.certificate:
         print(
             f"certificate: rhs_total={cert.rhs_total} (alternate {cert.rhs_alternate}),"
@@ -322,7 +325,7 @@ def _cmd_partitions(args) -> int:
     widths = (5, 13, 11)
     print(f"{'composition':<20} {'r':>3} {'lambda':>10}" + "".join(f" {c:>{w}}" for c, w in zip(cells, widths)))
     for p, lam, extra in rows:
-        print(f"{str(p.parts):<20} {p.r:>3} {lam:>10}" + "".join(f" {c:>{w}}" for c, w in zip(extra, widths)))
+        print(f"{str(p):<20} {len(p):>3} {lam:>10}" + "".join(f" {c:>{w}}" for c, w in zip(extra, widths)))
     return 0
 
 

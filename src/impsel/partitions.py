@@ -1,8 +1,9 @@
 """Ordered-partition graphs, their transition structure, and exact infeasibility
 certificates.
 
-A composition (s_1, ..., s_r) of n generates the graph on consecutive vertex
-blocks where every vertex points to everything in its own and later blocks.
+A composition of n is its tuple of positive parts (s_1, ..., s_r).  It
+generates the graph on consecutive vertex blocks where every vertex points to
+everything in its own and later blocks.
 The number of labeled graphs isomorphic to that generated graph is the
 multinomial n!/prod(s_i!), and the sum of those multiplicities over all 2^(n-1)
 compositions counts weak orders.
@@ -27,55 +28,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 from .graphs import CapExceeded, DirectedGraph
 
 #: Composition streams are refused past this n by default.  There are 2^(n-1)
 #: compositions and a certificate keeps state for each, so memory grows about
 #: 4x per +2 in n: the largest default run, ``impsel partitions --n 20
-#: --certificate --json``, peaks near 0.5 GB (463 MB measured), and n=22
-#: would need about 1.8 GB.
+#: --certificate --json``, peaks near 0.5 GB (427 MB measured), and n=22
+#: would need about 1.7 GB.
 COMPOSITION_CAP = 20
 
 AT_MOST_ONE = "at_most_one"
 AT_LEAST_ONE = "at_least_one"
 
 
-@dataclass(frozen=True)
-class OrderedPartition:
-    """A composition of n: ordered positive parts summing to n."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if not self.parts or any(p < 1 for p in self.parts):
-            raise ValueError(f"parts must be positive integers, got {self.parts}")
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def r(self) -> int:
-        return len(self.parts)
-
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        """Consecutive vertex blocks: block i holds s_i vertices in order."""
-        out = []
-        start = 1
-        for size in self.parts:
-            out.append(tuple(range(start, start + size)))
-            start += size
-        return tuple(out)
-
-    def __repr__(self) -> str:
-        return f"OrderedPartition({self.parts})"
+def _check_parts(parts: tuple[int, ...]) -> None:
+    if not parts or min(parts) < 1:
+        raise ValueError(f"parts must be positive integers, got {parts}")
 
 
-def enumerate_compositions(n: int, cap: int = COMPOSITION_CAP) -> Iterator[OrderedPartition]:
-    """All 2^(n-1) compositions of n, in lexicographic order of the part tuple,
+def enumerate_compositions(n: int, cap: int = COMPOSITION_CAP) -> Iterator[tuple[int, ...]]:
+    """All 2^(n-1) compositions of n as part tuples, in lexicographic order,
     streamed.  n is checked against 1 and `cap` when called, before the first
     composition is asked for."""
     if n < 1:
@@ -91,43 +65,39 @@ def enumerate_compositions(n: int, cap: int = COMPOSITION_CAP) -> Iterator[Order
             for rest in rec(total - first):
                 yield (first,) + rest
 
-    return (OrderedPartition(parts) for parts in rec(n))
+    return rec(n)
 
 
-def lambda_of(p: OrderedPartition) -> int:
+def lambda_of(parts: tuple[int, ...]) -> int:
     """Number of labeled graphs isomorphic to the generated graph: n!/prod(s_i!)."""
-    value = factorial(p.n)
-    for part in p.parts:
+    _check_parts(parts)
+    value = factorial(sum(parts))
+    for part in parts:
         value //= factorial(part)
     return value
 
 
-class FubiniResult(NamedTuple):
-    value: int
-    odd: bool
-
-
-def fubini(n: int) -> FubiniResult:
+def fubini(n: int) -> int:
     """Number of weak orders on n elements, which is the multiplicity sum over
     all compositions of n, by the recurrence a(m) = sum_k C(m, k) a(m - k)
-    (choose the k elements of the top level).  The parity flag is part of the
-    result because the certificate construction hinges on it being odd."""
+    (choose the k elements of the top level).  The certificate construction
+    hinges on it being odd."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     a = [1]
     for m in range(1, n + 1):
         a.append(sum(comb(m, k) * a[m - k] for k in range(1, m + 1)))
-    total = a[n]
-    return FubiniResult(total, total % 2 == 1)
+    return a[n]
 
 
-def graph_of_composition(p: OrderedPartition) -> DirectedGraph:
+def graph_of_composition(parts: tuple[int, ...]) -> DirectedGraph:
     """The generated graph: each vertex points to every other vertex in its own
     or a later block.  Vertex v in block i has indegree (s_1+...+s_i) - 1."""
-    n = p.n
+    _check_parts(parts)
+    n = sum(parts)
     starts = []
     acc = 1
-    for size in p.parts:
+    for size in parts:
         starts.extend([acc] * size)
         acc += size
     outs = tuple(
@@ -183,7 +153,7 @@ def transitions(n: int) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
     """Every transition edge p --j--> q of the compositions of n, as the part
     tuples and block index (p, j, q), in the order ``_walk`` visits them."""
     edges = []
-    _walk([p.parts for p in enumerate_compositions(n)], lambda p, j, q: edges.append((p, j, q)))
+    _walk(list(enumerate_compositions(n)), lambda p, j, q: edges.append((p, j, q)))
     return edges
 
 
@@ -201,10 +171,10 @@ class StructureCheck:
 
 @dataclass(frozen=True)
 class CertificateRow:
-    """One inequality row: the composition's constraint, scaled by its
-    multiplicity and signed by the parity of its part count."""
+    """One inequality row: the constraint of the composition (a part tuple),
+    scaled by its multiplicity and signed by the parity of its part count."""
 
-    composition: OrderedPartition
+    composition: tuple[int, ...]
     lam: int
     sign: int
     sense: str
@@ -263,8 +233,8 @@ def build_certificate(n: int, cap: int = COMPOSITION_CAP) -> Certificate:
         raise ValueError(f"certificate needs n >= 2, got {n}")
     comps = list(enumerate_compositions(n, cap))
     lams = [lambda_of(p) for p in comps]
-    even_total = sum(lam for p, lam in zip(comps, lams) if p.r % 2 == 0)
-    odd_total = sum(lam for p, lam in zip(comps, lams) if p.r % 2 == 1)
+    even_total = sum(lam for p, lam in zip(comps, lams) if len(p) % 2 == 0)
+    odd_total = sum(lam for p, lam in zip(comps, lams) if len(p) % 2 == 1)
     sign_even = 1 if even_total < odd_total else -1
     rhs_total = sign_even * (even_total - odd_total)
     if rhs_total >= 0 or rhs_total % 2 == 0:
@@ -272,11 +242,11 @@ def build_certificate(n: int, cap: int = COMPOSITION_CAP) -> Certificate:
 
     rows = []
     for p, lam in zip(comps, lams):
-        sign = sign_even if p.r % 2 == 0 else -sign_even
+        sign = sign_even if len(p) % 2 == 0 else -sign_even
         rows.append(CertificateRow(p, lam, sign, AT_MOST_ONE if sign > 0 else AT_LEAST_ONE))
 
     # a singleton block's coefficient is its row's multiplier
-    mult = {row.composition.parts: row.multiplier for row in rows}
+    mult = {row.composition: row.multiplier for row in rows}
     uncancelled = []
 
     def cancel(p: tuple[int, ...], j: int, q: tuple[int, ...]) -> None:
@@ -284,7 +254,7 @@ def build_certificate(n: int, cap: int = COMPOSITION_CAP) -> Certificate:
             broken = "same sign" if mult[p] * mult[q] > 0 else f"{abs(mult[q]) * q[j - 2]} != {abs(mult[p])}"
             uncancelled.append(f"{p} -> {q} (j={j}): {broken}")
 
-    links, problems = _walk(list(mult), cancel)
+    links, problems = _walk(comps, cancel)
     checks = (
         StructureCheck("unique_partner", not problems, "; ".join(problems)),
         StructureCheck("cancellation", not uncancelled, "; ".join(uncancelled)),
@@ -297,9 +267,9 @@ def build_certificate(n: int, cap: int = COMPOSITION_CAP) -> Certificate:
 # ---------------------------------------------------------------------------
 
 
-def composition_of_graph(graph: DirectedGraph) -> OrderedPartition | None:
-    """Recover the generating composition, or None if the graph is not
-    composition-generated.  Verified by full reconstruction."""
+def composition_of_graph(graph: DirectedGraph) -> tuple[int, ...] | None:
+    """Recover the generating composition's part tuple, or None if the graph is
+    not composition-generated.  Verified by full reconstruction."""
     parts: list[int] = []
     prev: int | None = None
     for d in graph.indegrees:
@@ -308,7 +278,7 @@ def composition_of_graph(graph: DirectedGraph) -> OrderedPartition | None:
         else:
             parts.append(1)
         prev = d
-    candidate = OrderedPartition(tuple(parts))
+    candidate = tuple(parts)
     if graph_of_composition(candidate) == graph:
         return candidate
     return None

@@ -19,7 +19,6 @@ from impsel import (
     Certificate,
     DirectedGraph,
     GraphClassSpec,
-    OrderedPartition,
     Permutation,
     Violation,
     additive_gap,
@@ -158,13 +157,14 @@ def sampled_gap_by_definition(
     return best_gap, witness, count
 
 
-def _compositions(n: int) -> list[OrderedPartition]:
-    """Every composition of n, one per set of cut points in 1..n-1."""
+def _compositions(n: int) -> list[tuple[int, ...]]:
+    """Every composition of n as its part tuple, one per set of cut points in
+    1..n-1."""
     comps = []
     for k in range(n):
         for cuts in combinations(range(1, n), k):
             bounds = (0, *cuts, n)
-            comps.append(OrderedPartition(tuple(b - a for a, b in zip(bounds, bounds[1:]))))
+            comps.append(tuple(b - a for a, b in zip(bounds, bounds[1:])))
     return comps
 
 
@@ -173,7 +173,7 @@ def composition_links(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...], in
     every pair: (parts a, parts b, v) when the two graphs' out-sets differ at
     vertex v alone, so an impartial rule selects v with the same probability
     in both."""
-    graphs = [(p.parts, graph_of_composition(p).out_sets) for p in _compositions(n)]
+    graphs = [(p, graph_of_composition(p).out_sets) for p in _compositions(n)]
     links = []
     for (a, outs_a), (b, outs_b) in combinations(graphs, 2):
         differ = [v for v in range(1, n + 1) if outs_a[v - 1] != outs_b[v - 1]]
@@ -205,17 +205,20 @@ def certificate_problems(cert: Certificate, links: list[tuple] | None = None) ->
     graphs = {}
     for p in _compositions(n):
         g = graph_of_composition(p)
-        graphs[p.parts] = g
-        for b, block in enumerate(p.blocks(), start=1):
-            block_of.update(((p.parts, v), (p.parts, b)) for v in block)
+        graphs[p] = g
+        start = 1
+        for b, size in enumerate(p, start=1):
+            block = range(start, start + size)  # block b: the next s_b vertices
+            start += size
+            block_of.update(((p, v), (p, b)) for v in block)
             for v in block[:-1]:  # adjacent transpositions generate the block's permutations
                 images = list(range(1, n + 1))
                 images[v - 1], images[v] = v + 1, v
                 if g.relabel(Permutation(tuple(images))) != g:
-                    problems.append(f"{p.parts}: swapping {v} and {v + 1} is not an automorphism")
+                    problems.append(f"{p}: swapping {v} and {v + 1} is not an automorphism")
         if max(g.indegrees) != n - 1:
-            problems.append(f"{p.parts}: nobody is nominated by everybody")
-    if sorted(row.composition.parts for row in cert.rows) != sorted(graphs):
+            problems.append(f"{p}: nobody is nominated by everybody")
+    if sorted(row.composition for row in cert.rows) != sorted(graphs):
         problems.append("certificate rows are not one per composition")
 
     parent = {var: var for var in block_of.values()}
@@ -235,7 +238,7 @@ def certificate_problems(cert: Certificate, links: list[tuple] | None = None) ->
     total: dict = {}
     constant = 0
     for row in cert.rows:
-        parts, m = row.composition.parts, row.multiplier
+        parts, m = row.composition, row.multiplier
         if row.sense == "at_most_one":
             if m < 0:
                 problems.append(f"{parts}: at_most_one row with multiplier {m}")

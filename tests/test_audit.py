@@ -16,6 +16,7 @@ from impsel import (
     Sampled,
     ThresholdPair,
     Violation,
+    WeakUnanimityReport,
     check_impartiality,
     check_trace_invariants,
     check_weak_unanimity_inheritance,
@@ -515,6 +516,11 @@ def test_weak_unanimity_inheritance():
     # never selects nothing, so the premise fails and the check is vacuous
     report = check_weak_unanimity_inheritance(MechanismId.parse("never"), GraphClassSpec(3, 1))
     assert not report.premise_holds and report.ok
+    # G+_1 has no graphs, so it has no star graph either
+    empty = GraphClassSpec(1, None, True)
+    assert symmetrized_table(MechanismId.parse("majority"), empty) == {}
+    report = check_weak_unanimity_inheritance(MechanismId.parse("majority"), empty)
+    assert report == WeakUnanimityReport(True, True, 0)
 
 
 @pytest.mark.parametrize("block", [7, 1 << 16])

@@ -203,8 +203,13 @@ def test_plan_default_is_exact_at_perfect_squares(capsys):
 
 
 def test_plan_rejects_partial_flags(capsys):
-    code, _, err = run_cli(capsys, "plan", "--n", "16", "--kappa", "1")
-    assert code == 2 and "together" in err
+    cases = [
+        (("--kappa", "1"), "together"),
+        (("--k", "5", "--kappa", "0", "--c", "5", "--T", "16", "--t", "10"), "one or the other"),
+    ]
+    for extra, message in cases:
+        code, out, err = run_cli(capsys, "plan", "--n", "16", *extra)
+        assert code == 2 and out == "" and message in err
 
 
 def test_plan_refuses_an_outdegree_bound_below_one(capsys):

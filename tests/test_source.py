@@ -61,3 +61,31 @@ def test_every_import_is_used(path, tracer_hooks):
     lines = text.splitlines()
     for name in sorted(set(imported) - used):
         assert "tracer" in lines[imported[name] - 1], f"{path.name}: {name} is kept for the tracer without a comment"
+
+
+#: Every name ``impsel/__init__.py`` imports, sorted.  A public name that
+#: appears or vanishes changes this list, so the move shows in the diff.
+PUBLIC_API = [
+    "AUDIT_CAP", "COMPOSITION_CAP", "CapExceeded", "Certificate", "CertificateRow", "DeletionTrace",
+    "DirectedGraph", "ENUMERATION_CAP", "Exhaustive", "FACTORIAL_CAP", "GapReport", "GraphClassSpec",
+    "GraphFormatError", "MechanismId", "Permutation", "PlanReport", "ProbabilityVector", "Sampled",
+    "ThresholdPair", "TraceReport", "Violation", "WeakUnanimityReport", "additive_gap", "build_certificate",
+    "check_impartiality", "check_trace_invariants", "check_weak_unanimity_inheritance", "composition_of_graph",
+    "deviations", "enumerate_compositions", "enumerate_graphs", "fubini", "graph_at_index",
+    "graph_of_composition", "kernel_for", "lambda_of", "measure_gap", "parse_graph", "plan_thresholds_general",
+    "plan_thresholds_k1", "reduce_add_inneighbors", "reduce_add_isolated", "resolve", "run_twin_threshold",
+    "sample_graph", "sample_stream", "symmetrize_eval", "symmetrized_table", "transitions",
+    "validate_thresholds",
+]
+
+
+def test_public_api_is_pinned():
+    path = ROOT / "src" / "impsel" / "__init__.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = [
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    ]
+    assert sorted(names) == PUBLIC_API
