@@ -5,14 +5,19 @@ graph and its degree sequence, vertex v's degree at index v-1, as
 ``DirectedGraph.indegrees`` gives it.  ``run_deletion`` sweeps a bucket queue
 of remaining indegrees, so it is linear in n + m up to one sort per level.
 
-The row-wise numpy versions (``*_rows``) run the same rules on a block of
-graphs at once, one graph per row.  A block is a table ``members`` of out-set
-rows, shape (M, n+1), where ``members[i, u]`` is 1 when u is in out-set i
-(column 0 is always 0), and a choice array of shape (B, n): graph b gives
-vertex v the out-set in row ``choice[b, v-1]``.  Degree arrays are (B, n+1)
-with column 0 unused, in the table's dtype.  Results equal the per-graph
-functions' on every row; the per-graph functions are the reference the tests
-compare against.
+The numpy block versions (``*_rows``) run the same rules on a block of B
+graphs at once.  A block is a table ``members`` of out-set rows, shape
+(M, n+1), where ``members[i, u]`` is 1 when u is in out-set i (column 0 is
+always 0), and a choice array of shape (B, n): graph b gives vertex v the
+out-set in row ``choice[b, v-1]``.  Degree arrays are vertex-major, shape
+(n+1, B) with row 0 zero, in the table's dtype, so a reduction across the
+vertices runs elementwise over the B graphs.  Both rules pick the
+greatest-index vertex of largest degree, and both do it with one max per
+step over the key degree*(n+1) + vertex, which orders by degree and then by
+index; a deletion step sends graphs already done to an extra, empty out-set
+column instead of selecting the graphs still running.  Results equal the
+per-graph functions' on every graph; the per-graph functions are the
+reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ def select_top(deg: Sequence[int], threshold: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# row-wise numpy versions: one graph per row
+# block versions: many graphs at once, vertex-major
 # ---------------------------------------------------------------------------
 
 
@@ -96,53 +101,71 @@ def vertex_rows(last: np.ndarray, v: int) -> np.ndarray:
     return rows
 
 
-def out_rows(members: np.ndarray, choice: np.ndarray, v: int) -> np.ndarray:
-    """(B, n+1) membership rows of vertex v's out-set in every graph of the block."""
-    return members[choice[:, v - 1]]
+def out_columns(members: np.ndarray) -> np.ndarray:
+    """(n+1, M+1) vertex-major copy of the (M, n+1) table: column i is out-set
+    row i, and the extra column M is the empty out-set."""
+    cols = np.zeros((members.shape[1], len(members) + 1), members.dtype)
+    cols[:, :-1] = members.T
+    return cols
+
+
+def _key_dtype(n: int) -> np.dtype:
+    """Smallest signed type holding every key of ``run_deletion_rows`` and
+    ``select_top_rows``: they lie in [-(n+1)**2, n*(n+1) - 1]."""
+    return np.min_scalar_type(-((n + 1) ** 2))
 
 
 def indegree_rows(members: np.ndarray, choice: np.ndarray) -> np.ndarray:
-    deg = np.zeros((len(choice), members.shape[1]), members.dtype)
-    for v in range(1, choice.shape[1] + 1):
-        deg += out_rows(members, choice, v)
+    """(n+1, B) indegrees of every graph of the block, row 0 zero, in the table's dtype."""
+    cols = out_columns(members)
+    deg = np.zeros((members.shape[1], len(choice)), members.dtype)
+    for v in range(choice.shape[1]):
+        deg += np.take(cols, choice[:, v], axis=1)
     return deg
 
 
-def _greatest_vertex(hit: np.ndarray) -> np.ndarray:
-    """Per row, the greatest vertex column of the (B, n+1) mask that is set
-    (garbage on rows where none is)."""
-    n = hit.shape[1] - 1
-    return n - np.argmax(hit[:, :0:-1], axis=1)
-
-
 def run_deletion_rows(members: np.ndarray, choice: np.ndarray, t: int) -> np.ndarray:
-    """Final remaining indegrees of ``run_deletion`` on every graph of the block.
+    """(n+1, B) final remaining indegrees of ``run_deletion`` on every graph
+    of the block, row 0 zero, in the table's dtype.
 
     The scalar sweep keeps one invariant: no undeleted vertex has remaining
     indegree above d.  It holds at the start (d is the maximum indegree),
     deletions only lower degrees, and d steps down only when no undeleted
     vertex sits at d.  So the sweep's next deletion is always at the largest
-    undeleted degree, and each block step jumps d there and deletes the
-    greatest-index undeleted vertex at it, on every row where d >= t.  A row
-    deletes each vertex at most once, so a block needs at most n+1 steps.
+    undeleted degree, on its greatest-index vertex.  Vertex u of a graph holds
+    the key deg*(n+1) + u while undeleted and that minus (n+1)**2 once deleted
+    (row 0 counts as deleted), so one max over the vertex axis gives every
+    graph's next deletion at once: d = key // (n+1) and v = key % (n+1).
+    Graphs with d < t are done and subtract the empty out-set column.  A
+    graph still deleting at step k has deleted k-1 vertices, so a block takes
+    at most n steps, and a done graph's top vertex may be marked deleted too:
+    it is never marked twice, and the mark keeps its degree, which is read
+    back as key // (n+1) modulo n+1.
     """
-    deg = indegree_rows(members, choice)
-    live = deg.copy()  # remaining indegree of undeleted vertices, negative elsewhere
-    live[:, 0] = -1
+    n, size = choice.shape[1], len(choice)
+    base, kind = n + 1, _key_dtype(n)
+    step = out_columns(members).astype(kind) * kind.type(base)
+    key = indegree_rows(members, choice).astype(kind) * kind.type(base) + np.arange(base, dtype=kind)[:, None]
+    key[0] = -(base**2)
+    flat, first, empty = choice.ravel(), np.arange(size) * n - 1, len(members)
     while True:
-        d = live.max(axis=1)
-        rows = np.flatnonzero(d >= t)
-        if rows.size == 0:
-            return deg
-        v = _greatest_vertex(live[rows] == d[rows, None])
-        outs = members[choice[rows, v - 1]]
-        deg[rows] -= outs
-        live[rows] -= outs
-        live[rows, v] = -1
+        top = key.max(axis=0)
+        live = top >= t * base
+        if not live.any():
+            deg = key // base  # deg - (n+1) on deleted vertices
+            return (deg + (deg < 0) * kind.type(base)).astype(members.dtype)
+        v = top - top // base * base
+        key -= (key == top) * kind.type(base**2)
+        key -= np.take(step, np.where(live, flat[first + v], empty), axis=1)
 
 
 def select_top_rows(deg: np.ndarray, threshold: int) -> np.ndarray:
-    """``select_top`` on every row: selected vertex in the degrees' dtype, 0 for none."""
-    top = deg[:, 1:].max(axis=1)
-    v = _greatest_vertex(deg == top[:, None])
-    return np.where(top >= threshold, v, 0).astype(deg.dtype)
+    """``select_top`` on every graph of (n+1, B) degrees: selected vertex in
+    the degrees' dtype, 0 for none.  One max over the key deg*(n+1) + u of
+    the vertices u >= 1 gives each graph's top degree and its greatest-index
+    vertex there."""
+    base = len(deg)
+    kind = _key_dtype(base - 1)
+    key = deg[1:].astype(kind) * kind.type(base) + np.arange(1, base, dtype=kind)[:, None]
+    top = key.max(axis=0)
+    return np.where(top >= threshold * base, top - top // base * base, 0).astype(deg.dtype)

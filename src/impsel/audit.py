@@ -169,7 +169,7 @@ def _outcome_chunk(args) -> np.ndarray:
 def _gaps(members: np.ndarray, choice: np.ndarray, selected: np.ndarray) -> np.ndarray:
     """Additive gap of every graph of a block, given the vertex each selects."""
     deg = indegree_rows(members, choice)
-    return deg.max(axis=1) - deg[np.arange(len(choice)), selected]
+    return deg.max(axis=0) - deg[selected, np.arange(len(choice))]
 
 
 def _chunks(size: int, parts: int) -> list[tuple[int, int]]:
@@ -534,7 +534,7 @@ def check_weak_unanimity_inheritance(mid: MechanismId, spec: GraphClassSpec) -> 
     mechanism, n = resolve(mid), spec.n
     block, found = _class_block(spec), [np.zeros(0, dtype=np.int64)]  # none in an empty class
     for lo, hi in _blocks(0, spec.size):
-        found.append(lo + np.flatnonzero((indegree_rows(*block(lo, hi))[:, 1:] == n - 1).any(axis=1)))
+        found.append(lo + np.flatnonzero((indegree_rows(*block(lo, hi))[1:] == n - 1).any(axis=0)))
     stars = [(i, graph_at_index(spec, i)) for i in np.concatenate(found).tolist()]
     for _, g in stars:
         v = mechanism(g)

@@ -36,14 +36,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._deletion import (
-    indegree_rows,
-    out_rows,
-    run_deletion,
-    run_deletion_rows,
-    select_top,
-    select_top_rows,
-)
+from ._deletion import indegree_rows, out_columns, run_deletion, run_deletion_rows, select_top, select_top_rows
 from .graphs import DirectedGraph
 
 Kernel = Callable[[DirectedGraph], int]
@@ -96,7 +89,8 @@ def _twin_kernel(upper: int, lower: int) -> Kernel:
 
 # ---------------------------------------------------------------------------
 # batch kernels: (members (M, n+1), choice (B, n)) -> selected vertex per
-# graph in the members' dtype, 0 for none
+# graph in the members' dtype, 0 for none; they work on vertex-major (n+1, B)
+# degree arrays (see impsel._deletion)
 # ---------------------------------------------------------------------------
 
 
@@ -123,10 +117,11 @@ def _majority_batch(members: np.ndarray, choice: np.ndarray) -> np.ndarray:
 
 def _naive_sim_batch(t: int) -> BatchKernel:
     def kernel(members: np.ndarray, choice: np.ndarray) -> np.ndarray:
-        deg = indegree_rows(members, choice)
+        cols, deg = out_columns(members), indegree_rows(members, choice)
         remaining = deg.copy()
         for v in range(1, choice.shape[1] + 1):
-            remaining -= out_rows(members, choice, v) * (deg[:, v] >= t)[:, None]
+            # a vertex below t deletes the empty out-set, column len(members)
+            remaining -= np.take(cols, np.where(deg[v] >= t, choice[:, v - 1], len(members)), axis=1)
         return select_top_rows(remaining, t + 1)
 
     return kernel

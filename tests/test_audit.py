@@ -27,7 +27,7 @@ from impsel import (
     symmetrize_eval,
     symmetrized_table,
 )
-from impsel._deletion import outset_rows
+from impsel._deletion import outset_rows, run_deletion, run_deletion_rows
 from impsel.audit import FACTORIAL_CAP
 from impsel.graphs import graph_at_index
 from impsel.mechanisms import MECHANISMS, batch_kernel_for, kernel_for
@@ -292,23 +292,50 @@ def test_sampled_audits_match_definition_oracles(monkeypatch, spec, trials, seed
         assert (report.worst_gap, report.witness, report.graphs_checked) == expect, mid.text()
 
 
-def test_batch_kernels_widen_rows_past_int8_vertex_ids():
-    # stars into vertices 128..130 have vertex ids and indegrees above 127
-    n = 130
-    stars = [DirectedGraph.from_edges(n, [(u, c) for u in range(1, n + 1) if u != c]) for c in (128, 129, 130)]
-    stars.append(DirectedGraph.from_edges(n, [(u, 129) for u in range(1, 129)] + [(129, 130), (130, 1)]))
-    texts = ("never", "max-naive", "follow:130", "follow:129", "majority", "naive-iter:100", "naive-sim:100")
-    for text in (*texts, "twin:128,2", "twin:129,129"):
+def _assert_batch_kernels_match_on_stars(n, texts):
+    """Stars into vertices n-2..n, and a graph where 1..n-2 nominate n-1,
+    which nominates n: every mechanism of `texts` has batch kernel == scalar kernel."""
+    stars = [DirectedGraph.from_edges(n, [(u, c) for u in range(1, n + 1) if u != c]) for c in (n - 2, n - 1, n)]
+    stars.append(DirectedGraph.from_edges(n, [(u, n - 1) for u in range(1, n - 1)] + [(n - 1, n), (n, 1)]))
+    for text in texts:
         mid = MechanismId.parse(text)
         for g in stars:
             members = outset_rows(n, g.out_sets)
             got = batch_kernel_for(mid)(members, np.arange(n)[None, :])
             assert got.tolist() == [kernel_for(mid)(g)], text
+
+
+def test_batch_kernels_widen_rows_past_int8_vertex_ids():
+    # stars into vertices 128..130 have vertex ids and indegrees above 127
+    n = 130
+    texts = ("never", "max-naive", "follow:130", "follow:129", "majority", "naive-iter:100", "naive-sim:100")
+    _assert_batch_kernels_match_on_stars(n, (*texts, "twin:128,2", "twin:129,129"))
     spec = GraphClassSpec(n, 1)
     for text in ("max-naive", "twin:20,3"):
         report = measure_gap(MechanismId.parse(text), spec, Sampled(2, 30))
         expect = sampled_gap_by_definition(resolve(MechanismId.parse(text)), spec, 2, 30)
         assert (report.worst_gap, report.witness, report.graphs_checked) == expect
+
+
+def test_batch_kernels_widen_keys_past_int16():
+    # a key is degree*(n+1) + vertex: a star's centre at n=200 keys 199*201 + c > 32767
+    n = 200
+    texts = ("never", "max-naive", "follow:200", "follow:199", "majority", "naive-iter:150", "naive-sim:150")
+    _assert_batch_kernels_match_on_stars(n, (*texts, "twin:198,2", "twin:199,199", "twin:199,1"))
+
+
+@pytest.mark.parametrize("block", [7, 1 << 16])
+def test_deletion_rows_final_degrees_match_run_deletion(monkeypatch, block):
+    monkeypatch.setattr(impsel.audit, "KERNEL_BLOCK", block)
+    for spec in (GraphClassSpec(1), GraphClassSpec(2, 1), GraphClassSpec(5, 1), GraphClassSpec(4, 2), GraphClassSpec(4, 3, True)):
+        n, make = spec.n, impsel.audit._class_block(spec)
+        graphs = list(enumerate_graphs(spec))
+        for t in range(1, max(n, 2)):
+            for lo, hi in impsel.audit._blocks(0, spec.size):
+                deg = run_deletion_rows(*make(lo, hi), t)
+                assert deg.shape == (n + 1, hi - lo) and not deg[0].any()
+                expect = [run_deletion(g, t)[0] for g in graphs[lo:hi]]
+                assert deg[1:].T.tolist() == expect, (spec.describe(), t, lo)
 
 
 def test_sampled_impartiality_refuses_long_deviation_lines_before_sampling(monkeypatch):
