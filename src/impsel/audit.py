@@ -6,12 +6,17 @@ must leave the vertex's selection status unchanged.  Every audit evaluates
 the mechanism with its batch kernel, in blocks of at most ``KERNEL_BLOCK``
 graphs, so no Python runs per graph and memory is bounded by the block.
 Exhaustive mode fills an outcome table, the selected vertex of every graph of
-a class; only that kernel pass is split across worker processes, and the
-scans for violating deviation pairs and gaps are whole-table numpy.  Sampled
+a class (for gap audits, its additive gap, computed from the same block the
+kernel ran on); only that kernel pass is split across worker processes, and
+the scan for violating deviation pairs is whole-table numpy that walks only
+the deviation lines whose "v is selected" flags are mixed.  Sampled
 impartiality audits evaluate each seeded base graph's n deviation lines (v's
 out-set swept, the rest fixed) and compare every graph on them with the base
-graph; sampled gap audits stack the samples into blocks.  Each witness graph
-is built once however many violations it is part of.
+graph; sampled gap audits stack the samples into blocks.  Witnesses are
+serialized before any graph is built, from their out-set ranks (the digits of
+a class index, or a sampled rank tuple), and are ordered by that text; each
+witness graph is then built once however many violations it is part of, and
+keeps its text.
 
 Worst additive gaps are measured in the same two modes, trace invariants are
 re-derived from recorded deletion traces, and a class's symmetrization (the
@@ -26,7 +31,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import islice, repeat
 from math import factorial
 from typing import Callable, Iterator, Union
@@ -39,6 +44,7 @@ from .graphs import (
     DirectedGraph,
     GraphClassSpec,
     Permutation,
+    _with_text,
     deviations,  # bound only for the bench tracer, which wraps it here
     digit_block,
     enumerate_graphs,
@@ -124,9 +130,9 @@ class Violation:
         a, b, v = self.graph_a, self.graph_b, self.deviator
         if a.n != b.n or not 1 <= v <= a.n:
             raise ValueError("violation graphs must share a vertex set containing the deviator")
-        for u in range(1, a.n + 1):
-            if u != v and a.out_sets[u - 1] != b.out_sets[u - 1]:
-                raise ValueError(f"graphs differ in the outgoing edges of {u}, not just of {v}")
+        if a.out_sets[: v - 1] != b.out_sets[: v - 1] or a.out_sets[v:] != b.out_sets[v:]:
+            u = next(u for u in range(1, a.n + 1) if u != v and a.out_sets[u - 1] != b.out_sets[u - 1])
+            raise ValueError(f"graphs differ in the outgoing edges of {u}, not just of {v}")
         if self.selected_a == self.selected_b:
             raise ValueError("not a violation: selection status agrees")
 
@@ -159,11 +165,14 @@ def _class_block(spec: GraphClassSpec) -> Callable[[int, int], tuple[np.ndarray,
     return lambda lo, hi: (members, digit_block(spec, np.arange(lo, hi)) + offsets)
 
 
-def _outcome_chunk(args) -> np.ndarray:
-    """Selected vertex (0 for none) of every graph with index in [start, end)."""
+def _outcome_chunk(args, score: Callable | None = None) -> np.ndarray:
+    """Selected vertex (0 for none) of every graph with index in [start, end),
+    or score(members, choice, selected) of each block when given, computed
+    from the block the kernel ran on."""
     mid, spec, start, end = args
     kern, block = batch_kernel_for(mid), _class_block(spec)
-    return np.concatenate([kern(*block(lo, hi)) for lo, hi in _blocks(start, end)])
+    run = kern if score is None else lambda members, choice: score(members, choice, kern(members, choice))
+    return np.concatenate([run(*block(lo, hi)) for lo, hi in _blocks(start, end)])
 
 
 def _gaps(members: np.ndarray, choice: np.ndarray, selected: np.ndarray) -> np.ndarray:
@@ -192,17 +201,18 @@ def _check_exhaustive_pre(spec: GraphClassSpec, cap: int) -> int:
     return size
 
 
-def _outcome_table(mid: MechanismId, spec: GraphClassSpec, jobs: int) -> np.ndarray:
+def _outcome_table(mid: MechanismId, spec: GraphClassSpec, jobs: int, score: Callable | None = None) -> np.ndarray:
     """Entry i is the vertex selected (0 for none) on the i-th graph of a
-    non-empty class.  This kernel pass is the only work split across worker
-    processes, one chunk of the class each; they receive index ranges, never
-    the table."""
+    non-empty class, or its score as ``_outcome_chunk`` says.  This kernel
+    pass is the only work split across worker processes, one chunk of the
+    class each; they receive index ranges, never the table."""
     workers = _worker_count(jobs, spec.size)
     args = [(mid, spec, lo, hi) for lo, hi in _chunks(spec.size, workers)]
+    chunk = partial(_outcome_chunk, score=score)
     if workers == 1:
-        return _outcome_chunk(args[0])
+        return chunk(args[0])
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(_outcome_chunk, args)))
+        return np.concatenate(list(pool.map(chunk, args)))
 
 
 def _violating_pairs(table: np.ndarray, n: int, radix: int) -> Iterator[tuple[int, int, int, bool, bool]]:
@@ -211,17 +221,20 @@ def _violating_pairs(table: np.ndarray, n: int, radix: int) -> Iterator[tuple[in
 
     Indices that differ only in vertex v's digit form a line along axis 1 of
     the (R**(v-1), R, R**(n-v)) reshape, R = radix.  Digits d1 < d2 on a line
-    whose "v is selected" flags differ are one violation.
+    whose "v is selected" flags differ are one violation, so only the lines
+    whose flags are mixed are walked, in the order of the full walk.
     """
     for v in range(1, n + 1):
         stride = radix ** (n - v)
         flags = (table == v).reshape(-1, radix, stride)
+        heads, tails = np.nonzero(flags.any(axis=1) & ~flags.all(axis=1))
+        lines = flags[heads, :, tails]  # (mixed lines, R)
         for d1 in range(radix - 1):
             for d2 in range(d1 + 1, radix):
-                head, tail = np.nonzero(flags[:, d1] != flags[:, d2])
+                j = np.flatnonzero(lines[:, d1] != lines[:, d2])
+                head, tail, selected_a = heads[j], tails[j], lines[j, d1]
                 index_a = (head * radix + d1) * stride + tail
                 index_b = index_a + (d2 - d1) * stride
-                selected_a = flags[head, d1, tail]
                 yield from zip(index_a.tolist(), index_b.tolist(), repeat(v), selected_a.tolist(), (~selected_a).tolist())
 
 
@@ -233,26 +246,36 @@ def check_impartiality(mid: MechanismId, spec: GraphClassSpec, mode: AuditMode =
     """
     mid.validate_for(spec.n)
     if isinstance(mode, Sampled):
-        return _violations(_sampled_pairs(mid, spec, mode), partial(graph_of_ranks, spec))
+        return _violations(spec, _sampled_pairs(mid, spec, mode), lambda keys: keys, partial(graph_of_ranks, spec))
     if _check_exhaustive_pre(spec, mode.cap) == 0:
         return []
     pairs = list(_violating_pairs(_outcome_table(mid, spec, mode.jobs), spec.n, spec.outset_count))
-    return _violations(pairs, partial(graph_at_index, spec))
+    return _violations(spec, pairs, lambda keys: digit_block(spec, np.array(keys, dtype=np.int64)).tolist(),
+                       partial(graph_at_index, spec))
 
 
-def _violations(pairs: list[tuple], build: Callable[..., DirectedGraph]) -> list[Violation]:
+def _violations(spec: GraphClassSpec, pairs: list[tuple], ranks: Callable[[list], list],
+                build: Callable[..., DirectedGraph]) -> list[Violation]:
     """Violations of (a, b, deviator, selected_a, selected_b) pairs, the graph
-    with the smaller serialization first, in canonical order; build(a) makes
-    each witness graph, once."""
-    graphs = {x: build(x) for x in {x for pair in pairs for x in pair[:2]}}
-    violations = []
+    with the smaller serialization first, in canonical order.
+
+    Witnesses are serialized before any graph is built: ranks(keys) gives the
+    out-set ranks of each witness key, vertex 1 first, and a witness's text is
+    the header and one memoized edge-line fragment per (vertex, rank), in the
+    canonical (u, v) edge order.  build(key) then makes each witness graph
+    once, and it keeps that text.
+    """
+    keys = list({x for pair in pairs for x in pair[:2]})
+    fragment = cache(lambda v, rank: "".join(f"e {v} {u}\n" for u in spec.outset_at(v, rank)))
+    head, vertices = f"n {spec.n}\n", range(1, spec.n + 1)
+    texts = {x: head + "".join(map(fragment, vertices, row)) for x, row in zip(keys, ranks(keys))}
+    order = []
     for a, b, v, sel_a, sel_b in pairs:
-        a, b = graphs[a], graphs[b]
-        if b.serialize() < a.serialize():
-            a, b, sel_a, sel_b = b, a, sel_b, sel_a
-        violations.append(Violation(a, b, v, sel_a, sel_b))
-    violations.sort(key=lambda w: (w.graph_a.serialize(), w.graph_b.serialize(), w.deviator))
-    return violations
+        text_a, text_b = texts[a], texts[b]
+        order.append((text_b, text_a, v, b, a, sel_b, sel_a) if text_b < text_a else (text_a, text_b, v, a, b, sel_a, sel_b))
+    order.sort()  # (text_a, text_b, deviator) is unique, so no tie reaches the keys
+    graphs = {x: _with_text(build(x), text) for x, text in texts.items()}
+    return [Violation(graphs[a], graphs[b], v, sel_a, sel_b) for _, _, v, a, b, sel_a, sel_b in order]
 
 
 def _line_outcomes(kern, last: np.ndarray, fixed: np.ndarray, v: int) -> np.ndarray:
@@ -317,8 +340,7 @@ def measure_gap(mid: MechanismId, spec: GraphClassSpec, mode: AuditMode = Exhaus
         size = _check_exhaustive_pre(spec, mode.cap)
         if size == 0:
             raise ValueError(f"class {spec.describe()} is empty, no gap to measure")
-        table, block = _outcome_table(mid, spec, mode.jobs), _class_block(spec)
-        gaps = np.concatenate([_gaps(*block(lo, hi), table[lo:hi]) for lo, hi in _blocks(0, size)])
+        gaps = _outcome_table(mid, spec, mode.jobs, score=_gaps)
         best_idx = int(np.argmax(gaps))  # the first maximum: the smallest index
         report = GapReport(int(gaps[best_idx]), graph_at_index(spec, best_idx), size, mode.describe())
     check = additive_gap(report.witness, resolve(mid)(report.witness))

@@ -11,20 +11,22 @@ One binary, five subcommands:
 Exit codes: 0 success, 1 an audit found violations (or failed trace checks),
 2 usage or input errors, 141 (128 + SIGPIPE) stdout closed before the output
 was written, as in ``impsel partitions --n 12 | head -1``; nothing more is
-printed then.  With --json every report is a single JSON document, written
-to stdout while it is encoded, so a report's memory is that of its data, not
-of its text; output is deterministic for deterministic inputs and independent
-of --jobs.
+printed then.  With --json every report is a single JSON document, byte for
+byte what ``json.dumps(report, indent=2)`` gives, written to stdout in blocks
+while it is rendered; the witness list of an audit and the rows of
+``partitions`` are generators whose dicts are made as they are written, so a
+report's memory is that of its data, not of its text.  Output is
+deterministic for deterministic inputs and independent of --jobs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
-from itertools import islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .audit import (
@@ -57,18 +59,94 @@ from .twin_threshold import (
 )
 
 
-#: Encoder chunks joined per stdout write: one write per chunk is slow, one
-#: write of the whole document holds the report's text in memory at once.
-JSON_BATCH = 1 << 14
+#: Writers of the JSON scalars, by exact type: json's C string escaper, the
+#: repr of int and the three literals.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _render(value, indent: str, out: list[str]) -> None:
+    """Append ``json.dumps(value, indent=2)``, nested at `indent`, to `out` in
+    pieces.  Dicts with str keys, lists and iterators (as arrays), str, int,
+    bool and None are written; any other type, subclasses of these scalars
+    included, raises ``TypeError``."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        out.append(scalar(value))
+        return
+    inner = indent + "  "
+    if isinstance(value, dict):
+        sep, comma = "{\n" + inner, ",\n" + inner
+        for key, item in value.items():
+            scalar = _SCALARS.get(type(item))  # inline, as most values are scalars
+            if scalar is None:
+                out.append(f"{sep}{encode_basestring_ascii(key)}: ")  # a key that is no str raises
+                _render(item, inner, out)
+            else:
+                out.append(f"{sep}{encode_basestring_ascii(key)}: {scalar(item)}")
+            sep = comma
+        out.append("{}" if sep[0] == "{" else f"\n{indent}}}")
+    elif isinstance(value, (list, Iterator)):
+        sep, comma = "[\n" + inner, ",\n" + inner
+        for item in value:
+            out.append(sep)
+            _render(item, inner, out)
+            sep = comma
+        out.append("[]" if sep[0] == "[" else f"\n{indent}]")
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} as JSON")
+
+
+#: Characters of JSON text collected per stdout write.  The number of writes
+#: then does not depend on how stdout is buffered (under PYTHONUNBUFFERED each
+#: write is a system call), and the text held at once stays this small.
+_WRITE_BLOCK = 1 << 16
 
 
 def _write_json(payload: dict) -> None:
-    """Write ``json.dumps(payload, indent=2)`` and a newline to stdout as it is
-    encoded, ``JSON_BATCH`` chunks at a time."""
-    chunks = json.JSONEncoder(indent=2).iterencode(payload)
-    while batch := list(islice(chunks, JSON_BATCH)):
-        sys.stdout.write("".join(batch))
-    sys.stdout.write("\n")
+    """Write ``json.dumps(payload, indent=2)`` and a newline to stdout while
+    it is rendered.  Each element of a list or iterator among the payload's
+    values is rendered and joined on its own, and the text goes out in blocks
+    of about ``_WRITE_BLOCK`` characters, so a report never holds its whole
+    text, and a generator's elements are made only as they are written."""
+    pending: list[str] = []
+    size = 0
+
+    def write(text: str) -> None:
+        nonlocal size
+        pending.append(text)
+        size += len(text)
+        if size >= _WRITE_BLOCK:
+            sys.stdout.write("".join(pending))
+            pending.clear()
+            size = 0
+
+    sep = "{\n  "
+    for key, value in payload.items():
+        write(f"{sep}{encode_basestring_ascii(key)}: ")
+        sep = ",\n  "
+        if not isinstance(value, (list, Iterator)):
+            out: list[str] = []
+            _render(value, "  ", out)
+            write("".join(out))
+            continue
+        head = "[\n    "
+        for item in value:
+            scalar = _SCALARS.get(type(item))
+            if scalar is None:
+                out = [head]
+                _render(item, "    ", out)
+                write("".join(out))
+            else:
+                write(head + scalar(item))
+            head = ",\n    "
+        write("[]" if head[0] == "[" else "\n  ]")
+    pending.append("{}\n" if sep[0] == "{" else "\n}\n")
+    sys.stdout.write("".join(pending))
 
 
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
@@ -201,7 +279,7 @@ def _cmd_audit(args) -> int:
             "class": spec.describe(),
             "mode": mode.describe(),
             "violation_count": len(violations),
-            "violations": [
+            "violations": (
                 {
                     "deviator": w.deviator,
                     "selected_a": w.selected_a,
@@ -210,7 +288,7 @@ def _cmd_audit(args) -> int:
                     "graph_b": w.graph_b.serialize(),
                 }
                 for w in violations
-            ],
+            ),
         }
         lines = [
             f"impartiality audit of {mid.text()} on {spec.describe()} ({mode.describe()})",
@@ -301,10 +379,10 @@ def _cmd_partitions(args) -> int:
             "compositions": count,
             "fubini": total,
             "odd": odd,
-            "rows": [
+            "rows": (
                 {"composition": list(p), "r": len(p), "lambda": lam} | dict(zip(cells, extra))
                 for p, lam, extra in rows
-            ],
+            ),
         }
         if args.certificate:
             payload["certificate"] = {
@@ -390,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     partitions = sub.add_parser("partitions", help="composition table and certificate")
     partitions.add_argument("--n", type=int, required=True)
     partitions.add_argument("--certificate", action="store_true")
-    cap_help = "largest n accepted (default %(default)s; memory doubles with n: --certificate --json at 20 needs ~0.5 GB)"
+    cap_help = "largest n accepted (default %(default)s; memory doubles with n: --certificate at 20 needs ~0.3 GB)"
     partitions.add_argument("--cap", type=int, default=COMPOSITION_CAP, help=cap_help)
     partitions.add_argument("--json", action="store_true")
     partitions.set_defaults(func=_cmd_partitions)

@@ -174,6 +174,14 @@ class DirectedGraph:
         return f"DirectedGraph(n={self.n}, edges={list(self.edges)})"
 
 
+def _with_text(graph: DirectedGraph, text: str) -> DirectedGraph:
+    """`graph`, whose ``serialize()`` returns `text` from now on without
+    computing it.  The caller vouches that `text` is the graph's canonical
+    form (audits write it from the out-set ranks the graph was built from)."""
+    graph.__dict__["_text"] = text  # where the cached property keeps it
+    return graph
+
+
 @dataclass(frozen=True)
 class Permutation:
     """Bijection on 1..n, given by the image tuple (images[v-1] = image of v)."""

@@ -34,9 +34,9 @@ from .graphs import CapExceeded, DirectedGraph
 
 #: Composition streams are refused past this n by default.  There are 2^(n-1)
 #: compositions and a certificate keeps state for each, so memory grows about
-#: 4x per +2 in n: the largest default run, ``impsel partitions --n 20
-#: --certificate --json``, peaks near 0.5 GB (427 MB measured), and n=22
-#: would need about 1.7 GB.
+#: 3x per +2 in n: the largest default run, ``impsel partitions --n 20
+#: --certificate --json``, peaks near 0.3 GB (279 MB measured), and n=22
+#: would need about 0.9 GB (extrapolated).
 COMPOSITION_CAP = 20
 
 AT_MOST_ONE = "at_most_one"

@@ -4,9 +4,10 @@ These deliberately avoid the library's own counting and scanning shortcuts:
 weak orders are counted by enumerating level maps, isomorphism multiplicities
 by relabeling, impartiality violations by literally comparing mechanism runs
 across deviation pairs of graph objects, additive gaps by counting indegrees
-graph by graph, and the iterated deletion by rescanning every vertex at each
-step of the sweep.  The sampled oracles run the same per-graph loops
-over the graphs ``sample_stream`` draws.  Infeasibility certificates are
+graph by graph, the iterated deletion by rescanning every vertex at each step
+of the sweep, and the violating pairs of an outcome table by walking every
+line of it.  The sampled oracles run the same per-graph loops over the graphs
+``sample_stream`` draws.  Infeasibility certificates are
 checked against an inequality system written from the composition graphs,
 with impartiality links found by comparing every pair of graphs.
 """
@@ -14,6 +15,8 @@ with impartiality links found by comparing every pair of graphs.
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
+
+import numpy as np
 
 from impsel import (
     Certificate,
@@ -138,8 +141,38 @@ def sampled_violations_by_definition(mechanism, spec: GraphClassSpec, seed: int,
                     violations.append(Violation(other, base, v, there, here))
                 else:
                     violations.append(Violation(base, other, v, here, there))
-    violations.sort(key=lambda w: (w.graph_a.serialize(), w.graph_b.serialize(), w.deviator))
-    return violations
+    return canonical_order(violations)
+
+
+def fresh_text(graph: DirectedGraph) -> str:
+    """The serialization of a newly built copy of `graph`, computed from its
+    out-sets whatever text the graph itself carries."""
+    return DirectedGraph(graph.n, graph.out_sets).serialize()
+
+
+def canonical_order(violations: list[Violation]) -> list[Violation]:
+    """Violations sorted by (graph_a, graph_b) serializations, each computed
+    afresh, then deviator: the order every audit reports."""
+    return sorted(violations, key=lambda w: (fresh_text(w.graph_a), fresh_text(w.graph_b), w.deviator))
+
+
+def violating_pairs_by_full_scan(table: np.ndarray, n: int, radix: int) -> list[tuple]:
+    """(index_a, index_b, deviator, selected_a, selected_b) of every violating
+    deviation pair of an outcome table, walking every line of every vertex:
+    for each v, each digit pair d1 < d2 of v, and each line in index order,
+    the pair is kept when the two "v is selected" flags differ."""
+    pairs = []
+    for v in range(1, n + 1):
+        stride = radix ** (n - v)
+        flags = (table == v).reshape(-1, radix, stride)
+        for d1 in range(radix - 1):
+            for d2 in range(d1 + 1, radix):
+                head, tail = np.nonzero(flags[:, d1] != flags[:, d2])
+                for h, t in zip(head.tolist(), tail.tolist()):
+                    index_a = (h * radix + d1) * stride + t
+                    selected_a = bool(flags[h, d1, t])
+                    pairs.append((index_a, index_a + (d2 - d1) * stride, v, selected_a, not selected_a))
+    return pairs
 
 
 def sampled_gap_by_definition(

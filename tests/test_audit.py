@@ -33,9 +33,12 @@ from impsel.graphs import graph_at_index
 from impsel.mechanisms import MECHANISMS, batch_kernel_for, kernel_for
 from conftest import graph
 from oracles import (
+    canonical_order,
+    fresh_text,
     gap_by_definition,
     sampled_gap_by_definition,
     sampled_violations_by_definition,
+    violating_pairs_by_full_scan,
     violations_by_definition,
 )
 
@@ -249,6 +252,62 @@ def test_each_witness_graph_is_unranked_once(monkeypatch):
     witnesses = {w.graph_a.key for w in violations} | {w.graph_b.key for w in violations}
     assert violations and len(unranked) == len(set(unranked)) == len(witnesses)
     assert {unrank(spec, i).key for i in unranked} == witnesses
+
+
+@pytest.mark.parametrize(
+    "text, spec",
+    [
+        ("max-naive", GraphClassSpec(6, 1)),
+        ("twin:2,1", GraphClassSpec(6, 1)),
+        ("naive-sim:1", GraphClassSpec(4, 2, True)),
+        ("twin:4,1", GraphClassSpec(6, 1)),  # certified: no violation
+    ],
+    ids=lambda x: x.describe() if isinstance(x, GraphClassSpec) else x,
+)
+def test_violation_scan_walks_only_mixed_lines_in_full_scan_order(text, spec):
+    table = impsel.audit._outcome_table(MechanismId.parse(text), spec, 1)
+    got = list(impsel.audit._violating_pairs(table, spec.n, spec.outset_count))
+    assert got == violating_pairs_by_full_scan(table, spec.n, spec.outset_count)
+    assert (len(got) == 0) == (text == "twin:4,1")
+
+
+@pytest.mark.parametrize(
+    "spec, mode",
+    [
+        (GraphClassSpec(4, 1), Exhaustive()),
+        (GraphClassSpec(4, 2, True), Exhaustive()),
+        (GraphClassSpec(3, None), Exhaustive()),
+        (GraphClassSpec(5, 2), Sampled(seed=3, trials=6)),
+    ],
+    ids=lambda x: x.describe(),
+)
+def test_witness_texts_are_their_graphs_serializations(spec, mode):
+    # each witness carries the text written from its out-set ranks; it must
+    # be what a newly built copy serializes to, and order the report
+    for text in ("max-naive", "naive-sim:1", "naive-iter:1"):
+        violations = check_impartiality(MechanismId.parse(text), spec, mode)
+        assert violations, (text, spec.describe())
+        for w in violations:
+            assert w.graph_a.serialize() == fresh_text(w.graph_a) < w.graph_b.serialize() == fresh_text(w.graph_b)
+        assert violations == canonical_order(violations), (text, spec.describe())
+
+
+def test_exhaustive_gap_builds_each_block_once(monkeypatch):
+    # the kernel pass computes the gaps from the blocks it evaluates, so the
+    # class's digits are computed once per block: 5 blocks of G_4(1)'s 256 graphs
+    calls = []
+    digits = impsel.audit.digit_block
+
+    def counting(spec, indices):
+        calls.append(len(indices))
+        return digits(spec, indices)
+
+    monkeypatch.setattr(impsel.audit, "KERNEL_BLOCK", 60)
+    monkeypatch.setattr(impsel.audit, "digit_block", counting)
+    mid, spec = MechanismId.parse("majority"), GraphClassSpec(4, 1)
+    report = measure_gap(mid, spec)
+    assert calls == [60, 60, 60, 60, 16]
+    assert (report.worst_gap, report.witness) == gap_by_definition(resolve(mid), spec)
 
 
 def test_worker_count_reads_cpu_affinity(monkeypatch):

@@ -3,12 +3,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import impsel.cli
 from impsel import COMPOSITION_CAP, GraphClassSpec
-from impsel.cli import JSON_BATCH, _emit, build_parser, main
+from impsel.cli import _write_json, build_parser, main
 from impsel.graphs import sample_graph
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -136,22 +139,93 @@ def test_closed_stdout_mid_json_report_exits_141_quietly():
     assert err == b""
 
 
-def test_json_reports_are_streamed_in_batches(monkeypatch):
-    # enough encoder chunks for several batches: one write per batch and one
-    # for the newline, and joined they are the one-shot document
-    payload = {"rows": [{"i": i, "pair": [i, str(i)]} for i in range(4000)], "count": 4000}
-    chunks = len(list(json.JSONEncoder(indent=2).iterencode(payload)))
-    assert chunks > 2 * JSON_BATCH
-    writes = []
+class Recorder:
+    """A stand-in stdout that keeps every write."""
 
-    class Recorder:
-        def write(self, text):
-            writes.append(text)
+    def __init__(self):
+        self.writes = []
 
-    monkeypatch.setattr(sys, "stdout", Recorder())
-    _emit(payload, True, [])
-    assert len(writes) == -(-chunks // JSON_BATCH) + 1 and writes[-1] == "\n"
-    assert "".join(writes) == json.dumps(payload, indent=2) + "\n"
+    def write(self, text):
+        self.writes.append(text)
+
+
+def written(monkeypatch, payload) -> list[str]:
+    recorder = Recorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    _write_json(payload)
+    monkeypatch.undo()
+    return recorder.writes
+
+
+# payload makers: the writer and json.dumps each get a fresh payload, the
+# latter with every generator turned into a list
+WRITER_CASES = {
+    "nested": lambda: {"a": {"b": [1, [2, {"c": [[]]}], {}], "d": {"e": None}}, "f": [{"g": [True]}]},
+    "empty": lambda: {"list": [], "dict": {}, "generator": (x for x in ())},
+    "no-keys": lambda: {},
+    "strings": lambda: {"s": ["line\nbreak", 'quote "', "back\\slash", "caf\u00e9 \u2603 \U0001f600", ""]},
+    "ints": lambda: {"big": [2**64 + 1, -(2**70), 0], "n": 2**64},
+    "literals": lambda: {"t": True, "f": False, "none": None, "in-list": [True, False, None]},
+    "generator": lambda: {"rows": ({"i": i, "pair": [i, str(i)]} for i in range(5)), "after": 1},
+}
+
+
+def _as_lists(value):
+    if isinstance(value, dict):
+        return {k: _as_lists(v) for k, v in value.items()}
+    if isinstance(value, list) or hasattr(value, "__next__"):
+        return [_as_lists(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("make", WRITER_CASES.values(), ids=WRITER_CASES.keys())
+def test_json_writer_matches_json_dumps(monkeypatch, make):
+    assert "".join(written(monkeypatch, make())) == json.dumps(_as_lists(make()), indent=2) + "\n"
+
+
+def test_json_writer_streams_generators_in_blocks(monkeypatch):
+    # 200 rows of about 1 kB: several writes of at most one block plus one
+    # row, and the last rows are made after the first writes went out
+    recorder, made_after = Recorder(), []
+
+    def rows():
+        for i in range(200):
+            made_after.append(len(recorder.writes))
+            yield {"i": i, "text": "x" * 1000}
+
+    monkeypatch.setattr(sys, "stdout", recorder)
+    _write_json({"rows": rows(), "count": 200})
+    monkeypatch.undo()
+    expect = json.dumps({"rows": list(rows()), "count": 200}, indent=2) + "\n"
+    assert "".join(recorder.writes) == expect
+    assert len(recorder.writes) > 2 and max(map(len, recorder.writes)) < impsel.cli._WRITE_BLOCK + 1100
+    assert made_after[-1] >= len(recorder.writes) - 1
+
+
+@pytest.mark.parametrize("value", [1.5, Fraction(1, 2), np.int64(3)], ids=["float", "Fraction", "int64"])
+def test_json_writer_refuses_other_types(monkeypatch, value):
+    for payload in ({"x": value}, {"rows": [value]}, {"rows": [{"x": [value]}]}):
+        with pytest.raises(TypeError):
+            written(monkeypatch, payload)
+
+
+JSON_COMMANDS = {
+    "run-trace": ("run", "--graph", "{star5}", "--T", "3", "--t", "2", "--trace"),
+    "plan": ("plan", "--n", "12", "--k", "3"),
+    "impartiality": ("audit", "impartiality", "--mechanism", "max-naive", "--n", "4", "--k", "1", "--exhaustive"),
+    "impartiality-sampled": ("audit", "impartiality", "--mechanism", "max-naive", "--n", "5", "--k", "2",
+                             "--samples", "3", "--seed", "1"),
+    "gap": ("audit", "gap", "--mechanism", "majority", "--n", "4", "--k", "1", "--exhaustive"),
+    "trace": ("audit", "trace", "--n", "8", "--k", "2", "--samples", "5", "--seed", "1"),
+    "partitions": ("partitions", "--n", "5"),
+    "partitions-certificate": ("partitions", "--n", "5", "--certificate"),
+}
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS.values(), ids=JSON_COMMANDS.keys())
+def test_json_reports_are_what_json_dumps_writes(capsys, star5, argv):
+    code, out, _ = run_cli(capsys, *(a.format(star5=star5) for a in argv), "--json")
+    assert code in (0, 1) and out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_run_bad_graph_file_reports_line(capsys, tmp_path):
