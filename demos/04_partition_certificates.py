@@ -3,11 +3,12 @@
 Each composition of n generates a graph on consecutive blocks; the certificate
 combines one inequality per composition (selection mass at most 1, or at least
 1 when a vertex is nominated by everyone) with signed multinomial weights.
-One walk over the transition edges (a singleton block merging into its left
-neighbor) proves that every variable term has exactly one partner and that
-each pair cancels, while the constants sum to an odd negative number, so no
-selection rule can satisfy all rows: full mass under a universal nominee is
-incompatible with never influencing one's own selection.
+One pass over the compositions and their transition edges (a singleton block
+merging into its left neighbor) proves that every variable term has exactly
+one partner and that each pair cancels, while the constants sum to an odd
+negative number, so no selection rule can satisfy all rows: full mass under a
+universal nominee is incompatible with never influencing one's own selection.
+The pass keeps counters only; ``cert.rows()`` streams the rows again.
 """
 
 from impsel import (
@@ -35,7 +36,7 @@ for p, j, q in transitions(n):
 cert = build_certificate(n)
 print(f"certificate checks over {cert.links} edges: {[(c.name, c.ok) for c in cert.checks]}")
 print(f"\ncertificate rows (sense is which inequality the row contributes):")
-for row in cert.rows:
+for row in cert.rows():
     print(f"  {str(row.composition):12s} {row.sense:13s} multiplier {row.multiplier:+d}")
 print(f"signed total {cert.rhs_total} (odd, negative), cancellation_ok={cert.cancellation_ok}")
 print("=> the combined system demands 0 <= " + str(cert.rhs_total) + ", which is absurd")

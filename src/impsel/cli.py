@@ -363,11 +363,11 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_partitions(args) -> int:
-    # (composition, lambda, certificate cells) per row, read from the
-    # certificate or streamed from the composition walk
+    # (composition, lambda, certificate cells) per row, streamed from the
+    # certificate or from the compositions
     if args.certificate:
         cert = build_certificate(args.n, args.cap)
-        rows = ((r.composition, r.lam, (r.sign, r.sense, r.multiplier)) for r in cert.rows)
+        rows = ((r.composition, r.lam, (r.sign, r.sense, r.multiplier)) for r in cert.rows())
     else:
         rows = ((p, lambda_of(p), ()) for p in enumerate_compositions(args.n, args.cap))
     count, total = 1 << (args.n - 1), fubini(args.n)
@@ -468,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     partitions = sub.add_parser("partitions", help="composition table and certificate")
     partitions.add_argument("--n", type=int, required=True)
     partitions.add_argument("--certificate", action="store_true")
-    cap_help = "largest n accepted (default %(default)s; memory doubles with n: --certificate at 20 needs ~0.3 GB)"
+    cap_help = "largest n accepted (default %(default)s; bounds time, not memory: --certificate at 20 takes ~20 s)"
     partitions.add_argument("--cap", type=int, default=COMPOSITION_CAP, help=cap_help)
     partitions.add_argument("--json", action="store_true")
     partitions.set_defaults(func=_cmd_partitions)

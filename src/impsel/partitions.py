@@ -13,12 +13,14 @@ transition edges pair the (composition, block) terms of two inequality
 families - selection mass at most 1, and full mass on nominated vertices when
 someone is nominated by everybody: p --j--> q pairs (p, j) with (q, j-1).
 ``build_certificate`` signs each row by its multinomial weight and proves, in
-one walk over the edges, that every term is paired once and that each pair
-cancels, while the constants sum to an odd negative number.  The resulting
-``Certificate`` is an exact-arithmetic proof that no selection rule satisfies
-both families (``certificate_problems`` in ``tests/oracles.py`` re-checks it
-from the graphs); the reductions at the bottom transport it to
-bounded-outdegree and no-abstention settings.
+one pass over the compositions as they stream past, that every term is paired
+once and that each pair cancels, while the constants sum to an odd negative
+number; it keeps counters, not rows, and ``Certificate.rows()`` streams the
+rows again when they are wanted.  The resulting ``Certificate`` is an
+exact-arithmetic proof that no selection rule satisfies both families
+(``certificate_problems`` in ``tests/oracles.py`` re-checks it from the
+graphs); the reductions at the bottom transport it to bounded-outdegree and
+no-abstention settings.
 
 All arithmetic is arbitrary-precision integer or exact rational; floating
 point never enters any comparison.
@@ -27,16 +29,16 @@ point never enters any comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
-from typing import Callable, Iterator
+from math import comb, factorial, prod
+from typing import Iterator
 
 from .graphs import CapExceeded, DirectedGraph
 
-#: Composition streams are refused past this n by default.  There are 2^(n-1)
-#: compositions and a certificate keeps state for each, so memory grows about
-#: 3x per +2 in n: the largest default run, ``impsel partitions --n 20
-#: --certificate --json``, peaks near 0.3 GB (279 MB measured), and n=22
-#: would need about 0.9 GB (extrapolated).
+#: Composition streams are refused past this n by default.  The cap bounds
+#: time, not memory: the 2^(n-1) compositions stream past one at a time, so
+#: time roughly doubles per +1 in n while memory stays flat.  The largest
+#: default run, ``impsel partitions --n 20 --certificate --json``, takes about
+#: 20 s on 2 CPUs and peaks near 32 MB.
 COMPOSITION_CAP = 20
 
 AT_MOST_ONE = "at_most_one"
@@ -57,24 +59,23 @@ def enumerate_compositions(n: int, cap: int = COMPOSITION_CAP) -> Iterator[tuple
     if n > cap:
         raise CapExceeded(f"n={n} exceeds composition cap {cap}")
 
-    def rec(total: int) -> Iterator[tuple[int, ...]]:
-        if total == 0:
-            yield ()
-            return
-        for first in range(1, total + 1):
-            for rest in rec(total - first):
-                yield (first,) + rest
+    def successors() -> Iterator[tuple[int, ...]]:
+        # the next composition drops the last part s, adds 1 to the part
+        # before it and appends s - 1 ones
+        parts = (1,) * n
+        yield parts
+        while len(parts) > 1:
+            s = parts[-1]
+            parts = parts[:-2] + (parts[-2] + 1,) + (1,) * (s - 1)
+            yield parts
 
-    return rec(n)
+    return successors()
 
 
 def lambda_of(parts: tuple[int, ...]) -> int:
     """Number of labeled graphs isomorphic to the generated graph: n!/prod(s_i!)."""
     _check_parts(parts)
-    value = factorial(sum(parts))
-    for part in parts:
-        value //= factorial(part)
-    return value
+    return factorial(sum(parts)) // prod(map(factorial, parts))
 
 
 def fubini(n: int) -> int:
@@ -120,41 +121,11 @@ def _merges(parts: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
             yield j, parts[: j - 2] + (parts[j - 2] + 1,) + parts[j:]
 
 
-def _walk(comps: list[tuple[int, ...]], visit: Callable[[tuple, int, tuple], None]) -> tuple[int, list[str]]:
-    """Walk every transition edge of `comps` (the part tuples of all
-    compositions of one n) once, in the order of `comps` and then of j; the
-    edge p --j--> q links the term (p, j) to the term (q, j-1), and `visit`
-    sees (p, j, q).  Returns the number of links and the pairing's problems:
-    a block entered twice, or a composition whose entered blocks are not
-    exactly its variable blocks (all but a singleton first block)."""
-    entered = dict.fromkeys(comps, 0)
-    problems = []
-
-    def enter(parts: tuple[int, ...], block: int) -> None:
-        if entered[parts] >> block & 1:
-            problems.append(f"{parts} block {block}: entered twice")
-        entered[parts] |= 1 << block
-
-    links = 0
-    for p in comps:
-        for j, q in _merges(p):
-            visit(p, j, q)
-            enter(p, j)
-            enter(q, j - 1)
-            links += 1
-    for parts, mask in entered.items():
-        first = 2 if parts[0] == 1 else 1
-        if mask != (1 << len(parts) + 1) - (1 << first):
-            problems.append(f"{parts}: blocks entered {mask:b}, variable blocks {first}..{len(parts)}")
-    return links, problems
-
-
 def transitions(n: int) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
     """Every transition edge p --j--> q of the compositions of n, as the part
-    tuples and block index (p, j, q), in the order ``_walk`` visits them."""
-    edges = []
-    _walk(list(enumerate_compositions(n)), lambda p, j, q: edges.append((p, j, q)))
-    return edges
+    tuples and block index (p, j, q), in the order ``build_certificate``
+    checks them."""
+    return [(p, j, q) for p in enumerate_compositions(n) for j, q in _merges(p)]
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +161,19 @@ class Certificate:
     mass at most 1 everywhere and place full mass on nominated vertices
     whenever some vertex is nominated by everyone.
 
-    ``checks`` come from one walk over the ``links`` transition edges.
-    unique_partner: every term (composition, block index >= its variable
-    floor) is entered by exactly one edge, as the singleton block j of its
-    source or as block j-1 of its target, and no other block is entered.
+    The rows are not stored: ``rows()`` streams one per composition, in
+    lexicographic order, signed by ``sign_even_parts``, so a certificate takes
+    the same small space at every n.
+
+    ``checks`` come from one pass over the compositions and their ``links``
+    transition edges.  unique_partner: the edges out of each composition p
+    leave exactly its singleton blocks j >= 2, in increasing j; splitting the
+    target's block j-1 into (q_(j-1) - 1, 1) gives back p, so that block has
+    at least 2 vertices; and 2 * links is the number of variable terms
+    (composition, block), all blocks but a singleton first one.  The sources
+    are then every singleton variable term, once each, and the targets are
+    distinct non-singleton terms, as each determines its source; the count
+    makes the 2 * links entered terms all the variable terms, each once.
     cancellation: along every edge p --j--> q the two terms' signed
     coefficients sum to zero.  As every lambda is positive, that holds exactly
     when the rows have opposite signs (the part count changes by one) and
@@ -208,7 +188,6 @@ class Certificate:
     """
 
     n: int
-    rows: tuple[CertificateRow, ...]
     rhs_total: int
     sign_even_parts: int
     links: int
@@ -222,44 +201,55 @@ class Certificate:
     def rhs_alternate(self) -> int:
         return -self.rhs_total
 
+    def rows(self) -> Iterator[CertificateRow]:
+        # the cap was checked when the certificate was built
+        for p in enumerate_compositions(self.n, self.n):
+            sign = self.sign_even_parts if len(p) % 2 == 0 else -self.sign_even_parts
+            yield CertificateRow(p, lambda_of(p), sign, AT_MOST_ONE if sign > 0 else AT_LEAST_ONE)
+
     def multipliers(self) -> tuple[int, ...]:
-        return tuple(row.multiplier for row in self.rows)
+        return tuple(row.multiplier for row in self.rows())
 
 
 def build_certificate(n: int, cap: int = COMPOSITION_CAP) -> Certificate:
-    """Construct the infeasibility certificate for n >= 2 and prove it with
-    one walk over the transition edges (``Certificate.checks``)."""
+    """Construct the infeasibility certificate for n >= 2 and prove it in one
+    pass over the compositions and their transition edges
+    (``Certificate.checks``), keeping counters and problem strings only.  The
+    pass signs each row (-1)^(part count); the sum orients the rows after it,
+    so that the constants total a negative number."""
     if n < 2:
         raise ValueError(f"certificate needs n >= 2, got {n}")
-    comps = list(enumerate_compositions(n, cap))
-    lams = [lambda_of(p) for p in comps]
-    even_total = sum(lam for p, lam in zip(comps, lams) if len(p) % 2 == 0)
-    odd_total = sum(lam for p, lam in zip(comps, lams) if len(p) % 2 == 1)
-    sign_even = 1 if even_total < odd_total else -1
-    rhs_total = sign_even * (even_total - odd_total)
+    signed_sum = links = variable_terms = 0
+    unpaired, uncancelled = [], []
+    for p in enumerate_compositions(n, cap):
+        m_p = (-1) ** len(p) * lambda_of(p)  # a singleton block's coefficient
+        signed_sum += m_p
+        variable_terms += len(p) - (p[0] == 1)
+        merged = []
+        for j, q in _merges(p):
+            links += 1
+            merged.append(j)
+            m_q, size = (-1) ** len(q) * lambda_of(q), q[j - 2]
+            if m_p + m_q * size != 0:
+                broken = "same sign" if m_p * m_q > 0 else f"{abs(m_q) * size} != {abs(m_p)}"
+                uncancelled.append(f"{p} -> {q} (j={j}): {broken}")
+            if q[: j - 2] + (size - 1, 1) + q[j - 1 :] != p:
+                unpaired.append(f"{p} -> {q} (j={j}): splitting block {j - 1} of {q} does not give {p}")
+        singletons = [j for j in range(2, len(p) + 1) if p[j - 1] == 1]
+        if merged != singletons:
+            unpaired.append(f"{p}: merges blocks {merged}, singleton blocks {singletons}")
+    if 2 * links != variable_terms:
+        unpaired.append(f"{links} edges enter {2 * links} terms, of {variable_terms} variable terms")
+
+    sign_even = 1 if signed_sum < 0 else -1
+    rhs_total = sign_even * signed_sum
     if rhs_total >= 0 or rhs_total % 2 == 0:
         raise RuntimeError(f"signed total {rhs_total} must be odd and negative")
-
-    rows = []
-    for p, lam in zip(comps, lams):
-        sign = sign_even if len(p) % 2 == 0 else -sign_even
-        rows.append(CertificateRow(p, lam, sign, AT_MOST_ONE if sign > 0 else AT_LEAST_ONE))
-
-    # a singleton block's coefficient is its row's multiplier
-    mult = {row.composition: row.multiplier for row in rows}
-    uncancelled = []
-
-    def cancel(p: tuple[int, ...], j: int, q: tuple[int, ...]) -> None:
-        if mult[p] + mult[q] * q[j - 2] != 0:
-            broken = "same sign" if mult[p] * mult[q] > 0 else f"{abs(mult[q]) * q[j - 2]} != {abs(mult[p])}"
-            uncancelled.append(f"{p} -> {q} (j={j}): {broken}")
-
-    links, problems = _walk(comps, cancel)
     checks = (
-        StructureCheck("unique_partner", not problems, "; ".join(problems)),
+        StructureCheck("unique_partner", not unpaired, "; ".join(unpaired)),
         StructureCheck("cancellation", not uncancelled, "; ".join(uncancelled)),
     )
-    return Certificate(n, tuple(rows), rhs_total, sign_even, links, checks)
+    return Certificate(n, rhs_total, sign_even, links, checks)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import numpy as np
 
 from impsel import (
     Certificate,
+    CertificateRow,
     DirectedGraph,
     GraphClassSpec,
     Permutation,
@@ -215,7 +216,9 @@ def composition_links(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...], in
     return links
 
 
-def certificate_problems(cert: Certificate, links: list[tuple] | None = None) -> list[str]:
+def certificate_problems(
+    cert: Certificate, links: list[tuple] | None = None, rows: list[CertificateRow] | None = None
+) -> list[str]:
     """Why `cert` does not prove infeasibility, checked from the definition
     (an empty list when it does).
 
@@ -227,12 +230,14 @@ def certificate_problems(cert: Certificate, links: list[tuple] | None = None) ->
     takes a multiplier >= 0 and one of sense at_least_one a multiplier <= 0,
     so each row scaled reads (coefficients . x) <= multiplier.  Variables
     joined by `links` (default: ``composition_links(cert.n)``) are equal.
+    `rows` (default: ``cert.rows()``) stands in for the certificate's rows.
     Summed, every linked class must cancel exactly and every other variable
     must keep a coefficient >= 0, so the sum is >= 0 for nonnegative x, while
     the constants add up to a negative number.
     """
     n = cert.n
     links = composition_links(n) if links is None else links
+    rows = list(cert.rows()) if rows is None else rows
     problems = []
     block_of = {}  # (parts, vertex) -> variable
     graphs = {}
@@ -251,7 +256,7 @@ def certificate_problems(cert: Certificate, links: list[tuple] | None = None) ->
                     problems.append(f"{p}: swapping {v} and {v + 1} is not an automorphism")
         if max(g.indegrees) != n - 1:
             problems.append(f"{p}: nobody is nominated by everybody")
-    if sorted(row.composition for row in cert.rows) != sorted(graphs):
+    if sorted(row.composition for row in rows) != sorted(graphs):
         problems.append("certificate rows are not one per composition")
 
     parent = {var: var for var in block_of.values()}
@@ -270,7 +275,7 @@ def certificate_problems(cert: Certificate, links: list[tuple] | None = None) ->
 
     total: dict = {}
     constant = 0
-    for row in cert.rows:
+    for row in rows:
         parts, m = row.composition, row.multiplier
         if row.sense == "at_most_one":
             if m < 0:

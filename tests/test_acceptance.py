@@ -189,7 +189,10 @@ def test_c08_certificates():
     totals = {}
     for n in range(2, 9):
         cert = build_certificate(n)
-        ok &= cert.cancellation_ok and cert.rhs_total <= -1 and cert.rhs_total % 2 != 0
+        ok &= cert.cancellation_ok
+        # closed forms: rhs_total = -1, even part counts signed (-1)^(n+1), n * 2^n / 8 edges
+        ok &= cert.rhs_total == -1 and cert.sign_even_parts == (1 if n % 2 else -1)
+        ok &= cert.links == n * 2**n // 8
         totals[n] = cert.rhs_total
     m3 = build_certificate(3).multipliers()
     m4 = build_certificate(4).multipliers()
@@ -197,7 +200,12 @@ def test_c08_certificates():
     e4 = (-24, 12, 12, -4, 12, -6, -4, 1)
     ok &= m3 in (e3, tuple(-x for x in e3))
     ok &= m4 in (e4, tuple(-x for x in e4))
-    report("c08", ok, f"n=2..8 cancellation ok, signed totals {totals}; n=3,4 multipliers match pinned values")
+    report(
+        "c08",
+        ok,
+        f"n=2..8 cancellation ok, signed totals {totals}, sign_even_parts and links at their closed forms; "
+        "n=3,4 multipliers match pinned values",
+    )
 
 
 def test_c09_transition_structure():

@@ -512,10 +512,13 @@ def test_partitions_cap_defaults_to_the_composition_cap(capsys):
 
 
 # stdout sha256 of the certificate tables as written when the table and the
-# certificate each enumerated the compositions
+# certificate each enumerated the compositions, and at n=16 (the size the
+# benchmark's seeded workload runs) as written when the certificate held its rows
 PARTITIONS_REPORTS = [
     (("--n", "10", "--certificate", "--json"), "6148fa754cea1f66e4bc69afd30d49487ec21b88ce2d7996d749c4e5d8b693d3"),
     (("--n", "10", "--certificate"), "6531b31e878a0a1a22f55888f5b98277102425be9528b7920e29894d98159b79"),
+    (("--n", "16", "--certificate", "--json"), "1bb0fa1e9f329c7d32c0fa879808baec56b8be79110b95a2a8580cb0f79f9dfb"),
+    (("--n", "16", "--certificate"), "b0672fa560b615e53eec455b85025801ee21156b914f3a55f6ff78a73ddffe45"),
 ]
 
 

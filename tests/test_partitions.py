@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -19,7 +20,13 @@ from impsel import (
 )
 from impsel import partitions
 from conftest import graph
-from oracles import certificate_problems, composition_links, count_isomorphic_labelings, count_weak_orders
+from oracles import (
+    _compositions,
+    certificate_problems,
+    composition_links,
+    count_isomorphic_labelings,
+    count_weak_orders,
+)
 
 
 def comps(n):
@@ -45,6 +52,8 @@ def test_enumerate_compositions_small():
         seq = comps(n)
         assert seq == sorted(seq)  # lexicographic order
         assert len(set(seq)) == len(seq) == 2 ** (n - 1)
+    for n in range(1, 15):
+        assert comps(n) == sorted(_compositions(n)), n
     with pytest.raises(CapExceeded):
         list(enumerate_compositions(30))
     with pytest.raises(ValueError):
@@ -167,12 +176,24 @@ def test_transition_relation_properties():
             assert lambda_of(q) * q[j - 2] == lambda_of(p) * p[j - 1]
 
 
-def test_transition_structure_verifies_through_8():
+def test_transition_structure_verifies_through_8(monkeypatch):
+    merges = partitions._merges
     for n in range(2, 9):
-        cert = build_certificate(n)
+        seen = []
+
+        def recorded(parts):
+            for j, q in merges(parts):
+                seen.append((parts, j, q))
+                yield j, q
+
+        with monkeypatch.context() as m:
+            m.setattr(partitions, "_merges", recorded)
+            cert = build_certificate(n)
         assert [c.name for c in cert.checks] == ["unique_partner", "cancellation"]
         assert cert.cancellation_ok, [c for c in cert.checks if not c.ok]
-        assert cert.links == len(transitions(n))
+        # the proof checks every transition edge once, in the order transitions(n) lists them
+        assert seen == transitions(n)
+        assert cert.links == len(seen) == n * 2**n // 8
 
 
 def _failed_checks(cert):
@@ -199,7 +220,10 @@ def test_certificate_checks_name_the_broken_fact(monkeypatch):
         failed = _failed_checks(cert)
     assert list(failed) == ["unique_partner"] and not cert.cancellation_ok
     assert cert.links == len(transitions(4)) - 1
-    assert failed["unique_partner"].count("variable blocks") == 2  # (1, 1, 1, 1) and (1, 1, 2)
+    # the source side names the composition; the count finds the target (1, 1, 2) unentered
+    assert failed["unique_partner"] == (
+        "(1, 1, 1, 1): merges blocks [2, 3], singleton blocks [2, 3, 4]; 7 edges enter 14 terms, of 16 variable terms"
+    )
 
     def looped(parts):
         return ((j, parts if (parts, j) == ((1, 1, 1, 1), 4) else q) for j, q in merges(parts))
@@ -208,20 +232,21 @@ def test_certificate_checks_name_the_broken_fact(monkeypatch):
         m.setattr(partitions, "_merges", looped)
         failed = _failed_checks(build_certificate(4))
     assert failed["cancellation"] == "(1, 1, 1, 1) -> (1, 1, 1, 1) (j=4): same sign"
+    # the sources and the count still hold; the target's block 3 is no split of a source
+    assert failed["unique_partner"] == (
+        "(1, 1, 1, 1) -> (1, 1, 1, 1) (j=4): splitting block 3 of (1, 1, 1, 1) does not give (1, 1, 1, 1)"
+    )
 
+    def extra(parts):
+        yield from merges(parts)
+        if parts == (1, 2):
+            yield 2, (3,)
 
-def test_walk_pairs_every_variable_term_once():
-    comps = list(enumerate_compositions(5))
-    seen = []
-    links, problems = partitions._walk(comps, lambda p, j, q: seen.append((p, j, q)))
-    assert problems == [] and links == len(seen) == len(transitions(5))
-    assert seen == transitions(5)
-    # (1, 1, 1, 1, 1) listed twice enters each of its links' blocks twice
-    _, problems = partitions._walk(comps + comps[:1], lambda p, j, q: None)
-    assert problems and all("entered twice" in problem for problem in problems)
-    # without it, the blocks its links enter in (2, 1, 1, 1) and the rest stay empty
-    _, problems = partitions._walk(comps[1:], lambda p, j, q: None)
-    assert len(problems) == 4 and not any("entered twice" in problem for problem in problems)
+    # the extra edge cancels (lambda 3 against 1 * 3), so only the pairing can catch it
+    with monkeypatch.context() as m:
+        m.setattr(partitions, "_merges", extra)
+        cert = build_certificate(3)
+    assert list(_failed_checks(cert)) == ["unique_partner"] and cert.links == len(transitions(3)) + 1
 
 
 def test_coefficient_identity_examples():
@@ -247,15 +272,19 @@ def test_certificate_matches_pinned_multipliers():
 
 
 def test_certificate_soundness_through_8():
-    for n in range(2, 9):
+    for n in range(2, 17):
         cert = build_certificate(n)
         assert cert.cancellation_ok
-        assert cert.rhs_total <= -1
-        assert cert.rhs_total % 2 != 0
-        assert cert.rhs_alternate == -cert.rhs_total
-        signs = {len(row.composition) % 2: row.sign for row in cert.rows}
+        # closed forms: the alternating multiplicity sum is (-1)^n, and each
+        # of the n * 2^(n-1) / 4 singleton variable terms has one edge
+        assert cert.rhs_total == -1 and cert.rhs_alternate == 1
+        assert cert.sign_even_parts == (1 if n % 2 else -1)
+        assert cert.links == n * 2**n // 8
+    for n in range(2, 9):
+        cert = build_certificate(n)
+        signs = {len(row.composition) % 2: row.sign for row in cert.rows()}
         assert signs[0] == -signs[1]  # constant per parity class, opposite across
-        for row in cert.rows:
+        for row in cert.rows():
             assert row.sense == ("at_most_one" if row.sign > 0 else "at_least_one")
             assert row.lam == lambda_of(row.composition)
         assert sum(cert.multipliers()) == cert.rhs_total
@@ -274,24 +303,41 @@ def test_brute_force_links_are_the_transition_edges():
         assert links == moves, n
 
 
-def _with_row(cert, i, **changes):
-    rows = list(cert.rows)
+def _with_row(rows, i, **changes):
+    rows = list(rows)
     rows[i] = replace(rows[i], **changes)
-    return replace(cert, rows=tuple(rows))
+    return rows
 
 
 def test_certificate_oracle_rejects_mutations():
     cert = build_certificate(5)
     links = composition_links(5)
+    rows = list(cert.rows())
     other = {"at_most_one": "at_least_one", "at_least_one": "at_most_one"}
-    for i, row in enumerate(cert.rows):
-        assert certificate_problems(_with_row(cert, i, sign=-row.sign), links)  # flipped multiplier
-        assert certificate_problems(_with_row(cert, i, sense=other[row.sense]), links)  # swapped sense
+    for i, row in enumerate(rows):
+        assert certificate_problems(cert, links, _with_row(rows, i, sign=-row.sign))  # flipped multiplier
+        assert certificate_problems(cert, links, _with_row(rows, i, sense=other[row.sense]))  # swapped sense
         # flipped with a matching sense: the classes no longer cancel
-        problems = certificate_problems(_with_row(cert, i, sign=-row.sign, sense=other[row.sense]), links)
+        problems = certificate_problems(cert, links, _with_row(rows, i, sign=-row.sign, sense=other[row.sense]))
         assert any(problem.startswith("class of") for problem in problems)
     for k in range(len(links)):
         assert certificate_problems(cert, links[:k] + links[k + 1 :])  # dropped link
+
+
+def test_certificate_memory_does_not_grow_with_the_rows():
+    # 8,192 rows at n=14; the proof and the row stream each hold one at a time
+    tracemalloc.start()
+    try:
+        cert = build_certificate(14)
+        _, built = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        for _ in cert.rows():
+            pass
+        _, streamed = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.cancellation_ok
+    assert built < 64 * 1024 and streamed < 64 * 1024, (built, streamed)
 
 
 def test_certificate_rejects_trivial_n():
