@@ -25,10 +25,10 @@ for text, spec in (
     print(f"  {text:12s} on {spec.describe()}: {len(violations)} violations")
     w = violations[0]
     print(f"    e.g. vertex {w.deviator} selected={w.selected_a} here:")
-    for line in w.graph_a.serialize().splitlines():
+    for line in w.text_a.splitlines():
         print(f"      {line}")
     print(f"    but selected={w.selected_b} after rewriting its own nominations:")
-    for line in w.graph_b.serialize().splitlines():
+    for line in w.text_b.splitlines():
         print(f"      {line}")
 
 # Lowering both thresholds to the same value reintroduces exactly the kind of

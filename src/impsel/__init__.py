@@ -26,7 +26,6 @@ from .audit import (
     symmetrized_table,
 )
 from .graphs import (
-    ENUMERATION_CAP,
     CapExceeded,
     DirectedGraph,
     GraphClassSpec,
@@ -36,7 +35,6 @@ from .graphs import (
     enumerate_graphs,
     graph_at_index,
     parse_graph,
-    sample_graph,
     sample_stream,
 )
 from .mechanisms import (

@@ -12,11 +12,11 @@ the scan for violating deviation pairs is whole-table numpy that walks only
 the deviation lines whose "v is selected" flags are mixed.  Sampled
 impartiality audits evaluate each seeded base graph's n deviation lines (v's
 out-set swept, the rest fixed) and compare every graph on them with the base
-graph; sampled gap audits stack the samples into blocks.  Witnesses are
-serialized before any graph is built, from their out-set ranks (the digits of
-a class index, or a sampled rank tuple), and are ordered by that text; each
-witness graph is then built once however many violations it is part of, and
-keeps its text.
+graph; sampled gap audits stack the samples into blocks.  A witness is its
+canonical text, written from its out-set ranks (the digits of a class index,
+or a sampled rank tuple) once however many violations it is part of; the
+violations hold those texts and are ordered by them, and a witness graph is
+parsed from its text only when a caller asks for one.
 
 Worst additive gaps are measured in the same two modes, trace invariants are
 re-derived from recorded deletion traces, and a class's symmetrization (the
@@ -31,7 +31,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from itertools import islice, repeat
 from math import factorial
 from typing import Callable, Iterator, Union
@@ -40,27 +40,23 @@ import numpy as np
 
 from ._deletion import indegree_rows, outset_rows, vertex_rows
 from .graphs import (
+    AUDIT_CAP,
     CapExceeded,
     DirectedGraph,
     GraphClassSpec,
     Permutation,
-    _with_text,
     deviations,  # bound only for the bench tracer, which wraps it here
     digit_block,
+    edge_lines,
     enumerate_graphs,
     graph_at_index,
     graph_of_ranks,
+    parse_graph,
     sample_ranks,
     sample_stream,  # bound only for the bench tracer, which wraps it here
 )
 from .mechanisms import Kernel, MechanismId, batch_kernel_for, kernel_for, resolve  # kernel_for: for the tracer
 from .twin_threshold import DeletionTrace, ThresholdPair, additive_gap, run_twin_threshold
-
-#: Exhaustive audits refuse classes larger than this unless their mode's `cap`
-#: raises it (the outcome table holds one entry per graph); sampled
-#: impartiality audits refuse base graphs whose deviation lines hold more
-#: graphs, with no override.
-AUDIT_CAP = 10**7
 
 #: Graphs per batch-kernel call (table entries per stacked sampled gap
 #: block); bounds the working arrays independently of the class size.
@@ -116,25 +112,36 @@ class Violation:
     """A witnessed impartiality failure: the deviator's own rewrite of its
     outgoing edges changed whether it is selected.
 
-    The two graphs agree outside the deviator's outgoing edges and are stored
-    with the lexicographically smaller serialization first.
+    The two witness graphs are held as their canonical texts, the smaller
+    first, and the contract is checked on those texts: the same header
+    ``n <count>`` with the deviator in 1..n, and the same lines once the
+    deviator's own edge lines ``e <deviator> ...`` are left out, wherever
+    they stand.  ``graph_a`` and ``graph_b`` parse the texts on first access.
     """
 
-    graph_a: DirectedGraph
-    graph_b: DirectedGraph
+    text_a: str
+    text_b: str
     deviator: int
     selected_a: bool
     selected_b: bool
 
     def __post_init__(self):
-        a, b, v = self.graph_a, self.graph_b, self.deviator
-        if a.n != b.n or not 1 <= v <= a.n:
+        a, b, v = self.text_a.split("\n"), self.text_b.split("\n"), self.deviator
+        if a[0] != b[0] or not a[0].startswith("n ") or not 1 <= v <= int(a[0][2:]):
             raise ValueError("violation graphs must share a vertex set containing the deviator")
-        if a.out_sets[: v - 1] != b.out_sets[: v - 1] or a.out_sets[v:] != b.out_sets[v:]:
-            u = next(u for u in range(1, a.n + 1) if u != v and a.out_sets[u - 1] != b.out_sets[u - 1])
-            raise ValueError(f"graphs differ in the outgoing edges of {u}, not just of {v}")
+        own = f"e {v} "
+        if [x for x in a if not x.startswith(own)] != [x for x in b if not x.startswith(own)]:
+            raise ValueError(f"graphs differ outside the outgoing edges of {v}")
         if self.selected_a == self.selected_b:
             raise ValueError("not a violation: selection status agrees")
+
+    @cached_property
+    def graph_a(self) -> DirectedGraph:
+        return parse_graph(self.text_a)
+
+    @cached_property
+    def graph_b(self) -> DirectedGraph:
+        return parse_graph(self.text_b)
 
 
 @dataclass(frozen=True)
@@ -246,36 +253,32 @@ def check_impartiality(mid: MechanismId, spec: GraphClassSpec, mode: AuditMode =
     """
     mid.validate_for(spec.n)
     if isinstance(mode, Sampled):
-        return _violations(spec, _sampled_pairs(mid, spec, mode), lambda keys: keys, partial(graph_of_ranks, spec))
+        return _violations(spec, _sampled_pairs(mid, spec, mode), lambda keys: keys)
     if _check_exhaustive_pre(spec, mode.cap) == 0:
         return []
     pairs = list(_violating_pairs(_outcome_table(mid, spec, mode.jobs), spec.n, spec.outset_count))
-    return _violations(spec, pairs, lambda keys: digit_block(spec, np.array(keys, dtype=np.int64)).tolist(),
-                       partial(graph_at_index, spec))
+    return _violations(spec, pairs, lambda keys: digit_block(spec, np.array(keys, dtype=np.int64)).tolist())
 
 
-def _violations(spec: GraphClassSpec, pairs: list[tuple], ranks: Callable[[list], list],
-                build: Callable[..., DirectedGraph]) -> list[Violation]:
-    """Violations of (a, b, deviator, selected_a, selected_b) pairs, the graph
-    with the smaller serialization first, in canonical order.
+def _violations(spec: GraphClassSpec, pairs: list[tuple], ranks: Callable[[list], list]) -> list[Violation]:
+    """Violations of (a, b, deviator, selected_a, selected_b) pairs, the
+    smaller text first, in canonical order; no graph is built.
 
-    Witnesses are serialized before any graph is built: ranks(keys) gives the
-    out-set ranks of each witness key, vertex 1 first, and a witness's text is
-    the header and one memoized edge-line fragment per (vertex, rank), in the
-    canonical (u, v) edge order.  build(key) then makes each witness graph
-    once, and it keeps that text.
+    ranks(keys) gives the out-set ranks of each witness key, vertex 1 first,
+    and a witness's text is the header and one memoized ``edge_lines`` block
+    per (vertex, rank), in the canonical (u, v) edge order.  Each text is
+    written once and shared by every violation it is part of.
     """
     keys = list({x for pair in pairs for x in pair[:2]})
-    fragment = cache(lambda v, rank: "".join(f"e {v} {u}\n" for u in spec.outset_at(v, rank)))
+    lines = cache(lambda v, rank: edge_lines((v, u) for u in spec.outset_at(v, rank)))
     head, vertices = f"n {spec.n}\n", range(1, spec.n + 1)
-    texts = {x: head + "".join(map(fragment, vertices, row)) for x, row in zip(keys, ranks(keys))}
+    texts = {x: head + "".join(map(lines, vertices, row)) for x, row in zip(keys, ranks(keys))}
     order = []
     for a, b, v, sel_a, sel_b in pairs:
         text_a, text_b = texts[a], texts[b]
-        order.append((text_b, text_a, v, b, a, sel_b, sel_a) if text_b < text_a else (text_a, text_b, v, a, b, sel_a, sel_b))
-    order.sort()  # (text_a, text_b, deviator) is unique, so no tie reaches the keys
-    graphs = {x: _with_text(build(x), text) for x, text in texts.items()}
-    return [Violation(graphs[a], graphs[b], v, sel_a, sel_b) for _, _, v, a, b, sel_a, sel_b in order]
+        order.append((text_b, text_a, v, sel_b, sel_a) if text_b < text_a else (text_a, text_b, v, sel_a, sel_b))
+    order.sort()  # (text_a, text_b, deviator) is unique, so no tie reaches the statuses
+    return [Violation(*row) for row in order]
 
 
 def _line_outcomes(kern, last: np.ndarray, fixed: np.ndarray, v: int) -> np.ndarray:

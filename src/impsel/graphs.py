@@ -24,12 +24,14 @@ cached ``outset_lists`` (``enumerate_graphs`` yields it for every index).
 
 Sampling
 --------
-``sample_graph`` draws each vertex's out-set uniformly and independently from
-its admissible out-sets, for vertices 1..n in order.  Randomness comes from
+``sample_stream(spec, seed, count)`` draws `count` graphs from one seeded
+stream; each graph's vertices take their out-sets uniformly and independently
+from their admissible out-sets, vertices 1..n in order.  Randomness comes from
 the Philox4x64 counter-based generator (numpy's implementation) keyed with the
 seed; uniform integers below m are obtained by rejection sampling on
-big-endian 64-bit words.  A (spec, seed) pair therefore identifies one graph,
-portably across machines and runs.
+big-endian 64-bit words.  A (spec, seed) pair therefore identifies one stream
+of graphs, portably across machines and runs; `count` only says how many of
+them are drawn.
 """
 
 from __future__ import annotations
@@ -44,8 +46,12 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-#: ``enumerate_graphs`` refuses classes larger than this.
-ENUMERATION_CAP = 10**8
+#: The most graphs of a class that are walked whole: ``enumerate_graphs``
+#: refuses larger classes, and so do exhaustive audits unless their mode's
+#: `cap` raises it (their outcome table holds one entry per graph).  Sampled
+#: impartiality audits refuse base graphs whose deviation lines hold more
+#: graphs, with no override.
+AUDIT_CAP = 10**7
 
 
 class GraphFormatError(ValueError):
@@ -160,26 +166,17 @@ class DirectedGraph:
         return DirectedGraph(self.n, tuple(outs))
 
     def serialize(self) -> str:
-        """Canonical file form: header, then edge lines sorted by (u, v).
-        Computed once per graph."""
-        return self._text
-
-    @cached_property
-    def _text(self) -> str:
-        lines = [f"n {self.n}"]
-        lines.extend(f"e {u} {v}" for u, v in self.edges)
-        return "\n".join(lines) + "\n"
+        """Canonical file form: header, then edge lines sorted by (u, v)."""
+        return f"n {self.n}\n" + edge_lines(self.edges)
 
     def __repr__(self) -> str:
         return f"DirectedGraph(n={self.n}, edges={list(self.edges)})"
 
 
-def _with_text(graph: DirectedGraph, text: str) -> DirectedGraph:
-    """`graph`, whose ``serialize()`` returns `text` from now on without
-    computing it.  The caller vouches that `text` is the graph's canonical
-    form (audits write it from the out-set ranks the graph was built from)."""
-    graph.__dict__["_text"] = text  # where the cached property keeps it
-    return graph
+def edge_lines(pairs: Iterable[tuple[int, int]]) -> str:
+    """The edge lines ``e u v`` of the file format, one per (u, v) pair, in
+    the order given: the one writer of canonical text."""
+    return "".join(f"e {u} {v}\n" for u, v in pairs)
 
 
 @dataclass(frozen=True)
@@ -327,10 +324,11 @@ def _unrank_outset(rank: int, m: int, lo: int, hi: int) -> tuple[int, ...]:
 
 
 def enumerate_graphs(spec: GraphClassSpec) -> Iterator[DirectedGraph]:
-    """All graphs of the class, each exactly once, in the documented order;
-    refuses upfront when the class has more than ``ENUMERATION_CAP`` graphs."""
-    if spec.size > ENUMERATION_CAP:
-        raise CapExceeded(f"class {spec.describe()} has {spec.size} graphs, cap is {ENUMERATION_CAP}")
+    """All graphs of the class, each exactly once, in the documented order,
+    one at a time; refuses upfront when the class has more than ``AUDIT_CAP``
+    graphs."""
+    if spec.size > AUDIT_CAP:
+        raise CapExceeded(f"class {spec.describe()} has {spec.size} graphs, cap is {AUDIT_CAP}")
     for index in range(spec.size):
         yield graph_at_index(spec, index)
 
@@ -405,13 +403,6 @@ class _PhiloxWords:
                 x = (x << 64) | self.next_word()
             if x < limit:
                 return x % m
-
-
-def sample_graph(spec: GraphClassSpec, seed: int) -> DirectedGraph:
-    """Uniform member of the class, deterministic for a fixed seed: each
-    vertex's out-set is drawn uniformly and independently, vertices 1..n in
-    order (one draw per vertex)."""
-    return next(sample_stream(spec, seed, 1))
 
 
 def sample_ranks(spec: GraphClassSpec, seed: int, count: int) -> Iterator[tuple[int, ...]]:

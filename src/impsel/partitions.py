@@ -36,10 +36,11 @@ from .graphs import CapExceeded, DirectedGraph
 
 #: Composition streams are refused past this n by default.  The cap bounds
 #: time, not memory: the 2^(n-1) compositions stream past one at a time, so
-#: time roughly doubles per +1 in n while memory stays flat.  The largest
-#: default run, ``impsel partitions --n 20 --certificate --json``, takes about
-#: 20 s on 2 CPUs and peaks near 32 MB.
-COMPOSITION_CAP = 20
+#: time doubles per +1 in n while memory stays flat.  Measured with
+#: ``impsel partitions --n N --certificate --json`` on 2 CPUs:
+#: n=20 takes 23 s, n=21 (the largest default run) 45 s and n=22 92 s, all
+#: near a 32 MB peak, with 153, 314 and 644 MB of JSON.
+COMPOSITION_CAP = 21
 
 AT_MOST_ONE = "at_most_one"
 AT_LEAST_ONE = "at_least_one"

@@ -138,16 +138,17 @@ def sampled_violations_by_definition(mechanism, spec: GraphClassSpec, seed: int,
                 if dedup in seen:
                     continue
                 seen.add(dedup)
-                if other.serialize() < base.serialize():
-                    violations.append(Violation(other, base, v, there, here))
+                text_base, text_other = base.serialize(), other.serialize()
+                if text_other < text_base:
+                    violations.append(Violation(text_other, text_base, v, there, here))
                 else:
-                    violations.append(Violation(base, other, v, here, there))
+                    violations.append(Violation(text_base, text_other, v, here, there))
     return canonical_order(violations)
 
 
 def fresh_text(graph: DirectedGraph) -> str:
     """The serialization of a newly built copy of `graph`, computed from its
-    out-sets whatever text the graph itself carries."""
+    out-sets."""
     return DirectedGraph(graph.n, graph.out_sets).serialize()
 
 

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -29,6 +30,7 @@ from impsel import (
 )
 from impsel._deletion import outset_rows, run_deletion, run_deletion_rows
 from impsel.audit import FACTORIAL_CAP
+from impsel.cli import main
 from impsel.graphs import graph_at_index
 from impsel.mechanisms import MECHANISMS, batch_kernel_for, kernel_for
 from conftest import graph
@@ -88,12 +90,25 @@ def test_violation_objects_are_structurally_sound():
 
 
 def test_violation_validation_rejects_nonsense():
-    a = graph(3, (1, 2))
-    b = graph(3, (2, 3))  # differs in vertex 2's edges, deviator says 1
-    with pytest.raises(ValueError):
+    a, b = "n 3\ne 1 2\n", "n 3\ne 2 3\n"  # differs in vertex 2's edges, deviator says 1
+    with pytest.raises(ValueError, match="outside the outgoing edges of 1"):
         Violation(a, b, 1, True, False)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="agrees"):
         Violation(a, a, 1, True, True)  # statuses agree
+    with pytest.raises(ValueError, match="vertex set"):
+        Violation("n 3\ne 1 2\n", "n 4\ne 1 3\n", 1, True, False)  # headers differ
+    for v in (0, 4):  # deviator outside 1..n
+        with pytest.raises(ValueError, match="vertex set"):
+            Violation(a, "n 3\ne 1 3\n", v, True, False)
+    # vertex 1's lines are "e 1 ...", not those of vertex 10
+    with pytest.raises(ValueError, match="outside the outgoing edges of 1"):
+        Violation("n 11\ne 1 2\ne 10 1\n", "n 11\ne 10 2\n", 1, True, False)
+    # accepted: vertex 2 abstains in one graph, and in the other its line sits
+    # between vertex 1's and vertex 3's, so the texts differ in that line alone
+    a, b = "n 3\ne 1 2\ne 2 1\ne 3 1\n", "n 3\ne 1 2\ne 3 1\n"
+    w = Violation(a, b, 2, True, False)
+    assert w.graph_a == graph(3, (1, 2), (2, 1), (3, 1)) and w.graph_b == graph(3, (1, 2), (3, 1))
+    Violation("n 3\n", "n 3\ne 1 2\ne 1 3\n", 1, False, True)  # no edge line at all in one text
 
 
 def test_sampled_mode_is_deterministic_and_finds_known_failures():
@@ -238,20 +253,25 @@ def test_batch_outcome_table_does_not_depend_on_worker_count():
         assert np.array_equal(impsel.audit._outcome_table(mid, spec, 2), impsel.audit._outcome_table(mid, spec, 1))
 
 
-def test_each_witness_graph_is_unranked_once(monkeypatch):
-    unranked = []
-    unrank = impsel.audit.graph_at_index
+def test_witnesses_are_parsed_only_on_demand(monkeypatch, capsys):
+    # an audit writes witness texts; the JSON report prints them, so it
+    # builds no graph, and the text report parses the 10 pairs it shows
+    built = []
+    post_init = DirectedGraph.__post_init__
 
-    def counting(spec, index):
-        unranked.append(index)
-        return unrank(spec, index)
+    def counting(self):
+        built.append(self)
+        post_init(self)
 
-    monkeypatch.setattr(impsel.audit, "graph_at_index", counting)
-    spec = GraphClassSpec(5, 1)
-    violations = check_impartiality(MechanismId.parse("max-naive"), spec)
-    witnesses = {w.graph_a.key for w in violations} | {w.graph_b.key for w in violations}
-    assert violations and len(unranked) == len(set(unranked)) == len(witnesses)
-    assert {unrank(spec, i).key for i in unranked} == witnesses
+    monkeypatch.setattr(DirectedGraph, "__post_init__", counting)
+    argv = ["audit", "impartiality", "--mechanism", "max-naive", "--n", "5", "--k", "1", "--exhaustive"]
+    assert main([*argv, "--json"]) == 1 and json.loads(capsys.readouterr().out)["violation_count"] == 2834
+    assert built == []
+    assert main(argv) == 1 and capsys.readouterr().out.count("deviator") == 10
+    assert 0 < len(built) <= 20
+    w = check_impartiality(MechanismId.parse("max-naive"), GraphClassSpec(4, 1))[0]
+    built.clear()
+    assert w.graph_a is w.graph_a and len(built) == 1
 
 
 @pytest.mark.parametrize(
@@ -282,13 +302,15 @@ def test_violation_scan_walks_only_mixed_lines_in_full_scan_order(text, spec):
     ids=lambda x: x.describe(),
 )
 def test_witness_texts_are_their_graphs_serializations(spec, mode):
-    # each witness carries the text written from its out-set ranks; it must
-    # be what a newly built copy serializes to, and order the report
+    # each witness text is written from out-set ranks; it must be what its
+    # parsed graph and a newly built copy serialize to, and order the report
     for text in ("max-naive", "naive-sim:1", "naive-iter:1"):
         violations = check_impartiality(MechanismId.parse(text), spec, mode)
         assert violations, (text, spec.describe())
         for w in violations:
-            assert w.graph_a.serialize() == fresh_text(w.graph_a) < w.graph_b.serialize() == fresh_text(w.graph_b)
+            assert w.text_a == w.graph_a.serialize() == fresh_text(w.graph_a)
+            assert w.text_b == w.graph_b.serialize() == fresh_text(w.graph_b)
+            assert w.text_a < w.text_b
         assert violations == canonical_order(violations), (text, spec.describe())
 
 

@@ -12,7 +12,7 @@ import pytest
 import impsel.cli
 from impsel import COMPOSITION_CAP, GraphClassSpec
 from impsel.cli import _write_json, build_parser, main
-from impsel.graphs import sample_graph
+from impsel.graphs import sample_stream
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -69,7 +69,7 @@ def test_run_human_output_and_trace_flag(capsys, star5):
 # are both deleted (2 deletions, nothing selected), as recorded before
 # selections became plain vertex ids
 RUN_GRAPHS = {
-    "g2000": (lambda: sample_graph(GraphClassSpec(2000, 1), 1).serialize(), "5", "2", 424, [1553]),
+    "g2000": (lambda: next(sample_stream(GraphClassSpec(2000, 1), 1, 1)).serialize(), "5", "2", 424, [1553]),
     "pair": (lambda: "n 4\ne 1 2\ne 2 1\ne 3 1\ne 4 2\n", "2", "1", 2, []),
 }
 RUN_REPORTS = [
@@ -338,6 +338,27 @@ def test_exhaustive_impartiality_report_is_byte_identical(capsys):
     )
     assert code == 1 and json.loads(out)["violation_count"] == 2834
     assert hashlib.sha256(out.encode()).hexdigest() == "b6966497a968be86e86146bb736474a9d26c38dd88334bfcc16240fcf7d5bfa3"
+
+
+def test_exhaustive_impartiality_text_report_is_byte_identical(capsys):
+    # the text form prints the first 10 witness pairs by graph key, parsed
+    # from the witness texts
+    code, out, _ = run_cli(
+        capsys, "audit", "impartiality", "--mechanism", "max-naive", "--n", "5", "--k", "1", "--exhaustive",
+    )
+    assert code == 1 and "violations found: 2834" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == "a954ab9ddd8dd7c8b170d99b0e25aef029ac6f3dc9d35baa606cea38ad61db3d"
+
+
+@pytest.mark.slow
+def test_exhaustive_impartiality_report_on_g6_is_byte_identical(capsys):
+    # the max-naive G_6(1) report (48,430 witnesses) the benchmark's digest gates
+    code, out, _ = run_cli(
+        capsys, "audit", "impartiality", "--mechanism", "max-naive", "--n", "6", "--k", "1",
+        "--exhaustive", "--json",
+    )
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == "f4f6cb3911328d9c7d5d14a557d1a2056b1e78131016b7aa298c23bd77a98528"
 
 
 def test_audit_rejects_jobs_below_one(capsys):

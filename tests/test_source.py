@@ -67,14 +67,14 @@ def test_every_import_is_used(path, tracer_hooks):
 #: appears or vanishes changes this list, so the move shows in the diff.
 PUBLIC_API = [
     "AUDIT_CAP", "COMPOSITION_CAP", "CapExceeded", "Certificate", "CertificateRow", "DeletionTrace",
-    "DirectedGraph", "ENUMERATION_CAP", "Exhaustive", "FACTORIAL_CAP", "GapReport", "GraphClassSpec",
+    "DirectedGraph", "Exhaustive", "FACTORIAL_CAP", "GapReport", "GraphClassSpec",
     "GraphFormatError", "MechanismId", "Permutation", "PlanReport", "ProbabilityVector", "Sampled",
     "ThresholdPair", "TraceReport", "Violation", "WeakUnanimityReport", "additive_gap", "build_certificate",
     "check_impartiality", "check_trace_invariants", "check_weak_unanimity_inheritance", "composition_of_graph",
     "deviations", "enumerate_compositions", "enumerate_graphs", "fubini", "graph_at_index",
     "graph_of_composition", "kernel_for", "lambda_of", "measure_gap", "parse_graph", "plan_thresholds_general",
     "plan_thresholds_k1", "reduce_add_inneighbors", "reduce_add_isolated", "resolve", "run_twin_threshold",
-    "sample_graph", "sample_stream", "symmetrize_eval", "symmetrized_table", "transitions",
+    "sample_stream", "symmetrize_eval", "symmetrized_table", "transitions",
     "validate_thresholds",
 ]
 

@@ -21,7 +21,6 @@ from impsel import (
     plan_thresholds_k1,
     resolve,
     run_twin_threshold,
-    sample_graph,
     sample_stream,
     validate_thresholds,
 )
@@ -305,7 +304,7 @@ def test_gap_bound_holds_on_sampled_graphs():
 @given(st.integers(0, 10**6), st.integers(6, 16), st.integers(1, 3))
 def test_trace_invariants_on_sampled_graphs(seed, n, k):
     spec = GraphClassSpec(n, min(k, n - 1), False)
-    g = sample_graph(spec, seed)
+    g = next(sample_stream(spec, seed, 1))
     pair = ThresholdPair(min(3, n - 1), min(2, n - 1))
     report = check_trace_invariants(g, pair)
     assert report.ok, [c for c in report.checks if not c.ok]
