@@ -28,6 +28,7 @@ infeasibility arguments compare masses against exactly 1.
 from __future__ import annotations
 
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,11 +127,12 @@ class Violation:
     selected_b: bool
 
     def __post_init__(self):
-        a, b, v = self.text_a.split("\n"), self.text_b.split("\n"), self.deviator
-        if a[0] != b[0] or not a[0].startswith("n ") or not 1 <= v <= int(a[0][2:]):
+        header, v = self.text_a.partition("\n")[0], self.deviator
+        if header != self.text_b.partition("\n")[0] or not header.startswith("n ") or not 1 <= v <= int(header[2:]):
             raise ValueError("violation graphs must share a vertex set containing the deviator")
-        own = f"e {v} "
-        if [x for x in a if not x.startswith(own)] != [x for x in b if not x.startswith(own)]:
+        # every line of the deviator's edges follows a line break, as the header comes first
+        own = re.compile(rf"\ne {v} [^\n]*")
+        if own.sub("", self.text_a) != own.sub("", self.text_b):
             raise ValueError(f"graphs differ outside the outgoing edges of {v}")
         if self.selected_a == self.selected_b:
             raise ValueError("not a violation: selection status agrees")

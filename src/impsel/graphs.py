@@ -37,6 +37,7 @@ them are drawn.
 from __future__ import annotations
 
 import itertools
+import re
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
@@ -52,6 +53,10 @@ import numpy as np
 #: impartiality audits refuse base graphs whose deviation lines hold more
 #: graphs, with no override.
 AUDIT_CAP = 10**7
+
+#: Source vertices per block when a large graph is written or built from a
+#: file: what a block holds at once, not the whole edge set.
+_VERTEX_BLOCK = 4096
 
 
 class GraphFormatError(ValueError):
@@ -166,8 +171,17 @@ class DirectedGraph:
         return DirectedGraph(self.n, tuple(outs))
 
     def serialize(self) -> str:
-        """Canonical file form: header, then edge lines sorted by (u, v)."""
-        return f"n {self.n}\n" + edge_lines(self.edges)
+        """Canonical file form: header, then edge lines sorted by (u, v).
+
+        The lines are written for ``_VERTEX_BLOCK`` source vertices at a time,
+        with one sort per block, so no list of the whole edge set is built and
+        the cached ``edges`` view is neither read nor computed."""
+        outs = self.out_sets
+        blocks = (
+            edge_lines(sorted((v, u) for v, s in enumerate(outs[lo : lo + _VERTEX_BLOCK], start=lo + 1) for u in s))
+            for lo in range(0, self.n, _VERTEX_BLOCK)
+        )
+        return "".join([f"n {self.n}\n", *blocks])
 
     def __repr__(self) -> str:
         return f"DirectedGraph(n={self.n}, edges={list(self.edges)})"
@@ -336,9 +350,15 @@ def enumerate_graphs(spec: GraphClassSpec) -> Iterator[DirectedGraph]:
 def digit_block(spec: GraphClassSpec, indices: np.ndarray) -> np.ndarray:
     """(len(indices), n) int64 array: row j holds graph indices[j]'s out-set
     ranks, column v-1 that of vertex v."""
-    radix = spec.outset_count
-    place = radix ** np.arange(spec.n - 1, -1, -1, dtype=np.int64)  # vertex 1 most significant
-    return np.asarray(indices, dtype=np.int64)[:, None] // place % radix
+    radix, x = spec.outset_count, np.asarray(indices, dtype=np.int64)
+    digits = np.empty((len(x), spec.n), dtype=np.int64)
+    for col in range(spec.n - 1, -1, -1):  # vertex n is the least significant digit
+        # a scalar divisor takes numpy's fast constant-division path, which
+        # neither an array of place values nor % does
+        q = x // radix
+        digits[:, col] = x - q * radix
+        x = q
+    return digits
 
 
 def graph_at_index(spec: GraphClassSpec, index: int) -> DirectedGraph:
@@ -432,15 +452,66 @@ def sample_stream(spec: GraphClassSpec, seed: int, count: int) -> Iterator[Direc
 # ---------------------------------------------------------------------------
 
 
+#: Well-formed text as ``serialize()`` writes it: the header ``n <count>``,
+#: then edge lines ``e <u> <v>``, single spaces, "\n" line ends (the last one
+#: optional), ids of 1 to 18 ASCII digits without a leading zero, so that each
+#: fits an int64.  After the header, a search for the first line end followed
+#: by neither an edge line nor the end of the text keeps no state per line,
+#: where one match of a repeated line group would (172 MB at 10^6 lines).
+_ID = r"[1-9][0-9]{0,17}"
+_HEADER = re.compile(rf"n {_ID}(?=\n|\Z)")
+_NOT_AN_EDGE_LINE = re.compile(rf"\n(?!e {_ID} {_ID}(?:\n|\Z)|\Z)")
+_DIRECTIVES_TO_BLANKS = str.maketrans("ne", "  ")
+
+
+def _well_formed(text: str) -> bool:
+    header = _HEADER.match(text)
+    return header is not None and _NOT_AN_EDGE_LINE.search(text, header.end()) is None
+
+
 def parse_graph(text: str) -> DirectedGraph:
     """Parse the line-oriented graph format.
 
     Comment lines start with '#'; exactly one header line ``n <count>`` must
     precede the edge lines ``e <u> <v>``.  Self-loops, out-of-range ids and
-    duplicate edges are rejected with the offending line number.  Out-sets
-    are filled as the edges are read, keyed by source vertex, so a large
-    header costs nothing until the graph is built.
+    duplicate edges are rejected with the offending line number.
+
+    Text in the form ``serialize()`` writes (see ``_well_formed``: no comments
+    or blank lines, single spaces, ids without signs, underscores or leading
+    zeros) is read in one array pass: the endpoints become int64 arrays,
+    whose range, self-loops and duplicates (neighbours after sorting on
+    (u, v)) are checked vectorized, and each out-set is built once from its
+    sorted slice, ``_VERTEX_BLOCK`` sources at a time.  Any other text, and
+    well-formed text that fails a check, goes to the line reader
+    ``_read_lines``, which is the specification of the format and alone words
+    the errors.  Neither path allocates per vertex of the header's count
+    before the edges have passed their checks.
     """
+    if not _well_formed(text):
+        return _read_lines(text)
+    values = np.fromstring(text.translate(_DIRECTIVES_TO_BLANKS), dtype=np.int64, sep=" ")
+    n, u, v = int(values[0]), values[1::2], values[2::2]
+    if len(u) and (max(u.max(), v.max()) > n or (u == v).any()):
+        return _read_lines(text)
+    order = np.lexsort((v, u))
+    u, v = u[order], v[order]
+    if ((u[1:] == u[:-1]) & (v[1:] == v[:-1])).any():
+        return _read_lines(text)
+    firsts = np.flatnonzero(np.diff(u, prepend=0))  # each source's first edge; ids are >= 1
+    bounds = np.append(firsts, len(u))
+    outs = [frozenset()] * n
+    for b in range(0, len(firsts), _VERTEX_BLOCK):
+        cuts = bounds[b : b + _VERTEX_BLOCK + 1].tolist()
+        targets, base = v[cuts[0] : cuts[-1]].tolist(), cuts[0]
+        for src, lo, hi in zip(u[firsts[b : b + _VERTEX_BLOCK]].tolist(), cuts, cuts[1:]):
+            outs[src - 1] = frozenset(targets[lo - base : hi - base])
+    return DirectedGraph(n, tuple(outs))
+
+
+def _read_lines(text: str) -> DirectedGraph:
+    """The line reader: ``parse_graph`` line by line, wording each error with
+    its line number.  Out-sets are filled as the edges are read, keyed by
+    source vertex, so a large header costs nothing until the graph is built."""
     n: int | None = None
     outs: defaultdict[int, set[int]] = defaultdict(set)
     last_line = 0

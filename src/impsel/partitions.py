@@ -76,6 +76,11 @@ def enumerate_compositions(n: int, cap: int = COMPOSITION_CAP) -> Iterator[tuple
 def lambda_of(parts: tuple[int, ...]) -> int:
     """Number of labeled graphs isomorphic to the generated graph: n!/prod(s_i!)."""
     _check_parts(parts)
+    return _lambda(parts)
+
+
+def _lambda(parts: tuple[int, ...]) -> int:
+    """``lambda_of`` without its check: for part tuples this module built."""
     return factorial(sum(parts)) // prod(map(factorial, parts))
 
 
@@ -206,7 +211,7 @@ class Certificate:
         # the cap was checked when the certificate was built
         for p in enumerate_compositions(self.n, self.n):
             sign = self.sign_even_parts if len(p) % 2 == 0 else -self.sign_even_parts
-            yield CertificateRow(p, lambda_of(p), sign, AT_MOST_ONE if sign > 0 else AT_LEAST_ONE)
+            yield CertificateRow(p, _lambda(p), sign, AT_MOST_ONE if sign > 0 else AT_LEAST_ONE)
 
     def multipliers(self) -> tuple[int, ...]:
         return tuple(row.multiplier for row in self.rows())
@@ -223,14 +228,14 @@ def build_certificate(n: int, cap: int = COMPOSITION_CAP) -> Certificate:
     signed_sum = links = variable_terms = 0
     unpaired, uncancelled = [], []
     for p in enumerate_compositions(n, cap):
-        m_p = (-1) ** len(p) * lambda_of(p)  # a singleton block's coefficient
+        m_p = (-1) ** len(p) * _lambda(p)  # a singleton block's coefficient
         signed_sum += m_p
         variable_terms += len(p) - (p[0] == 1)
         merged = []
         for j, q in _merges(p):
             links += 1
             merged.append(j)
-            m_q, size = (-1) ** len(q) * lambda_of(q), q[j - 2]
+            m_q, size = (-1) ** len(q) * _lambda(q), q[j - 2]
             if m_p + m_q * size != 0:
                 broken = "same sign" if m_p * m_q > 0 else f"{abs(m_q) * size} != {abs(m_p)}"
                 uncancelled.append(f"{p} -> {q} (j={j}): {broken}")

@@ -146,6 +146,16 @@ def sampled_violations_by_definition(mechanism, spec: GraphClassSpec, seed: int,
     return canonical_order(violations)
 
 
+def same_outside_deviator(text_a: str, text_b: str, deviator: int) -> bool:
+    """Whether two graph texts have the same lines once every line of the
+    deviator's own edges, ``e <deviator> ...``, is filtered out of each, by
+    list filters over the split lines: ``Violation``'s contract."""
+    own = f"e {deviator} "
+    return [x for x in text_a.split("\n") if not x.startswith(own)] == [
+        x for x in text_b.split("\n") if not x.startswith(own)
+    ]
+
+
 def fresh_text(graph: DirectedGraph) -> str:
     """The serialization of a newly built copy of `graph`, computed from its
     out-sets."""

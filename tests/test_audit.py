@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import impsel.audit
 from impsel import (
@@ -40,6 +42,7 @@ from oracles import (
     gap_by_definition,
     sampled_gap_by_definition,
     sampled_violations_by_definition,
+    same_outside_deviator,
     violating_pairs_by_full_scan,
     violations_by_definition,
 )
@@ -109,6 +112,42 @@ def test_violation_validation_rejects_nonsense():
     w = Violation(a, b, 2, True, False)
     assert w.graph_a == graph(3, (1, 2), (2, 1), (3, 1)) and w.graph_b == graph(3, (1, 2), (3, 1))
     Violation("n 3\n", "n 3\ne 1 2\ne 1 3\n", 1, False, True)  # no edge line at all in one text
+
+
+# lines of either text: the deviator's own, vertex 10's and 12's against
+# deviator 1, and lines that no canonical text holds
+BODY_LINES = st.sampled_from(["e 1 2", "e 1 3", "e 10 1", "e 12 1", "e 2 1", "e 2 10", "e 1", "e 1 ", "e  1 2", "", "# e 1 2"])
+
+
+@st.composite
+def text_pairs(draw):
+    """Two texts under one header: shared lines, each with a few lines of its
+    own (the deviator's or not) inserted anywhere, with or without a final
+    line break."""
+    v = draw(st.sampled_from([1, 2, 10]))
+    shared = draw(st.lists(BODY_LINES, max_size=5))
+
+    def text():
+        lines = list(shared)
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            own = draw(st.sampled_from([f"e {v} 4", f"e {v} 5", f"e {v}", f"e {v}0 1"]))
+            lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), draw(st.one_of(st.just(own), BODY_LINES)))
+        return "\n".join(["n 12", *lines]) + draw(st.sampled_from(["\n", ""]))
+
+    return text(), text(), v
+
+
+@settings(max_examples=300, deadline=None)
+@given(text_pairs())
+def test_violation_texts_check_matches_the_line_filter_oracle(pair):
+    a, b, v = pair
+    try:
+        Violation(a, b, v, True, False)
+        accepted = True
+    except ValueError as exc:
+        assert str(exc) == f"graphs differ outside the outgoing edges of {v}"
+        accepted = False
+    assert accepted == same_outside_deviator(a, b, v)
 
 
 def test_sampled_mode_is_deterministic_and_finds_known_failures():

@@ -1,12 +1,15 @@
 import hashlib
 import itertools
 import math
+import re
 from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import impsel.graphs
 from impsel import (
     CapExceeded,
     DirectedGraph,
@@ -20,7 +23,7 @@ from impsel import (
     sample_stream,
 )
 from impsel.audit import _chunks
-from impsel.graphs import _unrank_outset, digit_block, graph_of_ranks, sample_ranks
+from impsel.graphs import _read_lines, _unrank_outset, _well_formed, digit_block, graph_of_ranks, sample_ranks
 from conftest import graph
 
 
@@ -234,6 +237,17 @@ def test_enumerator_starts_mid_range_at_chunk_boundaries():
             assert got == [graph_at_index(spec, i) for i in range(lo, hi)]
 
 
+@pytest.mark.parametrize("spec", [GraphClassSpec(4, 2), GraphClassSpec(4, 2, True), GraphClassSpec(7, 1)], ids=GraphClassSpec.describe)
+def test_digit_block_matches_place_value_division(spec):
+    n, radix, last = spec.n, spec.outset_count, spec.size - 1
+    place = np.array([radix ** (n - v) for v in range(1, n + 1)], dtype=np.int64)
+    scattered = np.random.default_rng(5).integers(0, spec.size, 500)
+    for indices in (np.arange(0, 300), np.arange(last - 299, last + 1), np.array([last, 0, *scattered, 0, last])):
+        digits = digit_block(spec, indices)
+        assert digits.dtype == np.int64 and digits.shape == (len(indices), n)
+        assert np.array_equal(digits, indices[:, None] // place % radix)
+
+
 def test_enumeration_cap():
     with pytest.raises(CapExceeded):
         list(enumerate_graphs(GraphClassSpec(7)))  # 64**7 graphs
@@ -390,3 +404,122 @@ def test_serialize_canonical():
 @given(graphs())
 def test_parse_serialize_round_trip(g):
     assert parse_graph(g.serialize()) == g
+
+
+def test_serialize_leaves_the_edge_view_uncomputed():
+    # vertex 1's out-set {3, 8} iterates as 8, 3: the lines are sorted, not in set order
+    g = graph(8, (5, 1), (1, 8), (1, 3), (4, 2))
+    assert list(g.out_sets[0]) == [8, 3]
+    assert g.serialize() == "n 8\ne 1 3\ne 1 8\ne 4 2\ne 5 1\n"
+    assert "edges" not in g.__dict__
+
+
+def test_serialize_writes_blocks_in_vertex_order(monkeypatch):
+    monkeypatch.setattr(impsel.graphs, "_VERTEX_BLOCK", 2)
+    g = graph(5, (5, 4), (3, 1), (2, 5), (1, 3), (1, 2), (4, 2))
+    assert g.serialize() == "n 5\ne 1 2\ne 1 3\ne 2 5\ne 3 1\ne 4 2\ne 5 4\n"
+    assert parse_graph(g.serialize()) == g
+
+
+def _parsed(reader, text):
+    """The graph `reader` returns, or the message and line of its error."""
+    try:
+        return reader(text)
+    except GraphFormatError as exc:
+        return str(exc), exc.line
+
+
+# tokens of either reader's grammar and just outside it; each id that is no
+# small vertex id makes the line reader refuse the line
+IDS = st.sampled_from(["0", "03", "+3", "1_0", "\u0663", "-1", "x", "2" * 19, str(2**63), str(2**63 - 1), "99999999999999999"])
+SEPARATORS = st.sampled_from([" ", " ", " ", "  ", "\t", " \t"])
+
+
+@st.composite
+def graph_texts(draw):
+    """Canonical text of a small graph, then a few edits, each of which may
+    take it out of the array pass's grammar or make it invalid."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    small = st.integers(min_value=1, max_value=n + 1).map(str)
+    ids = st.one_of(small, IDS)
+    lines = draw(graphs(max_n=n)).serialize().splitlines()
+    lines[0] = f"n {n}"
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        at = draw(st.integers(min_value=0, max_value=len(lines)))
+        edit = draw(st.sampled_from(["edge", "edge", "comment", "blank", "header", "retoken", "respace", "duplicate", "drop"]))
+        if edit == "edge":
+            lines.insert(at, f"e {draw(small)} {draw(small)}")
+        elif edit == "comment":
+            lines.insert(at, draw(st.sampled_from(["# a comment", "  # indented", "#"])))
+        elif edit == "blank":
+            lines.insert(at, draw(st.sampled_from(["", " ", "\t"])))
+        elif edit == "header":
+            lines.insert(at, f"n {draw(ids)}")
+        elif lines and at < len(lines):
+            fields = lines[at].split(" ")
+            if edit == "retoken":
+                fields[draw(st.integers(min_value=0, max_value=len(fields) - 1))] = draw(ids)
+                lines[at] = " ".join(fields)
+            elif edit == "respace":
+                lines[at] = draw(SEPARATORS).join(fields) + draw(st.sampled_from(["", " ", "\t"]))
+            elif edit == "duplicate":
+                lines.insert(at, lines[at])
+            else:
+                del lines[at]
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from([newline, newline, ""]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph_texts())
+def test_parse_graph_agrees_with_the_line_reader(text):
+    # a header count past 10^6 would have the line reader build that many
+    # out-sets: such a text ends in a self-loop, so both readers refuse it first
+    if any(fields[:1] == ["n"] and max(map(len, fields)) > 6 for fields in map(str.split, text.splitlines())):
+        text += "\ne 1 1\n"
+    assert _parsed(parse_graph, text) == _parsed(_read_lines, text)
+
+
+# the array pass's grammar as one match of the whole text, which keeps
+# backtracking state per line and so only suits small texts
+_ID = r"[1-9][0-9]{0,17}"
+_GRAMMAR = re.compile(rf"n {_ID}(?:\ne {_ID} {_ID})*\n?")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(graph_texts(), graphs().map(DirectedGraph.serialize)))
+def test_well_formed_is_the_grammar(text):
+    assert _well_formed(text) == (_GRAMMAR.fullmatch(text) is not None)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "\n", "n 3", "n 3\n", "n 3\n\n", "\nn 3\n", "n 3\ne 1 2", "n 3\ne 1 2\n\n", "n 3\ne 1 2\ne 2 1\n",
+     "n 3\ne 1 2 \n", "n 3\ne 1\n", "e 1 2\nn 3\n", f"n {'9' * 18}\n", f"n {'9' * 19}\n",
+     f"n 3\ne {'1' * 18} 2\n", f"n 3\ne 1 {'1' * 19}\n", "n 03\n", "n 3\ne 0 1\n", "n 3\r\ne 1 2\n"],
+)
+def test_well_formed_examples(text):
+    assert _well_formed(text) == (_GRAMMAR.fullmatch(text) is not None)
+
+
+@pytest.mark.parametrize(
+    "text,line,match",
+    [
+        # ids past int64 are refused by the line reader, not by a conversion
+        (f"n 3\ne 1 {2**63}\n", 2, "outside"),
+        (f"n 3\ne {'9' * 25} 2\n", 2, "outside"),
+        # a well-formed text whose header asks for 10^17 out-sets fails at
+        # its bad line before any out-set is built
+        (f"n {10**17}\ne 1 2\ne 2 2\n", 3, "self-loop"),
+        (f"n {10**17}\ne 1 2\ne 3 4\ne 1 2", 4, "duplicate edge"),
+        (f"n {2**63}\ne 1 2\ne 2 2\n", 3, "self-loop"),
+        # well-formed but out of range, in and past the last line
+        ("n 3\ne 1 2\ne 3 4", 3, "outside"),
+        ("n 3\ne 4 1\ne 1 2\n", 2, "outside"),
+    ],
+)
+def test_array_pass_leaves_errors_to_the_line_reader(text, line, match):
+    with pytest.raises(GraphFormatError, match=match) as err:
+        parse_graph(text)
+    assert err.value.line == line
+    assert _parsed(parse_graph, text) == _parsed(_read_lines, text)

@@ -201,9 +201,9 @@ def _failed_checks(cert):
 
 
 def test_certificate_checks_name_the_broken_fact(monkeypatch):
-    lambda_of = partitions.lambda_of
+    lam = partitions._lambda
     with monkeypatch.context() as m:
-        m.setattr(partitions, "lambda_of", lambda p: lambda_of(p) + 2 * (p == (1, 2, 1)))
+        m.setattr(partitions, "_lambda", lambda p: lam(p) + 2 * (p == (1, 2, 1)))
         failed = _failed_checks(build_certificate(4))
     assert list(failed) == ["cancellation"]
     # (1, 2, 1) is entered by (1, 1, 1, 1) --3--> and leaves by --3--> (1, 3)
