@@ -1,9 +1,9 @@
 """Iterated-deletion core shared by the threshold mechanisms.
 
 ``run_deletion`` and ``select_top`` are the per-graph rules: they run on one
-graph and its degree sequence, vertex v's degree at index v-1, as
-``DirectedGraph.indegrees`` gives it.  ``run_deletion`` sweeps a bucket queue
-of remaining indegrees, so it is linear in n + m up to one sort per level.
+graph and on a degree sequence, vertex v's degree at index v-1.
+``run_deletion`` sweeps a bucket queue of remaining indegrees, so past the O(n)
+degree count it is linear in the deleted vertices' edges up to one sort per level.
 
 The numpy block versions (``*_rows``) run the same rules on a block of B
 graphs at once.  A block is a table ``members`` of out-set rows, shape
@@ -38,32 +38,35 @@ def run_deletion(graph: DirectedGraph, t: int) -> tuple[list[int], list[tuple[in
     greatest-index such vertex loses its outgoing edges, decrementing the
     remaining indegree of each of its out-neighbors (deleted or not).
 
-    A bucket queue makes this O(n + m) plus one sort per level: bucket c gets
-    each undeleted vertex whose remaining indegree reaches c.  No undeleted
-    vertex sits above d (``run_deletion_rows``' invariant), so none joins level
-    d during its sweep: d's bucket, greatest index first, minus entries a
-    deletion pushed below d, gives the deletions at d.
+    A bucket queue makes this O(n + m) plus one sort per level: bucket c >= t
+    gets each undeleted vertex whose remaining indegree reaches c (degrees only
+    fall, so no vertex below t is ever queued).  No undeleted vertex sits above
+    d (``run_deletion_rows``' invariant), so none joins level d during its
+    sweep: d's bucket, greatest index first, minus entries a deletion pushed
+    below d, gives the deletions at d.  A deletion reads the vertex's slice of
+    the graph's ``targets``.
 
     Returns (deg, deletions): the final remaining indegrees, vertex v's at
     index v-1, and the ordered per-iteration records (iteration, vertex,
     degree_at_deletion).
     """
-    deg = list(graph.indegrees)
-    top = max(deg)
-    buckets: list[list[int]] = [[] for _ in range(top + 1)]  # index u is vertex u+1
+    deg, top = list(graph.indegrees), graph.max_indegree
+    buckets: list[list[int]] = [[] for _ in range(t, top + 1)]  # bucket c at c - t; index u is vertex u+1
     for u, c in enumerate(deg):
-        buckets[c].append(u)
-    deleted = [False] * graph.n
+        if c >= t:
+            buckets[c - t].append(u)
+    offsets, targets = graph.offsets, graph.targets
+    deleted: set[int] = set()
     deletions: list[tuple[int, int, int]] = []
     for d in range(top, t - 1, -1):
-        for u in sorted(buckets[d], reverse=True):
+        for u in sorted(buckets[d - t], reverse=True):
             if deg[u] == d:
                 deletions.append((len(deletions), u + 1, d))
-                deleted[u] = True
-                for w in graph.out_sets[u]:
+                deleted.add(u)
+                for w in targets[offsets[u] : offsets[u + 1]].tolist():
                     c = deg[w - 1] = deg[w - 1] - 1
-                    if c >= t and not deleted[w - 1]:
-                        buckets[c].append(w - 1)
+                    if c >= t and w - 1 not in deleted:
+                        buckets[c - t].append(w - 1)
     return deg, deletions
 
 

@@ -195,19 +195,20 @@ def _cmd_run(args) -> int:
         "selected_indegree": selected_indegree,
         "max_indegree": graph.max_indegree,
         "gap": gap,
-        "trace": [{"i": i, "v": v, "dstar": d} for i, v, d in trace.deletions],
-        "final_degrees": list(trace.final_degrees),
+        "trace": ({"i": i, "v": v, "dstar": d} for i, v, d in trace.deletions),
+        "final_degrees": iter(trace.final_degrees),
     }
-    lines = [
-        f"n={graph.n} thresholds T={args.T} t={args.t}",
-        f"selected: {selected} (indegree {selected_indegree})" if selected else "selected: nothing",
-        f"max indegree {graph.max_indegree}, gap {gap}",
-    ]
-    if args.trace:
-        lines.append("deletions (iteration, vertex, degree):")
-        lines.extend(f"  {i:4d} {v:6d} {d:6d}" for i, v, d in trace.deletions)
-        lines.append("final degrees: " + " ".join(str(d) for d in trace.final_degrees))
-    _emit(payload, args.json, lines)
+
+    def lines() -> Iterator[str]:  # made only when written, never under --json
+        yield f"n={graph.n} thresholds T={args.T} t={args.t}"
+        yield f"selected: {selected} (indegree {selected_indegree})" if selected else "selected: nothing"
+        yield f"max indegree {graph.max_indegree}, gap {gap}"
+        if args.trace:
+            yield "deletions (iteration, vertex, degree):"
+            yield from (f"  {i:4d} {v:6d} {d:6d}" for i, v, d in trace.deletions)
+            yield "final degrees: " + " ".join(map(str, trace.final_degrees))
+
+    _emit(payload, args.json, lines())
     return 0
 
 

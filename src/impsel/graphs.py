@@ -1,10 +1,10 @@
 """Directed nomination graphs: data model, graph classes, enumeration, sampling, I/O.
 
 Vertices are the integers 1..n and an edge (u, v) records that u nominates v.
-Graphs are loop-free, unweighted and immutable.  Families of graphs with a
-maximum-outdegree bound and/or a strictly-positive-outdegree requirement are
-described by :class:`GraphClassSpec`, which also owns enumeration, deviation
-generation and uniform sampling.
+A graph is loop-free, unweighted, immutable and held as two int64 arrays in
+compressed sparse row form (:class:`DirectedGraph`).  Families of graphs with
+an outdegree bound and/or a positive-outdegree requirement are described by
+:class:`GraphClassSpec`, which also owns enumeration, deviations and sampling.
 
 Enumeration order
 -----------------
@@ -19,8 +19,8 @@ the choice of vertex 1 varying slowest: graph i has the base-R digits of i as
 its per-vertex out-set ranks, vertex 1 the most significant (R out-sets per
 vertex).  That digit layout is the one way to walk a class: ``digit_block``
 gives the ranks of an array of indices as a numpy array for batched kernels, and
-``graph_at_index`` unranks single indices into graphs that share the spec's
-cached ``outset_lists`` (``enumerate_graphs`` yields it for every index).
+``graph_at_index`` unranks single indices into graphs (``enumerate_graphs``
+yields it for every index).
 
 Sampling
 --------
@@ -39,7 +39,6 @@ from __future__ import annotations
 import itertools
 import re
 from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import comb
@@ -54,8 +53,8 @@ import numpy as np
 #: graphs, with no override.
 AUDIT_CAP = 10**7
 
-#: Source vertices per block when a large graph is written or built from a
-#: file: what a block holds at once, not the whole edge set.
+#: Source vertices per block when a large graph is written: what a block
+#: holds at once, not the whole edge set.
 _VERTEX_BLOCK = 4096
 
 
@@ -76,75 +75,93 @@ class CapExceeded(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectedGraph:
     """Loop-free directed graph on vertices 1..n, immutable after construction.
 
-    ``out_sets[v - 1]`` is the set of out-neighbors of vertex v.  Derived views
-    (in-neighborhoods, degrees, edge list) are computed lazily and cached; the
-    object is safe to share across threads.
+    Compressed sparse rows: vertex v's out-neighbors are, strictly increasing,
+    ``targets[offsets[v - 1]:offsets[v]]``.  The constructor keeps read-only
+    int64 copies of both arrays and checks them whole; equality and hashing
+    read n and their bytes.  Other views are derived on first use and cached.
     """
 
     n: int
-    out_sets: tuple[frozenset[int], ...]
+    offsets: np.ndarray
+    targets: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"vertex count must be positive, got {self.n}")
-        object.__setattr__(self, "out_sets", tuple(frozenset(s) for s in self.out_sets))
-        if len(self.out_sets) != self.n:
-            raise ValueError(f"expected {self.n} out-sets, got {len(self.out_sets)}")
-        for v, outs in enumerate(self.out_sets, start=1):
-            for u in outs:
-                if not isinstance(u, int) or not 1 <= u <= self.n:
-                    raise ValueError(f"vertex {v} has out-neighbor {u!r} outside 1..{self.n}")
-                if u == v:
-                    raise ValueError(f"self-loop at vertex {v}")
+        n, offsets, targets = self.n, _frozen_ints(self.offsets), _frozen_ints(self.targets)
+        if n < 1 or offsets.shape != (n + 1,) or targets.ndim != 1:
+            raise ValueError(f"expected a positive vertex count, n + 1 offsets and flat targets, got n={n}")
+        if offsets[0] != 0 or offsets[-1] != len(targets) or (offsets[1:] < offsets[:-1]).any():
+            raise ValueError(f"offsets must rise from 0 to the target count {len(targets)}")
+        self.__dict__.update(offsets=offsets, targets=targets)
+        sources = _sources(offsets)
+        bad = (targets < 1) | (targets > n) | (targets == sources)
+        if bad.any():
+            v, u = int(sources[bad.argmax()]), int(targets[bad.argmax()])
+            raise ValueError(f"self-loop at vertex {v}" if u == v else f"vertex {v} has out-neighbor {u} outside 1..{n}")
+        bad = (targets[1:] <= targets[:-1]) & (sources[1:] == sources[:-1])  # within a slice
+        if bad.any():
+            v, u, w = int(sources[bad.argmax()]), int(targets[bad.argmax() + 1]), targets[bad.argmax()]
+            raise ValueError(f"duplicate edge ({v}, {u})" if u == w else f"out-neighbors of {v} not increasing at {u}")
 
-    # ---- constructors ----
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DirectedGraph) and self._identity() == other._identity()
+
+    def __hash__(self) -> int:
+        return hash(self._identity())
+
+    def _identity(self) -> tuple[int, bytes, bytes]:
+        return self.n, self.offsets.tobytes(), self.targets.tobytes()
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "DirectedGraph":
-        outs: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if not 1 <= u <= n or not 1 <= v <= n:
-                raise ValueError(f"edge ({u}, {v}) outside 1..{n}")
-            outs[u - 1].add(v)
-        return cls(n, tuple(frozenset(s) for s in outs))
+        """The graph with these (u, v) edges; an edge given twice counts once."""
+        pairs = _frozen_ints(list(edges)).reshape(-1, 2)
+        outside = ((pairs < 1) | (pairs > n)).any(axis=1)
+        if outside.any():
+            raise ValueError("edge ({}, {}) outside 1..{}".format(*pairs[outside.argmax()].tolist(), n))
+        return _of_keys(n, np.unique(pairs[:, 0] * (n + 1) + pairs[:, 1]))
+
+    @classmethod
+    def from_out_sets(cls, n: int, out_sets: Iterable[Iterable[int]]) -> "DirectedGraph":
+        """The graph in which vertex v nominates the members of out_sets[v-1]."""
+        rows = [sorted(s) for s in out_sets]
+        return cls(n, [0, *itertools.accumulate(map(len, rows))], list(itertools.chain.from_iterable(rows)))
 
     @classmethod
     def empty(cls, n: int) -> "DirectedGraph":
-        return cls(n, tuple(frozenset() for _ in range(n)))
+        return cls(n, [0] * (n + 1), [])
 
-    # ---- derived views ----
+    @cached_property
+    def out_sets(self) -> tuple[frozenset[int], ...]:
+        """Vertex v's out-neighbors at index v-1, for per-graph rules on small graphs."""
+        targets, cuts = self.targets.tolist(), self.offsets.tolist()
+        return tuple(frozenset(targets[lo:hi]) for lo, hi in zip(cuts, cuts[1:]))
 
     @cached_property
     def in_sets(self) -> tuple[frozenset[int], ...]:
-        ins: list[set[int]] = [set() for _ in range(self.n)]
-        for v, outs in enumerate(self.out_sets, start=1):
-            for u in outs:
-                ins[u - 1].add(v)
-        return tuple(frozenset(s) for s in ins)
+        """Vertex v's in-neighbors at index v-1: the sources sorted by target, cut by indegree."""
+        sources = _sources(self.offsets)[self.targets.argsort()].tolist()
+        cuts = np.bincount(self.targets, minlength=self.n + 1).cumsum().tolist()
+        return tuple(frozenset(sources[lo:hi]) for lo, hi in zip(cuts, cuts[1:]))
 
     @cached_property
     def indegrees(self) -> tuple[int, ...]:
-        degs = [0] * self.n
-        for outs in self.out_sets:
-            for u in outs:
-                degs[u - 1] += 1
-        return tuple(degs)
+        return tuple(np.bincount(self.targets, minlength=self.n + 1)[1:].tolist())
 
     @cached_property
     def outdegrees(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.out_sets)
+        return tuple(np.diff(self.offsets).tolist())
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted((v, u) for v, outs in enumerate(self.out_sets, start=1) for u in outs))
+        return tuple(zip(_sources(self.offsets).tolist(), self.targets.tolist()))
 
     @property
     def edge_count(self) -> int:
-        return sum(len(s) for s in self.out_sets)
+        return len(self.targets)
 
     @cached_property
     def max_indegree(self) -> int:
@@ -158,38 +175,45 @@ class DirectedGraph:
     def in_neighbors(self, v: int) -> frozenset[int]:
         return self.in_sets[v - 1]
 
-    # ---- transformations ----
-
     def relabel(self, perm: "Permutation") -> "DirectedGraph":
         """Image graph under the permutation: edge (u, v) becomes (perm(u), perm(v))."""
         if perm.n != self.n:
             raise ValueError(f"permutation on {perm.n} elements applied to n={self.n}")
-        outs: list[frozenset[int]] = [frozenset()] * self.n
-        images = perm.images
-        for v, s in enumerate(self.out_sets, start=1):
-            outs[images[v - 1] - 1] = frozenset(images[u - 1] for u in s)
-        return DirectedGraph(self.n, tuple(outs))
+        images = np.array((0, *perm.images))
+        return _of_keys(self.n, np.sort(images[_sources(self.offsets)] * (self.n + 1) + images[self.targets]))
 
     def serialize(self) -> str:
-        """Canonical file form: header, then edge lines sorted by (u, v).
-
-        The lines are written for ``_VERTEX_BLOCK`` source vertices at a time,
-        with one sort per block, so no list of the whole edge set is built and
-        the cached ``edges`` view is neither read nor computed."""
-        outs = self.out_sets
-        blocks = (
-            edge_lines(sorted((v, u) for v, s in enumerate(outs[lo : lo + _VERTEX_BLOCK], start=lo + 1) for u in s))
-            for lo in range(0, self.n, _VERTEX_BLOCK)
-        )
-        return "".join([f"n {self.n}\n", *blocks])
+        """Canonical file form: header, then edge lines by (u, v), ``_VERTEX_BLOCK`` sources at a time."""
+        blocks = [f"n {self.n}\n"]
+        for lo in range(0, self.n, _VERTEX_BLOCK):
+            cuts = self.offsets[lo : lo + _VERTEX_BLOCK + 1]
+            blocks.append(edge_lines(zip(_sources(cuts, lo + 1).tolist(), self.targets[cuts[0] : cuts[-1]].tolist())))
+        return "".join(blocks)
 
     def __repr__(self) -> str:
         return f"DirectedGraph(n={self.n}, edges={list(self.edges)})"
 
 
+def _frozen_ints(values) -> np.ndarray:
+    """A read-only int64 copy of `values`; raises TypeError unless they are integers."""
+    array = np.array(values)
+    array = array.astype(np.int64, casting="safe" if array.size else "unsafe", copy=False)
+    array.flags.writeable = False
+    return array
+
+
+def _sources(offsets: np.ndarray, first: int = 1) -> np.ndarray:
+    """Source of every edge in the slices `offsets` bounds, the first being vertex `first`'s."""
+    return np.arange(first, first + len(offsets) - 1).repeat(offsets[1:] - offsets[:-1])
+
+
+def _of_keys(n: int, keys: np.ndarray) -> DirectedGraph:
+    """The graph whose edges (u, v) have the sorted, distinct keys u*(n+1) + v."""
+    return DirectedGraph(n, np.bincount(keys // (n + 1), minlength=n + 1).cumsum(), keys % (n + 1))
+
+
 def edge_lines(pairs: Iterable[tuple[int, int]]) -> str:
-    """The edge lines ``e u v`` of the file format, one per (u, v) pair, in
-    the order given: the one writer of canonical text."""
+    """Edge lines ``e u v`` of the file format for (u, v) pairs in the given order: the one writer of canonical text."""
     return "".join(f"e {u} {v}\n" for u, v in pairs)
 
 
@@ -263,10 +287,7 @@ class GraphClassSpec:
         return self.outset_count**self.n
 
     def contains(self, graph: DirectedGraph) -> bool:
-        if graph.n != self.n:
-            return False
-        lo, hi = self.min_outdegree, self.bound
-        return all(lo <= len(s) <= hi for s in graph.out_sets)
+        return graph.n == self.n and all(self.min_outdegree <= d <= self.bound for d in graph.outdegrees)
 
     def admissible_outsets(self, v: int) -> list[tuple[int, ...]]:
         """All admissible out-sets of vertex v in the documented order."""
@@ -278,9 +299,7 @@ class GraphClassSpec:
 
     @cached_property
     def outset_lists(self) -> tuple[tuple[frozenset[int], ...], ...]:
-        """``admissible_outsets`` of every vertex (entry v-1) as frozensets,
-        shared by every graph ``graph_at_index`` builds.  Holds n * R sets:
-        meant for classes small enough to enumerate, not for sampling."""
+        """``admissible_outsets`` of every vertex (entry v-1) as frozensets: n * R sets."""
         return tuple(tuple(map(frozenset, self.admissible_outsets(v))) for v in range(1, self.n + 1))
 
     def outset_at(self, v: int, rank: int) -> tuple[int, ...]:
@@ -300,8 +319,6 @@ class GraphClassSpec:
 
 def _count_upto(m: int, b: int) -> int:
     """Number of subsets of an m-element pool with at most b elements."""
-    if b < 0:
-        return 0
     return sum(comb(m, j) for j in range(0, min(b, m) + 1))
 
 
@@ -365,13 +382,11 @@ def graph_at_index(spec: GraphClassSpec, index: int) -> DirectedGraph:
     """The index-th graph of the enumeration order, by mixed-radix unranking."""
     if not 0 <= index < spec.size:
         raise ValueError(f"index {index} outside 0..{spec.size - 1}")
-    radix = spec.outset_count
-    outs = [frozenset()] * spec.n
-    x = index
-    for v in range(spec.n - 1, -1, -1):  # vertex n is the least significant digit
-        x, digit = divmod(x, radix)
-        outs[v] = spec.outset_lists[v][digit]
-    return DirectedGraph(spec.n, tuple(outs))
+    outs = []
+    for v in range(spec.n, 0, -1):  # vertex n is the least significant digit
+        index, digit = divmod(index, spec.outset_count)
+        outs.append(spec.outset_lists[v - 1][digit])
+    return DirectedGraph.from_out_sets(spec.n, reversed(outs))
 
 
 def deviations(graph: DirectedGraph, v: int, spec: GraphClassSpec) -> Iterator[DirectedGraph]:
@@ -383,9 +398,7 @@ def deviations(graph: DirectedGraph, v: int, spec: GraphClassSpec) -> Iterator[D
     if not spec.contains(graph):
         raise ValueError(f"graph is not in class {spec.describe()}")
     for choice in spec.admissible_outsets(v):
-        outs = list(graph.out_sets)
-        outs[v - 1] = frozenset(choice)
-        yield DirectedGraph(graph.n, tuple(outs))
+        yield DirectedGraph.from_out_sets(graph.n, [*graph.out_sets[: v - 1], choice, *graph.out_sets[v:]])
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +451,7 @@ def sample_ranks(spec: GraphClassSpec, seed: int, count: int) -> Iterator[tuple[
 
 def graph_of_ranks(spec: GraphClassSpec, ranks: Sequence[int]) -> DirectedGraph:
     """The class member whose vertex v has out-set rank ranks[v-1]."""
-    return DirectedGraph(spec.n, tuple(frozenset(spec.outset_at(v, r)) for v, r in enumerate(ranks, start=1)))
+    return DirectedGraph.from_out_sets(spec.n, [spec.outset_at(v, r) for v, r in enumerate(ranks, start=1)])
 
 
 def sample_stream(spec: GraphClassSpec, seed: int, count: int) -> Iterator[DirectedGraph]:
@@ -478,14 +491,12 @@ def parse_graph(text: str) -> DirectedGraph:
 
     Text in the form ``serialize()`` writes (see ``_well_formed``: no comments
     or blank lines, single spaces, ids without signs, underscores or leading
-    zeros) is read in one array pass: the endpoints become int64 arrays,
-    whose range, self-loops and duplicates (neighbours after sorting on
-    (u, v)) are checked vectorized, and each out-set is built once from its
-    sorted slice, ``_VERTEX_BLOCK`` sources at a time.  Any other text, and
-    well-formed text that fails a check, goes to the line reader
-    ``_read_lines``, which is the specification of the format and alone words
-    the errors.  Neither path allocates per vertex of the header's count
-    before the edges have passed their checks.
+    zeros) is read in one array pass: the endpoints become int64 arrays whose
+    range, self-loops and duplicates (neighbours after sorting on (u, v)) are
+    checked vectorized before anything per vertex is allocated, and the sorted
+    arrays become the graph's.  Any other text, and well-formed text that fails
+    a check, goes to the line reader ``_read_lines``, which is the
+    specification of the format and alone words the errors.
     """
     if not _well_formed(text):
         return _read_lines(text)
@@ -493,30 +504,19 @@ def parse_graph(text: str) -> DirectedGraph:
     n, u, v = int(values[0]), values[1::2], values[2::2]
     if len(u) and (max(u.max(), v.max()) > n or (u == v).any()):
         return _read_lines(text)
-    order = np.lexsort((v, u))
-    u, v = u[order], v[order]
+    values = values[1:].reshape(-1, 2)[np.lexsort((v, u))]  # sorted (u, v) rows; the unsorted ones are freed
+    u, v = values.T
     if ((u[1:] == u[:-1]) & (v[1:] == v[:-1])).any():
         return _read_lines(text)
-    firsts = np.flatnonzero(np.diff(u, prepend=0))  # each source's first edge; ids are >= 1
-    bounds = np.append(firsts, len(u))
-    outs = [frozenset()] * n
-    for b in range(0, len(firsts), _VERTEX_BLOCK):
-        cuts = bounds[b : b + _VERTEX_BLOCK + 1].tolist()
-        targets, base = v[cuts[0] : cuts[-1]].tolist(), cuts[0]
-        for src, lo, hi in zip(u[firsts[b : b + _VERTEX_BLOCK]].tolist(), cuts, cuts[1:]):
-            outs[src - 1] = frozenset(targets[lo - base : hi - base])
-    return DirectedGraph(n, tuple(outs))
+    return DirectedGraph(n, np.bincount(u, minlength=n + 1).cumsum(), v)
 
 
 def _read_lines(text: str) -> DirectedGraph:
-    """The line reader: ``parse_graph`` line by line, wording each error with
-    its line number.  Out-sets are filled as the edges are read, keyed by
-    source vertex, so a large header costs nothing until the graph is built."""
+    """The line reader: ``parse_graph`` line by line, each error worded with its line number."""
     n: int | None = None
-    outs: defaultdict[int, set[int]] = defaultdict(set)
-    last_line = 0
+    edges: set[tuple[int, int]] = set()
+    lineno = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -545,11 +545,11 @@ def _read_lines(text: str) -> DirectedGraph:
                 raise GraphFormatError(lineno, f"edge ({u}, {v}) outside 1..{n}")
             if u == v:
                 raise GraphFormatError(lineno, f"self-loop at vertex {u}")
-            if v in outs[u]:
+            if (u, v) in edges:
                 raise GraphFormatError(lineno, f"duplicate edge ({u}, {v})")
-            outs[u].add(v)
+            edges.add((u, v))
         else:
             raise GraphFormatError(lineno, f"unrecognized directive {fields[0]!r}")
     if n is None:
-        raise GraphFormatError(last_line + 1, "missing 'n <count>' header")
-    return DirectedGraph(n, tuple(frozenset(outs.get(u, ())) for u in range(1, n + 1)))
+        raise GraphFormatError(lineno + 1, "missing 'n <count>' header")
+    return DirectedGraph.from_edges(n, edges)

@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from math import comb, factorial, prod
 from typing import Iterator
 
+import numpy as np
+
 from .graphs import CapExceeded, DirectedGraph
 
 #: Composition streams are refused past this n by default.  The cap bounds
@@ -107,10 +109,8 @@ def graph_of_composition(parts: tuple[int, ...]) -> DirectedGraph:
     for size in parts:
         starts.extend([acc] * size)
         acc += size
-    outs = tuple(
-        frozenset(u for u in range(starts[v - 1], n + 1) if u != v) for v in range(1, n + 1)
-    )
-    return DirectedGraph(n, outs)
+    outs = [[u for u in range(starts[v - 1], n + 1) if u != v] for v in range(1, n + 1)]
+    return DirectedGraph.from_out_sets(n, outs)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +290,8 @@ def reduce_add_isolated(graph: DirectedGraph, n_target: int) -> DirectedGraph:
         raise ValueError(f"need at least 2 vertices, got {graph.n}")
     if n_target < graph.n:
         raise ValueError(f"target {n_target} smaller than input {graph.n}")
-    outs = graph.out_sets + tuple(frozenset() for _ in range(n_target - graph.n))
-    return DirectedGraph(n_target, outs)
+    offsets = np.concatenate([graph.offsets, np.full(n_target - graph.n, graph.edge_count)])
+    return DirectedGraph(n_target, offsets, graph.targets)
 
 
 def reduce_add_inneighbors(graph: DirectedGraph, n_target: int) -> DirectedGraph:
@@ -311,10 +311,6 @@ def reduce_add_inneighbors(graph: DirectedGraph, n_target: int) -> DirectedGraph
         raise ValueError("input graph is not composition-generated")
     if n_target < k + 1:
         raise ValueError(f"target {n_target} must exceed input size {k}")
-    first_added = k + 1
-    originals = frozenset(range(1, k + 1))
-    outs = [
-        outset | frozenset({first_added}) if not outset else outset for outset in graph.out_sets
-    ]
-    outs.extend(originals for _ in range(n_target - k))
-    return DirectedGraph(n_target, tuple(outs))
+    outs = [outset or (k + 1,) for outset in graph.out_sets]
+    outs.extend(range(1, k + 1) for _ in range(n_target - k))
+    return DirectedGraph.from_out_sets(n_target, outs)

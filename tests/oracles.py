@@ -157,9 +157,10 @@ def same_outside_deviator(text_a: str, text_b: str, deviator: int) -> bool:
 
 
 def fresh_text(graph: DirectedGraph) -> str:
-    """The serialization of a newly built copy of `graph`, computed from its
-    out-sets."""
-    return DirectedGraph(graph.n, graph.out_sets).serialize()
+    """The canonical text of `graph` written straight from its out-sets,
+    without ``serialize``."""
+    edges = sorted((v, u) for v, outs in enumerate(graph.out_sets, start=1) for u in outs)
+    return f"n {graph.n}\n" + "".join(f"e {v} {u}\n" for v, u in edges)
 
 
 def canonical_order(violations: list[Violation]) -> list[Violation]:

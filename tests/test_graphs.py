@@ -34,7 +34,7 @@ def graphs(draw, max_n=7):
     for v in range(1, n + 1):
         targets = [u for u in range(1, n + 1) if u != v]
         outs.append(frozenset(draw(st.sets(st.sampled_from(targets)))) if targets else frozenset())
-    return DirectedGraph(n, tuple(outs))
+    return DirectedGraph.from_out_sets(n, outs)
 
 
 # ---- data model ----
@@ -42,11 +42,45 @@ def graphs(draw, max_n=7):
 
 def test_rejects_self_loop_and_range():
     with pytest.raises(ValueError, match="self-loop"):
-        DirectedGraph(3, (frozenset({1}), frozenset(), frozenset()))
+        DirectedGraph.from_out_sets(3, ({1}, (), ()))
     with pytest.raises(ValueError, match="outside"):
-        DirectedGraph(2, (frozenset({3}), frozenset()))
+        DirectedGraph.from_out_sets(2, ({3}, ()))
     with pytest.raises(ValueError):
-        DirectedGraph(0, ())
+        DirectedGraph.empty(0)
+
+
+@pytest.mark.parametrize(
+    "offsets, targets, match",
+    [
+        ([1, 1, 1, 1], [], "offsets must rise from 0"),
+        ([0, 2, 1, 2], [2, 3], "offsets must rise from 0"),
+        ([0, 1, 1], [2], r"n \+ 1 offsets"),
+        ([0, 1, 1, 1, 1], [2], r"n \+ 1 offsets"),
+        ([0, 1, 1, 1], [2, 3], "offsets must rise from 0 to the target count 2"),
+        ([0, 1, 1, 2], [2], "offsets must rise from 0 to the target count 1"),
+        ([0, 1, 1, 1], [0], r"^vertex 1 has out-neighbor 0 outside 1\.\.3$"),
+        ([0, 0, 1, 1], [4], r"^vertex 2 has out-neighbor 4 outside 1\.\.3$"),
+        ([0, 0, 1, 2], [1, 3], r"^self-loop at vertex 3$"),
+        ([0, 2, 2, 2], [3, 2], "out-neighbors of 1 not increasing at 2"),
+        ([0, 0, 2, 2], [3, 3], r"duplicate edge \(2, 3\)"),
+    ],
+)
+def test_constructor_rejects_malformed_arrays(offsets, targets, match):
+    with pytest.raises(ValueError, match=match):
+        DirectedGraph(3, offsets, targets)
+
+
+def test_arrays_are_read_only_copies():
+    offsets, targets = np.array([0, 2, 2, 3]), np.array([2, 3, 1])
+    g = DirectedGraph(3, offsets, targets)
+    offsets[1], targets[0] = 1, 3  # the caller's arrays stay the caller's
+    assert g.edges == ((1, 2), (1, 3), (3, 1))
+    for array in (g.offsets, g.targets):
+        assert array.dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    with pytest.raises(TypeError, match="cast"):
+        DirectedGraph(3, [0, 1, 1, 1], [2.5])  # a float id is refused, not truncated
 
 
 def test_edge_views():
@@ -175,7 +209,7 @@ def _documented_order(spec):
     """The class in the documented order, independently of the digit layout:
     the product of the admissible out-set lists, vertex 1 varying slowest."""
     choices = [spec.admissible_outsets(v) for v in range(1, spec.n + 1)]
-    return [DirectedGraph(spec.n, tuple(map(frozenset, combo))) for combo in itertools.product(*choices)]
+    return [DirectedGraph.from_out_sets(spec.n, combo) for combo in itertools.product(*choices)]
 
 
 def test_graph_at_index_agrees_with_enumeration():
@@ -233,7 +267,7 @@ def test_enumerator_starts_mid_range_at_chunk_boundaries():
         for lo, hi in chunks:
             rows = digit_block(spec, range(lo, hi))
             assert rows.shape == (hi - lo, spec.n)
-            got = [DirectedGraph(spec.n, tuple(frozenset(choices[v][r]) for v, r in enumerate(row))) for row in rows]
+            got = [DirectedGraph.from_out_sets(spec.n, [choices[v][r] for v, r in enumerate(row)]) for row in rows]
             assert got == [graph_at_index(spec, i) for i in range(lo, hi)]
 
 
@@ -404,6 +438,30 @@ def test_serialize_canonical():
 @given(graphs())
 def test_parse_serialize_round_trip(g):
     assert parse_graph(g.serialize()) == g
+
+
+@given(graphs())
+def test_every_builder_gives_the_same_graph(g):
+    spec = GraphClassSpec(g.n)
+    ranks = [spec.admissible_outsets(v).index(tuple(sorted(outs))) for v, outs in enumerate(g.out_sets, start=1)]
+    index = sum(r * spec.outset_count ** (g.n - v) for v, r in enumerate(ranks, start=1))
+    text = g.serialize()
+    built = [
+        DirectedGraph.from_edges(g.n, reversed(g.edges)),
+        DirectedGraph.from_out_sets(g.n, g.out_sets),
+        parse_graph(text),
+        _read_lines("# the line reader\n" + text),
+        graph_at_index(spec, index),
+        graph_of_ranks(spec, ranks),
+        g.relabel(Permutation(tuple(range(1, g.n + 1)))),
+    ]
+    for h in built:
+        assert h == g and hash(h) == hash(g) and h.key == g.key and h.serialize() == text
+    if g.edges:
+        assert DirectedGraph.from_edges(g.n, g.edges[1:]) != g
+    missing = [(u, v) for u in range(1, g.n + 1) for v in range(1, g.n + 1) if u != v and (u, v) not in g.edges]
+    if missing:
+        assert DirectedGraph.from_edges(g.n, [*g.edges, missing[0]]) != g
 
 
 def test_serialize_leaves_the_edge_view_uncomputed():

@@ -25,6 +25,17 @@ def test_contracts_raise_instead_of_asserting(path):
     assert lines == [], f"{path.name}: assert statements at lines {lines}"
 
 
+@pytest.mark.parametrize(
+    "path",
+    sorted(path for folder in ("src/impsel", "tests", "demos") for path in (ROOT / folder).glob("*.py")),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_sources_parse_as_python_3_10(path):
+    # pyproject.toml declares requires-python >= 3.10; the parser's grammar
+    # check stands in for an interpreter of that version
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
 @pytest.fixture(scope="module")
 def tracer_hooks():
     """Module file name -> names the bench tracer wraps on that module, loaded

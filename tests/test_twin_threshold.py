@@ -127,10 +127,17 @@ def test_deletion_matches_the_rescan_oracle_on_sampled_graphs(spec):
 
 
 def test_deletion_matches_the_rescan_oracle_on_a_hub_and_voter_graph():
-    g = _hub_and_voter_graph(3000, 1)
-    assert len(run_deletion(g, 1)[1]) > 10
-    for t in range(1, g.n):
-        assert run_deletion(g, t) == deletion_by_definition(g, t), t
+    for n, seed in ((3000, 1), (2000, 2), (1500, 3), (1000, 4)):
+        g = _hub_and_voter_graph(n, seed)
+        t = isqrt(n - 1) + 1
+        deletions = run_deletion(g, t)[1]
+        assert len(deletions) > 10
+        # a deletion dropped a hub into a level still >= t, where it was deleted
+        assert any(t <= d < g.indegrees[v - 1] for _, v, d in deletions), (n, seed)
+        # above every indegree no vertex is queued: nothing is deleted or changed
+        assert run_deletion(g, g.max_indegree + 1) == (list(g.indegrees), [])
+        for t in range(1, g.n):
+            assert run_deletion(g, t) == deletion_by_definition(g, t), (n, seed, t)
 
 
 def test_additive_gap_examples():
