@@ -13,10 +13,10 @@ the deviation lines whose "v is selected" flags are mixed.  Sampled
 impartiality audits evaluate each seeded base graph's n deviation lines (v's
 out-set swept, the rest fixed) and compare every graph on them with the base
 graph; sampled gap audits stack the samples into blocks.  A witness is its
-canonical text, written from its out-set ranks (the digits of a class index,
-or a sampled rank tuple) once however many violations it is part of; the
-violations hold those texts and are ordered by them, and a witness graph is
-parsed from its text only when a caller asks for one.
+canonical text, written once from its out-set ranks (class index digits or
+a sampled rank tuple); violations are integer columns over the sorted
+distinct texts, ordered by one lexsort, and a ``Violation`` or a witness
+graph is made only when read (tracemalloc peak 9.4 MB on max-naive G_6(1)).
 
 Worst additive gaps are measured in the same two modes, trace invariants are
 re-derived from recorded deletion traces, and a class's symmetrization (the
@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import os
 import re
+from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from itertools import islice, repeat
+from itertools import chain, islice
 from math import factorial
-from typing import Callable, Iterator, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -62,6 +63,9 @@ from .twin_threshold import DeletionTrace, ThresholdPair, additive_gap, run_twin
 #: Graphs per batch-kernel call (table entries per stacked sampled gap
 #: block); bounds the working arrays independently of the class size.
 KERNEL_BLOCK = 1 << 16
+
+#: Witness rows turned into Python lists at once, writing texts or reading violations.
+_ROW_BLOCK = 1 << 12
 
 #: Symmetrization enumerates all n! vertex permutations; refuse past this n.
 FACTORIAL_CAP = 7
@@ -146,6 +150,33 @@ class Violation:
         return parse_graph(self.text_b)
 
 
+class Violations(Sequence):
+    """An audit's violations in canonical order: the sorted distinct witness
+    texts and the columns (rank of text_a, rank of text_b, deviator,
+    selected_a).  Each ``Violation`` is made, so checked, only when read,
+    ``_ROW_BLOCK`` rows at a time when iterating; slices are lazy too."""
+
+    def __init__(self, texts: list[str], *columns: np.ndarray):
+        self._texts, self._columns = texts, columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Violations(self._texts, *(column[i] for column in self._columns))
+        i = range(len(self))[i]  # IndexError outside, negative counts from the end
+        return next(iter(self[i : i + 1]))
+
+    def __iter__(self) -> Iterator[Violation]:
+        for lo in range(0, len(self), _ROW_BLOCK):
+            for a, b, v, sel in zip(*(column[lo : lo + _ROW_BLOCK].tolist() for column in self._columns)):
+                yield Violation(self._texts[a], self._texts[b], v, sel, not sel)
+
+    def __eq__(self, other) -> bool:  # any sequence of the same violations in the same order
+        return isinstance(other, Sequence) and len(self) == len(other) and all(x == y for x, y in zip(self, other))
+
+
 @dataclass(frozen=True)
 class GapReport:
     """Worst additive gap found, with a witness graph attaining it."""
@@ -224,15 +255,16 @@ def _outcome_table(mid: MechanismId, spec: GraphClassSpec, jobs: int, score: Cal
         return np.concatenate(list(pool.map(chunk, args)))
 
 
-def _violating_pairs(table: np.ndarray, n: int, radix: int) -> Iterator[tuple[int, int, int, bool, bool]]:
+def _violating_pairs(table: np.ndarray, n: int, radix: int) -> tuple[np.ndarray, ...]:
     """Every violating deviation pair of the outcome table, exactly once, as
-    (index_a, index_b, deviator, selected_a, selected_b) with index_a < index_b.
+    columns (index_a, index_b, deviator, selected_a), index_a < index_b.
 
     Indices that differ only in vertex v's digit form a line along axis 1 of
     the (R**(v-1), R, R**(n-v)) reshape, R = radix.  Digits d1 < d2 on a line
     whose "v is selected" flags differ are one violation, so only the lines
     whose flags are mixed are walked, in the order of the full walk.
     """
+    blocks = [(np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0, dtype=bool),)]
     for v in range(1, n + 1):
         stride = radix ** (n - v)
         flags = (table == v).reshape(-1, radix, stride)
@@ -241,46 +273,42 @@ def _violating_pairs(table: np.ndarray, n: int, radix: int) -> Iterator[tuple[in
         for d1 in range(radix - 1):
             for d2 in range(d1 + 1, radix):
                 j = np.flatnonzero(lines[:, d1] != lines[:, d2])
-                head, tail, selected_a = heads[j], tails[j], lines[j, d1]
-                index_a = (head * radix + d1) * stride + tail
-                index_b = index_a + (d2 - d1) * stride
-                yield from zip(index_a.tolist(), index_b.tolist(), repeat(v), selected_a.tolist(), (~selected_a).tolist())
+                index_a = (heads[j] * radix + d1) * stride + tails[j]
+                blocks.append((index_a, index_a + (d2 - d1) * stride, np.full(len(j), v), lines[j, d1]))
+    return tuple(map(np.concatenate, zip(*blocks)))
 
 
-def check_impartiality(mid: MechanismId, spec: GraphClassSpec, mode: AuditMode = Exhaustive()) -> list[Violation]:
+def check_impartiality(mid: MechanismId, spec: GraphClassSpec, mode: AuditMode = Exhaustive()) -> Sequence[Violation]:
     """All impartiality violations found in the examined set, deduplicated by
-    unordered graph pair and sorted canonically.  An empty list means no
-    violation was found, not a proof beyond the examined set (it is a proof
-    for the whole class in exhaustive mode).
+    unordered graph pair and sorted canonically, as a lazy ``Violations``.
+    Empty means no violation was found, not a proof beyond the examined set
+    (it is a proof for the whole class in exhaustive mode).
     """
     mid.validate_for(spec.n)
     if isinstance(mode, Sampled):
-        return _violations(spec, _sampled_pairs(mid, spec, mode), lambda keys: keys)
+        return _violations(spec, *_sampled_pairs(mid, spec, mode))
     if _check_exhaustive_pre(spec, mode.cap) == 0:
-        return []
-    pairs = list(_violating_pairs(_outcome_table(mid, spec, mode.jobs), spec.n, spec.outset_count))
-    return _violations(spec, pairs, lambda keys: digit_block(spec, np.array(keys, dtype=np.int64)).tolist())
+        return _violations(spec, [], *[np.zeros(0, dtype=np.int64)] * 4)
+    index_a, index_b, *columns = _violating_pairs(_outcome_table(mid, spec, mode.jobs), spec.n, spec.outset_count)
+    keys, position = np.unique(np.concatenate([index_a, index_b]), return_inverse=True)
+    blocks = (digit_block(spec, keys[lo : lo + _ROW_BLOCK]).tolist() for lo in range(0, len(keys), _ROW_BLOCK))
+    return _violations(spec, chain.from_iterable(blocks), *np.split(position, 2), *columns)
 
 
-def _violations(spec: GraphClassSpec, pairs: list[tuple], ranks: Callable[[list], list]) -> list[Violation]:
-    """Violations of (a, b, deviator, selected_a, selected_b) pairs, the
-    smaller text first, in canonical order; no graph is built.
-
-    ranks(keys) gives the out-set ranks of each witness key, vertex 1 first,
-    and a witness's text is the header and one memoized ``edge_lines`` block
-    per (vertex, rank), in the canonical (u, v) edge order.  Each text is
-    written once and shared by every violation it is part of.
-    """
-    keys = list({x for pair in pairs for x in pair[:2]})
+def _violations(spec: GraphClassSpec, rows: Iterable[Sequence[int]], a, b, deviator, selected_a) -> Violations:
+    """The violations of (key a, key b, deviator, selected_a) columns in
+    canonical order, no graph built.  Key j's text is written once from
+    rows[j] (out-set ranks, vertex 1 first) with memoized ``edge_lines``.
+    Ranked by text, a pair is (smaller rank, larger rank, deviator, status of
+    the smaller); (text_a, text_b, deviator) is unique, so one lexsort sorts."""
     lines = cache(lambda v, rank: edge_lines((v, u) for u in spec.outset_at(v, rank)))
     head, vertices = f"n {spec.n}\n", range(1, spec.n + 1)
-    texts = {x: head + "".join(map(lines, vertices, row)) for x, row in zip(keys, ranks(keys))}
-    order = []
-    for a, b, v, sel_a, sel_b in pairs:
-        text_a, text_b = texts[a], texts[b]
-        order.append((text_b, text_a, v, sel_b, sel_a) if text_b < text_a else (text_a, text_b, v, sel_a, sel_b))
-    order.sort()  # (text_a, text_b, deviator) is unique, so no tie reaches the statuses
-    return [Violation(*row) for row in order]
+    texts = [head + "".join(map(lines, vertices, row)) for row in rows]
+    order = sorted(range(len(texts)), key=texts.__getitem__)
+    rank_a, rank_b = np.argsort(order)[np.stack([a, b])]  # argsort inverts the order: key -> text rank
+    lo, hi, selected_lo = np.minimum(rank_a, rank_b), np.maximum(rank_a, rank_b), selected_a ^ (rank_b < rank_a)
+    keep = np.lexsort((deviator, hi, lo))
+    return Violations([texts[i] for i in order], lo[keep], hi[keep], deviator[keep], selected_lo[keep])
 
 
 def _line_outcomes(kern, last: np.ndarray, fixed: np.ndarray, v: int) -> np.ndarray:
@@ -295,15 +323,16 @@ def _line_outcomes(kern, last: np.ndarray, fixed: np.ndarray, v: int) -> np.ndar
     return np.concatenate(outcomes)
 
 
-def _sampled_pairs(mid: MechanismId, spec: GraphClassSpec, mode: Sampled) -> list[tuple]:
+def _sampled_pairs(mid: MechanismId, spec: GraphClassSpec, mode: Sampled) -> tuple:
     """Each sampled base graph against every graph on its deviation lines: one
     whose "v is selected" flag differs from the base graph's is a violating
-    pair with deviator v, kept once per unordered pair.  Graphs are rank tuples."""
+    pair with deviator v, kept once per unordered pair.  Returns the distinct
+    witnesses' rank tuples and the columns ``_violations`` takes."""
     n, radix = spec.n, spec.outset_count
     if n * radix > AUDIT_CAP:
         raise CapExceeded(f"deviation lines of a {spec.describe()} graph hold {n * radix} graphs, audit cap is {AUDIT_CAP}")
     kern, last = batch_kernel_for(mid), outset_rows(n, spec.admissible_outsets(n))
-    found: dict[tuple, tuple] = {}
+    keys, found = {}, {}  # rank tuple -> key; (key a, key b, deviator), a < b -> selected_a
     for base in sample_ranks(spec, mode.seed, mode.trials):
         fixed = np.concatenate([vertex_rows(last[[r]], w) for w, r in enumerate(base, start=1)])
         for v, rank in enumerate(base, start=1):
@@ -311,8 +340,10 @@ def _sampled_pairs(mid: MechanismId, spec: GraphClassSpec, mode: Sampled) -> lis
             here = bool(flags[rank])
             for d in np.flatnonzero(flags != here).tolist():
                 other = base[: v - 1] + (d,) + base[v:]
-                found.setdefault((min(base, other), max(base, other), v), (base, other, v, here, not here))
-    return list(found.values())
+                a, b = keys.setdefault(base, len(keys)), keys.setdefault(other, len(keys))
+                found.setdefault((min(a, b), max(a, b), v), here == (a < b))
+    columns = np.array(list(found), dtype=np.int64).reshape(-1, 3).T
+    return keys, *columns, np.array(list(found.values()), dtype=bool)
 
 
 def _measure_gap_sampled(mid: MechanismId, spec: GraphClassSpec, mode: Sampled) -> GapReport:

@@ -26,7 +26,7 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, groupby, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -111,9 +111,9 @@ _WRITE_BLOCK = 1 << 16
 def _write_json(payload: dict) -> None:
     """Write ``json.dumps(payload, indent=2)`` and a newline to stdout while
     it is rendered.  Each element of a list or iterator among the payload's
-    values is rendered and joined on its own, and the text goes out in blocks
-    of about ``_WRITE_BLOCK`` characters, so a report never holds its whole
-    text, and a generator's elements are made only as they are written."""
+    values is rendered on its own, runs of scalars joined, and the text goes
+    out in blocks of about ``_WRITE_BLOCK`` characters, so a report never holds
+    its whole text, and a generator's elements are made only as written."""
     pending: list[str] = []
     size = 0
 
@@ -136,15 +136,18 @@ def _write_json(payload: dict) -> None:
             write("".join(out))
             continue
         head = "[\n    "
-        for item in value:
-            scalar = _SCALARS.get(type(item))
+        for kind, run in groupby(value, type):
+            scalar = _SCALARS.get(kind)
             if scalar is None:
-                out = [head]
-                _render(item, "    ", out)
-                write("".join(out))
-            else:
-                write(head + scalar(item))
-            head = ",\n    "
+                for item in run:
+                    out = [head]
+                    _render(item, "    ", out)
+                    write("".join(out))
+                    head = ",\n    "
+            else:  # a run of scalars is joined _WRITE_BLOCK // 8 elements at a time
+                while chunk := list(islice(run, _WRITE_BLOCK // 8)):
+                    write(head + ",\n    ".join(map(scalar, chunk)))
+                    head = ",\n    "
         write("[]" if head[0] == "[" else "\n  ]")
     pending.append("{}\n" if sep[0] == "{" else "\n}\n")
     sys.stdout.write("".join(pending))
@@ -296,10 +299,10 @@ def _cmd_audit(args) -> int:
             f"impartiality audit of {mid.text()} on {spec.describe()} ({mode.describe()})",
             f"violations found: {len(violations)}",
         ]
-        examples = (  # a generator, so only the text report parses witness graphs
+        examples = (  # only the text report runs this: it makes, so checks, every violation and parses 10
             f"  deviator {w.deviator}: selected {w.selected_a} vs {w.selected_b} across"
             f" {w.graph_a.key} / {w.graph_b.key}"
-            for w in violations[:10]
+            for i, w in enumerate(violations) if i < 10
         )
         _emit(payload, args.json, chain(lines, examples))
         return 1 if violations else 0

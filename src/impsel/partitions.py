@@ -265,19 +265,15 @@ def build_certificate(n: int, cap: int = COMPOSITION_CAP) -> Certificate:
 
 def composition_of_graph(graph: DirectedGraph) -> tuple[int, ...] | None:
     """Recover the generating composition's part tuple, or None if the graph is
-    not composition-generated.  Verified by full reconstruction."""
-    parts: list[int] = []
-    prev: int | None = None
-    for d in graph.indegrees:
-        if prev is not None and d == prev:
-            parts[-1] += 1
-        else:
-            parts.append(1)
-        prev = d
-    candidate = tuple(parts)
-    if graph_of_composition(candidate) == graph:
-        return candidate
-    return None
+    not composition-generated.  The runs of equal indegrees are the candidate,
+    whose block i has indegree S_i - 1 (S_i the sum of parts 1..i); it is built,
+    with the graph's edge count, only when the indegrees match, and compared."""
+    deg = np.array(graph.indegrees, dtype=np.int64)
+    parts = np.diff(np.flatnonzero(np.diff(deg, prepend=-1)), append=graph.n)  # lengths of the runs
+    if not np.array_equal(deg, np.repeat(np.cumsum(parts) - 1, parts)):
+        return None
+    candidate = tuple(parts.tolist())
+    return candidate if graph_of_composition(candidate) == graph else None
 
 
 def reduce_add_isolated(graph: DirectedGraph, n_target: int) -> DirectedGraph:

@@ -6,7 +6,8 @@ by relabeling, impartiality violations by literally comparing mechanism runs
 across deviation pairs of graph objects, additive gaps by counting indegrees
 graph by graph, the iterated deletion by rescanning every vertex at each step
 of the sweep, and the violating pairs of an outcome table by walking every
-line of it.  The sampled oracles run the same per-graph loops over the graphs
+line of it (or, for their number, by counting each line's selecting
+digits).  The sampled oracles run the same per-graph loops over the graphs
 ``sample_stream`` draws.  Infeasibility certificates are
 checked against an inequality system written from the composition graphs,
 with impartiality links found by comparing every pair of graphs.
@@ -186,6 +187,18 @@ def violating_pairs_by_full_scan(table: np.ndarray, n: int, radix: int) -> list[
                     selected_a = bool(flags[h, d1, t])
                     pairs.append((index_a, index_a + (d2 - d1) * stride, v, selected_a, not selected_a))
     return pairs
+
+
+def violation_count_by_lines(table: np.ndarray, n: int, radix: int) -> int:
+    """Number of violating deviation pairs of an outcome table, counted
+    without listing any: on a line of indices that differ only in vertex v's
+    digit, s of the R digits select v, and each of them against each of the
+    other R - s is one violating pair with deviator v."""
+    total = 0
+    for v in range(1, n + 1):
+        s = (table == v).reshape(-1, radix, radix ** (n - v)).sum(axis=1, dtype=np.int64)
+        total += int((s * (radix - s)).sum())
+    return total
 
 
 def sampled_gap_by_definition(

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -44,6 +45,7 @@ from oracles import (
     sampled_violations_by_definition,
     same_outside_deviator,
     violating_pairs_by_full_scan,
+    violation_count_by_lines,
     violations_by_definition,
 )
 
@@ -325,9 +327,75 @@ def test_witnesses_are_parsed_only_on_demand(monkeypatch, capsys):
 )
 def test_violation_scan_walks_only_mixed_lines_in_full_scan_order(text, spec):
     table = impsel.audit._outcome_table(MechanismId.parse(text), spec, 1)
-    got = list(impsel.audit._violating_pairs(table, spec.n, spec.outset_count))
+    columns = impsel.audit._violating_pairs(table, spec.n, spec.outset_count)
+    assert [c.dtype for c in columns] == [np.int64] * 3 + [np.bool_]
+    index_a, index_b, deviator, selected_a = (c.tolist() for c in columns)
+    got = list(zip(index_a, index_b, deviator, selected_a, (~columns[3]).tolist()))
     assert got == violating_pairs_by_full_scan(table, spec.n, spec.outset_count)
     assert (len(got) == 0) == (text == "twin:4,1")
+
+
+@pytest.mark.parametrize(
+    "text, spec, expect",
+    [
+        ("max-naive", GraphClassSpec(5, 1), 2834),
+        ("max-naive", GraphClassSpec(6, 1), 48430),
+        ("twin:2,1", GraphClassSpec(6, 1), None),
+        ("naive-sim:1", GraphClassSpec(4, 2, True), 186),
+        ("twin:4,1", GraphClassSpec(6, 1), 0),  # certified
+    ],
+    ids=lambda x: x.describe() if isinstance(x, GraphClassSpec) else str(x),
+)
+def test_violation_count_is_the_sum_over_deviation_lines(text, spec, expect):
+    # a line with s selecting digits holds s*(R-s) violating pairs; the count
+    # needs no pair listed, and the definition oracle agrees where it is cheap
+    mid = MechanismId.parse(text)
+    count = violation_count_by_lines(impsel.audit._outcome_table(mid, spec, 1), spec.n, spec.outset_count)
+    assert len(check_impartiality(mid, spec)) == count
+    assert expect is None or count == expect
+    if spec.size <= 5**5:
+        assert count == len(violations_by_definition(resolve(mid), spec))
+
+
+def test_violations_are_made_only_when_read(monkeypatch, capsys):
+    mid, spec = MechanismId.parse("max-naive"), GraphClassSpec(5, 1)
+    whole = list(check_impartiality(mid, spec))  # one block of rows
+    made = []
+    post_init = Violation.__post_init__
+    monkeypatch.setattr(Violation, "__post_init__", lambda self: made.append(self) or post_init(self))
+    monkeypatch.setattr(impsel.audit, "_ROW_BLOCK", 100)  # texts written and violations read in blocks
+    violations = check_impartiality(mid, spec)
+    assert made == []
+    first = list(violations)
+    assert len(made) == len(violations) == 2834 and first == whole
+    assert list(violations) == first and violations == first and first == violations
+    assert violations[0] == first[0] and violations[-1] == first[-1] and violations[-2834] == first[0]
+    for part in (slice(None, 10), slice(95, 205), slice(5, -5, 3), slice(None, None, -1), slice(3000, None)):
+        assert violations[part] == first[part] and list(violations[part]) == first[part]
+    for i in (2834, -2835):
+        with pytest.raises(IndexError):
+            violations[i]
+    assert violations != first[:-1] and violations != first[::-1] and violations != "not violations"
+    assert violations == check_impartiality(mid, spec, Exhaustive(jobs=2)) == canonical_order(first)
+    # the text report makes, and so checks, every violation once; --json makes each as it is written
+    argv = ["audit", "impartiality", "--mechanism", "max-naive", "--n", "5", "--k", "1", "--exhaustive"]
+    for extra in ([], ["--json"]):
+        made.clear()
+        assert main([*argv, *extra]) == 1 and len(made) == 2834
+    capsys.readouterr()
+
+
+def test_exhaustive_witness_memory_is_bounded():
+    # 48,430 violations among about 30,000 witnesses: the distinct texts and
+    # integer columns, no Violation objects and no sort tuples
+    mid, spec = MechanismId.parse("max-naive"), GraphClassSpec(6, 1)
+    tracemalloc.start()
+    try:
+        violations = check_impartiality(mid, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(violations) == 48430 and peak < 12 * 2**20, peak
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from dataclasses import replace
 
@@ -145,6 +146,28 @@ def test_composition_of_graph_round_trip_and_rejection():
             assert composition_of_graph(graph_of_composition(p)) == p
     assert composition_of_graph(graph(2, (2, 1))) is None
     assert composition_of_graph(DirectedGraph.empty(2)) is None
+    # the indegrees of (2, 1)'s graph, but other edges: refused by the full comparison
+    assert composition_of_graph(graph(3, (3, 1), (3, 2), (1, 3), (2, 3))) is None
+
+
+def test_composition_of_graph_compares_indegrees_before_building(monkeypatch):
+    # a candidate has Theta(n^2) edges; one whose indegrees are not the
+    # graph's is never built
+    def no_candidate(parts):
+        raise AssertionError(f"built a candidate with {len(parts)} parts")
+
+    monkeypatch.setattr(partitions, "graph_of_composition", no_candidate)
+    n, rng = 20_000, random.Random(1)
+    nominee = [rng.randrange(1, n) for _ in range(n)]
+    inputs = [
+        DirectedGraph.from_edges(n, [(v, v + 1) for v in range(1, n)]),  # indegrees 0, 1, ..., 1
+        DirectedGraph.from_edges(n, [(v, n) for v in range(1, n)]),  # a star: 0, ..., 0, n-1
+        DirectedGraph.from_edges(n, [(v, u + (u >= v)) for v, u in enumerate(nominee, start=1)]),
+    ]
+    for g in inputs:
+        assert composition_of_graph(g) is None
+        with pytest.raises(ValueError, match="not composition-generated"):
+            reduce_add_inneighbors(g, n + 1)
 
 
 # ---- transitions ----
