@@ -94,7 +94,8 @@ class Exhaustive:
 @dataclass(frozen=True)
 class Sampled:
     """Examine `trials` seeded uniform base graphs in one process: gap audits
-    measure them, impartiality audits compare each with every graph on its n
+    measure them (n*(n+1) out-set row entries per graph, at most
+    ``AUDIT_CAP``), impartiality audits compare each with every graph on its n
     deviation lines (n*R graphs, R admissible out-sets per vertex, at most
     ``AUDIT_CAP``)."""
 
@@ -349,8 +350,12 @@ def _sampled_pairs(mid: MechanismId, spec: GraphClassSpec, mode: Sampled) -> tup
 def _measure_gap_sampled(mid: MechanismId, spec: GraphClassSpec, mode: Sampled) -> GapReport:
     """Gaps of the sampled graphs, stacked into blocks whose table holds at
     most ``KERNEL_BLOCK`` entries: graph b of a block gives vertex v the
-    out-set in row b*n + v-1 of the block's table."""
+    out-set in row b*n + v-1 of the block's table.  A graph whose n rows of
+    n+1 entries exceed ``AUDIT_CAP`` is refused before sampling."""
     kern, n = batch_kernel_for(mid), spec.n
+    if n * (n + 1) > AUDIT_CAP:
+        raise CapExceeded(f"a {spec.describe()} graph's out-set rows hold {n * (n + 1)} entries, "
+                          f"audit cap is {AUDIT_CAP}")
     samples = sample_ranks(spec, mode.seed, mode.trials)
     best_gap, best = -1, ()
     while chunk := list(islice(samples, max(1, KERNEL_BLOCK // (n * (n + 1))))):
@@ -523,28 +528,27 @@ def symmetrize_eval(mechanism: Kernel, graph: DirectedGraph) -> ProbabilityVecto
     return ProbabilityVector(tuple(Fraction(c, scale) for c in counts))
 
 
-def _check_symmetrizable(mid: MechanismId, spec: GraphClassSpec) -> None:
-    """Refuse, before any graph is built, a class whose symmetrization needs
-    more than ``FACTORIAL_CAP``! relabelings per graph or more than
-    ``AUDIT_CAP`` graphs, and parameters the mechanism rejects for n."""
+def _symmetrizable_table(mid: MechanismId, spec: GraphClassSpec) -> np.ndarray:
+    """The class's outcome table, after refusing, before any graph is built,
+    a class whose symmetrization needs more than ``FACTORIAL_CAP``!
+    relabelings per graph or more than ``AUDIT_CAP`` graphs, and parameters
+    the mechanism rejects for n."""
     if spec.n > FACTORIAL_CAP:
         raise CapExceeded(f"symmetrization of n={spec.n} exceeds factorial cap {FACTORIAL_CAP}")
-    _check_exhaustive_pre(spec, AUDIT_CAP)
+    size = _check_exhaustive_pre(spec, AUDIT_CAP)
     mid.validate_for(spec.n)
+    return _outcome_table(mid, spec, 1) if size else np.zeros(0, dtype=np.int64)
 
 
-def _symmetrized_counts(mid: MechanismId, spec: GraphClassSpec, indices: np.ndarray) -> np.ndarray:
+def _symmetrized_counts(table: np.ndarray, spec: GraphClassSpec, indices: np.ndarray) -> np.ndarray:
     """(len(indices), n+1) int16 array: row j, column v counts the relabelings
-    pi of graph indices[j] on which the mechanism selects pi(v), column 0
-    those selecting nobody.  Relabeling by pi moves v's out-set S to pi(v) as
-    pi(S), so graph i's image is the class graph of index
+    pi of graph indices[j] on which the mechanism whose outcome table is
+    `table` selects pi(v), column 0 those selecting nobody.  Relabeling by pi
+    moves v's out-set S to pi(v) as pi(S), so graph i's image is the class graph of index
     sum_v rank(pi(S_v)) * R**(n - pi(v)): its outcome-table entry w counts for
     pi^-1(w)."""
     n, radix = spec.n, spec.outset_count
     counts = np.zeros((len(indices), n + 1), dtype=np.int16)  # n! <= 7! fits
-    if len(indices) == 0:
-        return counts
-    table = _outcome_table(mid, spec, 1)
     rank = [{s: d for d, s in enumerate(outs)} for outs in spec.outset_lists]
     perms = [perm.images for perm in Permutation.all_of(n)]
     # row pi, column (v-1)*R + d: what v's out-set of rank d adds to the image's index
@@ -562,9 +566,9 @@ def symmetrized_table(mid: MechanismId, spec: GraphClassSpec) -> dict[tuple[int,
     """``symmetrize_eval`` of the mechanism on every graph of a class, keyed by
     graph key in enumeration order: the integer counts of
     ``_symmetrized_counts``, divided by n! once.  Refused upfront as
-    ``_check_symmetrizable`` says."""
-    _check_symmetrizable(mid, spec)
-    counts, scale = _symmetrized_counts(mid, spec, np.arange(spec.size)).tolist(), factorial(spec.n)
+    ``_symmetrizable_table`` says."""
+    table = _symmetrizable_table(mid, spec)
+    counts, scale = _symmetrized_counts(table, spec, np.arange(spec.size)).tolist(), factorial(spec.n)
     vectors = (ProbabilityVector(tuple(Fraction(c, scale) for c in row[1:])) for row in counts)
     return {g.key: vector for g, vector in zip(enumerate_graphs(spec), vectors)}
 
@@ -584,25 +588,25 @@ def check_weak_unanimity_inheritance(mid: MechanismId, spec: GraphClassSpec) -> 
     """On graphs with a vertex of indegree n-1: if the base mechanism always
     selects a positive-indegree vertex there, the symmetrization must place
     mass exactly 1 on positive-indegree vertices: their relabeling counts in
-    ``_symmetrized_counts`` sum to n!.  The star graphs are found blockwise
-    from the class's indegree rows, and only they are built.  Refused upfront
-    as ``symmetrized_table`` is.
+    ``_symmetrized_counts`` sum to n!.  Everything is read from the outcome
+    table and the class's indegree rows, scanned blockwise: the star graphs,
+    the premise (the selected vertex's indegree, row 0 for none being zero)
+    and each star's positive-indegree vertices.  A graph is built only to name
+    a failing one.  Refused upfront as ``symmetrized_table`` is.
     """
-    _check_symmetrizable(mid, spec)
-    mechanism, n = resolve(mid), spec.n
-    block, found = _class_block(spec), [np.zeros(0, dtype=np.int64)]  # none in an empty class
+    table, n = _symmetrizable_table(mid, spec), spec.n
+    block, found, positive = _class_block(spec), [np.zeros(0, dtype=np.int64)], [np.zeros((0, n + 1), dtype=bool)]
     for lo, hi in _blocks(0, spec.size):
-        found.append(lo + np.flatnonzero((indegree_rows(*block(lo, hi))[1:] == n - 1).any(axis=0)))
-    stars = [(i, graph_at_index(spec, i)) for i in np.concatenate(found).tolist()]
-    for _, g in stars:
-        v = mechanism(g)
-        if v == 0 or g.indegrees[v - 1] < 1:
-            detail = f"{mid.text()} does not select a positive-indegree vertex on some such graph"
-            return WeakUnanimityReport(premise_holds=False, ok=True, graphs_checked=len(stars), detail=detail)
-    problems, scale = [], factorial(n)
-    counts = _symmetrized_counts(mid, spec, np.array([i for i, _ in stars], dtype=np.int64))
-    for row, (_, g) in zip(counts, stars):
-        total = int(row[[v for v in range(1, n + 1) if g.indegrees[v - 1] >= 1]].sum())
-        if total != scale:
-            problems.append(f"graph {g.key}: positive-indegree mass {Fraction(total, scale)} != 1")
+        deg = indegree_rows(*block(lo, hi))
+        stars = np.flatnonzero((deg[1:] == n - 1).any(axis=0))
+        found.append(lo + stars)
+        positive.append(deg[:, stars].T >= 1)
+    stars, positive = np.concatenate(found), np.concatenate(positive)
+    if not positive[np.arange(len(stars)), table[stars]].all():
+        detail = f"{mid.text()} does not select a positive-indegree vertex on some such graph"
+        return WeakUnanimityReport(premise_holds=False, ok=True, graphs_checked=len(stars), detail=detail)
+    scale = factorial(n)
+    totals = (_symmetrized_counts(table, spec, stars) * positive).sum(axis=1)
+    problems = [f"graph {graph_at_index(spec, i).key}: positive-indegree mass {Fraction(total, scale)} != 1"
+                for i, total in zip(stars.tolist(), totals.tolist()) if total != scale]
     return WeakUnanimityReport(True, not problems, len(stars), "; ".join(problems))

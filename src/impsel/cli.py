@@ -9,11 +9,12 @@ One binary, five subcommands:
     impsel reduce      apply a graph reduction and emit the result
 
 Exit codes: 0 success, 1 an audit found violations (or failed trace checks),
-2 usage or input errors, 141 (128 + SIGPIPE) stdout closed before the output
-was written, as in ``impsel partitions --n 12 | head -1``; nothing more is
-printed then.  With --json every report is a single JSON document, byte for
-byte what ``json.dumps(report, indent=2)`` gives, written to stdout in blocks
-while it is rendered; the witness list of an audit and the rows of
+2 usage or input errors, inputs too large to hold in memory included, 141
+(128 + SIGPIPE) stdout closed before the output was written, as in
+``impsel partitions --n 12 | head -1``; nothing more is printed then.  With
+--json every report is a single JSON document, byte for byte what
+``json.dumps(report, indent=2)`` gives, written to stdout in blocks while it
+is rendered; the witness list of an audit and the rows of
 ``partitions`` are generators whose dicts are made as they are written, so a
 report's memory is that of its data, not of its text.  Output is
 deterministic for deterministic inputs and independent of --jobs.
@@ -501,7 +502,7 @@ def main(argv: list[str] | None = None) -> int:
         # exit, to devnull so that no second error is printed
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ValueError, CapExceeded, GraphFormatError, OSError) as exc:
+    except (ValueError, CapExceeded, GraphFormatError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

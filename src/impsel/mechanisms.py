@@ -5,14 +5,16 @@ functions of the input graph and never raise on degenerate inputs (n=1, no
 edges): a selection is the selected vertex's id, and where the rule yields
 nothing they return 0.
 
-``MECHANISMS`` is the one registry: it maps each name to its parameter count,
-a validator of the parameters against a vertex count, a kernel factory and a
-batch-kernel factory.  The kernel runs on one graph; the batch kernel runs the
-same rule on a block of graphs at once (see :mod:`impsel._deletion` for the
-block layout) and is what every audit, exhaustive or sampled, evaluates.
-``MechanismId`` construction and parsing, ``validate_for``, ``kernel_for``,
-``batch_kernel_for`` and ``resolve`` are all lookups in it.  Names and parameter syntax (the CLI
-contract):
+Each mechanism is two plain rules that take its integer parameters first:
+``rule(*params, graph)`` runs on one graph, and ``rule_rows(*params, members,
+choice)`` runs the same rule on a block of graphs at once (see
+:mod:`impsel._deletion` for the block layout); the block rule is what every
+audit, exhaustive or sampled, evaluates.  ``MECHANISMS`` is the one registry:
+it maps each name to its parameter count, a validator of the parameters
+against a vertex count, and the two rules.  ``MechanismId`` construction and
+parsing, ``validate_for``, ``kernel_for`` and ``batch_kernel_for`` (the rules
+with the parameters bound) and ``resolve`` are all lookups in it.  Names and
+parameter syntax (the CLI contract):
 
     never              select nothing, always
     max-naive          greatest-index vertex of maximum indegree (always selects;
@@ -32,6 +34,7 @@ contract):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -44,94 +47,76 @@ BatchKernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 # ---------------------------------------------------------------------------
-# kernels: graph -> selected vertex id, 0 for none
+# rules: (*params, graph) -> selected vertex id, 0 for none
 # ---------------------------------------------------------------------------
 
 
-def _never_kernel(graph: DirectedGraph) -> int:
+def _never(graph: DirectedGraph) -> int:
     return 0
 
 
-def _max_naive_kernel(graph: DirectedGraph) -> int:
+def _max_naive(graph: DirectedGraph) -> int:
     return select_top(graph.indegrees, 0)
 
 
-def _follow_kernel(anchor: int) -> Kernel:
-    def kernel(graph: DirectedGraph) -> int:
-        return max(graph.out_sets[anchor - 1], default=0)
-
-    return kernel
+def _follow(anchor: int, graph: DirectedGraph) -> int:
+    return max(graph.out_sets[anchor - 1], default=0)
 
 
-def _majority_kernel(graph: DirectedGraph) -> int:
+def _majority(graph: DirectedGraph) -> int:
     return select_top(graph.indegrees, graph.n // 2 + 1)
 
 
-def _naive_sim_kernel(t: int) -> Kernel:
-    def kernel(graph: DirectedGraph) -> int:
-        remaining = list(graph.indegrees)
-        for outs, d in zip(graph.out_sets, graph.indegrees):
-            if d >= t:
-                for u in outs:
-                    remaining[u - 1] -= 1
-        return select_top(remaining, t + 1)
-
-    return kernel
+def _naive_sim(t: int, graph: DirectedGraph) -> int:
+    remaining = list(graph.indegrees)
+    for outs, d in zip(graph.out_sets, graph.indegrees):
+        if d >= t:
+            for u in outs:
+                remaining[u - 1] -= 1
+    return select_top(remaining, t + 1)
 
 
-def _twin_kernel(upper: int, lower: int) -> Kernel:
-    def kernel(graph: DirectedGraph) -> int:
-        deg, _ = run_deletion(graph, lower)
-        return select_top(deg, upper)
-
-    return kernel
+def _twin(upper: int, lower: int, graph: DirectedGraph) -> int:
+    deg, _ = run_deletion(graph, lower)
+    return select_top(deg, upper)
 
 
 # ---------------------------------------------------------------------------
-# batch kernels: (members (M, n+1), choice (B, n)) -> selected vertex per
-# graph in the members' dtype, 0 for none; they work on vertex-major (n+1, B)
-# degree arrays (see impsel._deletion)
+# block rules: (*params, members (M, n+1), choice (B, n)) -> selected vertex
+# per graph in the members' dtype, 0 for none; they work on vertex-major
+# (n+1, B) degree arrays (see impsel._deletion)
 # ---------------------------------------------------------------------------
 
 
-def _never_batch(members: np.ndarray, choice: np.ndarray) -> np.ndarray:
+def _never_rows(members: np.ndarray, choice: np.ndarray) -> np.ndarray:
     return np.zeros(len(choice), members.dtype)
 
 
-def _max_naive_batch(members: np.ndarray, choice: np.ndarray) -> np.ndarray:
+def _max_naive_rows(members: np.ndarray, choice: np.ndarray) -> np.ndarray:
     return select_top_rows(indegree_rows(members, choice), 0)
 
 
-def _follow_batch(anchor: int) -> BatchKernel:
-    def kernel(members: np.ndarray, choice: np.ndarray) -> np.ndarray:
-        # greatest member of every listed out-set, 0 for the empty one
-        top = (members * np.arange(members.shape[1], dtype=members.dtype)).max(axis=1)
-        return top[choice[:, anchor - 1]]
-
-    return kernel
+def _follow_rows(anchor: int, members: np.ndarray, choice: np.ndarray) -> np.ndarray:
+    # greatest member of every listed out-set, 0 for the empty one
+    top = (members * np.arange(members.shape[1], dtype=members.dtype)).max(axis=1)
+    return top[choice[:, anchor - 1]]
 
 
-def _majority_batch(members: np.ndarray, choice: np.ndarray) -> np.ndarray:
+def _majority_rows(members: np.ndarray, choice: np.ndarray) -> np.ndarray:
     return select_top_rows(indegree_rows(members, choice), choice.shape[1] // 2 + 1)
 
 
-def _naive_sim_batch(t: int) -> BatchKernel:
-    def kernel(members: np.ndarray, choice: np.ndarray) -> np.ndarray:
-        cols, deg = out_columns(members), indegree_rows(members, choice)
-        remaining = deg.copy()
-        for v in range(1, choice.shape[1] + 1):
-            # a vertex below t deletes the empty out-set, column len(members)
-            remaining -= np.take(cols, np.where(deg[v] >= t, choice[:, v - 1], len(members)), axis=1)
-        return select_top_rows(remaining, t + 1)
-
-    return kernel
+def _naive_sim_rows(t: int, members: np.ndarray, choice: np.ndarray) -> np.ndarray:
+    cols, deg = out_columns(members), indegree_rows(members, choice)
+    remaining = deg.copy()
+    for v in range(1, choice.shape[1] + 1):
+        # a vertex below t deletes the empty out-set, column len(members)
+        remaining -= np.take(cols, np.where(deg[v] >= t, choice[:, v - 1], len(members)), axis=1)
+    return select_top_rows(remaining, t + 1)
 
 
-def _twin_batch(upper: int, lower: int) -> BatchKernel:
-    def kernel(members: np.ndarray, choice: np.ndarray) -> np.ndarray:
-        return select_top_rows(run_deletion_rows(members, choice, lower), upper)
-
-    return kernel
+def _twin_rows(upper: int, lower: int, members: np.ndarray, choice: np.ndarray) -> np.ndarray:
+    return select_top_rows(run_deletion_rows(members, choice, lower), upper)
 
 
 # ---------------------------------------------------------------------------
@@ -169,20 +154,20 @@ def _check_pair(n: int, params: tuple[int, ...]) -> None:
 class MechanismEntry(NamedTuple):
     arity: int
     validate: Callable[[int, tuple[int, ...]], None]
-    kernel: Callable[[tuple[int, ...]], Kernel]
-    batch: Callable[[tuple[int, ...]], BatchKernel]
+    kernel: Callable[..., int]  # (*params, graph)
+    batch: Callable[..., np.ndarray]  # (*params, members, choice)
 
 
 MECHANISMS: dict[str, MechanismEntry] = {
-    "never": MechanismEntry(0, _no_params, lambda p: _never_kernel, lambda p: _never_batch),
-    "max-naive": MechanismEntry(0, _no_params, lambda p: _max_naive_kernel, lambda p: _max_naive_batch),
-    "follow": MechanismEntry(1, _check_anchor, lambda p: _follow_kernel(*p), lambda p: _follow_batch(*p)),
-    "majority": MechanismEntry(0, _no_params, lambda p: _majority_kernel, lambda p: _majority_batch),
+    "never": MechanismEntry(0, _no_params, _never, _never_rows),
+    "max-naive": MechanismEntry(0, _no_params, _max_naive, _max_naive_rows),
+    "follow": MechanismEntry(1, _check_anchor, _follow, _follow_rows),
+    "majority": MechanismEntry(0, _no_params, _majority, _majority_rows),
     "naive-iter": MechanismEntry(
-        1, _check_threshold, lambda p: _twin_kernel(p[0], p[0]), lambda p: _twin_batch(p[0], p[0])
+        1, _check_threshold, lambda t, graph: _twin(t, t, graph), lambda t, *block: _twin_rows(t, t, *block)
     ),
-    "naive-sim": MechanismEntry(1, _check_threshold, lambda p: _naive_sim_kernel(*p), lambda p: _naive_sim_batch(*p)),
-    "twin": MechanismEntry(2, _check_pair, lambda p: _twin_kernel(*p), lambda p: _twin_batch(*p)),
+    "naive-sim": MechanismEntry(1, _check_threshold, _naive_sim, _naive_sim_rows),
+    "twin": MechanismEntry(2, _check_pair, _twin, _twin_rows),
 }
 
 
@@ -226,23 +211,22 @@ class MechanismId:
 def kernel_for(mid: MechanismId) -> Kernel:
     """Per-graph kernel: graph -> selected vertex, 0 for none; ``resolve``
     adds the parameter check, and the tests check the batch kernel against it."""
-    return MECHANISMS[mid.name].kernel(mid.params)
+    return partial(MECHANISMS[mid.name].kernel, *mid.params)
 
 
 def batch_kernel_for(mid: MechanismId) -> BatchKernel:
     """Block kernel for audits: (members, choice) -> selected vertex per
     graph, 0 for none; equal to ``kernel_for(mid)`` on every graph."""
-    return MECHANISMS[mid.name].batch(mid.params)
+    return partial(MECHANISMS[mid.name].batch, *mid.params)
+
+
+def _validated(mid: MechanismId, graph: DirectedGraph) -> int:
+    mid.validate_for(graph.n)
+    return MECHANISMS[mid.name].kernel(*mid.params, graph)
 
 
 def resolve(mid: MechanismId) -> Kernel:
     """Graph-level mechanism: graph -> selected vertex, 0 for none.  It is
     ``kernel_for(mid)`` after validating the parameters against each graph's
     vertex count."""
-    kernel = kernel_for(mid)
-
-    def mechanism(graph: DirectedGraph) -> int:
-        mid.validate_for(graph.n)
-        return kernel(graph)
-
-    return mechanism
+    return partial(_validated, mid)

@@ -536,6 +536,18 @@ def test_sampled_impartiality_refuses_long_deviation_lines_before_sampling(monke
         check_impartiality(MechanismId.parse("twin:30,6"), spec, Sampled(1, 1))
 
 
+def test_sampled_gap_refuses_wide_graphs_before_sampling(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled before the cap check")
+
+    monkeypatch.setattr(impsel.audit, "sample_ranks", no_sampling)
+    # a sampled graph takes n rows of n+1 entries: 3,161 is the largest n under the audit cap
+    with pytest.raises(CapExceeded, match="10001406 entries"):
+        measure_gap(MechanismId.parse("twin:2,1"), GraphClassSpec(3162, 1), Sampled(1, 1))
+    with pytest.raises(AssertionError, match="sampled before"):
+        measure_gap(MechanismId.parse("twin:2,1"), GraphClassSpec(3161, 1), Sampled(1, 1))
+
+
 def test_sampled_audits_run_the_batch_kernels_only(monkeypatch):
     # the per-graph mechanism runs once per gap audit, to recheck the witness
     calls = []
@@ -736,6 +748,48 @@ def test_weak_unanimity_inheritance():
     assert symmetrized_table(MechanismId.parse("majority"), empty) == {}
     report = check_weak_unanimity_inheritance(MechanismId.parse("majority"), empty)
     assert report == WeakUnanimityReport(True, True, 0)
+
+
+def test_weak_unanimity_applies_only_the_block_rule(monkeypatch):
+    # the premise and the masses are read from the outcome table and the
+    # indegree rows; no per-graph rule runs and, on a passing class, no graph
+    # is built
+    def per_graph(*args):
+        raise AssertionError("ran the per-graph rule or built a graph")
+
+    monkeypatch.setattr(impsel.audit, "resolve", per_graph)
+    monkeypatch.setattr(impsel.audit, "graph_at_index", per_graph)
+    for text, spec in (("majority", GraphClassSpec(3, 1)), ("max-naive", GraphClassSpec(4, 1)),
+                       ("follow:1", GraphClassSpec(3, 1, True))):
+        report = check_weak_unanimity_inheritance(MechanismId.parse(text), spec)
+        assert report.premise_holds and report.ok and report.graphs_checked > 0, text
+    report = check_weak_unanimity_inheritance(MechanismId.parse("never"), GraphClassSpec(3, 1))
+    assert not report.premise_holds and report.ok
+    report = check_weak_unanimity_inheritance(MechanismId.parse("majority"), GraphClassSpec(1, None, True))
+    assert report == WeakUnanimityReport(True, True, 0)
+
+
+def test_weak_unanimity_names_a_graph_whose_mass_falls_short(monkeypatch):
+    # a lost relabeling on the first star is the one failure, so its graph,
+    # and only it, is built to name it
+    counts, built = impsel.audit._symmetrized_counts, []
+
+    def short(table, spec, indices):
+        rows = counts(table, spec, indices)
+        rows[0, 1:] -= rows[0, 1:] == rows[0, 1:].max()
+        return rows
+
+    def build(spec, i):
+        built.append(i)
+        return graph_at_index(spec, i)
+
+    monkeypatch.setattr(impsel.audit, "_symmetrized_counts", short)
+    monkeypatch.setattr(impsel.audit, "graph_at_index", build)
+    spec = GraphClassSpec(3, 1)
+    report = check_weak_unanimity_inheritance(MechanismId.parse("max-naive"), spec)
+    star = next(i for i, g in enumerate(enumerate_graphs(spec)) if g.max_indegree == 2)
+    assert report.premise_holds and not report.ok and built == [star]
+    assert report.detail == f"graph {graph_at_index(spec, star).key}: positive-indegree mass 5/6 != 1"
 
 
 @pytest.mark.parametrize("block", [7, 1 << 16])

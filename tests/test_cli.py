@@ -235,6 +235,18 @@ def test_run_bad_graph_file_reports_line(capsys, tmp_path):
     assert code == 2 and "line 2" in err
 
 
+def test_inputs_too_large_to_hold_exit_2(capsys, tmp_path):
+    # 10**17 vertices are past any 64-bit address space: the allocation is
+    # refused at once, so nothing is allocated
+    huge, small = tmp_path / "huge.g", tmp_path / "small.g"
+    huge.write_text(f"n {10**17}\ne 1 2\n")
+    small.write_text("n 2\ne 1 2\n")
+    for argv in (("run", "--graph", str(huge), "--T", "2", "--t", "1"),
+                 ("reduce", "--graph", str(small), "--mode", "isolated", "--n-target", str(10**17))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: "), argv
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--T", "3", "--t", "2"])  # missing --graph

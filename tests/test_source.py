@@ -74,6 +74,21 @@ def test_every_import_is_used(path, tracer_hooks):
         assert "tracer" in lines[imported[name] - 1], f"{path.name}: {name} is kept for the tracer without a comment"
 
 
+def test_mechanisms_have_no_nested_functions():
+    # each mechanism is two module-level rules that take their parameters
+    # first; ``functools.partial`` binds them, so no factory closure is needed
+    path = ROOT / "src" / "impsel" / "mechanisms.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    nested = [
+        inner.name
+        for outer in ast.walk(tree)
+        if isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(outer)
+        if inner is not outer and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    assert nested == [], f"mechanisms.py: nested functions {nested}"
+
+
 #: Every name ``impsel/__init__.py`` imports, sorted.  A public name that
 #: appears or vanishes changes this list, so the move shows in the diff.
 PUBLIC_API = [
