@@ -549,11 +549,11 @@ def _symmetrized_counts(table: np.ndarray, spec: GraphClassSpec, indices: np.nda
     pi^-1(w)."""
     n, radix = spec.n, spec.outset_count
     counts = np.zeros((len(indices), n + 1), dtype=np.int16)  # n! <= 7! fits
-    rank = [{s: d for d, s in enumerate(outs)} for outs in spec.outset_lists]
+    rank = [{frozenset(s): d for d, s in enumerate(spec.admissible_outsets(v))} for v in range(1, n + 1)]
     perms = [perm.images for perm in Permutation.all_of(n)]
     # row pi, column (v-1)*R + d: what v's out-set of rank d adds to the image's index
     weights = np.array([[rank[w - 1][frozenset(p[u - 1] for u in s)] * radix ** (n - w)
-                         for w, outs in zip(p, spec.outset_lists) for s in outs] for p in perms])
+                         for w, outs in zip(p, rank) for s in outs] for p in perms])
     inverses = np.argsort(np.pad(perms, ((0, 0), (1, 0))), axis=1)  # pi^-1, with 0 (none) fixed
     for lo, hi in _blocks(0, len(indices)):
         flat, rows = digit_block(spec, indices[lo:hi]) + np.arange(n) * radix, np.arange(lo, hi)

@@ -14,10 +14,10 @@ Exit codes: 0 success, 1 an audit found violations (or failed trace checks),
 ``impsel partitions --n 12 | head -1``; nothing more is printed then.  With
 --json every report is a single JSON document, byte for byte what
 ``json.dumps(report, indent=2)`` gives, written to stdout in blocks while it
-is rendered; the witness list of an audit and the rows of
-``partitions`` are generators whose dicts are made as they are written, so a
-report's memory is that of its data, not of its text.  Output is
-deterministic for deterministic inputs and independent of --jobs.
+is rendered an array element at a time; the witness list of an audit, the
+trace of ``run`` and the rows of ``partitions`` are generators made as they
+are written, so a report's memory is that of its data, not of its text.
+Output is deterministic for deterministic inputs and independent of --jobs.
 """
 
 from __future__ import annotations
@@ -71,87 +71,66 @@ _SCALARS = {
 }
 
 
-def _render(value, indent: str, out: list[str]) -> None:
-    """Append ``json.dumps(value, indent=2)``, nested at `indent`, to `out` in
-    pieces.  Dicts with str keys, lists and iterators (as arrays), str, int,
-    bool and None are written; any other type, subclasses of these scalars
-    included, raises ``TypeError``."""
-    scalar = _SCALARS.get(type(value))
-    if scalar is not None:
-        out.append(scalar(value))
-        return
-    inner = indent + "  "
-    if isinstance(value, dict):
-        sep, comma = "{\n" + inner, ",\n" + inner
-        for key, item in value.items():
-            scalar = _SCALARS.get(type(item))  # inline, as most values are scalars
-            if scalar is None:
-                out.append(f"{sep}{encode_basestring_ascii(key)}: ")  # a key that is no str raises
-                _render(item, inner, out)
-            else:
-                out.append(f"{sep}{encode_basestring_ascii(key)}: {scalar(item)}")
-            sep = comma
-        out.append("{}" if sep[0] == "{" else f"\n{indent}}}")
-    elif isinstance(value, (list, Iterator)):
-        sep, comma = "[\n" + inner, ",\n" + inner
-        for item in value:
-            out.append(sep)
-            _render(item, inner, out)
-            sep = comma
-        out.append("[]" if sep[0] == "[" else f"\n{indent}]")
-    else:
-        raise TypeError(f"cannot write {type(value).__name__} as JSON")
-
-
 #: Characters of JSON text collected per stdout write.  The number of writes
 #: then does not depend on how stdout is buffered (under PYTHONUNBUFFERED each
 #: write is a system call), and the text held at once stays this small.
 _WRITE_BLOCK = 1 << 16
 
 
+def _render(value, indent: str, out: list[str], size: int) -> int:
+    """Append ``json.dumps(value, indent=2)`` for a dict with str keys or an
+    array (list or iterator), nested at `indent`, to `out` in pieces; return
+    the characters then pending in `out`, `size` being those before.  Members
+    may be str, int, bool, None or such containers; any other type, subclasses
+    of these scalars included, raises ``TypeError``.  At every depth an
+    array's elements are rendered one at a time, runs of scalars joined
+    ``_WRITE_BLOCK // 8`` at a time, and once ``_WRITE_BLOCK`` characters are
+    pending after an element, `out` goes to stdout and is emptied."""
+    inner = indent + "  "
+    if isinstance(value, dict):  # its pieces are joined, as most of its values are scalars
+        sep, comma, parts = "{\n" + inner, ",\n" + inner, []
+        for key, item in value.items():
+            scalar = _SCALARS.get(type(item))
+            if scalar is None:
+                out.append("".join(parts) + f"{sep}{encode_basestring_ascii(key)}: ")  # a key that is no str raises
+                parts.clear()
+                size = _render(item, inner, out, size + len(out[-1]))
+            else:
+                parts.append(f"{sep}{encode_basestring_ascii(key)}: {scalar(item)}")
+            sep = comma
+        parts.append("{}" if sep[0] == "{" else f"\n{indent}}}")
+        out.append("".join(parts))
+        return size + len(out[-1])
+    if not isinstance(value, (list, Iterator)):
+        raise TypeError(f"cannot write {type(value).__name__} as JSON")
+    sep, comma = "[\n" + inner, ",\n" + inner
+    for kind, run in groupby(value, type):
+        scalar = _SCALARS.get(kind)
+        chunks = run if scalar is None else iter(lambda: list(islice(run, _WRITE_BLOCK // 8)), [])
+        for item in chunks:  # an element, or a chunk of a run of scalars
+            if scalar is None:
+                out.append(sep)
+                size = _render(item, inner, out, size + len(sep))
+            else:
+                out.append(sep + comma.join(map(scalar, item)))
+                size += len(out[-1])
+            sep = comma
+            if size >= _WRITE_BLOCK:
+                sys.stdout.write("".join(out))
+                out.clear()
+                size = 0
+            if scalar is not None and len(item) < _WRITE_BLOCK // 8:
+                break  # a short chunk ends its run; asking again would cost more than a short list
+    out.append("[]" if sep[0] == "[" else f"\n{indent}]")
+    return size + len(out[-1])
+
+
 def _write_json(payload: dict) -> None:
     """Write ``json.dumps(payload, indent=2)`` and a newline to stdout while
-    it is rendered.  Each element of a list or iterator among the payload's
-    values is rendered on its own, runs of scalars joined, and the text goes
-    out in blocks of about ``_WRITE_BLOCK`` characters, so a report never holds
-    its whole text, and a generator's elements are made only as written."""
-    pending: list[str] = []
-    size = 0
-
-    def write(text: str) -> None:
-        nonlocal size
-        pending.append(text)
-        size += len(text)
-        if size >= _WRITE_BLOCK:
-            sys.stdout.write("".join(pending))
-            pending.clear()
-            size = 0
-
-    sep = "{\n  "
-    for key, value in payload.items():
-        write(f"{sep}{encode_basestring_ascii(key)}: ")
-        sep = ",\n  "
-        if not isinstance(value, (list, Iterator)):
-            out: list[str] = []
-            _render(value, "  ", out)
-            write("".join(out))
-            continue
-        head = "[\n    "
-        for kind, run in groupby(value, type):
-            scalar = _SCALARS.get(kind)
-            if scalar is None:
-                for item in run:
-                    out = [head]
-                    _render(item, "    ", out)
-                    write("".join(out))
-                    head = ",\n    "
-            else:  # a run of scalars is joined _WRITE_BLOCK // 8 elements at a time
-                while chunk := list(islice(run, _WRITE_BLOCK // 8)):
-                    write(head + ",\n    ".join(map(scalar, chunk)))
-                    head = ",\n    "
-        write("[]" if head[0] == "[" else "\n  ]")
-    pending.append("{}\n" if sep[0] == "{" else "\n}\n")
-    sys.stdout.write("".join(pending))
+    it is rendered, in blocks as ``_render`` sends them."""
+    out: list[str] = []
+    _render(payload, "", out, 0)
+    sys.stdout.write("".join(out) + "\n")
 
 
 def _emit(payload: dict, as_json: bool, lines: Iterable[str]) -> None:
@@ -380,37 +359,36 @@ def _cmd_partitions(args) -> int:
     count, total = 1 << (args.n - 1), fubini(args.n)
     odd = total % 2 == 1
     cells = ("sign", "sense", "multiplier") if args.certificate else ()
-    if args.json:
-        payload = {
-            "n": args.n,
-            "compositions": count,
-            "fubini": total,
-            "odd": odd,
-            "rows": (
-                {"composition": list(p), "r": len(p), "lambda": lam} | dict(zip(cells, extra))
-                for p, lam, extra in rows
-            ),
-        }
-        if args.certificate:
-            payload["certificate"] = {
-                "rhs_total": cert.rhs_total,
-                "rhs_alternate": cert.rhs_alternate,
-                "sign_even_parts": cert.sign_even_parts,
-                "odd": cert.rhs_total % 2 != 0,
-                "cancellation_ok": cert.cancellation_ok,
-            }
-        _write_json(payload)
-        return 0
-    print(f"compositions of {args.n}: {count}, multiplicity sum {total} (odd={odd})")
+    payload = {
+        "n": args.n,
+        "compositions": count,
+        "fubini": total,
+        "odd": odd,
+        "rows": (
+            {"composition": list(p), "r": len(p), "lambda": lam} | dict(zip(cells, extra))
+            for p, lam, extra in rows
+        ),
+    }
     if args.certificate:
-        print(
-            f"certificate: rhs_total={cert.rhs_total} (alternate {cert.rhs_alternate}),"
-            f" cancellation_ok={cert.cancellation_ok}"
-        )
-    widths = (5, 13, 11)
-    print(f"{'composition':<20} {'r':>3} {'lambda':>10}" + "".join(f" {c:>{w}}" for c, w in zip(cells, widths)))
-    for p, lam, extra in rows:
-        print(f"{str(p):<20} {len(p):>3} {lam:>10}" + "".join(f" {c:>{w}}" for c, w in zip(extra, widths)))
+        payload["certificate"] = {
+            "rhs_total": cert.rhs_total,
+            "rhs_alternate": cert.rhs_alternate,
+            "sign_even_parts": cert.sign_even_parts,
+            "odd": cert.rhs_total % 2 != 0,
+            "cancellation_ok": cert.cancellation_ok,
+        }
+
+    def lines() -> Iterator[str]:  # made only when written, never under --json
+        yield f"compositions of {args.n}: {count}, multiplicity sum {total} (odd={odd})"
+        if args.certificate:
+            yield (f"certificate: rhs_total={cert.rhs_total} (alternate {cert.rhs_alternate}),"
+                   f" cancellation_ok={cert.cancellation_ok}")
+        widths = (5, 13, 11)
+        yield f"{'composition':<20} {'r':>3} {'lambda':>10}" + "".join(f" {c:>{w}}" for c, w in zip(cells, widths))
+        for p, lam, extra in rows:
+            yield f"{str(p):<20} {len(p):>3} {lam:>10}" + "".join(f" {c:>{w}}" for c, w in zip(extra, widths))
+
+    _emit(payload, args.json, lines())
     return 0
 
 

@@ -2,9 +2,9 @@
 
 Vertices are the integers 1..n and an edge (u, v) records that u nominates v.
 A graph is loop-free, unweighted, immutable and held as two int64 arrays in
-compressed sparse row form (:class:`DirectedGraph`).  Families of graphs with
-an outdegree bound and/or a positive-outdegree requirement are described by
-:class:`GraphClassSpec`, which also owns enumeration, deviations and sampling.
+compressed sparse row form (:class:`DirectedGraph`).  A family of graphs with
+an outdegree bound and/or a positive-outdegree requirement is a
+:class:`GraphClassSpec`; module functions enumerate, deviate and sample it.
 
 Enumeration order
 -----------------
@@ -18,9 +18,9 @@ A class is enumerated in lexicographic order of the per-vertex choice tuple,
 the choice of vertex 1 varying slowest: graph i has the base-R digits of i as
 its per-vertex out-set ranks, vertex 1 the most significant (R out-sets per
 vertex).  That digit layout is the one way to walk a class: ``digit_block``
-gives the ranks of an array of indices as a numpy array for batched kernels, and
-``graph_at_index`` unranks single indices into graphs (``enumerate_graphs``
-yields it for every index).
+gives the ranks of an array of indices as a numpy array for batched kernels,
+and ``graph_at_index`` builds one index's graph from its ranks with
+``graph_of_ranks``, as sampling does (``enumerate_graphs`` yields every index).
 
 Sampling
 --------
@@ -278,8 +278,7 @@ class GraphClassSpec:
     @cached_property
     def outset_count(self) -> int:
         """Number of admissible out-sets per vertex (identical for all vertices)."""
-        m = self.n - 1
-        return sum(comb(m, j) for j in range(self.min_outdegree, self.bound + 1))
+        return _count_upto(self.n - 1, self.bound) - self.min_outdegree  # less the empty set if barred
 
     @cached_property
     def size(self) -> int:
@@ -296,11 +295,6 @@ class GraphClassSpec:
             itertools.combinations(pool, j) for j in range(self.min_outdegree, self.bound + 1)
         )
         return sorted(sets)
-
-    @cached_property
-    def outset_lists(self) -> tuple[tuple[frozenset[int], ...], ...]:
-        """``admissible_outsets`` of every vertex (entry v-1) as frozensets: n * R sets."""
-        return tuple(tuple(map(frozenset, self.admissible_outsets(v))) for v in range(1, self.n + 1))
 
     def outset_at(self, v: int, rank: int) -> tuple[int, ...]:
         """Unrank: the rank-th admissible out-set of v in the documented order.
@@ -382,11 +376,11 @@ def graph_at_index(spec: GraphClassSpec, index: int) -> DirectedGraph:
     """The index-th graph of the enumeration order, by mixed-radix unranking."""
     if not 0 <= index < spec.size:
         raise ValueError(f"index {index} outside 0..{spec.size - 1}")
-    outs = []
-    for v in range(spec.n, 0, -1):  # vertex n is the least significant digit
+    ranks = []
+    for _ in range(spec.n):  # vertex n is the least significant digit
         index, digit = divmod(index, spec.outset_count)
-        outs.append(spec.outset_lists[v - 1][digit])
-    return DirectedGraph.from_out_sets(spec.n, reversed(outs))
+        ranks.append(digit)
+    return graph_of_ranks(spec, ranks[::-1])
 
 
 def deviations(graph: DirectedGraph, v: int, spec: GraphClassSpec) -> Iterator[DirectedGraph]:
@@ -502,6 +496,8 @@ def parse_graph(text: str) -> DirectedGraph:
         return _read_lines(text)
     values = np.fromstring(text.translate(_DIRECTIVES_TO_BLANKS), dtype=np.int64, sep=" ")
     n, u, v = int(values[0]), values[1::2], values[2::2]
+    # Not DirectedGraph's checks twice over: a bad file must reach the line reader's worded
+    # error before bincount allocates n + 1 offsets, a MemoryError for a declared n of 10^17.
     if len(u) and (max(u.max(), v.max()) > n or (u == v).any()):
         return _read_lines(text)
     values = values[1:].reshape(-1, 2)[np.lexsort((v, u))]  # sorted (u, v) rows; the unsorted ones are freed

@@ -202,6 +202,42 @@ def test_json_writer_streams_generators_in_blocks(monkeypatch):
     assert made_after[-1] >= len(recorder.writes) - 1
 
 
+# arrays below the top level, and scalar runs longer than one joined chunk
+_RUN = impsel.cli._WRITE_BLOCK // 8 + 1
+NESTED_CASES = {
+    "long-run-depth-1": lambda: {"ints": iter(range(_RUN)), "list": list(range(-_RUN, 0))},
+    "long-run-depth-2": lambda: {"rows": [iter(range(_RUN)), {"ints": list(range(_RUN))}], "after": 1},
+    "alternating-depth-2": lambda: {
+        "rows": [[1, 2, {"a": [3]}, "s", [], None, True, {"b": iter([4, 5])}, 6], {"c": [{}, 7, [8, [9]], "t"]}]
+    },
+    "empty-iterator-depth-2": lambda: {"rows": [iter(()), {"a": iter(())}], "after": iter(())},
+}
+
+
+@pytest.mark.parametrize("make", NESTED_CASES.values(), ids=NESTED_CASES.keys())
+def test_json_writer_matches_json_dumps_below_the_top_level(monkeypatch, make):
+    assert "".join(written(monkeypatch, make())) == json.dumps(_as_lists(make()), indent=2) + "\n"
+
+
+def test_json_writer_streams_generators_below_the_top_level(monkeypatch):
+    # the generator sits in a dict inside a top-level list element: its rows
+    # still go out in blocks, and the last rows are made after the first writes
+    recorder, made_after = Recorder(), []
+
+    def rows():
+        for i in range(200):
+            made_after.append(len(recorder.writes))
+            yield {"i": i, "text": "x" * 1000}
+
+    monkeypatch.setattr(sys, "stdout", recorder)
+    _write_json({"outer": [{"rows": rows(), "count": 200}]})
+    monkeypatch.undo()
+    expect = json.dumps({"outer": [{"rows": list(rows()), "count": 200}]}, indent=2) + "\n"
+    assert "".join(recorder.writes) == expect
+    assert len(recorder.writes) > 2 and max(map(len, recorder.writes)) < impsel.cli._WRITE_BLOCK + 1100
+    assert made_after[-1] >= len(recorder.writes) - 1
+
+
 @pytest.mark.parametrize("value", [1.5, Fraction(1, 2), np.int64(3)], ids=["float", "Fraction", "int64"])
 def test_json_writer_refuses_other_types(monkeypatch, value):
     for payload in ({"x": value}, {"rows": [value]}, {"rows": [{"x": [value]}]}):

@@ -115,3 +115,37 @@ def test_public_api_is_pinned():
         for alias in node.names
     ]
     assert sorted(names) == PUBLIC_API
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, node) of every private module-level function, class or assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_private_name_is_read():
+    # a private function, class or constant that nothing in the package reads
+    # besides its own definition is dead code
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES}
+    definitions = [(f"{file}:{name}", name, node) for file, tree in trees.items() for name, node in _private_definitions(tree)]
+    assert len(definitions) > 60
+    reads: dict[str, list[ast.AST]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append(node)
+    orphans = []
+    for label, name, definition in definitions:
+        inside = set(map(id, ast.walk(definition)))
+        if all(id(node) in inside for node in reads.get(name, [])):
+            orphans.append(label)
+    assert orphans == [], f"private names read nowhere but in their own definitions: {orphans}"
