@@ -50,7 +50,6 @@ from .graphs import (
     deviations,  # bound only for the bench tracer, which wraps it here
     digit_block,
     edge_lines,
-    enumerate_graphs,
     graph_at_index,
     graph_of_ranks,
     parse_graph,
@@ -565,12 +564,15 @@ def _symmetrized_counts(table: np.ndarray, spec: GraphClassSpec, indices: np.nda
 def symmetrized_table(mid: MechanismId, spec: GraphClassSpec) -> dict[tuple[int, ...], ProbabilityVector]:
     """``symmetrize_eval`` of the mechanism on every graph of a class, keyed by
     graph key in enumeration order: the integer counts of
-    ``_symmetrized_counts``, divided by n! once.  Refused upfront as
-    ``_symmetrizable_table`` says."""
-    table = _symmetrizable_table(mid, spec)
-    counts, scale = _symmetrized_counts(table, spec, np.arange(spec.size)).tolist(), factorial(spec.n)
+    ``_symmetrized_counts``, divided by n! once; the keys come from the
+    class's digit rows, no graph built.  Refused upfront as ``_symmetrizable_table`` says."""
+    table, n = _symmetrizable_table(mid, spec), spec.n
+    counts, scale = _symmetrized_counts(table, spec, np.arange(spec.size)).tolist(), factorial(n)
     vectors = (ProbabilityVector(tuple(Fraction(c, scale) for c in row[1:])) for row in counts)
-    return {g.key: vector for g, vector in zip(enumerate_graphs(spec), vectors)}
+    # row v-1, column d: v's out-set of rank d as the bitmask DirectedGraph.key holds
+    masks = np.array([[sum(1 << (u - 1) for u in s) for s in spec.admissible_outsets(v)] for v in range(1, n + 1)])
+    keys = (masks[np.arange(n), digit_block(spec, np.arange(lo, hi))].tolist() for lo, hi in _blocks(0, spec.size))
+    return dict(zip(map(tuple, chain.from_iterable(keys)), vectors))
 
 
 @dataclass(frozen=True)

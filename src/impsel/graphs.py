@@ -376,11 +376,8 @@ def graph_at_index(spec: GraphClassSpec, index: int) -> DirectedGraph:
     """The index-th graph of the enumeration order, by mixed-radix unranking."""
     if not 0 <= index < spec.size:
         raise ValueError(f"index {index} outside 0..{spec.size - 1}")
-    ranks = []
-    for _ in range(spec.n):  # vertex n is the least significant digit
-        index, digit = divmod(index, spec.outset_count)
-        ranks.append(digit)
-    return graph_of_ranks(spec, ranks[::-1])
+    radix = spec.outset_count  # vertex v's rank is the digit of place value radix**(n-v)
+    return graph_of_ranks(spec, [index // radix ** (spec.n - v) % radix for v in range(1, spec.n + 1)])
 
 
 def deviations(graph: DirectedGraph, v: int, spec: GraphClassSpec) -> Iterator[DirectedGraph]:

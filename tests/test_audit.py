@@ -679,7 +679,7 @@ def test_symmetrization_refuses_before_enumerating(monkeypatch, spec, texts, err
     def no_enumeration(*args, **kwargs):
         raise AssertionError("enumerated before the cap and parameter checks")
 
-    monkeypatch.setattr(impsel.audit, "enumerate_graphs", no_enumeration)
+    monkeypatch.setattr(impsel.audit, "digit_block", no_enumeration)
     monkeypatch.setattr(impsel.audit, "_outcome_table", no_enumeration)
     for text in texts:
         for check in (symmetrized_table, check_weak_unanimity_inheritance):
