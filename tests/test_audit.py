@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import impsel.audit
 from impsel import (
     CapExceeded,
+    DeletionTrace,
     DirectedGraph,
     Exhaustive,
     GraphClassSpec,
@@ -28,6 +29,7 @@ from impsel import (
     enumerate_graphs,
     measure_gap,
     resolve,
+    run_twin_threshold,
     symmetrize_eval,
     symmetrized_table,
 )
@@ -609,6 +611,49 @@ def test_trace_descent_count_on_cascade():
     # accounted for by its one earlier-deleted in-neighbor (vertex 5)
     assert g.indegrees[3] - trace.dstar[4] == 1
     assert [u for u in g.in_neighbors(4) if trace.istar[u] < trace.istar[4]] == [5]
+
+
+@pytest.mark.parametrize(
+    "deletions, final_degrees, failed, detail",
+    [
+        # vertex 4's final degree raised by one
+        (((0, 5, 3), (1, 4, 1)), (0, 0, 0, 2, 3), {"remaining_degrees"}, "vertex 4: final degree 2 != recomputed 1"),
+        # the first deletion's degree raised by one
+        (
+            ((0, 5, 4), (1, 4, 1)),
+            (0, 0, 0, 1, 3),
+            {"descent_counts", "inneighbor_witness"},
+            "vertex 5: drop -1 != earlier-deleted in-neighbors 0; vertex 5: 0 in-neighbors above it, expected drop -1",
+        ),
+        # the last deletion's degree lowered by one
+        (
+            ((0, 5, 3), (1, 4, 0)),
+            (0, 0, 0, 1, 3),
+            {"remaining_degrees", "descent_counts", "inneighbor_witness"},
+            "vertex 4 deleted at degree 0 < t=1; vertex 4: drop 2 != earlier-deleted in-neighbors 1;"
+            " vertex 4: 1 in-neighbors above it, expected drop 2",
+        ),
+        # the two records swapped, iterations kept
+        (
+            ((0, 4, 1), (1, 5, 3)),
+            (0, 0, 0, 1, 3),
+            {"descent_counts", "deletion_order"},
+            "vertex 4: drop 1 != earlier-deleted in-neighbors 0; deletion order not strictly decreasing: (1, 4) then (3, 5)",
+        ),
+    ],
+)
+def test_trace_checks_fail_on_a_corrupted_trace(monkeypatch, deletions, final_degrees, failed, detail):
+    g = graph(5, (1, 5), (2, 5), (3, 5), (5, 4), (3, 4))
+    pair = ThresholdPair(2, 1)
+    selected, trace = run_twin_threshold(g, pair)
+    assert (selected, trace.deletions, trace.final_degrees) == (5, ((0, 5, 3), (1, 4, 1)), (0, 0, 0, 1, 3))
+    corrupted = DeletionTrace(deletions, final_degrees)
+    monkeypatch.setattr(impsel.audit, "run_twin_threshold", lambda graph, thresholds: (selected, corrupted))
+    report = check_trace_invariants(g, pair)
+    assert report.trace is corrupted and not report.ok
+    assert [c.name for c in report.checks] == ["remaining_degrees", "descent_counts", "deletion_order", "inneighbor_witness"]
+    assert {c.name for c in report.checks if not c.ok} == failed
+    assert "; ".join(c.detail for c in report.checks if not c.ok) == detail
 
 
 def test_trace_checks_over_a_whole_class():

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import impsel.audit
 import impsel.cli
-from impsel import COMPOSITION_CAP, GraphClassSpec
+from impsel import COMPOSITION_CAP, DeletionTrace, GraphClassSpec, ThresholdPair
 from impsel.cli import _write_json, build_parser, main
 from impsel.graphs import sample_stream
 
@@ -464,6 +465,34 @@ def test_audit_trace(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["runs"] == 50 and payload["failure_count"] == 0
+
+
+def test_audit_trace_reports_every_failed_run(capsys, monkeypatch):
+    # every run's trace has vertex 1's final degree raised by one, which
+    # fails remaining_degrees on any graph
+    run = impsel.audit.run_twin_threshold
+
+    def raised(graph, thresholds):
+        selected, trace = run(graph, thresholds)
+        return selected, DeletionTrace(trace.deletions, (trace.final_degrees[0] + 1, *trace.final_degrees[1:]))
+
+    monkeypatch.setattr(impsel.audit, "run_twin_threshold", raised)
+    argv = ("audit", "trace", "--n", "12", "--k", "1", "--samples", "50", "--seed", "3")
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["runs"] == 50 and payload["failure_count"] == 50 and len(payload["failures"]) == 50
+    first = next(sample_stream(GraphClassSpec(12, 1), 3, 50))
+    pair = ThresholdPair(payload["T"], payload["t"])
+    _, trace = run(first, pair)
+    final = trace.final_degrees[0]
+    problems = [f"vertex 1: final degree {final + 1} != recomputed {final}"]
+    if all(v != 1 for _, v, _ in trace.deletions) and final + 1 >= pair.lower:
+        problems.append(f"undeleted vertex 1 ended at degree {final + 1} >= t={pair.lower}")
+    assert payload["failures"][0] == {"graph": first.serialize(), "failed": ["remaining_degrees"], "detail": "; ".join(problems)}
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert out.splitlines()[1] == "runs: 50, failures: 50"
 
 
 def test_audit_refuses_fewer_than_one_sample(capsys):

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -149,3 +150,25 @@ def test_every_private_name_is_read():
         if all(id(node) in inside for node in reads.get(name, [])):
             orphans.append(label)
     assert orphans == [], f"private names read nowhere but in their own definitions: {orphans}"
+
+
+def test_a_failing_property_test_reports_its_failure(tmp_path):
+    # under the repo's pytest config a failing @given test must print its own
+    # failure and exit 1, not end in an INTERNALERROR raised by a warning
+    # that the failure report itself triggers
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n"
+        "\n"
+        "\n"
+        "@given(st.integers(0, 10))\n"
+        "def test_fails(x):\n"
+        "    assert x < 0, 'deliberate failure'\n"
+    )
+    argv = [
+        sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+        "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_fails.py",
+    ]
+    proc = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "AssertionError: deliberate failure" in proc.stdout
+    assert "Falsifying example" in proc.stdout and "INTERNALERROR" not in proc.stdout + proc.stderr
