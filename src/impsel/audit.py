@@ -418,6 +418,11 @@ class TraceReport:
 def check_trace_invariants(graph: DirectedGraph, thresholds: ThresholdPair) -> TraceReport:
     """Run the twin-threshold mechanism and re-derive every trace invariant.
 
+    The checks read each vertex's deletion step and degree at deletion (for a
+    vertex never deleted: the number of deletions and its final degree) and
+    its in-neighbors, all taken from the trace's two records and the graph's
+    edges.  Each check lists its problems in increasing vertex order.
+
     remaining_degrees: final remaining indegrees equal the original indegrees
         minus deleted in-neighbors; deleted vertices were at or above the lower
         threshold when deleted, undeleted ones ended strictly below it.
@@ -426,31 +431,38 @@ def check_trace_invariants(graph: DirectedGraph, thresholds: ThresholdPair) -> T
     deletion_order: deletions happen in strictly decreasing lexicographic
         (degree-at-deletion, vertex) order.
     inneighbor_witness: a drop of r forces exactly r in-neighbors above the
-        vertex in that order, the j-th of them above (original indegree - j),
-        and every other in-neighbor strictly below the vertex.
+        vertex in that order, the j-th of them above (original indegree - j);
+        the others are below it, as an in-neighbor at the vertex's own pair
+        would be the vertex itself, a self-loop that DirectedGraph rejects.
     """
     selected, trace = run_twin_threshold(graph, thresholds)
     lower = thresholds.lower
     n = graph.n
+    step, at = [len(trace.deletions)] * (n + 1), [0, *trace.final_degrees]
+    for i, v, d in trace.deletions:
+        step[v], at[v] = i, d
+    deleted = {v for _, v, _ in trace.deletions}
+    inneighbors = [[] for _ in range(n + 1)]
+    for u, v in graph.edges:
+        inneighbors[v].append(u)
     checks = []
 
     problems = []
     for v in range(1, n + 1):
-        expect = graph.indegrees[v - 1] - sum(1 for u in graph.in_neighbors(v) if u in trace.deleted_set)
-        if trace.final_degrees[v - 1] != expect:
-            problems.append(f"vertex {v}: final degree {trace.final_degrees[v - 1]} != recomputed {expect}")
-    for v in trace.deleted_set:
-        if trace.dstar[v] < lower:
-            problems.append(f"vertex {v} deleted at degree {trace.dstar[v]} < t={lower}")
-    for v in range(1, n + 1):
-        if v not in trace.deleted_set and trace.final_degrees[v - 1] > lower - 1:
-            problems.append(f"undeleted vertex {v} ended at degree {trace.final_degrees[v - 1]} >= t={lower}")
+        final = trace.final_degrees[v - 1]
+        expect = graph.indegrees[v - 1] - sum(1 for u in inneighbors[v] if u in deleted)
+        if final != expect:
+            problems.append(f"vertex {v}: final degree {final} != recomputed {expect}")
+        if v in deleted and at[v] < lower:
+            problems.append(f"vertex {v} deleted at degree {at[v]} < t={lower}")
+        if v not in deleted and final > lower - 1:
+            problems.append(f"undeleted vertex {v} ended at degree {final} >= t={lower}")
     checks.append(TraceCheck("remaining_degrees", not problems, "; ".join(problems)))
 
     problems = []
-    for v in trace.deleted_set:
-        drop = graph.indegrees[v - 1] - trace.dstar[v]
-        earlier = sum(1 for u in graph.in_neighbors(v) if trace.istar[u] < trace.istar[v])
+    for v in sorted(deleted):
+        drop = graph.indegrees[v - 1] - at[v]
+        earlier = sum(1 for u in inneighbors[v] if step[u] < step[v])
         if drop != earlier:
             problems.append(f"vertex {v}: drop {drop} != earlier-deleted in-neighbors {earlier}")
     checks.append(TraceCheck("descent_counts", not problems, "; ".join(problems)))
@@ -463,20 +475,16 @@ def check_trace_invariants(graph: DirectedGraph, thresholds: ThresholdPair) -> T
     checks.append(TraceCheck("deletion_order", not problems, "; ".join(problems)))
 
     problems = []
-    for v in sorted(trace.deleted_set):
-        dv, indeg, at = trace.dstar[v], graph.indegrees[v - 1], trace.degree_at_deletion
+    for v in sorted(deleted):
+        dv, indeg = at[v], graph.indegrees[v - 1]
         r = indeg - dv
-        above = sorted(((at(u), u) for u in graph.in_neighbors(v) if (at(u), u) > (dv, v)), reverse=True)
+        above = sorted(((at[u], u) for u in inneighbors[v] if (at[u], u) > (dv, v)), reverse=True)
         if len(above) != r:
             problems.append(f"vertex {v}: {len(above)} in-neighbors above it, expected drop {r}")
             continue
         for j, pair in enumerate(above):
             if not pair > (indeg - j, v):
                 problems.append(f"vertex {v}: witness {j} at {pair} not above ({indeg - j}, {v})")
-        for u in graph.in_neighbors(v):
-            pair = (at(u), u)
-            if pair not in above and not pair < (dv, v):
-                problems.append(f"vertex {v}: in-neighbor {u} at {pair} neither witness nor below ({dv}, {v})")
     checks.append(TraceCheck("inneighbor_witness", not problems, "; ".join(problems)))
 
     return TraceReport(thresholds, selected, trace, tuple(checks))

@@ -319,10 +319,8 @@ def _cmd_audit(args) -> int:
     else:
         pair = _default_plan(args.n, args.k).thresholds
     failures = []
-    count = 0
     for graph in sample_stream(spec, mode.seed, mode.trials):
         report = check_trace_invariants(graph, pair)
-        count += 1
         if not report.ok:
             failures.append(
                 {
@@ -336,13 +334,13 @@ def _cmd_audit(args) -> int:
         "class": spec.describe(),
         "T": pair.upper,
         "t": pair.lower,
-        "runs": count,
+        "runs": mode.trials,
         "failure_count": len(failures),
         "failures": failures,
     }
     lines = [
         f"trace audit on {spec.describe()} with T={pair.upper} t={pair.lower}",
-        f"runs: {count}, failures: {len(failures)}",
+        f"runs: {mode.trials}, failures: {len(failures)}",
     ]
     _emit(payload, args.json, lines)
     return 1 if failures else 0

@@ -141,13 +141,6 @@ class DirectedGraph:
         return tuple(frozenset(targets[lo:hi]) for lo, hi in zip(cuts, cuts[1:]))
 
     @cached_property
-    def in_sets(self) -> tuple[frozenset[int], ...]:
-        """Vertex v's in-neighbors at index v-1: the sources sorted by target, cut by indegree."""
-        sources = _sources(self.offsets)[self.targets.argsort()].tolist()
-        cuts = np.bincount(self.targets, minlength=self.n + 1).cumsum().tolist()
-        return tuple(frozenset(sources[lo:hi]) for lo, hi in zip(cuts, cuts[1:]))
-
-    @cached_property
     def indegrees(self) -> tuple[int, ...]:
         return tuple(np.bincount(self.targets, minlength=self.n + 1)[1:].tolist())
 
@@ -171,9 +164,6 @@ class DirectedGraph:
     def key(self) -> tuple[int, ...]:
         """Per-vertex out-set bitmasks (bit u-1 set for out-neighbor u)."""
         return tuple(sum(1 << (u - 1) for u in outs) for outs in self.out_sets)
-
-    def in_neighbors(self, v: int) -> frozenset[int]:
-        return self.in_sets[v - 1]
 
     def relabel(self, perm: "Permutation") -> "DirectedGraph":
         """Image graph under the permutation: edge (u, v) becomes (perm(u), perm(v))."""

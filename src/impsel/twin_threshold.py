@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
 from math import isqrt
 
 from ._deletion import run_deletion, select_top
@@ -46,37 +45,11 @@ class DeletionTrace:
 
     ``deletions`` holds one (iteration, vertex, degree_at_deletion) record per
     deletion, in iteration order, and ``final_degrees`` the remaining
-    indegrees, vertex v's at index v-1.  The other views derive from
-    ``deletions``: ``istar`` maps every vertex to the iteration its outgoing
-    edges were deleted, with the convention istar(v) = iteration_count for
-    vertices never deleted, and ``dstar`` maps deleted vertices to their
-    remaining indegree at the moment of deletion.
+    indegrees, vertex v's at index v-1; audits derive the rest from these.
     """
 
     deletions: tuple[tuple[int, int, int], ...]
     final_degrees: tuple[int, ...]
-
-    @property
-    def iteration_count(self) -> int:
-        return len(self.deletions)
-
-    @cached_property
-    def istar(self) -> dict[int, int]:
-        istar = dict.fromkeys(range(1, len(self.final_degrees) + 1), self.iteration_count)
-        istar.update((v, i) for i, v, _ in self.deletions)
-        return istar
-
-    @cached_property
-    def dstar(self) -> dict[int, int]:
-        return {v: d for _, v, d in self.deletions}
-
-    @cached_property
-    def deleted_set(self) -> frozenset[int]:
-        return frozenset(self.dstar)
-
-    def degree_at_deletion(self, v: int) -> int:
-        """dstar extended to undeleted vertices by their final remaining indegree."""
-        return self.dstar.get(v, self.final_degrees[v - 1])
 
 
 def run_twin_threshold(graph: DirectedGraph, thresholds: ThresholdPair) -> tuple[int, DeletionTrace]:

@@ -609,8 +609,9 @@ def test_trace_descent_count_on_cascade():
     trace = report.trace
     # vertex 4 dropped from indegree 2 to 1 before its own deletion,
     # accounted for by its one earlier-deleted in-neighbor (vertex 5)
-    assert g.indegrees[3] - trace.dstar[4] == 1
-    assert [u for u in g.in_neighbors(4) if trace.istar[u] < trace.istar[4]] == [5]
+    assert [g.indegrees[3] - d for _, v, d in trace.deletions if v == 4] == [1]
+    step = {v: i for i, v, _ in trace.deletions}
+    assert [u for u, w in g.edges if w == 4 and step.get(u, len(trace.deletions)) < step[4]] == [5]
 
 
 @pytest.mark.parametrize(

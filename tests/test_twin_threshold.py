@@ -42,8 +42,8 @@ def test_threshold_pair_validation():
 def test_run_on_empty_graph():
     selected, trace = run_twin_threshold(DirectedGraph.empty(5), ThresholdPair(3, 2))
     assert selected == 0
-    assert trace.deletions == () and trace.iteration_count == 0
-    assert trace.deleted_set == frozenset()
+    assert trace.deletions == ()  # no iteration ran
+    assert {v for _, v, _ in trace.deletions} == set()
     assert trace.final_degrees == (0, 0, 0, 0, 0)
 
 
@@ -53,8 +53,8 @@ def test_run_star_keeps_top_vertex():
     assert selected == 1 and star.indegrees[selected - 1] == 4
     assert trace.deletions == ((0, 1, 4),)  # only the hub reaches the lower threshold
     assert trace.final_degrees == (4, 0, 0, 0, 0)
-    assert trace.istar[1] == 0 and trace.istar[2] == trace.iteration_count == 1
-    assert trace.dstar == {1: 4}
+    assert [i for i, v, _ in trace.deletions if v in (1, 2)] == [0] and len(trace.deletions) == 1  # 2 never deleted
+    assert {v: d for _, v, d in trace.deletions} == {1: 4}
 
 
 def test_run_cascade_two_deletions():
@@ -315,4 +315,4 @@ def test_trace_invariants_on_sampled_graphs(seed, n, k):
     pair = ThresholdPair(min(3, n - 1), min(2, n - 1))
     report = check_trace_invariants(g, pair)
     assert report.ok, [c for c in report.checks if not c.ok]
-    assert report.trace.iteration_count <= n  # at most one deletion per vertex
+    assert len(report.trace.deletions) <= n  # at most one deletion per vertex
