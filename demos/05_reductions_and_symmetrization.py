@@ -1,8 +1,8 @@
 """Symmetrization and the padding reductions that transport impossibility.
 
 Symmetrizing averages a mechanism over all vertex relabelings in exact
-rational arithmetic; the result treats vertices symmetrically and keeps
-impartiality.  The two reductions embed small hard instances into larger
+rational arithmetic, for every graph of a class at once; the result treats
+vertices symmetrically and keeps impartiality.  The two reductions embed small hard instances into larger
 classes: isolated padding targets bounded outdegree, in-neighbor padding
 targets the no-abstention setting.
 """
@@ -14,15 +14,15 @@ from impsel import (
     reduce_add_inneighbors,
     reduce_add_isolated,
     resolve,
-    symmetrize_eval,
+    symmetrized_table,
 )
 
 # A fixed-tie-break rule is asymmetric; its symmetrization is not.
 graph = graph_of_composition((1, 2))  # 1 nominates 2 and 3, which nominate each other
 print("graph edges:", graph.edges, "indegrees:", graph.indegrees)
-mechanism = resolve(MechanismId.parse("max-naive"))
-print("deterministic rule picks vertex", mechanism(graph))
-symmetric = symmetrize_eval(mechanism, graph)
+mid = MechanismId.parse("max-naive")
+print("deterministic rule picks vertex", resolve(mid)(graph))
+symmetric = symmetrized_table(mid, GraphClassSpec(3))[graph.key]
 print("symmetrized:", [str(symmetric.prob(v)) for v in (1, 2, 3)], "mass", symmetric.mass)
 
 # Isolated padding: a 3-vertex instance living inside G_8(2).

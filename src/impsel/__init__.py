@@ -22,7 +22,6 @@ from .audit import (
     check_trace_invariants,
     check_weak_unanimity_inheritance,
     measure_gap,
-    symmetrize_eval,
     symmetrized_table,
 )
 from .graphs import (
@@ -30,9 +29,7 @@ from .graphs import (
     DirectedGraph,
     GraphClassSpec,
     GraphFormatError,
-    Permutation,
     deviations,
-    enumerate_graphs,
     graph_at_index,
     parse_graph,
     sample_stream,

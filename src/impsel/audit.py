@@ -18,11 +18,12 @@ a sampled rank tuple); violations are integer columns over the sorted
 distinct texts, ordered by one lexsort, and a ``Violation`` or a witness
 graph is made only when read (tracemalloc peak 9.4 MB on max-naive G_6(1)).
 
-Worst additive gaps are measured in the same two modes, trace invariants are
-re-derived from recorded deletion traces, and a class's symmetrization (the
-selection averaged over all n! vertex relabelings) reads the outcome table as
-integer counts with one division by n!, never floats: downstream
-infeasibility arguments compare masses against exactly 1.
+Worst additive gaps are measured in the same two modes, and trace invariants
+are re-derived from recorded deletion traces, so that a trace passes them
+exactly when it is the run.  Symmetrization (each graph's selection averaged
+over all n! vertex relabelings) is done for a whole class at once: it reads
+the outcome table as integer counts with one division by n!, never floats,
+as downstream infeasibility arguments compare masses against exactly 1.
 """
 
 from __future__ import annotations
@@ -34,19 +35,18 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from itertools import chain, islice
+from itertools import chain, islice, permutations
 from math import factorial
 from typing import Callable, Union
 
 import numpy as np
 
-from ._deletion import indegree_rows, outset_rows, vertex_rows
+from ._deletion import indegree_rows, outset_rows, select_top, vertex_rows
 from .graphs import (
     AUDIT_CAP,
     CapExceeded,
     DirectedGraph,
     GraphClassSpec,
-    Permutation,
     deviations,  # bound only for the bench tracer, which wraps it here
     digit_block,
     edge_lines,
@@ -56,7 +56,7 @@ from .graphs import (
     sample_ranks,
     sample_stream,  # bound only for the bench tracer, which wraps it here
 )
-from .mechanisms import Kernel, MechanismId, batch_kernel_for, kernel_for, resolve  # kernel_for: for the tracer
+from .mechanisms import MechanismId, batch_kernel_for, kernel_for, resolve  # kernel_for: for the tracer
 from .twin_threshold import DeletionTrace, ThresholdPair, additive_gap, run_twin_threshold
 
 #: Graphs per batch-kernel call (table entries per stacked sampled gap
@@ -421,19 +421,36 @@ def check_trace_invariants(graph: DirectedGraph, thresholds: ThresholdPair) -> T
     The checks read each vertex's deletion step and degree at deletion (for a
     vertex never deleted: the number of deletions and its final degree) and
     its in-neighbors, all taken from the trace's two records and the graph's
-    edges.  Each check lists its problems in increasing vertex order.
+    edges.  Each check lists its problems in increasing vertex (or record)
+    order.
 
     remaining_degrees: final remaining indegrees equal the original indegrees
         minus deleted in-neighbors; deleted vertices were at or above the lower
         threshold when deleted, undeleted ones ended strictly below it.
     descent_counts: a deleted vertex's indegree drop before its own deletion
         equals its number of earlier-deleted in-neighbors.
-    deletion_order: deletions happen in strictly decreasing lexicographic
+    deletion_order: record i stands at position i, no vertex is deleted
+        twice, and deletions happen in strictly decreasing lexicographic
         (degree-at-deletion, vertex) order.
-    inneighbor_witness: a drop of r forces exactly r in-neighbors above the
-        vertex in that order, the j-th of them above (original indegree - j);
-        the others are below it, as an in-neighbor at the vertex's own pair
-        would be the vertex itself, a self-loop that DirectedGraph rejects.
+    inneighbor_witness: for each vertex that is deleted or has a deleted
+        in-neighbor, with pair (degree at deletion, or final degree, vertex):
+        a drop of r forces exactly r deleted in-neighbors above that pair, the
+        j-th of them above (original indegree - j), as the sweep took each of
+        them over the vertex; the other deleted ones are below it, as one at
+        the vertex's own pair would be the vertex itself, a self-loop that
+        DirectedGraph rejects.
+    selection: the selected vertex is ``select_top`` of the final degrees at T.
+
+    The checks pass exactly when the trace is the run.  The sweep deletes, at
+    each step, the undeleted vertex of greatest (remaining degree, vertex)
+    pair at degree >= t.  By descent_counts and deletion_order, record i
+    deletes a new vertex at its remaining degree after records 0..i-1.  Were
+    an undeleted vertex w's pair (c, w) above record i's then, w would lose
+    an in-neighbor at some step j >= i, since it ends below t or is deleted
+    later below record i's pair; inneighbor_witness puts that in-neighbor
+    above (c, w), deletion_order puts it at or below record i: so record i is
+    the sweep's step.  remaining_degrees then ends the sweep where the trace
+    ends and fixes the final degrees, and selection fixes the selection.
     """
     selected, trace = run_twin_threshold(graph, thresholds)
     lower = thresholds.lower
@@ -442,15 +459,17 @@ def check_trace_invariants(graph: DirectedGraph, thresholds: ThresholdPair) -> T
     for i, v, d in trace.deletions:
         step[v], at[v] = i, d
     deleted = {v for _, v, _ in trace.deletions}
-    inneighbors = [[] for _ in range(n + 1)]
+    inneighbors, lost = [[] for _ in range(n + 1)], [0] * (n + 1)  # lost[v]: v's deleted in-neighbors
     for u, v in graph.edges:
         inneighbors[v].append(u)
+        if u in deleted:
+            lost[v] += 1
     checks = []
 
     problems = []
     for v in range(1, n + 1):
         final = trace.final_degrees[v - 1]
-        expect = graph.indegrees[v - 1] - sum(1 for u in inneighbors[v] if u in deleted)
+        expect = graph.indegrees[v - 1] - lost[v]
         if final != expect:
             problems.append(f"vertex {v}: final degree {final} != recomputed {expect}")
         if v in deleted and at[v] < lower:
@@ -468,6 +487,13 @@ def check_trace_invariants(graph: DirectedGraph, thresholds: ThresholdPair) -> T
     checks.append(TraceCheck("descent_counts", not problems, "; ".join(problems)))
 
     problems = []
+    seen = set()
+    for position, (i, v, _) in enumerate(trace.deletions):
+        if i != position:
+            problems.append(f"record {position} has iteration {i}")
+        if v in seen:
+            problems.append(f"vertex {v} deleted again at record {position}")
+        seen.add(v)
     order = [(d, v) for _, v, d in trace.deletions]
     for prev, cur in zip(order, order[1:]):
         if not prev > cur:
@@ -475,10 +501,10 @@ def check_trace_invariants(graph: DirectedGraph, thresholds: ThresholdPair) -> T
     checks.append(TraceCheck("deletion_order", not problems, "; ".join(problems)))
 
     problems = []
-    for v in sorted(deleted):
+    for v in [v for v in range(1, n + 1) if lost[v] or v in deleted]:  # deleted, or a deleted in-neighbor
         dv, indeg = at[v], graph.indegrees[v - 1]
         r = indeg - dv
-        above = sorted(((at[u], u) for u in inneighbors[v] if (at[u], u) > (dv, v)), reverse=True)
+        above = sorted(((at[u], u) for u in inneighbors[v] if u in deleted and (at[u], u) > (dv, v)), reverse=True)
         if len(above) != r:
             problems.append(f"vertex {v}: {len(above)} in-neighbors above it, expected drop {r}")
             continue
@@ -486,6 +512,11 @@ def check_trace_invariants(graph: DirectedGraph, thresholds: ThresholdPair) -> T
             if not pair > (indeg - j, v):
                 problems.append(f"vertex {v}: witness {j} at {pair} not above ({indeg - j}, {v})")
     checks.append(TraceCheck("inneighbor_witness", not problems, "; ".join(problems)))
+
+    upper = thresholds.upper
+    expect = select_top(trace.final_degrees, upper)
+    problem = f"selected {selected}, select_top of the final degrees at T={upper} is {expect}"
+    checks.append(TraceCheck("selection", selected == expect, "" if selected == expect else problem))
 
     return TraceReport(thresholds, selected, trace, tuple(checks))
 
@@ -516,25 +547,6 @@ class ProbabilityVector:
         return self.probs[v - 1]
 
 
-def symmetrize_eval(mechanism: Kernel, graph: DirectedGraph) -> ProbabilityVector:
-    """Average a mechanism (graph -> selected vertex, 0 for none) over all n!
-    vertex relabelings, exactly.
-
-    Entry v is the share of permutations pi for which the mechanism selects
-    pi(v) on the relabeled graph.
-    """
-    n = graph.n
-    if n > FACTORIAL_CAP:
-        raise CapExceeded(f"symmetrization of n={n} exceeds factorial cap {FACTORIAL_CAP}")
-    counts = [0] * n
-    for perm in Permutation.all_of(n):
-        w = mechanism(graph.relabel(perm))
-        if w:
-            counts[perm.images.index(w)] += 1  # the v with pi(v) = w
-    scale = factorial(n)
-    return ProbabilityVector(tuple(Fraction(c, scale) for c in counts))
-
-
 def _symmetrizable_table(mid: MechanismId, spec: GraphClassSpec) -> np.ndarray:
     """The class's outcome table, after refusing, before any graph is built,
     a class whose symmetrization needs more than ``FACTORIAL_CAP``!
@@ -557,7 +569,7 @@ def _symmetrized_counts(table: np.ndarray, spec: GraphClassSpec, indices: np.nda
     n, radix = spec.n, spec.outset_count
     counts = np.zeros((len(indices), n + 1), dtype=np.int16)  # n! <= 7! fits
     rank = [{frozenset(s): d for d, s in enumerate(spec.admissible_outsets(v))} for v in range(1, n + 1)]
-    perms = [perm.images for perm in Permutation.all_of(n)]
+    perms = list(permutations(range(1, n + 1)))  # pi as its images, pi(v) at v-1
     # row pi, column (v-1)*R + d: what v's out-set of rank d adds to the image's index
     weights = np.array([[rank[w - 1][frozenset(p[u - 1] for u in s)] * radix ** (n - w)
                          for w, outs in zip(p, rank) for s in outs] for p in perms])
@@ -570,10 +582,12 @@ def _symmetrized_counts(table: np.ndarray, spec: GraphClassSpec, indices: np.nda
 
 
 def symmetrized_table(mid: MechanismId, spec: GraphClassSpec) -> dict[tuple[int, ...], ProbabilityVector]:
-    """``symmetrize_eval`` of the mechanism on every graph of a class, keyed by
-    graph key in enumeration order: the integer counts of
-    ``_symmetrized_counts``, divided by n! once; the keys come from the
-    class's digit rows, no graph built.  Refused upfront as ``_symmetrizable_table`` says."""
+    """The mechanism's symmetrization on every graph of a class: entry v of a
+    graph's vector is the share of the n! vertex relabelings pi on whose
+    image of the graph the mechanism selects pi(v).  Keyed by graph key in
+    enumeration order: the integer counts of ``_symmetrized_counts``, divided
+    by n! once; the keys come from the class's digit rows, no graph built.
+    Refused upfront as ``_symmetrizable_table`` says."""
     table, n = _symmetrizable_table(mid, spec), spec.n
     counts, scale = _symmetrized_counts(table, spec, np.arange(spec.size)).tolist(), factorial(n)
     vectors = (ProbabilityVector(tuple(Fraction(c, scale) for c in row[1:])) for row in counts)

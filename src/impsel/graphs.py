@@ -1,10 +1,10 @@
-"""Directed nomination graphs: data model, graph classes, enumeration, sampling, I/O.
+"""Directed nomination graphs: data model, graph classes, unranking, sampling, I/O.
 
 Vertices are the integers 1..n and an edge (u, v) records that u nominates v.
 A graph is loop-free, unweighted, immutable and held as two int64 arrays in
 compressed sparse row form (:class:`DirectedGraph`).  A family of graphs with
 an outdegree bound and/or a positive-outdegree requirement is a
-:class:`GraphClassSpec`; module functions enumerate, deviate and sample it.
+:class:`GraphClassSpec`; module functions unrank, deviate and sample it.
 
 Enumeration order
 -----------------
@@ -20,7 +20,8 @@ its per-vertex out-set ranks, vertex 1 the most significant (R out-sets per
 vertex).  That digit layout is the one way to walk a class: ``digit_block``
 gives the ranks of an array of indices as a numpy array for batched kernels,
 and ``graph_at_index`` builds one index's graph from its ranks with
-``graph_of_ranks``, as sampling does (``enumerate_graphs`` yields every index).
+``graph_of_ranks``, as sampling does.  Exhaustive audits read digit rows and
+build a graph only to report it.
 
 Sampling
 --------
@@ -46,9 +47,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-#: The most graphs of a class that are walked whole: ``enumerate_graphs``
-#: refuses larger classes, and so do exhaustive audits unless their mode's
-#: `cap` raises it (their outcome table holds one entry per graph).  Sampled
+#: The most graphs of a class that are walked whole: symmetrizations refuse
+#: larger classes, and so do exhaustive audits unless their mode's `cap`
+#: raises it (their outcome table holds one entry per graph).  Sampled
 #: impartiality audits refuse base graphs whose deviation lines hold more
 #: graphs, with no override.
 AUDIT_CAP = 10**7
@@ -122,7 +123,8 @@ class DirectedGraph:
         outside = ((pairs < 1) | (pairs > n)).any(axis=1)
         if outside.any():
             raise ValueError("edge ({}, {}) outside 1..{}".format(*pairs[outside.argmax()].tolist(), n))
-        return _of_keys(n, np.unique(pairs[:, 0] * (n + 1) + pairs[:, 1]))
+        keys = np.unique(pairs[:, 0] * (n + 1) + pairs[:, 1])  # sorted by (u, v), each edge once
+        return cls(n, np.bincount(keys // (n + 1), minlength=n + 1).cumsum(), keys % (n + 1))
 
     @classmethod
     def from_out_sets(cls, n: int, out_sets: Iterable[Iterable[int]]) -> "DirectedGraph":
@@ -165,13 +167,6 @@ class DirectedGraph:
         """Per-vertex out-set bitmasks (bit u-1 set for out-neighbor u)."""
         return tuple(sum(1 << (u - 1) for u in outs) for outs in self.out_sets)
 
-    def relabel(self, perm: "Permutation") -> "DirectedGraph":
-        """Image graph under the permutation: edge (u, v) becomes (perm(u), perm(v))."""
-        if perm.n != self.n:
-            raise ValueError(f"permutation on {perm.n} elements applied to n={self.n}")
-        images = np.array((0, *perm.images))
-        return _of_keys(self.n, np.sort(images[_sources(self.offsets)] * (self.n + 1) + images[self.targets]))
-
     def serialize(self) -> str:
         """Canonical file form: header, then edge lines by (u, v), ``_VERTEX_BLOCK`` sources at a time."""
         blocks = [f"n {self.n}\n"]
@@ -197,39 +192,9 @@ def _sources(offsets: np.ndarray, first: int = 1) -> np.ndarray:
     return np.arange(first, first + len(offsets) - 1).repeat(offsets[1:] - offsets[:-1])
 
 
-def _of_keys(n: int, keys: np.ndarray) -> DirectedGraph:
-    """The graph whose edges (u, v) have the sorted, distinct keys u*(n+1) + v."""
-    return DirectedGraph(n, np.bincount(keys // (n + 1), minlength=n + 1).cumsum(), keys % (n + 1))
-
-
 def edge_lines(pairs: Iterable[tuple[int, int]]) -> str:
     """Edge lines ``e u v`` of the file format for (u, v) pairs in the given order: the one writer of canonical text."""
     return "".join(f"e {u} {v}\n" for u, v in pairs)
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection on 1..n, given by the image tuple (images[v-1] = image of v)."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a bijection on 1..{n}: {self.images}")
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __call__(self, v: int) -> int:
-        return self.images[v - 1]
-
-    @classmethod
-    def all_of(cls, n: int) -> Iterator["Permutation"]:
-        for images in itertools.permutations(range(1, n + 1)):
-            yield cls(images)
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +301,6 @@ def _unrank_outset(rank: int, m: int, lo: int, hi: int) -> tuple[int, ...]:
         if x == 0:
             return tuple(chosen)
         p, rest, x = q + 1, rest - 1, x - 1
-
-
-def enumerate_graphs(spec: GraphClassSpec) -> Iterator[DirectedGraph]:
-    """All graphs of the class, each exactly once, in the documented order,
-    one at a time; refuses upfront when the class has more than ``AUDIT_CAP``
-    graphs."""
-    if spec.size > AUDIT_CAP:
-        raise CapExceeded(f"class {spec.describe()} has {spec.size} graphs, cap is {AUDIT_CAP}")
-    for index in range(spec.size):
-        yield graph_at_index(spec, index)
 
 
 def digit_block(spec: GraphClassSpec, indices: np.ndarray) -> np.ndarray:

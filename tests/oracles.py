@@ -2,20 +2,26 @@
 
 These deliberately avoid the library's own counting and scanning shortcuts:
 weak orders are counted by enumerating level maps, isomorphism multiplicities
-by relabeling, impartiality violations by literally comparing mechanism runs
-across deviation pairs of graph objects, additive gaps by counting indegrees
-graph by graph, the iterated deletion by rescanning every vertex at each step
-of the sweep, and the violating pairs of an outcome table by walking every
-line of it (or, for their number, by counting each line's selecting
-digits).  The sampled oracles run the same per-graph loops over the graphs
-``sample_stream`` draws.  Infeasibility certificates are
-checked against an inequality system written from the composition graphs,
-with impartiality links found by comparing every pair of graphs.
+by relabeling out-set tuples, symmetrizations by running the per-graph rule
+once per class graph and looking each relabeling up by key, impartiality
+violations by literally comparing mechanism runs across deviation pairs of
+graph objects, additive gaps by counting indegrees graph by graph, the
+iterated deletion by rescanning every vertex at each step of the sweep, and
+the violating pairs of an outcome table by walking every line of it (or, for
+their number, by counting each line's selecting digits).  The sampled oracles
+run the same per-graph loops over the graphs ``sample_stream`` draws.
+Infeasibility certificates are checked against an inequality system written
+from the composition graphs, with impartiality links found by comparing every
+pair of graphs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
+from math import factorial
 
 import numpy as np
 
@@ -24,14 +30,57 @@ from impsel import (
     CertificateRow,
     DirectedGraph,
     GraphClassSpec,
-    Permutation,
+    ProbabilityVector,
     Violation,
     additive_gap,
     deviations,
-    enumerate_graphs,
+    graph_at_index,
     graph_of_composition,
     sample_stream,
 )
+
+
+def class_graphs(spec: GraphClassSpec) -> Iterator[DirectedGraph]:
+    """Every graph of the class in the documented order, one ``graph_at_index`` per index."""
+    return (graph_at_index(spec, index) for index in range(spec.size))
+
+
+def relabeled_key(graph: DirectedGraph, images) -> tuple[int, ...]:
+    """Key of the image of `graph` under the relabeling v -> images[v-1]: edge
+    (u, w) becomes (images[u-1], images[w-1]), so vertex images[v-1] gets the
+    images of v's out-set, as a bitmask (bit x-1 for vertex x)."""
+    key = [0] * graph.n
+    for v, outs in enumerate(graph.out_sets):
+        key[images[v] - 1] = sum(1 << (images[w - 1] - 1) for w in outs)
+    return tuple(key)
+
+
+@cache
+def _relabelings(spec: GraphClassSpec) -> tuple[tuple, tuple, tuple]:
+    """The class graphs, every permutation of 1..n as its images, and for each
+    graph the keys of its images under the permutations, in their order; the
+    same for every mechanism, so made once per class."""
+    graphs, perms = tuple(class_graphs(spec)), tuple(permutations(range(1, spec.n + 1)))
+    return graphs, perms, tuple(tuple(relabeled_key(g, images) for images in perms) for g in graphs)
+
+
+def symmetrized_by_definition(mechanism, spec: GraphClassSpec) -> dict[tuple[int, ...], ProbabilityVector]:
+    """Each class graph's selection averaged over all n! vertex relabelings,
+    keyed by graph key in class order: entry v is the share of relabelings pi
+    on whose image of the graph `mechanism` (graph -> selected vertex, 0 for
+    none) selects pi(v).  The rule runs once per class graph; a relabeled
+    class graph is again a class graph, so each image's selection is a key
+    lookup.  Counts are divided by n! once."""
+    graphs, perms, image_keys = _relabelings(spec)
+    selected = {g.key: mechanism(g) for g in graphs}
+    scale, table = factorial(spec.n), {}
+    for g, keys in zip(graphs, image_keys):
+        counts = [0] * (spec.n + 1)  # entry v for vertex v, 0 for no selection
+        for images, key in zip(perms, keys):
+            w = selected[key]
+            counts[images.index(w) + 1 if w else 0] += 1  # the v with pi(v) = w
+        table[g.key] = ProbabilityVector(tuple(Fraction(c, scale) for c in counts[1:]))
+    return table
 
 
 def count_weak_orders(n: int) -> int:
@@ -51,7 +100,7 @@ def count_isomorphic_labelings(graph: DirectedGraph) -> int:
     """Number of distinct graphs obtained by relabeling the vertices."""
     seen = set()
     for images in permutations(range(1, graph.n + 1)):
-        seen.add(graph.relabel(Permutation(images)).key)
+        seen.add(relabeled_key(graph, images))
     return len(seen)
 
 
@@ -88,7 +137,7 @@ def violations_by_definition(mechanism, spec: GraphClassSpec) -> set[tuple]:
     canonical triples (smaller graph key, larger graph key, deviator).
     """
     found = set()
-    for base in enumerate_graphs(spec):
+    for base in class_graphs(spec):
         selected = mechanism(base)
         for v in range(1, spec.n + 1):
             here = selected == v
@@ -108,7 +157,7 @@ def gap_by_definition(mechanism, spec: GraphClassSpec) -> tuple[int, DirectedGra
     selected), with indegrees counted here from the out-sets.
     """
     best = None
-    for graph in enumerate_graphs(spec):
+    for graph in class_graphs(spec):
         deg = [sum(u in outs for outs in graph.out_sets) for u in range(1, spec.n + 1)]
         v = mechanism(graph)
         gap = max(deg) - (deg[v - 1] if v else 0)
@@ -277,7 +326,7 @@ def certificate_problems(
             for v in block[:-1]:  # adjacent transpositions generate the block's permutations
                 images = list(range(1, n + 1))
                 images[v - 1], images[v] = v + 1, v
-                if g.relabel(Permutation(tuple(images))) != g:
+                if relabeled_key(g, images) != g.key:
                     problems.append(f"{p}: swapping {v} and {v + 1} is not an automorphism")
         if max(g.indegrees) != n - 1:
             problems.append(f"{p}: nobody is nominated by everybody")

@@ -1,7 +1,7 @@
 import json
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from impsel import (
     Exhaustive,
     GraphClassSpec,
     MechanismId,
-    Permutation,
     ProbabilityVector,
     Sampled,
     ThresholdPair,
@@ -26,26 +25,26 @@ from impsel import (
     check_trace_invariants,
     check_weak_unanimity_inheritance,
     deviations,
-    enumerate_graphs,
     measure_gap,
     resolve,
     run_twin_threshold,
-    symmetrize_eval,
     symmetrized_table,
 )
-from impsel._deletion import outset_rows, run_deletion, run_deletion_rows
-from impsel.audit import FACTORIAL_CAP
+from impsel._deletion import outset_rows, run_deletion, run_deletion_rows, select_top
 from impsel.cli import main
 from impsel.graphs import graph_at_index
 from impsel.mechanisms import MECHANISMS, batch_kernel_for, kernel_for
 from conftest import graph
 from oracles import (
     canonical_order,
+    class_graphs,
     fresh_text,
     gap_by_definition,
+    relabeled_key,
     sampled_gap_by_definition,
     sampled_violations_by_definition,
     same_outside_deviator,
+    symmetrized_by_definition,
     violating_pairs_by_full_scan,
     violation_count_by_lines,
     violations_by_definition,
@@ -519,7 +518,7 @@ def test_deletion_rows_final_degrees_match_run_deletion(monkeypatch, block):
     monkeypatch.setattr(impsel.audit, "KERNEL_BLOCK", block)
     for spec in (GraphClassSpec(1), GraphClassSpec(2, 1), GraphClassSpec(5, 1), GraphClassSpec(4, 2), GraphClassSpec(4, 3, True)):
         n, make = spec.n, impsel.audit._class_block(spec)
-        graphs = list(enumerate_graphs(spec))
+        graphs = list(class_graphs(spec))
         for t in range(1, max(n, 2)):
             for lo, hi in impsel.audit._blocks(0, spec.size):
                 deg = run_deletion_rows(*make(lo, hi), t)
@@ -641,6 +640,15 @@ def test_trace_descent_count_on_cascade():
             {"descent_counts", "deletion_order"},
             "vertex 4: drop 1 != earlier-deleted in-neighbors 0; deletion order not strictly decreasing: (1, 4) then (3, 5)",
         ),
+        # the second record numbered 2
+        (((0, 5, 3), (2, 4, 1)), (0, 0, 0, 1, 3), {"deletion_order"}, "record 1 has iteration 2"),
+        # vertex 4 deleted a second time
+        (
+            ((0, 5, 3), (1, 4, 1), (2, 4, 1)),
+            (0, 0, 0, 1, 3),
+            {"deletion_order"},
+            "vertex 4 deleted again at record 2; deletion order not strictly decreasing: (1, 4) then (1, 4)",
+        ),
     ],
 )
 def test_trace_checks_fail_on_a_corrupted_trace(monkeypatch, deletions, final_degrees, failed, detail):
@@ -652,16 +660,104 @@ def test_trace_checks_fail_on_a_corrupted_trace(monkeypatch, deletions, final_de
     monkeypatch.setattr(impsel.audit, "run_twin_threshold", lambda graph, thresholds: (selected, corrupted))
     report = check_trace_invariants(g, pair)
     assert report.trace is corrupted and not report.ok
-    assert [c.name for c in report.checks] == ["remaining_degrees", "descent_counts", "deletion_order", "inneighbor_witness"]
+    assert [c.name for c in report.checks] == [
+        "remaining_degrees", "descent_counts", "deletion_order", "inneighbor_witness", "selection"
+    ]
     assert {c.name for c in report.checks if not c.ok} == failed
     assert "; ".join(c.detail for c in report.checks if not c.ok) == detail
 
 
 def test_trace_checks_over_a_whole_class():
     spec = GraphClassSpec(4, None)
-    for g in enumerate_graphs(spec):
+    for g in class_graphs(spec):
         report = check_trace_invariants(g, ThresholdPair(2, 1))
         assert report.ok, (g.edges, [c for c in report.checks if not c.ok])
+
+
+def test_trace_checks_fail_on_a_trace_that_leaves_out_a_vertex(monkeypatch):
+    # 2, 3 and 4 nominate 1; 5 and 6 nominate each of 2, 3 and 4.  The run
+    # deletes 1 at degree 3 first.  A trace without 1 has the same final
+    # degrees and selection, and each record is at its vertex's degree; but
+    # the sweep would have taken 1, at pair (3, 1), before 4 at (2, 4).
+    g = graph(6, (2, 1), (3, 1), (4, 1), *((u, v) for u in (5, 6) for v in (2, 3, 4)))
+    pair = ThresholdPair(2, 2)
+    selected, trace = run_twin_threshold(g, pair)
+    assert (selected, trace.deletions) == (4, ((0, 1, 3), (1, 4, 2), (2, 3, 2), (3, 2, 2)))
+    corrupted = DeletionTrace(((0, 4, 2), (1, 3, 2), (2, 2, 2)), trace.final_degrees)
+    monkeypatch.setattr(impsel.audit, "run_twin_threshold", lambda graph, thresholds: (selected, corrupted))
+    report = check_trace_invariants(g, pair)
+    assert [(c.name, c.detail) for c in report.checks if not c.ok] == [
+        ("inneighbor_witness", "vertex 1: witness 0 at (2, 4) not above (3, 1)")
+    ]
+
+
+def test_trace_checks_fail_on_a_wrong_selection(monkeypatch):
+    g = graph(5, (1, 5), (2, 5), (3, 5), (5, 4), (3, 4))
+    pair = ThresholdPair(2, 1)
+    selected, trace = run_twin_threshold(g, pair)
+    assert selected == 5
+    monkeypatch.setattr(impsel.audit, "run_twin_threshold", lambda graph, thresholds: (1, trace))
+    report = check_trace_invariants(g, pair)
+    assert report.selected == 1
+    assert [(c.name, c.detail) for c in report.checks if not c.ok] == [
+        ("selection", "selected 1, select_top of the final degrees at T=2 is 5")
+    ]
+
+
+def _trace_of_order(g, order, upper):
+    """(selection, trace) of deleting the vertices `order` in turn, each
+    recorded at its remaining degree then, the selection read from the final
+    degrees at upper threshold `upper`: a trace consistent in every count."""
+    deg, records = list(g.indegrees), []
+    for i, v in enumerate(order):
+        records.append((i, v, deg[v - 1]))
+        for w in g.out_sets[v - 1]:
+            deg[w - 1] -= 1
+    return select_top(deg, upper), DeletionTrace(tuple(records), tuple(deg))
+
+
+def _corrupted_orders(order, n):
+    """Every deletion order one step from `order`: one deletion dropped, two
+    adjacent ones swapped, or an undeleted vertex inserted anywhere."""
+    for k in range(len(order)):
+        yield order[:k] + order[k + 1 :]
+    for k in range(len(order) - 1):
+        yield order[:k] + (order[k + 1], order[k]) + order[k + 2 :]
+    for u in sorted(set(range(1, n + 1)) - set(order)):
+        for k in range(len(order) + 1):
+            yield order[:k] + (u,) + order[k:]
+
+
+@pytest.mark.parametrize(
+    "spec, runs, corruptions",
+    [
+        pytest.param(GraphClassSpec(3), 192, 976, id="G_3"),
+        pytest.param(GraphClassSpec(4, 1), 1536, 10341, id="G_4(1)"),
+        pytest.param(GraphClassSpec(4), 24576, 192480, id="G_4", marks=pytest.mark.slow),
+    ],
+)
+def test_trace_checks_pass_exactly_the_run(monkeypatch, spec, runs, corruptions):
+    # every real run passes, and every consistent trace of another deletion
+    # order fails: the checks pin the trace down to the run
+    served = {}
+    monkeypatch.setattr(impsel.audit, "run_twin_threshold", lambda graph, thresholds: served["run"])
+    pairs = [ThresholdPair(upper, lower) for upper in range(1, spec.n) for lower in range(1, upper + 1)]
+    ran, corrupted = 0, 0
+    for g in class_graphs(spec):
+        for pair in pairs:
+            selected, trace = run_twin_threshold(g, pair)
+            order = tuple(v for _, v, _ in trace.deletions)
+            again, rebuilt = _trace_of_order(g, order, pair.upper)
+            assert (again, rebuilt.deletions) == (selected, trace.deletions)
+            assert rebuilt.final_degrees == trace.final_degrees
+            served["run"] = selected, trace
+            assert check_trace_invariants(g, pair).ok, (g.edges, pair)
+            ran += 1
+            for other in _corrupted_orders(order, spec.n):
+                served["run"] = _trace_of_order(g, other, pair.upper)
+                assert not check_trace_invariants(g, pair).ok, (g.edges, pair, other)
+                corrupted += 1
+    assert (ran, corrupted) == (runs, corruptions)
 
 
 # ---- symmetrization ----
@@ -677,26 +773,24 @@ def test_probability_vector_validation():
 
 
 def test_symmetrize_examples():
-    zero = symmetrize_eval(resolve(MechanismId.parse("never")), graph(3, (1, 2)))
+    def symmetrized(text, g):
+        return symmetrized_table(MechanismId.parse(text), GraphClassSpec(g.n))[g.key]
+
+    zero = symmetrized("never", graph(3, (1, 2)))
     assert zero.mass == 0
 
     # both relabelings of the single edge select the image of vertex 2
-    v = symmetrize_eval(resolve(MechanismId.parse("max-naive")), graph(2, (1, 2)))
+    v = symmetrized("max-naive", graph(2, (1, 2)))
     assert v.probs == (Fraction(0), Fraction(1))
 
     complete = graph(3, (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
-    uniform = symmetrize_eval(resolve(MechanismId.parse("max-naive")), complete)
+    uniform = symmetrized("max-naive", complete)
     assert uniform.probs == (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
 
     # follow:1 selects pi(3) on the relabeled edge pi(2) -> pi(3) exactly when
     # pi(2) = 1: two of the six permutations, all of them crediting vertex 3
-    lone = symmetrize_eval(resolve(MechanismId.parse("follow:1")), graph(3, (2, 3)))
+    lone = symmetrized("follow:1", graph(3, (2, 3)))
     assert lone.probs == (Fraction(0), Fraction(0), Fraction(1, 3))
-
-
-def test_symmetrize_respects_factorial_cap():
-    with pytest.raises(CapExceeded):
-        symmetrize_eval(resolve(MechanismId.parse("never")), DirectedGraph.empty(FACTORIAL_CAP + 1))
 
 
 def test_symmetrized_table_refuses_classes_over_the_audit_cap():
@@ -734,14 +828,14 @@ def test_symmetrization_refuses_before_enumerating(monkeypatch, spec, texts, err
 
 
 def test_symmetry_law_by_direct_enumeration():
-    mechanism = resolve(MechanismId.parse("max-naive"))
-    spec = GraphClassSpec(3, 1)
-    for g in enumerate_graphs(spec):
-        fs = symmetrize_eval(mechanism, g)
-        for perm in Permutation.all_of(3):
-            relabeled = symmetrize_eval(mechanism, g.relabel(perm))
-            for v in range(1, 4):
-                assert relabeled.prob(perm(v)) == fs.prob(v)
+    # the symmetrization of pi's image of a graph gives pi(v) what the graph gives v
+    mid, spec = MechanismId.parse("max-naive"), GraphClassSpec(3, 1)
+    for table in (symmetrized_table(mid, spec), symmetrized_by_definition(resolve(mid), spec)):
+        for g in class_graphs(spec):
+            for images in permutations(range(1, 4)):
+                relabeled = table[relabeled_key(g, images)]
+                for v in range(1, 4):
+                    assert relabeled.prob(images[v - 1]) == table[g.key].prob(v)
 
 
 @pytest.mark.parametrize(
@@ -754,15 +848,15 @@ def test_symmetry_law_by_direct_enumeration():
     ],
 )
 def test_symmetrized_table_matches_symmetrize_eval(monkeypatch, spec, texts):
-    # texts None: every registry mechanism valid for n.  Blocks of 7 graphs
-    # make the class span several blocks.
+    # against the per-graph oracle, which relabels out-set tuples and runs the
+    # per-graph rule.  texts None: every registry mechanism valid for n.
+    # Blocks of 7 graphs make the class span several blocks.
     monkeypatch.setattr(impsel.audit, "KERNEL_BLOCK", 7)
-    graphs = list(enumerate_graphs(spec))
     for mid in _every_mechanism(spec.n) if texts is None else map(MechanismId.parse, texts):
-        table = symmetrized_table(mid, spec)
-        assert list(table) == [g.key for g in graphs]
-        for g in graphs:
-            assert table[g.key] == symmetrize_eval(resolve(mid), g), (mid, g)
+        table, expect = symmetrized_table(mid, spec), symmetrized_by_definition(resolve(mid), spec)
+        assert list(table) == list(expect)
+        for key, vector in expect.items():
+            assert table[key] == vector, (mid, key)
 
 
 def test_symmetrization_inherits_impartiality_on_impartial_base():
@@ -770,7 +864,7 @@ def test_symmetrization_inherits_impartiality_on_impartial_base():
     spec = GraphClassSpec(3, 1)
     assert check_impartiality(mid, spec) == []
     table = symmetrized_table(mid, spec)
-    for base in enumerate_graphs(spec):
+    for base in class_graphs(spec):
         for v in range(1, 4):
             for other in deviations(base, v, spec):
                 assert table[base.key].prob(v) == table[other.key].prob(v)
@@ -833,7 +927,7 @@ def test_weak_unanimity_names_a_graph_whose_mass_falls_short(monkeypatch):
     monkeypatch.setattr(impsel.audit, "graph_at_index", build)
     spec = GraphClassSpec(3, 1)
     report = check_weak_unanimity_inheritance(MechanismId.parse("max-naive"), spec)
-    star = next(i for i, g in enumerate(enumerate_graphs(spec)) if g.max_indegree == 2)
+    star = next(i for i, g in enumerate(class_graphs(spec)) if g.max_indegree == 2)
     assert report.premise_holds and not report.ok and built == [star]
     assert report.detail == f"graph {graph_at_index(spec, star).key}: positive-indegree mass 5/6 != 1"
 
@@ -852,5 +946,5 @@ def test_weak_unanimity_stars_are_the_graphs_with_a_universal_nominee(monkeypatc
                        ("majority", GraphClassSpec(4))):
         seen.clear()
         report = check_weak_unanimity_inheritance(MechanismId.parse(text), spec)
-        stars = [i for i, g in enumerate(enumerate_graphs(spec)) if g.max_indegree == spec.n - 1]
+        stars = [i for i, g in enumerate(class_graphs(spec)) if g.max_indegree == spec.n - 1]
         assert seen == [stars] and report.graphs_checked == len(stars), (text, spec)

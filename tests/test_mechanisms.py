@@ -6,11 +6,11 @@ from impsel import (
     MechanismId,
     additive_gap,
     check_impartiality,
-    enumerate_graphs,
     measure_gap,
     resolve,
 )
 from conftest import graph
+from oracles import class_graphs
 
 STAR5 = graph(5, (2, 1), (3, 1), (4, 1), (5, 1))
 
@@ -44,7 +44,7 @@ def test_follow_fixed():
 def test_follow_fixed_never_selects_anchor_and_bounds_gap():
     # positive outdegree forces a selection with indegree >= 1
     spec = GraphClassSpec(3, None, True)
-    for g in enumerate_graphs(spec):
+    for g in class_graphs(spec):
         v = run("follow:1", g)
         assert v not in (0, 1)
         assert g.indegrees[v - 1] >= 1
@@ -68,7 +68,7 @@ def test_naive_iterated():
 
 def test_naive_iterated_equals_twin_with_equal_thresholds():
     spec = GraphClassSpec(4, 1)
-    for g in enumerate_graphs(spec):
+    for g in class_graphs(spec):
         assert run("naive-iter:2", g) == run("twin:2,2", g)
 
 

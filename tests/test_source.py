@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -95,13 +96,13 @@ def test_mechanisms_have_no_nested_functions():
 PUBLIC_API = [
     "AUDIT_CAP", "COMPOSITION_CAP", "CapExceeded", "Certificate", "CertificateRow", "DeletionTrace",
     "DirectedGraph", "Exhaustive", "FACTORIAL_CAP", "GapReport", "GraphClassSpec",
-    "GraphFormatError", "MechanismId", "Permutation", "PlanReport", "ProbabilityVector", "Sampled",
+    "GraphFormatError", "MechanismId", "PlanReport", "ProbabilityVector", "Sampled",
     "ThresholdPair", "TraceReport", "Violation", "WeakUnanimityReport", "additive_gap", "build_certificate",
     "check_impartiality", "check_trace_invariants", "check_weak_unanimity_inheritance", "composition_of_graph",
-    "deviations", "enumerate_compositions", "enumerate_graphs", "fubini", "graph_at_index",
+    "deviations", "enumerate_compositions", "fubini", "graph_at_index",
     "graph_of_composition", "kernel_for", "lambda_of", "measure_gap", "parse_graph", "plan_thresholds_general",
     "plan_thresholds_k1", "reduce_add_inneighbors", "reduce_add_isolated", "resolve", "run_twin_threshold",
-    "sample_stream", "symmetrize_eval", "symmetrized_table", "transitions",
+    "sample_stream", "symmetrized_table", "transitions",
     "validate_thresholds",
 ]
 
@@ -172,3 +173,25 @@ def test_a_failing_property_test_reports_its_failure(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "AssertionError: deliberate failure" in proc.stdout
     assert "Falsifying example" in proc.stdout and "INTERNALERROR" not in proc.stdout + proc.stderr
+
+
+def test_oracles_load_outside_pytest(tmp_path):
+    # the benchmark's self-check loads tests/oracles.py by file path in a plain
+    # interpreter with only src importable (bench/run.py:oracle_self_check);
+    # an oracle that imports a test helper or a name the package no longer
+    # exports would pass the suite and stop the benchmark with no result
+    script = (
+        "import importlib.util, sys\n"
+        "spec = importlib.util.spec_from_file_location('impsel_test_oracles', sys.argv[1])\n"
+        "oracles = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(oracles)\n"
+        "from impsel import GraphClassSpec, MechanismId, check_impartiality, resolve\n"
+        "mid, spec = MechanismId.parse('max-naive'), GraphClassSpec(4, 1)\n"
+        "print(len(oracles.violations_by_definition(resolve(mid), spec)), len(check_impartiality(mid, spec)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = [sys.executable, "-B", "-c", script, str(ROOT / "tests" / "oracles.py")]
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    found, expected = proc.stdout.split()
+    assert found == expected and int(expected) > 0

@@ -16,7 +16,6 @@ from impsel import (
     ThresholdPair,
     additive_gap,
     check_trace_invariants,
-    enumerate_graphs,
     plan_thresholds_general,
     plan_thresholds_k1,
     resolve,
@@ -26,7 +25,7 @@ from impsel import (
 )
 from impsel._deletion import run_deletion
 from conftest import graph
-from oracles import deletion_by_definition
+from oracles import class_graphs, deletion_by_definition
 
 
 def test_threshold_pair_validation():
@@ -83,7 +82,7 @@ def test_deleted_vertex_degrees_keep_dropping_after_deletion():
 
 def test_traced_and_untraced_paths_agree_on_a_class():
     spec = GraphClassSpec(4, None)
-    for g in enumerate_graphs(spec):
+    for g in class_graphs(spec):
         for pair in (ThresholdPair(2, 1), ThresholdPair(3, 2), ThresholdPair(3, 3)):
             selected, _ = run_twin_threshold(g, pair)
             assert selected == resolve(MechanismId("twin", (pair.upper, pair.lower)))(g)
