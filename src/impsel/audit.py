@@ -16,7 +16,7 @@ graph; sampled gap audits stack the samples into blocks.  A witness is its
 canonical text, written once from its out-set ranks (class index digits or
 a sampled rank tuple); violations are integer columns over the sorted
 distinct texts, ordered by one lexsort, and a ``Violation`` or a witness
-graph is made only when read (tracemalloc peak 9.4 MB on max-naive G_6(1)).
+graph is made only when read (tracemalloc peak 5.2 MB on max-naive G_6(1)).
 
 Worst additive gaps are measured in the same two modes, and trace invariants
 are re-derived from recorded deletion traces, so that a trace passes them
@@ -112,6 +112,12 @@ class Sampled:
 AuditMode = Union[Exhaustive, Sampled]
 
 
+@cache
+def _own_lines(v: int) -> re.Pattern:
+    """Vertex v's edge lines in a graph text; each follows a line break, as the header comes first."""
+    return re.compile(rf"\ne {v} [^\n]*")
+
+
 @dataclass(frozen=True)
 class Violation:
     """A witnessed impartiality failure: the deviator's own rewrite of its
@@ -134,8 +140,7 @@ class Violation:
         header, v = self.text_a.partition("\n")[0], self.deviator
         if header != self.text_b.partition("\n")[0] or not header.startswith("n ") or not 1 <= v <= int(header[2:]):
             raise ValueError("violation graphs must share a vertex set containing the deviator")
-        # every line of the deviator's edges follows a line break, as the header comes first
-        own = re.compile(rf"\ne {v} [^\n]*")
+        own = _own_lines(v)
         if own.sub("", self.text_a) != own.sub("", self.text_b):
             raise ValueError(f"graphs differ outside the outgoing edges of {v}")
         if self.selected_a == self.selected_b:
@@ -197,12 +202,42 @@ def _blocks(start: int, end: int) -> Iterator[tuple[int, int]]:
 
 
 def _class_block(spec: GraphClassSpec) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
-    """block(lo, hi): the batch kernel's (members, choice) for graphs [lo, hi) of the class."""
+    """block(lo, hi): the batch kernel's (members, choice) for graphs [lo, hi)
+    of the class, hi - lo <= ``KERNEL_BLOCK``.  Vertex v's out-sets are rows
+    (v-1)*R.. of members, and choice is held in the smallest type indexing
+    them.  Graph i's out-set ranks are the mixed-radix digits of i, vertex n
+    the least significant: the trailing m digits, R**m <= ``KERNEL_BLOCK``,
+    are row i % R**m of one template, and the leading n - m are those of the
+    head index i // R**m, a few heads per block."""
     n, radix = spec.n, spec.outset_count
     last = outset_rows(n, spec.admissible_outsets(n))
     members = np.concatenate([vertex_rows(last, v) for v in range(1, n + 1)])
-    offsets = np.arange(n) * radix  # vertex v's out-sets start at row (v-1)*R
-    return lambda lo, hi: (members, digit_block(spec, np.arange(lo, hi)) + offsets)
+    kind = np.min_scalar_type(len(members))
+    offsets = np.arange(n, dtype=kind) * kind.type(radix)
+    m = next(m for m in range(n, -1, -1) if radix**m <= KERNEL_BLOCK)
+    width, lead = radix**m, n - m
+    tail = np.indices((radix,) * m, dtype=kind).reshape(m, width).T + offsets[lead:]
+
+    def block(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        choice = np.empty((hi - lo, n), kind)
+        heads = np.arange(lo // width, (hi - 1) // width + 1)
+        starts = heads * width
+        rows = np.minimum(starts + width, hi) - np.maximum(starts, lo)  # the block's rows under each head
+        digits = np.empty((len(heads), lead), kind)
+        for col in range(lead - 1, -1, -1):
+            heads, digit = np.divmod(heads, radix)
+            digits[:, col] = digit
+        choice[:, :lead] = np.repeat(digits + offsets[:lead], rows, axis=0)
+        # the template from row lo % R**m, wrapping to row 0 at each new head
+        skip = lo % width
+        first = min(hi - lo, width - skip)
+        whole = (hi - lo - first) // width * width
+        choice[:first, lead:] = tail[skip : skip + first]
+        choice[first : first + whole].reshape(-1, width, n)[:, :, lead:] = tail
+        choice[first + whole :, lead:] = tail[: hi - lo - first - whole]
+        return members, choice
+
+    return block
 
 
 def _outcome_chunk(args, score: Callable | None = None) -> np.ndarray:
@@ -289,10 +324,17 @@ def check_impartiality(mid: MechanismId, spec: GraphClassSpec, mode: AuditMode =
         return _violations(spec, *_sampled_pairs(mid, spec, mode))
     if _check_exhaustive_pre(spec, mode.cap) == 0:
         return _violations(spec, [], *[np.zeros(0, dtype=np.int64)] * 4)
-    index_a, index_b, *columns = _violating_pairs(_outcome_table(mid, spec, mode.jobs), spec.n, spec.outset_count)
-    keys, position = np.unique(np.concatenate([index_a, index_b]), return_inverse=True)
+    index_a, index_b, deviator, selected_a = _violating_pairs(
+        _outcome_table(mid, spec, mode.jobs), spec.n, spec.outset_count
+    )
+    indices = np.concatenate([index_a, index_b])
+    del index_a, index_b
+    keys, position = np.unique(indices, return_inverse=True)
+    del indices
+    position = position.astype(np.min_scalar_type(len(keys)))
     blocks = (digit_block(spec, keys[lo : lo + _ROW_BLOCK]).tolist() for lo in range(0, len(keys), _ROW_BLOCK))
-    return _violations(spec, chain.from_iterable(blocks), *np.split(position, 2), *columns)
+    deviator = deviator.astype(np.min_scalar_type(spec.n))
+    return _violations(spec, chain.from_iterable(blocks), *np.split(position, 2), deviator, selected_a)
 
 
 def _violations(spec: GraphClassSpec, rows: Iterable[Sequence[int]], a, b, deviator, selected_a) -> Violations:
@@ -304,11 +346,16 @@ def _violations(spec: GraphClassSpec, rows: Iterable[Sequence[int]], a, b, devia
     lines = cache(lambda v, rank: edge_lines((v, u) for u in spec.outset_at(v, rank)))
     head, vertices = f"n {spec.n}\n", range(1, spec.n + 1)
     texts = [head + "".join(map(lines, vertices, row)) for row in rows]
-    order = sorted(range(len(texts)), key=texts.__getitem__)
-    rank_a, rank_b = np.argsort(order)[np.stack([a, b])]  # argsort inverts the order: key -> text rank
+    kind = np.min_scalar_type(len(texts))
+    order = np.array(sorted(range(len(texts)), key=texts.__getitem__), dtype=kind)
+    rank = np.empty(len(texts), kind)
+    rank[order] = np.arange(len(texts), dtype=kind)  # the inverse of the order: key -> text rank
+    rank_a, rank_b = rank[a], rank[b]
+    del rank
     lo, hi, selected_lo = np.minimum(rank_a, rank_b), np.maximum(rank_a, rank_b), selected_a ^ (rank_b < rank_a)
+    del rank_a, rank_b
     keep = np.lexsort((deviator, hi, lo))
-    return Violations([texts[i] for i in order], lo[keep], hi[keep], deviator[keep], selected_lo[keep])
+    return Violations([texts[i] for i in order.tolist()], lo[keep], hi[keep], deviator[keep], selected_lo[keep])
 
 
 def _line_outcomes(kern, last: np.ndarray, fixed: np.ndarray, v: int) -> np.ndarray:

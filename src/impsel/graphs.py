@@ -18,8 +18,9 @@ A class is enumerated in lexicographic order of the per-vertex choice tuple,
 the choice of vertex 1 varying slowest: graph i has the base-R digits of i as
 its per-vertex out-set ranks, vertex 1 the most significant (R out-sets per
 vertex).  That digit layout is the one way to walk a class: ``digit_block``
-gives the ranks of an array of indices as a numpy array for batched kernels,
-and ``graph_at_index`` builds one index's graph from its ranks with
+gives the ranks of an array of indices as a numpy array, exhaustive kernel
+blocks hold the same digits built from a template of the trailing ones, and
+``graph_at_index`` builds one index's graph from its ranks with
 ``graph_of_ranks``, as sampling does.  Exhaustive audits read digit rows and
 build a graph only to report it.
 

@@ -4,8 +4,9 @@ These deliberately avoid the library's own counting and scanning shortcuts:
 weak orders are counted by enumerating level maps, isomorphism multiplicities
 by relabeling out-set tuples, symmetrizations by running the per-graph rule
 once per class graph and looking each relabeling up by key, impartiality
-violations by literally comparing mechanism runs across deviation pairs of
-graph objects, additive gaps by counting indegrees graph by graph, the
+violations by running the per-graph rule once per class graph and comparing
+its results across every deviation pair, found by swapping out-set bitmasks
+in graph keys, additive gaps by counting indegrees graph by graph, the
 iterated deletion by rescanning every vertex at each step of the sweep, and
 the violating pairs of an outcome table by walking every line of it (or, for
 their number, by counting each line's selecting digits).  The sampled oracles
@@ -133,19 +134,22 @@ def deletion_by_definition(graph: DirectedGraph, t: int) -> tuple[list[int], lis
 def violations_by_definition(mechanism, spec: GraphClassSpec) -> set[tuple]:
     """Unordered impartiality-violation triples straight from the definition.
 
-    `mechanism` maps a graph to the selected vertex, 0 for none.  Returns
-    canonical triples (smaller graph key, larger graph key, deviator).
+    `mechanism` maps a graph to the selected vertex, 0 for none.  It runs
+    once per class graph; a deviation of v is the base key with v's out-set
+    bitmask swapped for another admissible one, a class graph again, so its
+    selection is a key lookup.  Returns canonical triples (smaller graph
+    key, larger graph key, deviator).
     """
+    selected = {g.key: mechanism(g) for g in class_graphs(spec)}
+    masks = [[sum(1 << (u - 1) for u in s) for s in spec.admissible_outsets(v)] for v in range(1, spec.n + 1)]
     found = set()
-    for base in class_graphs(spec):
-        selected = mechanism(base)
+    for key, chosen in selected.items():
         for v in range(1, spec.n + 1):
-            here = selected == v
-            for other in deviations(base, v, spec):
-                if other.key == base.key:
-                    continue
-                if (mechanism(other) == v) != here:
-                    found.add((min(base.key, other.key), max(base.key, other.key), v))
+            here = chosen == v
+            for mask in masks[v - 1]:
+                other = (*key[: v - 1], mask, *key[v:])
+                if other != key and (selected[other] == v) != here:
+                    found.add((min(key, other), max(key, other), v))
     return found
 
 

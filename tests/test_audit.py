@@ -32,7 +32,7 @@ from impsel import (
 )
 from impsel._deletion import outset_rows, run_deletion, run_deletion_rows, select_top
 from impsel.cli import main
-from impsel.graphs import graph_at_index
+from impsel.graphs import digit_block, graph_at_index
 from impsel.mechanisms import MECHANISMS, batch_kernel_for, kernel_for
 from conftest import graph
 from oracles import (
@@ -273,19 +273,51 @@ def test_batch_kernels_match_scalar_kernels(monkeypatch, spec, block):
         assert table.tolist() == _scalar_outcomes(mid, window), mid.text()
 
 
+def _spread_windows(size, width=400):
+    """Windows of `width` graphs spread over a class of `size` > width
+    graphs, the last one ending the class."""
+    return [(lo, lo + width) for lo in range(0, size - width, size // 6 + 1)] + [(size - width, size)]
+
+
 def test_batch_kernels_match_scalar_kernels_on_windows_of_g5(monkeypatch):
     # G_5 has 2**20 graphs; the scalar reference on all of them, for every
     # mechanism, takes minutes, so windows spread over the class stand in.
     monkeypatch.setattr(impsel.audit, "KERNEL_BLOCK", 7)
     spec = GraphClassSpec(5)
-    width = 400
-    windows = [(lo, lo + width) for lo in range(0, spec.size - width, spec.size // 6 + 1)]
-    windows.append((spec.size - width, spec.size))
+    windows = _spread_windows(spec.size)
     graphs = {(lo, hi): _graphs(spec, lo, hi) for lo, hi in windows}
     for mid in _every_mechanism(spec.n):
         for lo, hi in windows:
             got = impsel.audit._outcome_chunk((mid, spec, lo, hi))
             assert got.tolist() == _scalar_outcomes(mid, graphs[lo, hi]), (mid.text(), lo)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GraphClassSpec(1), GraphClassSpec(3), GraphClassSpec(4, 1), GraphClassSpec(4, 2, True), GraphClassSpec(5, 2),
+     GraphClassSpec(5)],
+    ids=lambda spec: spec.describe(),
+)
+def test_class_blocks_are_digit_rows_in_the_members_index_type(monkeypatch, spec):
+    # a block's choice is the class's digit rows plus vertex v's row offset
+    # (v-1)*R, whatever the block size and wherever a window starts: sizes
+    # around R and R**2 change how many digits come from the template.  The
+    # whole-class windows run where they take at most 20,000 blocks (on
+    # G_5(2), 161,051 graphs, from blocks of R-1; on G_5, 2**20, from R**2);
+    # the spread windows of the G_5 kernel test run on every class larger
+    # than them.
+    radix, size = spec.outset_count, spec.size
+    for block in sorted({1, 2, radix - 1, radix, radix + 1, radix**2, 997, 1 << 16} - {0}):
+        monkeypatch.setattr(impsel.audit, "KERNEL_BLOCK", block)
+        make = impsel.audit._class_block(spec)
+        windows = [(0, size), (1, size - 1)] if size // block <= 20_000 else []
+        windows += _spread_windows(size) if size > 400 else []
+        for lo, hi in windows:
+            expect = digit_block(spec, np.arange(lo, hi)) + np.arange(spec.n) * radix
+            for a, b in impsel.audit._blocks(lo, hi):
+                members, choice = make(a, b)
+                assert choice.dtype == np.min_scalar_type(len(members)) != np.int64
+                assert len(choice) <= block and np.array_equal(choice, expect[a - lo : b - lo]), (block, a, b)
 
 
 def test_batch_outcome_table_does_not_depend_on_worker_count():
@@ -423,21 +455,40 @@ def test_witness_texts_are_their_graphs_serializations(spec, mode):
 
 
 def test_exhaustive_gap_builds_each_block_once(monkeypatch):
-    # the kernel pass computes the gaps from the blocks it evaluates, so the
-    # class's digits are computed once per block: 5 blocks of G_4(1)'s 256 graphs
+    # the kernel pass computes the gaps from the blocks it evaluates, so each
+    # block is built once: 5 blocks of G_4(1)'s 256 graphs
     calls = []
-    digits = impsel.audit.digit_block
+    make = impsel.audit._class_block
 
-    def counting(spec, indices):
-        calls.append(len(indices))
-        return digits(spec, indices)
+    def counting(spec):
+        block = make(spec)
+
+        def build(lo, hi):
+            calls.append(hi - lo)
+            return block(lo, hi)
+
+        return build
 
     monkeypatch.setattr(impsel.audit, "KERNEL_BLOCK", 60)
-    monkeypatch.setattr(impsel.audit, "digit_block", counting)
+    monkeypatch.setattr(impsel.audit, "_class_block", counting)
     mid, spec = MechanismId.parse("majority"), GraphClassSpec(4, 1)
     report = measure_gap(mid, spec)
     assert calls == [60, 60, 60, 60, 16]
     assert (report.worst_gap, report.witness) == gap_by_definition(resolve(mid), spec)
+
+
+def test_exhaustive_kernel_pass_memory_is_bounded():
+    # G_7(1)'s 823,543 graphs in 13 blocks: the outcome table and one block's
+    # narrow choice array and kernel arrays trace about 3.9 MB; int64 digit
+    # rows of a block would take it to about 7.8 MB
+    mid, spec = MechanismId.parse("twin:4,1"), GraphClassSpec(7, 1)
+    tracemalloc.start()
+    try:
+        table = impsel.audit._outcome_table(mid, spec, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == spec.size and peak < 5 * 2**20, peak
 
 
 def test_worker_count_reads_cpu_affinity(monkeypatch):
