@@ -5,18 +5,18 @@ and every vertex, every admissible rewrite of that vertex's outgoing edges
 must leave the vertex's selection status unchanged.  Every audit evaluates
 the mechanism with its batch kernel, in blocks of at most ``KERNEL_BLOCK``
 graphs, so no Python runs per graph and memory is bounded by the block.
-Exhaustive mode fills an outcome table, the selected vertex of every graph of
-a class (for gap audits, its additive gap, computed from the same block the
-kernel ran on); only that kernel pass is split across worker processes, and
-the scan for violating deviation pairs is whole-table numpy that walks only
-the deviation lines whose "v is selected" flags are mixed.  Sampled
-impartiality audits evaluate each seeded base graph's n deviation lines (v's
-out-set swept, the rest fixed) and compare every graph on them with the base
+Exhaustive mode writes each block's result in place into an outcome table, the
+selected vertex (for gap audits, the additive gap) of every graph of a class.
+Its blocks are windows of the class's digit rows (``_class_block``), the one
+class walk, which witness texts and symmetrization read too; the scan for
+violating pairs walks only the lines whose "v is selected" flags are mixed.
+Sampled impartiality audits evaluate each seeded base graph's n deviation
+lines (v's out-set swept, the rest fixed) and compare them with the base
 graph; sampled gap audits stack the samples into blocks.  A witness is its
-canonical text, written once from its out-set ranks (class index digits or
+canonical text, written once from its out-set ranks (a class window's row or
 a sampled rank tuple); violations are integer columns over the sorted
 distinct texts, ordered by one lexsort, and a ``Violation`` or a witness
-graph is made only when read (tracemalloc peak 5.2 MB on max-naive G_6(1)).
+graph is made only when read (tracemalloc peak 5.4 MB on max-naive G_6(1)).
 
 Worst additive gaps are measured in the same two modes, and trace invariants
 are re-derived from recorded deletion traces, so that a trace passes them
@@ -48,7 +48,6 @@ from .graphs import (
     DirectedGraph,
     GraphClassSpec,
     deviations,  # bound only for the bench tracer, which wraps it here
-    digit_block,
     edge_lines,
     graph_at_index,
     graph_of_ranks,
@@ -243,11 +242,17 @@ def _class_block(spec: GraphClassSpec) -> Callable[[int, int], tuple[np.ndarray,
 def _outcome_chunk(args, score: Callable | None = None) -> np.ndarray:
     """Selected vertex (0 for none) of every graph with index in [start, end),
     or score(members, choice, selected) of each block when given, computed
-    from the block the kernel ran on."""
+    from the block the kernel ran on, and written in place into one array of
+    the members' dtype, the dtype of the kernels' and ``_gaps``' results."""
     mid, spec, start, end = args
-    kern, block = batch_kernel_for(mid), _class_block(spec)
-    run = kern if score is None else lambda members, choice: score(members, choice, kern(members, choice))
-    return np.concatenate([run(*block(lo, hi)) for lo, hi in _blocks(start, end)])
+    kern, block, chunk = batch_kernel_for(mid), _class_block(spec), None
+    for lo, hi in _blocks(start, end):
+        members, choice = block(lo, hi)
+        # made before any kernel call: made after one, it cost G_7(1) ten times the page faults
+        chunk = np.empty(end - start, members.dtype) if chunk is None else chunk
+        selected = kern(members, choice)
+        chunk[lo - start : hi - start] = selected if score is None else score(members, choice, selected)
+    return chunk
 
 
 def _gaps(members: np.ndarray, choice: np.ndarray, selected: np.ndarray) -> np.ndarray:
@@ -270,24 +275,26 @@ def _worker_count(jobs: int, size: int) -> int:
 
 
 def _check_exhaustive_pre(spec: GraphClassSpec, cap: int) -> int:
-    size = spec.size
-    if size > cap:
-        raise CapExceeded(f"class {spec.describe()} has {size} graphs, audit cap is {cap}")
-    return size
+    if spec.size > cap:
+        raise CapExceeded(f"class {spec.describe()} has {spec.size} graphs, audit cap is {cap}")
+    return spec.size
 
 
 def _outcome_table(mid: MechanismId, spec: GraphClassSpec, jobs: int, score: Callable | None = None) -> np.ndarray:
     """Entry i is the vertex selected (0 for none) on the i-th graph of a
     non-empty class, or its score as ``_outcome_chunk`` says.  This kernel
     pass is the only work split across worker processes, one chunk of the
-    class each; they receive index ranges, never the table."""
+    class each; they receive index ranges and their chunks are copied in."""
     workers = _worker_count(jobs, spec.size)
     args = [(mid, spec, lo, hi) for lo, hi in _chunks(spec.size, workers)]
-    chunk = partial(_outcome_chunk, score=score)
+    chunk, table = partial(_outcome_chunk, score=score), None
     if workers == 1:
         return chunk(args[0])
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(chunk, args)))
+        for (_, _, lo, hi), part in zip(args, pool.map(chunk, args)):
+            table = np.empty(spec.size, part.dtype) if table is None else table
+            table[lo:hi] = part
+    return table
 
 
 def _violating_pairs(table: np.ndarray, n: int, radix: int) -> tuple[np.ndarray, ...]:
@@ -297,20 +304,26 @@ def _violating_pairs(table: np.ndarray, n: int, radix: int) -> tuple[np.ndarray,
     Indices that differ only in vertex v's digit form a line along axis 1 of
     the (R**(v-1), R, R**(n-v)) reshape, R = radix.  Digits d1 < d2 on a line
     whose "v is selected" flags differ are one violation, so only the lines
-    whose flags are mixed are walked, in the order of the full walk.
+    whose flags are mixed are walked, in the order of the full walk, filling
+    columns sized from the lines' counts: s selecting digits make s*(R-s).
     """
-    blocks = [(np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0, dtype=bool),)]
+    walks = []
     for v in range(1, n + 1):
         stride = radix ** (n - v)
         flags = (table == v).reshape(-1, radix, stride)
         heads, tails = np.nonzero(flags.any(axis=1) & ~flags.all(axis=1))
-        lines = flags[heads, :, tails]  # (mixed lines, R)
+        walks.append((v, stride, heads, tails, flags[heads, :, tails]))  # lines: (mixed lines, R) flags
+    size, end = sum(int((s * (radix - s)).sum()) for s in (walk[-1].sum(axis=1) for walk in walks)), 0
+    index_a, index_b, deviator, selected_a = (np.empty(size, dtype=t) for t in (np.int64,) * 3 + (bool,))
+    for v, stride, heads, tails, lines in walks:
         for d1 in range(radix - 1):
             for d2 in range(d1 + 1, radix):
                 j = np.flatnonzero(lines[:, d1] != lines[:, d2])
-                index_a = (heads[j] * radix + d1) * stride + tails[j]
-                blocks.append((index_a, index_a + (d2 - d1) * stride, np.full(len(j), v), lines[j, d1]))
-    return tuple(map(np.concatenate, zip(*blocks)))
+                start, end = end, end + len(j)
+                index_a[start:end] = (heads[j] * radix + d1) * stride + tails[j]
+                index_b[start:end] = index_a[start:end] + (d2 - d1) * stride
+                deviator[start:end], selected_a[start:end] = v, lines[j, d1]
+    return index_a, index_b, deviator, selected_a
 
 
 def check_impartiality(mid: MechanismId, spec: GraphClassSpec, mode: AuditMode = Exhaustive()) -> Sequence[Violation]:
@@ -332,7 +345,10 @@ def check_impartiality(mid: MechanismId, spec: GraphClassSpec, mode: AuditMode =
     keys, position = np.unique(indices, return_inverse=True)
     del indices
     position = position.astype(np.min_scalar_type(len(keys)))
-    blocks = (digit_block(spec, keys[lo : lo + _ROW_BLOCK]).tolist() for lo in range(0, len(keys), _ROW_BLOCK))
+    block, offsets = _class_block(spec), np.arange(spec.n) * spec.outset_count  # a key's ranks: window row - offsets
+    held = ((lo, hi, keys[np.searchsorted(keys, lo) : np.searchsorted(keys, hi)]) for lo, hi in _blocks(0, spec.size))
+    windows = (block(lo, hi)[1][here - lo] for lo, hi, here in held if len(here))
+    blocks = ((rows[i : i + _ROW_BLOCK] - offsets).tolist() for rows in windows for i in range(0, len(rows), _ROW_BLOCK))
     deviator = deviator.astype(np.min_scalar_type(spec.n))
     return _violations(spec, chain.from_iterable(blocks), *np.split(position, 2), deviator, selected_a)
 
@@ -360,14 +376,14 @@ def _violations(spec: GraphClassSpec, rows: Iterable[Sequence[int]], a, b, devia
 
 def _line_outcomes(kern, last: np.ndarray, fixed: np.ndarray, v: int) -> np.ndarray:
     """Selected vertex on every graph of a base graph's deviation line along
-    v, by v's out-set rank.  `last` holds vertex n's out-set rows and `fixed`
-    the base graph's, vertex w's in row w-1."""
-    n, outcomes = len(fixed), []
+    v, in one array by v's out-set rank.  `last` holds vertex n's out-set rows
+    and `fixed` the base graph's, vertex w's in row w-1."""
+    n, outcomes = len(fixed), np.empty(len(last), fixed.dtype)
     for lo, hi in _blocks(0, len(last)):
         choice = np.tile(np.arange(n), (hi - lo, 1))
         choice[:, v - 1] = n + np.arange(hi - lo)
-        outcomes.append(kern(np.concatenate([fixed, vertex_rows(last[lo:hi], v)]), choice))
-    return np.concatenate(outcomes)
+        outcomes[lo:hi] = kern(np.concatenate([fixed, vertex_rows(last[lo:hi], v)]), choice)
+    return outcomes
 
 
 def _sampled_pairs(mid: MechanismId, spec: GraphClassSpec, mode: Sampled) -> tuple:
@@ -606,23 +622,23 @@ def _symmetrizable_table(mid: MechanismId, spec: GraphClassSpec) -> np.ndarray:
     return _outcome_table(mid, spec, 1) if size else np.zeros(0, dtype=np.int64)
 
 
-def _symmetrized_counts(table: np.ndarray, spec: GraphClassSpec, indices: np.ndarray) -> np.ndarray:
-    """(len(indices), n+1) int16 array: row j, column v counts the relabelings
-    pi of graph indices[j] on which the mechanism whose outcome table is
-    `table` selects pi(v), column 0 those selecting nobody.  Relabeling by pi
-    moves v's out-set S to pi(v) as pi(S), so graph i's image is the class graph of index
-    sum_v rank(pi(S_v)) * R**(n - pi(v)): its outcome-table entry w counts for
-    pi^-1(w)."""
+def _symmetrized_counts(table: np.ndarray, spec: GraphClassSpec, choice: np.ndarray) -> np.ndarray:
+    """(len(choice), n+1) int16 array: row j, column v counts the relabelings
+    pi of the graph of class window row choice[j] on which the mechanism whose
+    outcome table is `table` selects pi(v), column 0 those selecting nobody.
+    Relabeling by pi moves v's out-set S to pi(v) as pi(S), so the image is
+    the class graph of index sum_v rank(pi(S_v)) * R**(n - pi(v)): its
+    outcome-table entry w counts for pi^-1(w)."""
     n, radix = spec.n, spec.outset_count
-    counts = np.zeros((len(indices), n + 1), dtype=np.int16)  # n! <= 7! fits
+    counts = np.zeros((len(choice), n + 1), dtype=np.int16)  # n! <= 7! fits
     rank = [{frozenset(s): d for d, s in enumerate(spec.admissible_outsets(v))} for v in range(1, n + 1)]
     perms = list(permutations(range(1, n + 1)))  # pi as its images, pi(v) at v-1
     # row pi, column (v-1)*R + d: what v's out-set of rank d adds to the image's index
     weights = np.array([[rank[w - 1][frozenset(p[u - 1] for u in s)] * radix ** (n - w)
                          for w, outs in zip(p, rank) for s in outs] for p in perms])
     inverses = np.argsort(np.pad(perms, ((0, 0), (1, 0))), axis=1)  # pi^-1, with 0 (none) fixed
-    for lo, hi in _blocks(0, len(indices)):
-        flat, rows = digit_block(spec, indices[lo:hi]) + np.arange(n) * radix, np.arange(lo, hi)
+    for lo, hi in _blocks(0, len(choice)):
+        rows, flat = np.arange(lo, hi), choice[lo:hi].astype(np.intp)  # cast once, read per relabeling
         for weight, inverse in zip(weights, inverses):
             counts[rows, inverse[table[weight[flat].sum(axis=1)]]] += 1
     return counts
@@ -632,16 +648,17 @@ def symmetrized_table(mid: MechanismId, spec: GraphClassSpec) -> dict[tuple[int,
     """The mechanism's symmetrization on every graph of a class: entry v of a
     graph's vector is the share of the n! vertex relabelings pi on whose
     image of the graph the mechanism selects pi(v).  Keyed by graph key in
-    enumeration order: the integer counts of ``_symmetrized_counts``, divided
-    by n! once; the keys come from the class's digit rows, no graph built.
+    enumeration order: each class window's ``_symmetrized_counts``, divided
+    by n! once; keys are its rows of ``members`` as bitmasks, no graph built.
     Refused upfront as ``_symmetrizable_table`` says."""
     table, n = _symmetrizable_table(mid, spec), spec.n
-    counts, scale = _symmetrized_counts(table, spec, np.arange(spec.size)).tolist(), factorial(n)
-    vectors = (ProbabilityVector(tuple(Fraction(c, scale) for c in row[1:])) for row in counts)
-    # row v-1, column d: v's out-set of rank d as the bitmask DirectedGraph.key holds
-    masks = np.array([[sum(1 << (u - 1) for u in s) for s in spec.admissible_outsets(v)] for v in range(1, n + 1)])
-    keys = (masks[np.arange(n), digit_block(spec, np.arange(lo, hi))].tolist() for lo, hi in _blocks(0, spec.size))
-    return dict(zip(map(tuple, chain.from_iterable(keys)), vectors))
+    block, scale, vectors = _class_block(spec), factorial(n), {}
+    for lo, hi in _blocks(0, spec.size):
+        members, choice = block(lo, hi)
+        keys = (members[:, 1:].astype(np.int64) @ (1 << np.arange(n)))[choice].tolist()  # as DirectedGraph.key
+        rows = _symmetrized_counts(table, spec, choice).tolist()
+        vectors.update(zip(map(tuple, keys), (ProbabilityVector(tuple(Fraction(c, scale) for c in r[1:])) for r in rows)))
+    return vectors
 
 
 @dataclass(frozen=True)
@@ -666,18 +683,18 @@ def check_weak_unanimity_inheritance(mid: MechanismId, spec: GraphClassSpec) -> 
     a failing one.  Refused upfront as ``symmetrized_table`` is.
     """
     table, n = _symmetrizable_table(mid, spec), spec.n
-    block, found, positive = _class_block(spec), [np.zeros(0, dtype=np.int64)], [np.zeros((0, n + 1), dtype=bool)]
+    block, found = _class_block(spec), [(np.zeros(0, np.int64), np.zeros((0, n + 1), bool), np.zeros((0, n), np.int64))]
     for lo, hi in _blocks(0, spec.size):
-        deg = indegree_rows(*block(lo, hi))
+        members, choice = block(lo, hi)
+        deg = indegree_rows(members, choice)
         stars = np.flatnonzero((deg[1:] == n - 1).any(axis=0))
-        found.append(lo + stars)
-        positive.append(deg[:, stars].T >= 1)
-    stars, positive = np.concatenate(found), np.concatenate(positive)
+        found.append((lo + stars, deg[:, stars].T >= 1, choice[stars]))  # index, positive indegrees, window row
+    stars, positive, rows = map(np.concatenate, zip(*found))
     if not positive[np.arange(len(stars)), table[stars]].all():
         detail = f"{mid.text()} does not select a positive-indegree vertex on some such graph"
         return WeakUnanimityReport(premise_holds=False, ok=True, graphs_checked=len(stars), detail=detail)
     scale = factorial(n)
-    totals = (_symmetrized_counts(table, spec, stars) * positive).sum(axis=1)
+    totals = (_symmetrized_counts(table, spec, rows) * positive).sum(axis=1)
     problems = [f"graph {graph_at_index(spec, i).key}: positive-indegree mass {Fraction(total, scale)} != 1"
                 for i, total in zip(stars.tolist(), totals.tolist()) if total != scale]
     return WeakUnanimityReport(True, not problems, len(stars), "; ".join(problems))

@@ -17,9 +17,9 @@ targets {1, 2, 3} and no bound this gives
 A class is enumerated in lexicographic order of the per-vertex choice tuple,
 the choice of vertex 1 varying slowest: graph i has the base-R digits of i as
 its per-vertex out-set ranks, vertex 1 the most significant (R out-sets per
-vertex).  That digit layout is the one way to walk a class: ``digit_block``
-gives the ranks of an array of indices as a numpy array, exhaustive kernel
-blocks hold the same digits built from a template of the trailing ones, and
+vertex).  That digit layout is the one way to walk a class: the exhaustive
+audits' kernel windows (``audit._class_block``) hold the digit rows of
+consecutive indices, built from a template of the trailing digits, and
 ``graph_at_index`` builds one index's graph from its ranks with
 ``graph_of_ranks``, as sampling does.  Exhaustive audits read digit rows and
 build a graph only to report it.
@@ -302,20 +302,6 @@ def _unrank_outset(rank: int, m: int, lo: int, hi: int) -> tuple[int, ...]:
         if x == 0:
             return tuple(chosen)
         p, rest, x = q + 1, rest - 1, x - 1
-
-
-def digit_block(spec: GraphClassSpec, indices: np.ndarray) -> np.ndarray:
-    """(len(indices), n) int64 array: row j holds graph indices[j]'s out-set
-    ranks, column v-1 that of vertex v."""
-    radix, x = spec.outset_count, np.asarray(indices, dtype=np.int64)
-    digits = np.empty((len(x), spec.n), dtype=np.int64)
-    for col in range(spec.n - 1, -1, -1):  # vertex n is the least significant digit
-        # a scalar divisor takes numpy's fast constant-division path, which
-        # neither an array of place values nor % does
-        q = x // radix
-        digits[:, col] = x - q * radix
-        x = q
-    return digits
 
 
 def graph_at_index(spec: GraphClassSpec, index: int) -> DirectedGraph:

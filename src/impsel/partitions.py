@@ -213,9 +213,6 @@ class Certificate:
             sign = self.sign_even_parts if len(p) % 2 == 0 else -self.sign_even_parts
             yield CertificateRow(p, _lambda(p), sign, AT_MOST_ONE if sign > 0 else AT_LEAST_ONE)
 
-    def multipliers(self) -> tuple[int, ...]:
-        return tuple(row.multiplier for row in self.rows())
-
 
 def build_certificate(n: int, cap: int = COMPOSITION_CAP) -> Certificate:
     """Construct the infeasibility certificate for n >= 2 and prove it in one

@@ -193,8 +193,8 @@ def test_c08_certificates():
         ok &= cert.rhs_total == -1 and cert.sign_even_parts == (1 if n % 2 else -1)
         ok &= cert.links == n * 2**n // 8
         totals[n] = cert.rhs_total
-    m3 = build_certificate(3).multipliers()
-    m4 = build_certificate(4).multipliers()
+    m3 = tuple(row.multiplier for row in build_certificate(3).rows())
+    m4 = tuple(row.multiplier for row in build_certificate(4).rows())
     e3 = (-6, 3, 3, -1)
     e4 = (-24, 12, 12, -4, 12, -6, -4, 1)
     ok &= m3 in (e3, tuple(-x for x in e3))

@@ -32,7 +32,7 @@ from impsel import (
 )
 from impsel._deletion import outset_rows, run_deletion, run_deletion_rows, select_top
 from impsel.cli import main
-from impsel.graphs import digit_block, graph_at_index
+from impsel.graphs import graph_at_index
 from impsel.mechanisms import MECHANISMS, batch_kernel_for, kernel_for
 from conftest import graph
 from oracles import (
@@ -306,14 +306,15 @@ def test_class_blocks_are_digit_rows_in_the_members_index_type(monkeypatch, spec
     # G_5(2), 161,051 graphs, from blocks of R-1; on G_5, 2**20, from R**2);
     # the spread windows of the G_5 kernel test run on every class larger
     # than them.
-    radix, size = spec.outset_count, spec.size
+    n, radix, size = spec.n, spec.outset_count, spec.size
+    place = np.array([radix ** (n - v) for v in range(1, n + 1)], dtype=np.int64)
     for block in sorted({1, 2, radix - 1, radix, radix + 1, radix**2, 997, 1 << 16} - {0}):
         monkeypatch.setattr(impsel.audit, "KERNEL_BLOCK", block)
         make = impsel.audit._class_block(spec)
         windows = [(0, size), (1, size - 1)] if size // block <= 20_000 else []
         windows += _spread_windows(size) if size > 400 else []
         for lo, hi in windows:
-            expect = digit_block(spec, np.arange(lo, hi)) + np.arange(spec.n) * radix
+            expect = np.arange(lo, hi)[:, None] // place % radix + np.arange(n) * radix
             for a, b in impsel.audit._blocks(lo, hi):
                 members, choice = make(a, b)
                 assert choice.dtype == np.min_scalar_type(len(members)) != np.int64
@@ -489,6 +490,21 @@ def test_exhaustive_kernel_pass_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert len(table) == spec.size and peak < 5 * 2**20, peak
+
+
+def test_outcome_table_is_held_once(monkeypatch):
+    # each block's result is written into the one table, so the traced peak
+    # is the table and one block's working arrays, not the table twice
+    monkeypatch.setattr(impsel.audit, "KERNEL_BLOCK", 4096)
+    mid, spec = MechanismId.parse("twin:4,1"), GraphClassSpec(7, 1)
+    for score in (None, impsel.audit._gaps):
+        tracemalloc.start()
+        try:
+            table = impsel.audit._outcome_table(mid, spec, 1, score=score)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == spec.size and peak < 1.5 * table.nbytes, (score, peak, table.nbytes)
 
 
 def test_worker_count_reads_cpu_affinity(monkeypatch):
@@ -870,7 +886,7 @@ def test_symmetrization_refuses_before_enumerating(monkeypatch, spec, texts, err
     def no_enumeration(*args, **kwargs):
         raise AssertionError("enumerated before the cap and parameter checks")
 
-    monkeypatch.setattr(impsel.audit, "digit_block", no_enumeration)
+    monkeypatch.setattr(impsel.audit, "_class_block", no_enumeration)
     monkeypatch.setattr(impsel.audit, "_outcome_table", no_enumeration)
     for text in texts:
         for check in (symmetrized_table, check_weak_unanimity_inheritance):
@@ -965,8 +981,8 @@ def test_weak_unanimity_names_a_graph_whose_mass_falls_short(monkeypatch):
     # and only it, is built to name it
     counts, built = impsel.audit._symmetrized_counts, []
 
-    def short(table, spec, indices):
-        rows = counts(table, spec, indices)
+    def short(table, spec, choice):
+        rows = counts(table, spec, choice)
         rows[0, 1:] -= rows[0, 1:] == rows[0, 1:].max()
         return rows
 
@@ -988,14 +1004,17 @@ def test_weak_unanimity_stars_are_the_graphs_with_a_universal_nominee(monkeypatc
     monkeypatch.setattr(impsel.audit, "KERNEL_BLOCK", block)
     counts, seen = impsel.audit._symmetrized_counts, []
 
-    def spy(mid, spec, indices):
-        seen.append(indices.tolist())
-        return counts(mid, spec, indices)
+    def spy(mid, spec, choice):
+        seen.append(choice.tolist())
+        return counts(mid, spec, choice)
 
     monkeypatch.setattr(impsel.audit, "_symmetrized_counts", spy)
     for text, spec in (("max-naive", GraphClassSpec(4, 1)), ("follow:1", GraphClassSpec(3, 1, True)),
                        ("majority", GraphClassSpec(4))):
         seen.clear()
         report = check_weak_unanimity_inheritance(MechanismId.parse(text), spec)
-        stars = [i for i, g in enumerate(class_graphs(spec)) if g.max_indegree == spec.n - 1]
-        assert seen == [stars] and report.graphs_checked == len(stars), (text, spec)
+        n, radix = spec.n, spec.outset_count
+        stars = [i for i, g in enumerate(class_graphs(spec)) if g.max_indegree == n - 1]
+        # each star's window row: vertex v's out-set rank, the digit of place value R**(n-v), in row (v-1)*R + rank
+        rows = [[i // radix ** (n - v) % radix + (v - 1) * radix for v in range(1, n + 1)] for i in stars]
+        assert seen == [rows] and report.graphs_checked == len(stars), (text, spec)

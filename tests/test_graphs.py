@@ -14,13 +14,15 @@ from impsel import (
     DirectedGraph,
     GraphClassSpec,
     GraphFormatError,
+    MechanismId,
     deviations,
     graph_at_index,
     parse_graph,
     sample_stream,
 )
-from impsel.audit import _chunks
-from impsel.graphs import _read_lines, _unrank_outset, _well_formed, digit_block, graph_of_ranks, sample_ranks
+import impsel.audit
+from impsel.audit import _blocks, _chunks, _class_block
+from impsel.graphs import _read_lines, _unrank_outset, _well_formed, graph_of_ranks, sample_ranks
 from conftest import graph
 from oracles import class_graphs, relabeled_key
 
@@ -253,28 +255,46 @@ def test_unranking_matches_the_outset_lists_of_larger_classes(spec):
         _unrank_outset(spec.outset_count, spec.n - 1, spec.min_outdegree, spec.bound)
 
 
-def test_enumerator_starts_mid_range_at_chunk_boundaries():
-    # audits with jobs > 1 start their digit blocks at the boundaries _chunks makes
-    for spec in (GraphClassSpec(3, None), GraphClassSpec(3, 1, True), GraphClassSpec(4, 1)):
-        chunks = _chunks(spec.size, 3)
-        assert len(chunks) == 3 and chunks[-1][1] == spec.size
-        choices = [spec.admissible_outsets(v) for v in range(1, spec.n + 1)]
-        for lo, hi in chunks:
-            rows = digit_block(spec, range(lo, hi))
-            assert rows.shape == (hi - lo, spec.n)
-            got = [DirectedGraph.from_out_sets(spec.n, [choices[v][r] for v, r in enumerate(row)]) for row in rows]
-            assert got == [graph_at_index(spec, i) for i in range(lo, hi)]
+def test_enumerator_starts_mid_range_at_chunk_boundaries(monkeypatch):
+    # audits with jobs > 1 start their class windows at the boundaries _chunks
+    # makes; windows of 5 graphs also start inside a chunk
+    for kernel_block in (5, 1 << 16):
+        monkeypatch.setattr(impsel.audit, "KERNEL_BLOCK", kernel_block)
+        for spec in (GraphClassSpec(3, None), GraphClassSpec(3, 1, True), GraphClassSpec(4, 1)):
+            chunks = _chunks(spec.size, 3)
+            assert len(chunks) == 3 and chunks[-1][1] == spec.size
+            choices = [spec.admissible_outsets(v) for v in range(1, spec.n + 1)]
+            block, offsets = _class_block(spec), np.arange(spec.n) * spec.outset_count
+            for lo, hi in chunks:
+                rows = (np.concatenate([block(a, b)[1] for a, b in _blocks(lo, hi)]) - offsets).tolist()
+                assert len(rows) == hi - lo and all(len(row) == spec.n for row in rows)
+                got = [DirectedGraph.from_out_sets(spec.n, [choices[v][r] for v, r in enumerate(row)]) for row in rows]
+                assert got == [graph_at_index(spec, i) for i in range(lo, hi)]
 
 
 @pytest.mark.parametrize("spec", [GraphClassSpec(4, 2), GraphClassSpec(4, 2, True), GraphClassSpec(7, 1)], ids=GraphClassSpec.describe)
-def test_digit_block_matches_place_value_division(spec):
-    n, radix, last = spec.n, spec.outset_count, spec.size - 1
+def test_digit_block_matches_place_value_division(monkeypatch, spec):
+    # the class windows' digit rows, and the witness rows an exhaustive
+    # impartiality audit reads from them for scattered sorted keys
+    n, radix, last, block = spec.n, spec.outset_count, spec.size - 1, _class_block(spec)
     place = np.array([radix ** (n - v) for v in range(1, n + 1)], dtype=np.int64)
+    for lo, hi in ((0, 300), (last - 299, last + 1)):
+        digits = block(lo, hi)[1] - np.arange(n) * radix
+        assert np.array_equal(digits, np.arange(lo, hi)[:, None] // place % radix)
     scattered = np.random.default_rng(5).integers(0, spec.size, 500)
-    for indices in (np.arange(0, 300), np.arange(last - 299, last + 1), np.array([last, 0, *scattered, 0, last])):
-        digits = digit_block(spec, indices)
-        assert digits.dtype == np.int64 and digits.shape == (len(indices), n)
-        assert np.array_equal(digits, indices[:, None] // place % radix)
+    pairs = np.array([last, 0, *scattered, 0, last]).reshape(2, -1)  # index_a and index_b columns
+    rows = []
+    monkeypatch.setattr(impsel.audit, "_outcome_table", lambda *args: None)
+    monkeypatch.setattr(impsel.audit, "_violating_pairs", lambda *args: (*pairs, pairs[0] * 0 + 1, pairs[0] < 0))
+    monkeypatch.setattr(impsel.audit, "_violations", lambda spec, witness_rows, *columns: rows.append(list(witness_rows)))
+    keys = np.unique(pairs)
+    assert keys[0] == 0 and keys[-1] == last
+    for kernel_block in (97, 1 << 16):  # windows that hold no key are skipped
+        monkeypatch.setattr(impsel.audit, "KERNEL_BLOCK", kernel_block)
+        monkeypatch.setattr(impsel.audit, "_ROW_BLOCK", 7)
+        rows.clear()
+        impsel.audit.check_impartiality(MechanismId.parse("never"), spec)
+        assert rows == [(keys[:, None] // place % radix).tolist()], kernel_block
 
 
 # ---- deviations ----
