@@ -15,7 +15,6 @@ from .audit import (
     GapReport,
     ProbabilityVector,
     Sampled,
-    TraceReport,
     Violation,
     WeakUnanimityReport,
     check_impartiality,

@@ -56,7 +56,7 @@ from .graphs import (
     sample_stream,  # bound only for the bench tracer, which wraps it here
 )
 from .mechanisms import MechanismId, batch_kernel_for, kernel_for, resolve  # kernel_for: for the tracer
-from .twin_threshold import DeletionTrace, ThresholdPair, additive_gap, run_twin_threshold
+from .twin_threshold import DeletionTrace, ThresholdPair, additive_gap, run_twin_threshold  # run_twin_threshold: for the tracer
 
 #: Graphs per batch-kernel call (table entries per stacked sampled gap
 #: block); bounds the working arrays independently of the class size.
@@ -464,28 +464,16 @@ class TraceCheck:
     detail: str = ""
 
 
-@dataclass(frozen=True, eq=False)
-class TraceReport:
-    """Per-invariant verdicts for one traced run, with counter-witness details."""
+def check_trace_invariants(
+    graph: DirectedGraph, thresholds: ThresholdPair, selected: int, trace: DeletionTrace
+) -> tuple[TraceCheck, ...]:
+    """Check a recorded run (`selected`, `trace`) against every trace invariant.
 
-    thresholds: ThresholdPair
-    selected: int
-    trace: DeletionTrace
-    checks: tuple[TraceCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-def check_trace_invariants(graph: DirectedGraph, thresholds: ThresholdPair) -> TraceReport:
-    """Run the twin-threshold mechanism and re-derive every trace invariant.
-
-    The checks read each vertex's deletion step and degree at deletion (for a
-    vertex never deleted: the number of deletions and its final degree) and
-    its in-neighbors, all taken from the trace's two records and the graph's
-    edges.  Each check lists its problems in increasing vertex (or record)
-    order.
+    Nothing here runs the mechanism.  The checks read each vertex's deletion
+    step and degree at deletion (for a vertex never deleted: the number of
+    deletions and its final degree) and its in-neighbors, all taken from the
+    trace's two records and the graph's edges.  Each check lists its problems
+    in increasing vertex (or record) order.
 
     remaining_degrees: final remaining indegrees equal the original indegrees
         minus deleted in-neighbors; deleted vertices were at or above the lower
@@ -504,8 +492,8 @@ def check_trace_invariants(graph: DirectedGraph, thresholds: ThresholdPair) -> T
         DirectedGraph rejects.
     selection: the selected vertex is ``select_top`` of the final degrees at T.
 
-    The checks pass exactly when the trace is the run.  The sweep deletes, at
-    each step, the undeleted vertex of greatest (remaining degree, vertex)
+    The checks pass exactly when the records are the run.  The sweep deletes,
+    at each step, the undeleted vertex of greatest (remaining degree, vertex)
     pair at degree >= t.  By descent_counts and deletion_order, record i
     deletes a new vertex at its remaining degree after records 0..i-1.  Were
     an undeleted vertex w's pair (c, w) above record i's then, w would lose
@@ -515,7 +503,6 @@ def check_trace_invariants(graph: DirectedGraph, thresholds: ThresholdPair) -> T
     the sweep's step.  remaining_degrees then ends the sweep where the trace
     ends and fixes the final degrees, and selection fixes the selection.
     """
-    selected, trace = run_twin_threshold(graph, thresholds)
     lower = thresholds.lower
     n = graph.n
     step, at = [len(trace.deletions)] * (n + 1), [0, *trace.final_degrees]
@@ -581,7 +568,7 @@ def check_trace_invariants(graph: DirectedGraph, thresholds: ThresholdPair) -> T
     problem = f"selected {selected}, select_top of the final degrees at T={upper} is {expect}"
     checks.append(TraceCheck("selection", selected == expect, "" if selected == expect else problem))
 
-    return TraceReport(thresholds, selected, trace, tuple(checks))
+    return tuple(checks)
 
 
 # ---------------------------------------------------------------------------

@@ -146,9 +146,10 @@ def _load_graph(path: str):
 
 
 def _outdegree_bound(text: str) -> int | None:
-    if text == "unbounded":
-        return None
-    return int(text)
+    try:
+        return None if text == "unbounded" else int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer or 'unbounded'") from None
 
 
 def _default_plan(n: int, k: int | None) -> PlanReport:
@@ -320,15 +321,10 @@ def _cmd_audit(args) -> int:
         pair = _default_plan(args.n, args.k).thresholds
     failures = []
     for graph in sample_stream(spec, mode.seed, mode.trials):
-        report = check_trace_invariants(graph, pair)
-        if not report.ok:
-            failures.append(
-                {
-                    "graph": graph.serialize(),
-                    "failed": [c.name for c in report.checks if not c.ok],
-                    "detail": "; ".join(c.detail for c in report.checks if not c.ok),
-                }
-            )
+        failed = [c for c in check_trace_invariants(graph, pair, *run_twin_threshold(graph, pair)) if not c.ok]
+        if failed:
+            names, detail = [c.name for c in failed], "; ".join(c.detail for c in failed)
+            failures.append({"graph": graph.serialize(), "failed": names, "detail": detail})
     payload = {
         "kind": "trace",
         "class": spec.describe(),

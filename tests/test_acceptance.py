@@ -28,6 +28,7 @@ from impsel import (
     reduce_add_inneighbors,
     reduce_add_isolated,
     resolve,
+    run_twin_threshold,
     sample_stream,
     symmetrized_table,
     validate_thresholds,
@@ -145,7 +146,7 @@ def test_c05_trace_invariants_on_random_graphs():
         spec = GraphClassSpec(n, k)
         bad = 0
         for g in sample_stream(spec, TRACE_SWEEP_SEED, 10_000):
-            if not check_trace_invariants(g, pair).ok:
+            if not all(c.ok for c in check_trace_invariants(g, pair, *run_twin_threshold(g, pair))):
                 bad += 1
             runs += 1
         failures += bad

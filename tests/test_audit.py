@@ -664,15 +664,16 @@ def test_gap_sampled_mode():
 
 
 def test_trace_checks_pass_vacuously_on_empty_graph():
-    report = check_trace_invariants(DirectedGraph.empty(4), ThresholdPair(2, 1))
-    assert report.ok and report.trace.deletions == ()
+    g, pair = DirectedGraph.empty(4), ThresholdPair(2, 1)
+    selected, trace = run_twin_threshold(g, pair)
+    assert trace.deletions == () and all(c.ok for c in check_trace_invariants(g, pair, selected, trace))
 
 
 def test_trace_descent_count_on_cascade():
     g = graph(5, (1, 5), (2, 5), (3, 5), (5, 4), (3, 4))
-    report = check_trace_invariants(g, ThresholdPair(2, 1))
-    assert report.ok
-    trace = report.trace
+    pair = ThresholdPair(2, 1)
+    selected, trace = run_twin_threshold(g, pair)
+    assert all(c.ok for c in check_trace_invariants(g, pair, selected, trace))
     # vertex 4 dropped from indegree 2 to 1 before its own deletion,
     # accounted for by its one earlier-deleted in-neighbor (vertex 5)
     assert [g.indegrees[3] - d for _, v, d in trace.deletions if v == 4] == [1]
@@ -718,30 +719,59 @@ def test_trace_descent_count_on_cascade():
         ),
     ],
 )
-def test_trace_checks_fail_on_a_corrupted_trace(monkeypatch, deletions, final_degrees, failed, detail):
+def test_trace_checks_fail_on_a_corrupted_trace(deletions, final_degrees, failed, detail):
     g = graph(5, (1, 5), (2, 5), (3, 5), (5, 4), (3, 4))
     pair = ThresholdPair(2, 1)
     selected, trace = run_twin_threshold(g, pair)
     assert (selected, trace.deletions, trace.final_degrees) == (5, ((0, 5, 3), (1, 4, 1)), (0, 0, 0, 1, 3))
-    corrupted = DeletionTrace(deletions, final_degrees)
-    monkeypatch.setattr(impsel.audit, "run_twin_threshold", lambda graph, thresholds: (selected, corrupted))
-    report = check_trace_invariants(g, pair)
-    assert report.trace is corrupted and not report.ok
-    assert [c.name for c in report.checks] == [
+    checks = check_trace_invariants(g, pair, selected, DeletionTrace(deletions, final_degrees))
+    assert [c.name for c in checks] == [
         "remaining_degrees", "descent_counts", "deletion_order", "inneighbor_witness", "selection"
     ]
-    assert {c.name for c in report.checks if not c.ok} == failed
-    assert "; ".join(c.detail for c in report.checks if not c.ok) == detail
+    assert {c.name for c in checks if not c.ok} == failed
+    assert "; ".join(c.detail for c in checks if not c.ok) == detail
+
+
+def test_trace_checks_read_only_their_inputs(monkeypatch):
+    g = graph(5, (1, 5), (2, 5), (3, 5), (5, 4), (3, 4))
+    pair = ThresholdPair(2, 1)
+    selected, trace = run_twin_threshold(g, pair)
+
+    def refused(graph, thresholds):
+        raise AssertionError("the checker ran the mechanism")
+
+    monkeypatch.setattr(impsel.audit, "run_twin_threshold", refused)
+    assert all(c.ok for c in check_trace_invariants(g, pair, selected, trace))
+    checks = check_trace_invariants(g, pair, selected, DeletionTrace(((0, 5, 3), (2, 4, 1)), trace.final_degrees))
+    assert [(c.name, c.detail) for c in checks if not c.ok] == [("deletion_order", "record 1 has iteration 2")]
+
+
+def test_trace_checks_on_a_run_report(capsys, tmp_path):
+    # the records of `run --json --trace`, read back as a trace, check
+    # without a re-run; one record's degree changed fails descent_counts
+    g = graph(6, (2, 1), (3, 1), (4, 1), *((u, v) for u in (5, 6) for v in (2, 3, 4)))
+    path = tmp_path / "g.g"
+    path.write_text(g.serialize())
+    assert main(["run", "--graph", str(path), "--T", "2", "--t", "2", "--json", "--trace"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    pair, selected = ThresholdPair(report["T"], report["t"]), report["selected"][0]
+    records = [(r["i"], r["v"], r["dstar"]) for r in report["trace"]]
+    trace = DeletionTrace(tuple(records), tuple(report["final_degrees"]))
+    assert all(c.ok for c in check_trace_invariants(g, pair, selected, trace))
+    records[1] = (1, 4, 3)
+    checks = check_trace_invariants(g, pair, selected, DeletionTrace(tuple(records), trace.final_degrees))
+    assert "descent_counts" in {c.name for c in checks if not c.ok}
 
 
 def test_trace_checks_over_a_whole_class():
     spec = GraphClassSpec(4, None)
+    pair = ThresholdPair(2, 1)
     for g in class_graphs(spec):
-        report = check_trace_invariants(g, ThresholdPair(2, 1))
-        assert report.ok, (g.edges, [c for c in report.checks if not c.ok])
+        failed = [c for c in check_trace_invariants(g, pair, *run_twin_threshold(g, pair)) if not c.ok]
+        assert failed == [], g.edges
 
 
-def test_trace_checks_fail_on_a_trace_that_leaves_out_a_vertex(monkeypatch):
+def test_trace_checks_fail_on_a_trace_that_leaves_out_a_vertex():
     # 2, 3 and 4 nominate 1; 5 and 6 nominate each of 2, 3 and 4.  The run
     # deletes 1 at degree 3 first.  A trace without 1 has the same final
     # degrees and selection, and each record is at its vertex's degree; but
@@ -751,22 +781,19 @@ def test_trace_checks_fail_on_a_trace_that_leaves_out_a_vertex(monkeypatch):
     selected, trace = run_twin_threshold(g, pair)
     assert (selected, trace.deletions) == (4, ((0, 1, 3), (1, 4, 2), (2, 3, 2), (3, 2, 2)))
     corrupted = DeletionTrace(((0, 4, 2), (1, 3, 2), (2, 2, 2)), trace.final_degrees)
-    monkeypatch.setattr(impsel.audit, "run_twin_threshold", lambda graph, thresholds: (selected, corrupted))
-    report = check_trace_invariants(g, pair)
-    assert [(c.name, c.detail) for c in report.checks if not c.ok] == [
+    checks = check_trace_invariants(g, pair, selected, corrupted)
+    assert [(c.name, c.detail) for c in checks if not c.ok] == [
         ("inneighbor_witness", "vertex 1: witness 0 at (2, 4) not above (3, 1)")
     ]
 
 
-def test_trace_checks_fail_on_a_wrong_selection(monkeypatch):
+def test_trace_checks_fail_on_a_wrong_selection():
     g = graph(5, (1, 5), (2, 5), (3, 5), (5, 4), (3, 4))
     pair = ThresholdPair(2, 1)
     selected, trace = run_twin_threshold(g, pair)
     assert selected == 5
-    monkeypatch.setattr(impsel.audit, "run_twin_threshold", lambda graph, thresholds: (1, trace))
-    report = check_trace_invariants(g, pair)
-    assert report.selected == 1
-    assert [(c.name, c.detail) for c in report.checks if not c.ok] == [
+    checks = check_trace_invariants(g, pair, 1, trace)
+    assert [(c.name, c.detail) for c in checks if not c.ok] == [
         ("selection", "selected 1, select_top of the final degrees at T=2 is 5")
     ]
 
@@ -803,11 +830,9 @@ def _corrupted_orders(order, n):
         pytest.param(GraphClassSpec(4), 24576, 192480, id="G_4", marks=pytest.mark.slow),
     ],
 )
-def test_trace_checks_pass_exactly_the_run(monkeypatch, spec, runs, corruptions):
+def test_trace_checks_pass_exactly_the_run(spec, runs, corruptions):
     # every real run passes, and every consistent trace of another deletion
     # order fails: the checks pin the trace down to the run
-    served = {}
-    monkeypatch.setattr(impsel.audit, "run_twin_threshold", lambda graph, thresholds: served["run"])
     pairs = [ThresholdPair(upper, lower) for upper in range(1, spec.n) for lower in range(1, upper + 1)]
     ran, corrupted = 0, 0
     for g in class_graphs(spec):
@@ -817,12 +842,11 @@ def test_trace_checks_pass_exactly_the_run(monkeypatch, spec, runs, corruptions)
             again, rebuilt = _trace_of_order(g, order, pair.upper)
             assert (again, rebuilt.deletions) == (selected, trace.deletions)
             assert rebuilt.final_degrees == trace.final_degrees
-            served["run"] = selected, trace
-            assert check_trace_invariants(g, pair).ok, (g.edges, pair)
+            assert all(c.ok for c in check_trace_invariants(g, pair, selected, trace)), (g.edges, pair)
             ran += 1
             for other in _corrupted_orders(order, spec.n):
-                served["run"] = _trace_of_order(g, other, pair.upper)
-                assert not check_trace_invariants(g, pair).ok, (g.edges, pair, other)
+                checks = check_trace_invariants(g, pair, *_trace_of_order(g, other, pair.upper))
+                assert not all(c.ok for c in checks), (g.edges, pair, other)
                 corrupted += 1
     assert (ran, corrupted) == (runs, corruptions)
 

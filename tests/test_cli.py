@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import impsel.audit
 import impsel.cli
 from impsel import COMPOSITION_CAP, DeletionTrace, GraphClassSpec, ThresholdPair
 from impsel.cli import _write_json, build_parser, main
@@ -290,6 +289,14 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+def test_bad_outdegree_bound_names_the_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "gap", "--n", "5", "--k", "x", "--samples", "3", "--seed", "1"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "argument --k: expected an integer or 'unbounded'" in err and "_outdegree_bound" not in err
+
+
 # ---- plan ----
 
 
@@ -470,13 +477,13 @@ def test_audit_trace(capsys):
 def test_audit_trace_reports_every_failed_run(capsys, monkeypatch):
     # every run's trace has vertex 1's final degree raised by one, which
     # fails remaining_degrees on any graph
-    run = impsel.audit.run_twin_threshold
+    run = impsel.cli.run_twin_threshold
 
     def raised(graph, thresholds):
         selected, trace = run(graph, thresholds)
         return selected, DeletionTrace(trace.deletions, (trace.final_degrees[0] + 1, *trace.final_degrees[1:]))
 
-    monkeypatch.setattr(impsel.audit, "run_twin_threshold", raised)
+    monkeypatch.setattr(impsel.cli, "run_twin_threshold", raised)
     argv = ("audit", "trace", "--n", "12", "--k", "1", "--samples", "50", "--seed", "3")
     code, out, _ = run_cli(capsys, *argv, "--json")
     assert code == 1

@@ -97,7 +97,7 @@ PUBLIC_API = [
     "AUDIT_CAP", "COMPOSITION_CAP", "CapExceeded", "Certificate", "CertificateRow", "DeletionTrace",
     "DirectedGraph", "Exhaustive", "FACTORIAL_CAP", "GapReport", "GraphClassSpec",
     "GraphFormatError", "MechanismId", "PlanReport", "ProbabilityVector", "Sampled",
-    "ThresholdPair", "TraceReport", "Violation", "WeakUnanimityReport", "additive_gap", "build_certificate",
+    "ThresholdPair", "Violation", "WeakUnanimityReport", "additive_gap", "build_certificate",
     "check_impartiality", "check_trace_invariants", "check_weak_unanimity_inheritance", "composition_of_graph",
     "deviations", "enumerate_compositions", "fubini", "graph_at_index",
     "graph_of_composition", "kernel_for", "lambda_of", "measure_gap", "parse_graph", "plan_thresholds_general",

@@ -312,6 +312,6 @@ def test_trace_invariants_on_sampled_graphs(seed, n, k):
     spec = GraphClassSpec(n, min(k, n - 1), False)
     g = next(sample_stream(spec, seed, 1))
     pair = ThresholdPair(min(3, n - 1), min(2, n - 1))
-    report = check_trace_invariants(g, pair)
-    assert report.ok, [c for c in report.checks if not c.ok]
-    assert len(report.trace.deletions) <= n  # at most one deletion per vertex
+    selected, trace = run_twin_threshold(g, pair)
+    assert [c for c in check_trace_invariants(g, pair, selected, trace) if not c.ok] == []
+    assert len(trace.deletions) <= n  # at most one deletion per vertex
