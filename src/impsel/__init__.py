@@ -10,18 +10,13 @@ impartial selection with unanimity-style guarantees is impossible.
 
 from .audit import (
     AUDIT_CAP,
-    FACTORIAL_CAP,
     Exhaustive,
     GapReport,
-    ProbabilityVector,
     Sampled,
     Violation,
-    WeakUnanimityReport,
     check_impartiality,
     check_trace_invariants,
-    check_weak_unanimity_inheritance,
     measure_gap,
-    symmetrized_table,
 )
 from .graphs import (
     CapExceeded,

@@ -8,8 +8,8 @@ graphs, so no Python runs per graph and memory is bounded by the block.
 Exhaustive mode writes each block's result in place into an outcome table, the
 selected vertex (for gap audits, the additive gap) of every graph of a class.
 Its blocks are windows of the class's digit rows (``_class_block``), the one
-class walk, which witness texts and symmetrization read too; the scan for
-violating pairs walks only the lines whose "v is selected" flags are mixed.
+class walk, which witness texts read too; the scan for violating pairs walks
+only the lines whose "v is selected" flags are mixed.
 Sampled impartiality audits evaluate each seeded base graph's n deviation
 lines (v's out-set swept, the rest fixed) and compare them with the base
 graph; sampled gap audits stack the samples into blocks.  A witness is its
@@ -20,10 +20,7 @@ graph is made only when read (tracemalloc peak 5.4 MB on max-naive G_6(1)).
 
 Worst additive gaps are measured in the same two modes, and trace invariants
 are re-derived from recorded deletion traces, so that a trace passes them
-exactly when it is the run.  Symmetrization (each graph's selection averaged
-over all n! vertex relabelings) is done for a whole class at once: it reads
-the outcome table as integer counts with one division by n!, never floats,
-as downstream infeasibility arguments compare masses against exactly 1.
+exactly when it is the run.
 """
 
 from __future__ import annotations
@@ -33,10 +30,8 @@ import re
 from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, cached_property, partial
-from itertools import chain, islice, permutations
-from math import factorial
+from itertools import chain, islice
 from typing import Callable, Union
 
 import numpy as np
@@ -64,9 +59,6 @@ KERNEL_BLOCK = 1 << 16
 
 #: Witness rows turned into Python lists at once, writing texts or reading violations.
 _ROW_BLOCK = 1 << 12
-
-#: Symmetrization enumerates all n! vertex permutations; refuse past this n.
-FACTORIAL_CAP = 7
 
 
 @dataclass(frozen=True)
@@ -202,7 +194,8 @@ def _blocks(start: int, end: int) -> Iterator[tuple[int, int]]:
 
 def _class_block(spec: GraphClassSpec) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
     """block(lo, hi): the batch kernel's (members, choice) for graphs [lo, hi)
-    of the class, hi - lo <= ``KERNEL_BLOCK``.  Vertex v's out-sets are rows
+    of the class, hi - lo <= ``KERNEL_BLOCK``; kernel passes and witness texts
+    read the class through these windows only.  Vertex v's out-sets are rows
     (v-1)*R.. of members, and choice is held in the smallest type indexing
     them.  Graph i's out-set ranks are the mixed-radix digits of i, vertex n
     the least significant: the trailing m digits, R**m <= ``KERNEL_BLOCK``,
@@ -569,119 +562,3 @@ def check_trace_invariants(
     checks.append(TraceCheck("selection", selected == expect, "" if selected == expect else problem))
 
     return tuple(checks)
-
-
-# ---------------------------------------------------------------------------
-# symmetrization (exact rationals)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProbabilityVector:
-    """Per-vertex selection probabilities as exact rationals; total mass <= 1."""
-
-    probs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "probs", tuple(Fraction(p) for p in self.probs))
-        if any(p < 0 for p in self.probs):
-            raise ValueError("negative probability")
-        if sum(self.probs) > 1:
-            raise ValueError(f"mass {sum(self.probs)} exceeds 1")
-
-    @property
-    def mass(self) -> Fraction:
-        return sum(self.probs, Fraction(0))
-
-    def prob(self, v: int) -> Fraction:
-        return self.probs[v - 1]
-
-
-def _symmetrizable_table(mid: MechanismId, spec: GraphClassSpec) -> np.ndarray:
-    """The class's outcome table, after refusing, before any graph is built,
-    a class whose symmetrization needs more than ``FACTORIAL_CAP``!
-    relabelings per graph or more than ``AUDIT_CAP`` graphs, and parameters
-    the mechanism rejects for n."""
-    if spec.n > FACTORIAL_CAP:
-        raise CapExceeded(f"symmetrization of n={spec.n} exceeds factorial cap {FACTORIAL_CAP}")
-    size = _check_exhaustive_pre(spec, AUDIT_CAP)
-    mid.validate_for(spec.n)
-    return _outcome_table(mid, spec, 1) if size else np.zeros(0, dtype=np.int64)
-
-
-def _symmetrized_counts(table: np.ndarray, spec: GraphClassSpec, choice: np.ndarray) -> np.ndarray:
-    """(len(choice), n+1) int16 array: row j, column v counts the relabelings
-    pi of the graph of class window row choice[j] on which the mechanism whose
-    outcome table is `table` selects pi(v), column 0 those selecting nobody.
-    Relabeling by pi moves v's out-set S to pi(v) as pi(S), so the image is
-    the class graph of index sum_v rank(pi(S_v)) * R**(n - pi(v)): its
-    outcome-table entry w counts for pi^-1(w)."""
-    n, radix = spec.n, spec.outset_count
-    counts = np.zeros((len(choice), n + 1), dtype=np.int16)  # n! <= 7! fits
-    rank = [{frozenset(s): d for d, s in enumerate(spec.admissible_outsets(v))} for v in range(1, n + 1)]
-    perms = list(permutations(range(1, n + 1)))  # pi as its images, pi(v) at v-1
-    # row pi, column (v-1)*R + d: what v's out-set of rank d adds to the image's index
-    weights = np.array([[rank[w - 1][frozenset(p[u - 1] for u in s)] * radix ** (n - w)
-                         for w, outs in zip(p, rank) for s in outs] for p in perms])
-    inverses = np.argsort(np.pad(perms, ((0, 0), (1, 0))), axis=1)  # pi^-1, with 0 (none) fixed
-    for lo, hi in _blocks(0, len(choice)):
-        rows, flat = np.arange(lo, hi), choice[lo:hi].astype(np.intp)  # cast once, read per relabeling
-        for weight, inverse in zip(weights, inverses):
-            counts[rows, inverse[table[weight[flat].sum(axis=1)]]] += 1
-    return counts
-
-
-def symmetrized_table(mid: MechanismId, spec: GraphClassSpec) -> dict[tuple[int, ...], ProbabilityVector]:
-    """The mechanism's symmetrization on every graph of a class: entry v of a
-    graph's vector is the share of the n! vertex relabelings pi on whose
-    image of the graph the mechanism selects pi(v).  Keyed by graph key in
-    enumeration order: each class window's ``_symmetrized_counts``, divided
-    by n! once; keys are its rows of ``members`` as bitmasks, no graph built.
-    Refused upfront as ``_symmetrizable_table`` says."""
-    table, n = _symmetrizable_table(mid, spec), spec.n
-    block, scale, vectors = _class_block(spec), factorial(n), {}
-    for lo, hi in _blocks(0, spec.size):
-        members, choice = block(lo, hi)
-        keys = (members[:, 1:].astype(np.int64) @ (1 << np.arange(n)))[choice].tolist()  # as DirectedGraph.key
-        rows = _symmetrized_counts(table, spec, choice).tolist()
-        vectors.update(zip(map(tuple, keys), (ProbabilityVector(tuple(Fraction(c, scale) for c in r[1:])) for r in rows)))
-    return vectors
-
-
-@dataclass(frozen=True)
-class WeakUnanimityReport:
-    """Whether the symmetrization keeps full mass on positive-indegree vertices
-    on every class member having a vertex of maximum possible indegree."""
-
-    premise_holds: bool
-    ok: bool
-    graphs_checked: int
-    detail: str = ""
-
-
-def check_weak_unanimity_inheritance(mid: MechanismId, spec: GraphClassSpec) -> WeakUnanimityReport:
-    """On graphs with a vertex of indegree n-1: if the base mechanism always
-    selects a positive-indegree vertex there, the symmetrization must place
-    mass exactly 1 on positive-indegree vertices: their relabeling counts in
-    ``_symmetrized_counts`` sum to n!.  Everything is read from the outcome
-    table and the class's indegree rows, scanned blockwise: the star graphs,
-    the premise (the selected vertex's indegree, row 0 for none being zero)
-    and each star's positive-indegree vertices.  A graph is built only to name
-    a failing one.  Refused upfront as ``symmetrized_table`` is.
-    """
-    table, n = _symmetrizable_table(mid, spec), spec.n
-    block, found = _class_block(spec), [(np.zeros(0, np.int64), np.zeros((0, n + 1), bool), np.zeros((0, n), np.int64))]
-    for lo, hi in _blocks(0, spec.size):
-        members, choice = block(lo, hi)
-        deg = indegree_rows(members, choice)
-        stars = np.flatnonzero((deg[1:] == n - 1).any(axis=0))
-        found.append((lo + stars, deg[:, stars].T >= 1, choice[stars]))  # index, positive indegrees, window row
-    stars, positive, rows = map(np.concatenate, zip(*found))
-    if not positive[np.arange(len(stars)), table[stars]].all():
-        detail = f"{mid.text()} does not select a positive-indegree vertex on some such graph"
-        return WeakUnanimityReport(premise_holds=False, ok=True, graphs_checked=len(stars), detail=detail)
-    scale = factorial(n)
-    totals = (_symmetrized_counts(table, spec, rows) * positive).sum(axis=1)
-    problems = [f"graph {graph_at_index(spec, i).key}: positive-indegree mass {Fraction(total, scale)} != 1"
-                for i, total in zip(stars.tolist(), totals.tolist()) if total != scale]
-    return WeakUnanimityReport(True, not problems, len(stars), "; ".join(problems))

@@ -48,11 +48,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-#: The most graphs of a class that are walked whole: symmetrizations refuse
-#: larger classes, and so do exhaustive audits unless their mode's `cap`
-#: raises it (their outcome table holds one entry per graph).  Sampled
-#: impartiality audits refuse base graphs whose deviation lines hold more
-#: graphs, with no override.
+#: The most graphs of a class that are walked whole: exhaustive audits refuse
+#: larger classes unless their mode's `cap` raises it (their outcome table
+#: holds one entry per graph).  Sampled impartiality audits refuse base graphs
+#: whose deviation lines hold more graphs, with no override.
 AUDIT_CAP = 10**7
 
 #: Source vertices per block when a large graph is written: what a block

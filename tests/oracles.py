@@ -14,6 +14,11 @@ run the same per-graph loops over the graphs ``sample_stream`` draws.
 Infeasibility certificates are checked against an inequality system written
 from the composition graphs, with impartiality links found by comparing every
 pair of graphs.
+
+Symmetrization has no library counterpart: ``symmetrized_by_definition``
+(each graph's vector a tuple of ``Fraction``s) is the project's only one, and
+the tests assert its laws on it directly, weak unanimity through
+``weak_unanimity_by_definition``.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from impsel import (
     CertificateRow,
     DirectedGraph,
     GraphClassSpec,
-    ProbabilityVector,
     Violation,
     additive_gap,
     deviations,
@@ -65,7 +69,7 @@ def _relabelings(spec: GraphClassSpec) -> tuple[tuple, tuple, tuple]:
     return graphs, perms, tuple(tuple(relabeled_key(g, images) for images in perms) for g in graphs)
 
 
-def symmetrized_by_definition(mechanism, spec: GraphClassSpec) -> dict[tuple[int, ...], ProbabilityVector]:
+def symmetrized_by_definition(mechanism, spec: GraphClassSpec) -> dict[tuple[int, ...], tuple[Fraction, ...]]:
     """Each class graph's selection averaged over all n! vertex relabelings,
     keyed by graph key in class order: entry v is the share of relabelings pi
     on whose image of the graph `mechanism` (graph -> selected vertex, 0 for
@@ -80,8 +84,29 @@ def symmetrized_by_definition(mechanism, spec: GraphClassSpec) -> dict[tuple[int
         for images, key in zip(perms, keys):
             w = selected[key]
             counts[images.index(w) + 1 if w else 0] += 1  # the v with pi(v) = w
-        table[g.key] = ProbabilityVector(tuple(Fraction(c, scale) for c in counts[1:]))
+        table[g.key] = tuple(Fraction(c, scale) for c in counts[1:])
     return table
+
+
+def weak_unanimity_by_definition(mechanism, spec: GraphClassSpec, table: dict) -> tuple[bool, int, list[str]]:
+    """Weak unanimity as the symmetrization `table` of `mechanism` (graph ->
+    selected vertex, 0 for none) inherits it: on the class graphs with a
+    vertex of indegree n-1 (stars), if the mechanism selects a
+    positive-indegree vertex on every star, each star's vector must put mass
+    exactly 1 on its positive-indegree vertices.  Indegrees are counted here
+    from the out-sets.  Returns whether that premise holds, the number of
+    stars, and one problem per star whose mass is not 1 (none when the
+    premise fails: the law then asks nothing)."""
+    stars = []
+    for g in class_graphs(spec):
+        deg = [sum(u in outs for outs in g.out_sets) for u in range(1, spec.n + 1)]
+        if spec.n - 1 in deg:
+            stars.append((g, [d > 0 for d in deg]))
+    selected = [mechanism(g) for g, _ in stars]
+    if not all(v and positive[v - 1] for (_, positive), v in zip(stars, selected)):
+        return False, len(stars), []
+    masses = [(g, sum(p for p, pos in zip(table[g.key], positive) if pos)) for g, positive in stars]
+    return True, len(stars), [f"graph {g.key}: positive-indegree mass {mass} != 1" for g, mass in masses if mass != 1]
 
 
 def count_weak_orders(n: int) -> int:

@@ -16,7 +16,6 @@ from impsel import (
     build_certificate,
     check_impartiality,
     check_trace_invariants,
-    check_weak_unanimity_inheritance,
     deviations,
     enumerate_compositions,
     fubini,
@@ -30,11 +29,16 @@ from impsel import (
     resolve,
     run_twin_threshold,
     sample_stream,
-    symmetrized_table,
     validate_thresholds,
 )
 from conftest import graph
-from oracles import class_graphs, count_weak_orders, relabeled_key
+from oracles import (
+    class_graphs,
+    count_weak_orders,
+    relabeled_key,
+    symmetrized_by_definition,
+    weak_unanimity_by_definition,
+)
 
 TRACE_SWEEP_SEED = 20260810  # arbitrary fixed seed; the criterion needs reproducibility only
 
@@ -251,21 +255,22 @@ def test_c10_symmetrization():
         ]
         inherited = 0
         for mid in _registry_for(n):
-            table = symmetrized_table(mid, spec)
-            ok &= all(vec.mass <= 1 for vec in table.values())
+            table = symmetrized_by_definition(resolve(mid), spec)
+            ok &= all(min(vec) >= 0 and sum(vec) <= 1 for vec in table.values())
             for g, relabelings in zip(graphs, relabeled_keys):
                 base = table[g.key]
                 for images, key2 in relabelings:
                     image = table[key2]
-                    ok &= all(image.prob(images[v - 1]) == base.prob(v) for v in range(1, n + 1))
+                    ok &= all(image[images[v - 1] - 1] == base[v - 1] for v in range(1, n + 1))
             if check_impartiality(mid, spec) == []:
                 inherited += 1
-                ok &= all(table[ka].prob(v) == table[kb].prob(v) for ka, kb, v in dev_pairs)
+                ok &= all(table[ka][v - 1] == table[kb][v - 1] for ka, kb, v in dev_pairs)
         details.append(f"n={n}: 7 mechanisms symmetric, {inherited} impartial bases inherit impartiality")
     for n in (3, 4):
         for text in ("majority", "max-naive"):
-            wu = check_weak_unanimity_inheritance(MechanismId.parse(text), GraphClassSpec(n, 1))
-            ok &= wu.premise_holds and wu.ok
+            mechanism, spec = resolve(MechanismId.parse(text)), GraphClassSpec(n, 1)
+            premise, _, problems = weak_unanimity_by_definition(mechanism, spec, symmetrized_by_definition(mechanism, spec))
+            ok &= premise and not problems
     report("c10", ok, "; ".join(details) + "; weak unanimity inherited for majority and max-naive at n=3,4")
 
 

@@ -16,19 +16,15 @@ from impsel import (
     Exhaustive,
     GraphClassSpec,
     MechanismId,
-    ProbabilityVector,
     Sampled,
     ThresholdPair,
     Violation,
-    WeakUnanimityReport,
     check_impartiality,
     check_trace_invariants,
-    check_weak_unanimity_inheritance,
     deviations,
     measure_gap,
     resolve,
     run_twin_threshold,
-    symmetrized_table,
 )
 from impsel._deletion import outset_rows, run_deletion, run_deletion_rows, select_top
 from impsel.cli import main
@@ -48,6 +44,7 @@ from oracles import (
     violating_pairs_by_full_scan,
     violation_count_by_lines,
     violations_by_definition,
+    weak_unanimity_by_definition,
 )
 
 
@@ -616,6 +613,37 @@ def test_sampled_gap_refuses_wide_graphs_before_sampling(monkeypatch):
         measure_gap(MechanismId.parse("twin:2,1"), GraphClassSpec(3161, 1), Sampled(1, 1))
 
 
+@pytest.mark.parametrize(
+    "spec, texts, modes, error, refusal",
+    [
+        pytest.param(GraphClassSpec(6, 2), ("max-naive",), (Exhaustive(),), CapExceeded, "audit cap",
+                     id="G_6(2)-audit cap"),
+        pytest.param(GraphClassSpec(6, 2, True), ("max-naive",), (Exhaustive(),), CapExceeded, "audit cap",
+                     id="G+_6(2)-audit cap"),
+        pytest.param(
+            GraphClassSpec(3, 1), ("twin:5,1", "follow:4"), (Exhaustive(), Sampled(1, 5)), ValueError,
+            r"invalid for n=3|outside 1\.\.3", id="G_3(1)-parameters",
+        ),
+    ],
+)
+def test_audits_refuse_before_any_kernel_runs(monkeypatch, spec, texts, modes, error, refusal):
+    # G_6(2) (16^6 graphs) and G+_6(2) (15^6) are over the exhaustive audit
+    # cap; sampled audits cap one graph's rows instead (the two tests above),
+    # which these classes are far under.  The batch kernels do not check
+    # parameters: twin:5,1 would never select on G_3(1), and follow:4 would
+    # index past its rows.
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("walked or sampled the class before the cap and parameter checks")
+
+    for name in ("_class_block", "_outcome_table", "sample_ranks", "batch_kernel_for"):
+        monkeypatch.setattr(impsel.audit, name, no_kernel)
+    for text in texts:
+        for mode in modes:
+            for audit in (check_impartiality, measure_gap):
+                with pytest.raises(error, match=refusal):
+                    audit(MechanismId.parse(text), spec, mode)
+
+
 def test_sampled_audits_run_the_batch_kernels_only(monkeypatch):
     # the per-graph mechanism runs once per gap audit, to recheck the witness
     calls = []
@@ -851,82 +879,35 @@ def test_trace_checks_pass_exactly_the_run(spec, runs, corruptions):
     assert (ran, corrupted) == (runs, corruptions)
 
 
-# ---- symmetrization ----
-
-
-def test_probability_vector_validation():
-    with pytest.raises(ValueError):
-        ProbabilityVector((Fraction(-1, 2), Fraction(0)))
-    with pytest.raises(ValueError):
-        ProbabilityVector((Fraction(2, 3), Fraction(2, 3)))
-    v = ProbabilityVector((Fraction(1, 3), Fraction(1, 3)))
-    assert v.mass == Fraction(2, 3) and v.prob(2) == Fraction(1, 3)
+# ---- symmetrization, on the test oracle (the project's only symmetrization) ----
 
 
 def test_symmetrize_examples():
     def symmetrized(text, g):
-        return symmetrized_table(MechanismId.parse(text), GraphClassSpec(g.n))[g.key]
+        return symmetrized_by_definition(resolve(MechanismId.parse(text)), GraphClassSpec(g.n))[g.key]
 
-    zero = symmetrized("never", graph(3, (1, 2)))
-    assert zero.mass == 0
+    assert symmetrized("never", graph(3, (1, 2))) == (0, 0, 0)
 
     # both relabelings of the single edge select the image of vertex 2
-    v = symmetrized("max-naive", graph(2, (1, 2)))
-    assert v.probs == (Fraction(0), Fraction(1))
+    assert symmetrized("max-naive", graph(2, (1, 2))) == (Fraction(0), Fraction(1))
 
     complete = graph(3, (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
-    uniform = symmetrized("max-naive", complete)
-    assert uniform.probs == (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
+    assert symmetrized("max-naive", complete) == (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
 
     # follow:1 selects pi(3) on the relabeled edge pi(2) -> pi(3) exactly when
     # pi(2) = 1: two of the six permutations, all of them crediting vertex 3
-    lone = symmetrized("follow:1", graph(3, (2, 3)))
-    assert lone.probs == (Fraction(0), Fraction(0), Fraction(1, 3))
-
-
-def test_symmetrized_table_refuses_classes_over_the_audit_cap():
-    # G_6(2) has 16^6 graphs: under the factorial cap, over the audit cap
-    with pytest.raises(CapExceeded, match="audit cap"):
-        symmetrized_table(MechanismId.parse("never"), GraphClassSpec(6, 2))
-
-
-@pytest.mark.parametrize(
-    "spec, texts, error, refusal",
-    [
-        pytest.param(GraphClassSpec(8, 1), ("max-naive",), CapExceeded, "factorial cap", id="G_8(1)-factorial cap"),
-        pytest.param(GraphClassSpec(6, 2), ("max-naive",), CapExceeded, "audit cap", id="G_6(2)-audit cap"),
-        pytest.param(GraphClassSpec(6, 2, True), ("max-naive",), CapExceeded, "audit cap", id="G+_6(2)-audit cap"),
-        pytest.param(
-            GraphClassSpec(3, 1), ("twin:5,1", "follow:4"), ValueError, r"invalid for n=3|outside 1\.\.3",
-            id="G_3(1)-parameters",
-        ),
-    ],
-)
-def test_symmetrization_refuses_before_enumerating(monkeypatch, spec, texts, error, refusal):
-    # G_8(1) is over the factorial cap; G_6(2) (16^6 graphs) and G+_6(2)
-    # (15^6) are under it but over the audit cap.  The batch kernels do not
-    # check parameters: twin:5,1 would never select on G_3(1), and follow:4
-    # would index past its rows.
-    def no_enumeration(*args, **kwargs):
-        raise AssertionError("enumerated before the cap and parameter checks")
-
-    monkeypatch.setattr(impsel.audit, "_class_block", no_enumeration)
-    monkeypatch.setattr(impsel.audit, "_outcome_table", no_enumeration)
-    for text in texts:
-        for check in (symmetrized_table, check_weak_unanimity_inheritance):
-            with pytest.raises(error, match=refusal):
-                check(MechanismId.parse(text), spec)
+    assert symmetrized("follow:1", graph(3, (2, 3))) == (Fraction(0), Fraction(0), Fraction(1, 3))
 
 
 def test_symmetry_law_by_direct_enumeration():
     # the symmetrization of pi's image of a graph gives pi(v) what the graph gives v
-    mid, spec = MechanismId.parse("max-naive"), GraphClassSpec(3, 1)
-    for table in (symmetrized_table(mid, spec), symmetrized_by_definition(resolve(mid), spec)):
-        for g in class_graphs(spec):
-            for images in permutations(range(1, 4)):
-                relabeled = table[relabeled_key(g, images)]
-                for v in range(1, 4):
-                    assert relabeled.prob(images[v - 1]) == table[g.key].prob(v)
+    spec = GraphClassSpec(3, 1)
+    table = symmetrized_by_definition(resolve(MechanismId.parse("max-naive")), spec)
+    for g in class_graphs(spec):
+        for images in permutations(range(1, 4)):
+            relabeled = table[relabeled_key(g, images)]
+            for v in range(1, 4):
+                assert relabeled[images[v - 1] - 1] == table[g.key][v - 1]
 
 
 @pytest.mark.parametrize(
@@ -938,107 +919,59 @@ def test_symmetry_law_by_direct_enumeration():
         pytest.param(GraphClassSpec(4, 2, True), None, id="G+_4(2)", marks=pytest.mark.slow),
     ],
 )
-def test_symmetrized_table_matches_symmetrize_eval(monkeypatch, spec, texts):
-    # against the per-graph oracle, which relabels out-set tuples and runs the
-    # per-graph rule.  texts None: every registry mechanism valid for n.
-    # Blocks of 7 graphs make the class span several blocks.
-    monkeypatch.setattr(impsel.audit, "KERNEL_BLOCK", 7)
+def test_symmetrized_vectors_are_probability_vectors(spec, texts):
+    # one vector per class graph, in class order, with n entries, none
+    # negative, of mass at most 1.  texts None: every registry mechanism valid for n.
+    keys = [g.key for g in class_graphs(spec)]
     for mid in _every_mechanism(spec.n) if texts is None else map(MechanismId.parse, texts):
-        table, expect = symmetrized_table(mid, spec), symmetrized_by_definition(resolve(mid), spec)
-        assert list(table) == list(expect)
-        for key, vector in expect.items():
-            assert table[key] == vector, (mid, key)
+        table = symmetrized_by_definition(resolve(mid), spec)
+        assert list(table) == keys, mid
+        for key, vector in table.items():
+            assert len(vector) == spec.n and min(vector) >= 0 and sum(vector) <= 1, (mid, key, vector)
 
 
 def test_symmetrization_inherits_impartiality_on_impartial_base():
     mid = MechanismId.parse("majority")
     spec = GraphClassSpec(3, 1)
     assert check_impartiality(mid, spec) == []
-    table = symmetrized_table(mid, spec)
+    table = symmetrized_by_definition(resolve(mid), spec)
     for base in class_graphs(spec):
         for v in range(1, 4):
             for other in deviations(base, v, spec):
-                assert table[base.key].prob(v) == table[other.key].prob(v)
+                assert table[base.key][v - 1] == table[other.key][v - 1]
+
+
+def _weak_unanimity(text, spec):
+    mechanism = resolve(MechanismId.parse(text))
+    return weak_unanimity_by_definition(mechanism, spec, symmetrized_by_definition(mechanism, spec))
 
 
 def test_weak_unanimity_inheritance():
-    report = check_weak_unanimity_inheritance(MechanismId.parse("majority"), GraphClassSpec(3, 1))
-    assert report.premise_holds and report.ok and report.graphs_checked > 0
-    report = check_weak_unanimity_inheritance(MechanismId.parse("max-naive"), GraphClassSpec(4, 1))
-    assert report.premise_holds and report.ok
+    premise, stars, problems = _weak_unanimity("majority", GraphClassSpec(3, 1))
+    assert premise and problems == [] and stars > 0
+    premise, stars, problems = _weak_unanimity("max-naive", GraphClassSpec(4, 1))
+    assert premise and problems == [] and stars > 0
     # on a G+_3(1) star centred at 1, follow:1 selects the indegree-1 vertex 1
     # nominates, so part of the symmetrized mass sits on indegree-1 vertices
     # and must count as positive indegree
-    report = check_weak_unanimity_inheritance(MechanismId.parse("follow:1"), GraphClassSpec(3, 1, True))
-    assert report.premise_holds and report.ok and report.graphs_checked == 6
+    assert _weak_unanimity("follow:1", GraphClassSpec(3, 1, True)) == (True, 6, [])
     # never selects nothing, so the premise fails and the check is vacuous
-    report = check_weak_unanimity_inheritance(MechanismId.parse("never"), GraphClassSpec(3, 1))
-    assert not report.premise_holds and report.ok
+    premise, stars, problems = _weak_unanimity("never", GraphClassSpec(3, 1))
+    assert not premise and problems == [] and stars > 0
     # G+_1 has no graphs, so it has no star graph either
     empty = GraphClassSpec(1, None, True)
-    assert symmetrized_table(MechanismId.parse("majority"), empty) == {}
-    report = check_weak_unanimity_inheritance(MechanismId.parse("majority"), empty)
-    assert report == WeakUnanimityReport(True, True, 0)
+    assert symmetrized_by_definition(resolve(MechanismId.parse("majority")), empty) == {}
+    assert _weak_unanimity("majority", empty) == (True, 0, [])
 
 
-def test_weak_unanimity_applies_only_the_block_rule(monkeypatch):
-    # the premise and the masses are read from the outcome table and the
-    # indegree rows; no per-graph rule runs and, on a passing class, no graph
-    # is built
-    def per_graph(*args):
-        raise AssertionError("ran the per-graph rule or built a graph")
-
-    monkeypatch.setattr(impsel.audit, "resolve", per_graph)
-    monkeypatch.setattr(impsel.audit, "graph_at_index", per_graph)
-    for text, spec in (("majority", GraphClassSpec(3, 1)), ("max-naive", GraphClassSpec(4, 1)),
-                       ("follow:1", GraphClassSpec(3, 1, True))):
-        report = check_weak_unanimity_inheritance(MechanismId.parse(text), spec)
-        assert report.premise_holds and report.ok and report.graphs_checked > 0, text
-    report = check_weak_unanimity_inheritance(MechanismId.parse("never"), GraphClassSpec(3, 1))
-    assert not report.premise_holds and report.ok
-    report = check_weak_unanimity_inheritance(MechanismId.parse("majority"), GraphClassSpec(1, None, True))
-    assert report == WeakUnanimityReport(True, True, 0)
-
-
-def test_weak_unanimity_names_a_graph_whose_mass_falls_short(monkeypatch):
-    # a lost relabeling on the first star is the one failure, so its graph,
-    # and only it, is built to name it
-    counts, built = impsel.audit._symmetrized_counts, []
-
-    def short(table, spec, choice):
-        rows = counts(table, spec, choice)
-        rows[0, 1:] -= rows[0, 1:] == rows[0, 1:].max()
-        return rows
-
-    def build(spec, i):
-        built.append(i)
-        return graph_at_index(spec, i)
-
-    monkeypatch.setattr(impsel.audit, "_symmetrized_counts", short)
-    monkeypatch.setattr(impsel.audit, "graph_at_index", build)
-    spec = GraphClassSpec(3, 1)
-    report = check_weak_unanimity_inheritance(MechanismId.parse("max-naive"), spec)
-    star = next(i for i, g in enumerate(class_graphs(spec)) if g.max_indegree == 2)
-    assert report.premise_holds and not report.ok and built == [star]
-    assert report.detail == f"graph {graph_at_index(spec, star).key}: positive-indegree mass 5/6 != 1"
-
-
-@pytest.mark.parametrize("block", [7, 1 << 16])
-def test_weak_unanimity_stars_are_the_graphs_with_a_universal_nominee(monkeypatch, block):
-    monkeypatch.setattr(impsel.audit, "KERNEL_BLOCK", block)
-    counts, seen = impsel.audit._symmetrized_counts, []
-
-    def spy(mid, spec, choice):
-        seen.append(choice.tolist())
-        return counts(mid, spec, choice)
-
-    monkeypatch.setattr(impsel.audit, "_symmetrized_counts", spy)
-    for text, spec in (("max-naive", GraphClassSpec(4, 1)), ("follow:1", GraphClassSpec(3, 1, True)),
-                       ("majority", GraphClassSpec(4))):
-        seen.clear()
-        report = check_weak_unanimity_inheritance(MechanismId.parse(text), spec)
-        n, radix = spec.n, spec.outset_count
-        stars = [i for i, g in enumerate(class_graphs(spec)) if g.max_indegree == n - 1]
-        # each star's window row: vertex v's out-set rank, the digit of place value R**(n-v), in row (v-1)*R + rank
-        rows = [[i // radix ** (n - v) % radix + (v - 1) * radix for v in range(1, n + 1)] for i in stars]
-        assert seen == [rows] and report.graphs_checked == len(stars), (text, spec)
+def test_weak_unanimity_names_a_graph_whose_mass_falls_short():
+    # a relabeling taken off the first star's largest entry is the one
+    # failure, and the check names that star
+    mechanism, spec = resolve(MechanismId.parse("max-naive")), GraphClassSpec(3, 1)
+    table = symmetrized_by_definition(mechanism, spec)
+    star = next(g for g in class_graphs(spec) if g.max_indegree == 2)
+    vector = table[star.key]
+    top = vector.index(max(vector))
+    table[star.key] = tuple(p - Fraction(1, 6) if v == top else p for v, p in enumerate(vector))
+    premise, _, problems = weak_unanimity_by_definition(mechanism, spec, table)
+    assert premise and problems == [f"graph {star.key}: positive-indegree mass 5/6 != 1"]

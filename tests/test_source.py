@@ -95,14 +95,14 @@ def test_mechanisms_have_no_nested_functions():
 #: appears or vanishes changes this list, so the move shows in the diff.
 PUBLIC_API = [
     "AUDIT_CAP", "COMPOSITION_CAP", "CapExceeded", "Certificate", "CertificateRow", "DeletionTrace",
-    "DirectedGraph", "Exhaustive", "FACTORIAL_CAP", "GapReport", "GraphClassSpec",
-    "GraphFormatError", "MechanismId", "PlanReport", "ProbabilityVector", "Sampled",
-    "ThresholdPair", "Violation", "WeakUnanimityReport", "additive_gap", "build_certificate",
-    "check_impartiality", "check_trace_invariants", "check_weak_unanimity_inheritance", "composition_of_graph",
+    "DirectedGraph", "Exhaustive", "GapReport", "GraphClassSpec",
+    "GraphFormatError", "MechanismId", "PlanReport", "Sampled",
+    "ThresholdPair", "Violation", "additive_gap", "build_certificate",
+    "check_impartiality", "check_trace_invariants", "composition_of_graph",
     "deviations", "enumerate_compositions", "fubini", "graph_at_index",
     "graph_of_composition", "kernel_for", "lambda_of", "measure_gap", "parse_graph", "plan_thresholds_general",
     "plan_thresholds_k1", "reduce_add_inneighbors", "reduce_add_isolated", "resolve", "run_twin_threshold",
-    "sample_stream", "symmetrized_table", "transitions",
+    "sample_stream", "transitions",
     "validate_thresholds",
 ]
 
