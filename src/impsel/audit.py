@@ -195,14 +195,16 @@ def _blocks(start: int, end: int) -> Iterator[tuple[int, int]]:
 def _class_block(spec: GraphClassSpec) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
     """block(lo, hi): the batch kernel's (members, choice) for graphs [lo, hi)
     of the class, hi - lo <= ``KERNEL_BLOCK``; kernel passes and witness texts
-    read the class through these windows only.  Vertex v's out-sets are rows
-    (v-1)*R.. of members, and choice is held in the smallest type indexing
-    them.  Graph i's out-set ranks are the mixed-radix digits of i, vertex n
-    the least significant: the trailing m digits, R**m <= ``KERNEL_BLOCK``,
-    are row i % R**m of one template, and the leading n - m are those of the
-    head index i // R**m, a few heads per block."""
+    read the class through these windows only.  Row (v-1)*R + r of members
+    is ``spec.outset_at(v, r)``, vertex v's out-set of rank r (vertex n's
+    unranked, the others moved from them), and choice is held in the
+    smallest type indexing the rows.  Graph i's out-set ranks are the
+    mixed-radix digits of i, vertex n the least significant: the trailing m
+    digits, R**m <= ``KERNEL_BLOCK``, are row i % R**m of one template, and
+    the leading n - m are those of the head index i // R**m, a few heads per
+    block."""
     n, radix = spec.n, spec.outset_count
-    last = outset_rows(n, spec.admissible_outsets(n))
+    last = outset_rows(n, [spec.outset_at(n, r) for r in range(radix)])
     members = np.concatenate([vertex_rows(last, v) for v in range(1, n + 1)])
     kind = np.min_scalar_type(len(members))
     offsets = np.arange(n, dtype=kind) * kind.type(radix)
@@ -387,7 +389,7 @@ def _sampled_pairs(mid: MechanismId, spec: GraphClassSpec, mode: Sampled) -> tup
     n, radix = spec.n, spec.outset_count
     if n * radix > AUDIT_CAP:
         raise CapExceeded(f"deviation lines of a {spec.describe()} graph hold {n * radix} graphs, audit cap is {AUDIT_CAP}")
-    kern, last = batch_kernel_for(mid), outset_rows(n, spec.admissible_outsets(n))
+    kern, last = batch_kernel_for(mid), outset_rows(n, [spec.outset_at(n, r) for r in range(radix)])
     keys, found = {}, {}  # rank tuple -> key; (key a, key b, deviator), a < b -> selected_a
     for base in sample_ranks(spec, mode.seed, mode.trials):
         fixed = np.concatenate([vertex_rows(last[[r]], w) for w, r in enumerate(base, start=1)])
@@ -451,7 +453,9 @@ def measure_gap(mid: MechanismId, spec: GraphClassSpec, mode: AuditMode = Exhaus
 
 
 @dataclass(frozen=True)
-class TraceCheck:
+class Check:
+    """One named check of a trace or a certificate; `detail` words its problems."""
+
     name: str
     ok: bool
     detail: str = ""
@@ -459,23 +463,27 @@ class TraceCheck:
 
 def check_trace_invariants(
     graph: DirectedGraph, thresholds: ThresholdPair, selected: int, trace: DeletionTrace
-) -> tuple[TraceCheck, ...]:
+) -> tuple[Check, ...]:
     """Check a recorded run (`selected`, `trace`) against every trace invariant.
 
     Nothing here runs the mechanism.  The checks read each vertex's deletion
     step and degree at deletion (for a vertex never deleted: the number of
     deletions and its final degree) and its in-neighbors, all taken from the
     trace's two records and the graph's edges.  Each check lists its problems
-    in increasing vertex (or record) order.
+    in increasing vertex (or record) order.  A malformed record fails a check
+    rather than raising: a deletion record naming a vertex outside 1..n fails
+    deletion_order and no other check reads it, and the other checks read
+    the first n final degrees, 0 for a missing one.
 
-    remaining_degrees: final remaining indegrees equal the original indegrees
-        minus deleted in-neighbors; deleted vertices were at or above the lower
-        threshold when deleted, undeleted ones ended strictly below it.
+    remaining_degrees: there are n final degrees, and final remaining
+        indegrees equal the original indegrees minus deleted in-neighbors;
+        deleted vertices were at or above the lower threshold when deleted,
+        undeleted ones ended strictly below it.
     descent_counts: a deleted vertex's indegree drop before its own deletion
         equals its number of earlier-deleted in-neighbors.
-    deletion_order: record i stands at position i, no vertex is deleted
-        twice, and deletions happen in strictly decreasing lexicographic
-        (degree-at-deletion, vertex) order.
+    deletion_order: record i stands at position i and names a vertex in
+        1..n, no vertex is deleted twice, and deletions happen in strictly
+        decreasing lexicographic (degree-at-deletion, vertex) order.
     inneighbor_witness: for each vertex that is deleted or has a deleted
         in-neighbor, with pair (degree at deletion, or final degree, vertex):
         a drop of r forces exactly r deleted in-neighbors above that pair, the
@@ -483,7 +491,8 @@ def check_trace_invariants(
         them over the vertex; the other deleted ones are below it, as one at
         the vertex's own pair would be the vertex itself, a self-loop that
         DirectedGraph rejects.
-    selection: the selected vertex is ``select_top`` of the final degrees at T.
+    selection: the selected vertex, in 0..n, is ``select_top`` of the final
+        degrees at T.
 
     The checks pass exactly when the records are the run.  The sweep deletes,
     at each step, the undeleted vertex of greatest (remaining degree, vertex)
@@ -498,10 +507,12 @@ def check_trace_invariants(
     """
     lower = thresholds.lower
     n = graph.n
-    step, at = [len(trace.deletions)] * (n + 1), [0, *trace.final_degrees]
-    for i, v, d in trace.deletions:
+    records = [(i, v, d) for i, v, d in trace.deletions if 1 <= v <= n]
+    finals = (list(trace.final_degrees) + [0] * n)[:n]
+    step, at = [len(trace.deletions)] * (n + 1), [0, *finals]
+    for i, v, d in records:
         step[v], at[v] = i, d
-    deleted = {v for _, v, _ in trace.deletions}
+    deleted = {v for _, v, _ in records}
     inneighbors, lost = [[] for _ in range(n + 1)], [0] * (n + 1)  # lost[v]: v's deleted in-neighbors
     for u, v in graph.edges:
         inneighbors[v].append(u)
@@ -510,8 +521,10 @@ def check_trace_invariants(
     checks = []
 
     problems = []
+    if len(trace.final_degrees) != n:
+        problems.append(f"{len(trace.final_degrees)} final degrees for {n} vertices")
     for v in range(1, n + 1):
-        final = trace.final_degrees[v - 1]
+        final = finals[v - 1]
         expect = graph.indegrees[v - 1] - lost[v]
         if final != expect:
             problems.append(f"vertex {v}: final degree {final} != recomputed {expect}")
@@ -519,7 +532,7 @@ def check_trace_invariants(
             problems.append(f"vertex {v} deleted at degree {at[v]} < t={lower}")
         if v not in deleted and final > lower - 1:
             problems.append(f"undeleted vertex {v} ended at degree {final} >= t={lower}")
-    checks.append(TraceCheck("remaining_degrees", not problems, "; ".join(problems)))
+    checks.append(Check("remaining_degrees", not problems, "; ".join(problems)))
 
     problems = []
     for v in sorted(deleted):
@@ -527,13 +540,15 @@ def check_trace_invariants(
         earlier = sum(1 for u in inneighbors[v] if step[u] < step[v])
         if drop != earlier:
             problems.append(f"vertex {v}: drop {drop} != earlier-deleted in-neighbors {earlier}")
-    checks.append(TraceCheck("descent_counts", not problems, "; ".join(problems)))
+    checks.append(Check("descent_counts", not problems, "; ".join(problems)))
 
     problems = []
     seen = set()
     for position, (i, v, _) in enumerate(trace.deletions):
         if i != position:
             problems.append(f"record {position} has iteration {i}")
+        if not 1 <= v <= n:
+            problems.append(f"record {position} names vertex {v} outside 1..{n}")
         if v in seen:
             problems.append(f"vertex {v} deleted again at record {position}")
         seen.add(v)
@@ -541,7 +556,7 @@ def check_trace_invariants(
     for prev, cur in zip(order, order[1:]):
         if not prev > cur:
             problems.append(f"deletion order not strictly decreasing: {prev} then {cur}")
-    checks.append(TraceCheck("deletion_order", not problems, "; ".join(problems)))
+    checks.append(Check("deletion_order", not problems, "; ".join(problems)))
 
     problems = []
     for v in [v for v in range(1, n + 1) if lost[v] or v in deleted]:  # deleted, or a deleted in-neighbor
@@ -554,11 +569,12 @@ def check_trace_invariants(
         for j, pair in enumerate(above):
             if not pair > (indeg - j, v):
                 problems.append(f"vertex {v}: witness {j} at {pair} not above ({indeg - j}, {v})")
-    checks.append(TraceCheck("inneighbor_witness", not problems, "; ".join(problems)))
+    checks.append(Check("inneighbor_witness", not problems, "; ".join(problems)))
 
     upper = thresholds.upper
-    expect = select_top(trace.final_degrees, upper)
-    problem = f"selected {selected}, select_top of the final degrees at T={upper} is {expect}"
-    checks.append(TraceCheck("selection", selected == expect, "" if selected == expect else problem))
+    expect = select_top(finals, upper)
+    problem = (f"selected {selected} outside 0..{n}" if not 0 <= selected <= n
+               else f"selected {selected}, select_top of the final degrees at T={upper} is {expect}")
+    checks.append(Check("selection", selected == expect, "" if selected == expect else problem))
 
     return tuple(checks)

@@ -152,6 +152,15 @@ def _outdegree_bound(text: str) -> int | None:
         raise argparse.ArgumentTypeError("expected an integer or 'unbounded'") from None
 
 
+def _exact(text: str) -> Fraction:
+    """An exact rational; a zero denominator is a bad value like any other
+    (argparse makes usage errors of ValueError and TypeError only)."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 def _default_plan(n: int, k: int | None) -> PlanReport:
     """Plan used when no thresholds are given: the k=1 planner for ``--k 1``,
     else the general planner at kappa=0, c=k (``--k unbounded`` is k = n-1)."""
@@ -420,8 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     plan = sub.add_parser("plan", help="plan or validate threshold pairs")
     plan.add_argument("--n", type=int, required=True)
     plan.add_argument("--k", type=int, default=1, help="outdegree bound (default 1)")
-    plan.add_argument("--kappa", type=Fraction, help="outdegree growth exponent in [0, 1], exact (e.g. 0.5 or 1/2)")
-    plan.add_argument("--c", type=Fraction, help="outdegree growth coefficient (k <= c*n^kappa), exact")
+    plan.add_argument("--kappa", type=_exact, help="outdegree growth exponent in [0, 1], exact (e.g. 0.5 or 1/2)")
+    plan.add_argument("--c", type=_exact, help="outdegree growth coefficient (k <= c*n^kappa), exact")
     plan.add_argument("--T", type=int, help="validate this upper threshold instead of planning")
     plan.add_argument("--t", type=int, help="validate this lower threshold instead of planning")
     plan.add_argument("--json", action="store_true")

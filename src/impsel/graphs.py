@@ -14,6 +14,10 @@ targets {1, 2, 3} and no bound this gives
 
     (), (1,), (1, 2), (1, 2, 3), (1, 3), (2,), (2, 3), (3,).
 
+``GraphClassSpec.outset_at(v, r)``, the r-th of them, is the definition of
+that order and the package's only enumeration of out-sets: the kernel rows of
+every audit, the deviations of a vertex and every witness text read it.
+
 A class is enumerated in lexicographic order of the per-vertex choice tuple,
 the choice of vertex 1 varying slowest: graph i has the base-R digits of i as
 its per-vertex out-set ranks, vertex 1 the most significant (R out-sets per
@@ -243,14 +247,6 @@ class GraphClassSpec:
     def contains(self, graph: DirectedGraph) -> bool:
         return graph.n == self.n and all(self.min_outdegree <= d <= self.bound for d in graph.outdegrees)
 
-    def admissible_outsets(self, v: int) -> list[tuple[int, ...]]:
-        """All admissible out-sets of vertex v in the documented order."""
-        pool = [u for u in range(1, self.n + 1) if u != v]
-        sets = itertools.chain.from_iterable(
-            itertools.combinations(pool, j) for j in range(self.min_outdegree, self.bound + 1)
-        )
-        return sorted(sets)
-
     def outset_at(self, v: int, rank: int) -> tuple[int, ...]:
         """Unrank: the rank-th admissible out-set of v in the documented order.
         It is vertex n's (a subset of 1..n-1) with every member >= v moved up
@@ -319,8 +315,9 @@ def deviations(graph: DirectedGraph, v: int, spec: GraphClassSpec) -> Iterator[D
         raise ValueError(f"vertex {v} outside 1..{graph.n}")
     if not spec.contains(graph):
         raise ValueError(f"graph is not in class {spec.describe()}")
-    for choice in spec.admissible_outsets(v):
-        yield DirectedGraph.from_out_sets(graph.n, [*graph.out_sets[: v - 1], choice, *graph.out_sets[v:]])
+    before, after = graph.out_sets[: v - 1], graph.out_sets[v:]
+    for rank in range(spec.outset_count):
+        yield DirectedGraph.from_out_sets(graph.n, [*before, spec.outset_at(v, rank), *after])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ audit, exhaustive or sampled, evaluates.  ``MECHANISMS`` is the one registry:
 it maps each name to its parameter count, a validator of the parameters
 against a vertex count, and the two rules.  ``MechanismId`` construction and
 parsing, ``validate_for``, ``kernel_for`` and ``batch_kernel_for`` (the rules
-with the parameters bound) and ``resolve`` are all lookups in it.  Names and
+with the parameters bound) and ``resolve`` are all lookups in it.  The
+thresholds of ``twin:T,t`` and ``naive-iter:t`` (the pair (t, t)) are checked
+by ``twin_threshold.ThresholdPair``, the one (T, t) contract.  Names and
 parameter syntax (the CLI contract):
 
     never              select nothing, always
@@ -41,6 +43,7 @@ import numpy as np
 
 from ._deletion import indegree_rows, out_columns, run_deletion, run_deletion_rows, select_top, select_top_rows
 from .graphs import DirectedGraph
+from .twin_threshold import ThresholdPair
 
 Kernel = Callable[[DirectedGraph], int]
 BatchKernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -141,9 +144,8 @@ def _check_threshold(n: int, params: tuple[int, ...]) -> None:
 
 
 def _check_pair(n: int, params: tuple[int, ...]) -> None:
-    upper, lower = params
-    if not 1 <= lower <= upper <= n - 1:
-        raise ValueError(f"thresholds ({upper}, {lower}) invalid for n={n}")
+    """(T, t), or t as the pair (t, t): the one (T, t) contract checks it."""
+    ThresholdPair(params[0], params[-1]).validate_for(n)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +166,7 @@ MECHANISMS: dict[str, MechanismEntry] = {
     "follow": MechanismEntry(1, _check_anchor, _follow, _follow_rows),
     "majority": MechanismEntry(0, _no_params, _majority, _majority_rows),
     "naive-iter": MechanismEntry(
-        1, _check_threshold, lambda t, graph: _twin(t, t, graph), lambda t, *block: _twin_rows(t, t, *block)
+        1, _check_pair, lambda t, graph: _twin(t, t, graph), lambda t, *block: _twin_rows(t, t, *block)
     ),
     "naive-sim": MechanismEntry(1, _check_threshold, _naive_sim, _naive_sim_rows),
     "twin": MechanismEntry(2, _check_pair, _twin, _twin_rows),

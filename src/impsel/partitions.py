@@ -34,6 +34,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .audit import Check
 from .graphs import CapExceeded, DirectedGraph
 
 #: Composition streams are refused past this n by default.  The cap bounds
@@ -140,13 +141,6 @@ def transitions(n: int) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
 
 
 @dataclass(frozen=True)
-class StructureCheck:
-    name: str
-    ok: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class CertificateRow:
     """One inequality row: the constraint of the composition (a part tuple),
     scaled by its multiplicity and signed by the parity of its part count."""
@@ -197,7 +191,7 @@ class Certificate:
     rhs_total: int
     sign_even_parts: int
     links: int
-    checks: tuple[StructureCheck, ...]
+    checks: tuple[Check, ...]
 
     @property
     def cancellation_ok(self) -> bool:
@@ -249,8 +243,8 @@ def build_certificate(n: int, cap: int = COMPOSITION_CAP) -> Certificate:
     if rhs_total >= 0 or rhs_total % 2 == 0:
         raise RuntimeError(f"signed total {rhs_total} must be odd and negative")
     checks = (
-        StructureCheck("unique_partner", not unpaired, "; ".join(unpaired)),
-        StructureCheck("cancellation", not uncancelled, "; ".join(uncancelled)),
+        Check("unique_partner", not unpaired, "; ".join(unpaired)),
+        Check("cancellation", not uncancelled, "; ".join(uncancelled)),
     )
     return Certificate(n, rhs_total, sign_even, links, checks)
 

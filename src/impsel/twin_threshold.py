@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import isqrt
 
 from ._deletion import run_deletion, select_top
-from .graphs import DirectedGraph
+from .graphs import DirectedGraph, GraphClassSpec
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,7 @@ def validate_thresholds(n: int, k: int, thresholds: ThresholdPair) -> PlanReport
     Certifies when T^2 + 3T + t - t^2 > 2k(n+2); both sides are integers, so
     no floating point enters the comparison.
     """
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"outdegree bound {k} outside 1..{n - 1}")
+    GraphClassSpec(n, k)  # refuses a bound outside 1..n-1
     thresholds.validate_for(n)
     upper, lower = thresholds.upper, thresholds.lower
     margin = upper * upper + 3 * upper + lower - lower * lower
@@ -198,8 +197,7 @@ def plan_thresholds_general(
         raise ValueError(f"kappa {kappa} outside [0, 1]")
     if kappa.denominator > KAPPA_DENOMINATOR_CAP:
         raise ValueError(f"kappa {kappa} has a denominator above {KAPPA_DENOMINATOR_CAP}")
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"outdegree bound {k} outside 1..{n - 1}")
+    GraphClassSpec(n, k)  # refuses a bound outside 1..n-1
     if c <= 0:
         raise ValueError(f"coefficient c must be positive, got {c}")
     p, q = kappa.numerator, kappa.denominator

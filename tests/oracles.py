@@ -1,8 +1,10 @@
 """Independent brute-force oracles the tests check library results against.
 
 These deliberately avoid the library's own counting and scanning shortcuts:
-weak orders are counted by enumerating level maps, isomorphism multiplicities
-by relabeling out-set tuples, symmetrizations by running the per-graph rule
+a vertex's admissible out-sets are listed by sorting itertools combinations
+(the package only unranks them, ``GraphClassSpec.outset_at``), weak orders
+are counted by enumerating level maps, isomorphism multiplicities by
+relabeling out-set tuples, symmetrizations by running the per-graph rule
 once per class graph and looking each relabeling up by key, impartiality
 violations by running the per-graph rule once per class graph and comparing
 its results across every deviation pair, found by swapping out-set bitmasks
@@ -48,6 +50,15 @@ from impsel import (
 def class_graphs(spec: GraphClassSpec) -> Iterator[DirectedGraph]:
     """Every graph of the class in the documented order, one ``graph_at_index`` per index."""
     return (graph_at_index(spec, index) for index in range(spec.size))
+
+
+def admissible_outsets(spec: GraphClassSpec, v: int) -> list[tuple[int, ...]]:
+    """Vertex v's admissible out-sets in the documented order, written from
+    it: the subsets of the other vertices with min_outdegree..bound members,
+    each a sorted member tuple, in sorted order (abstention first when
+    admissible)."""
+    others = [u for u in range(1, spec.n + 1) if u != v]
+    return sorted(s for size in range(spec.min_outdegree, spec.bound + 1) for s in combinations(others, size))
 
 
 def relabeled_key(graph: DirectedGraph, images) -> tuple[int, ...]:
@@ -166,7 +177,7 @@ def violations_by_definition(mechanism, spec: GraphClassSpec) -> set[tuple]:
     key, larger graph key, deviator).
     """
     selected = {g.key: mechanism(g) for g in class_graphs(spec)}
-    masks = [[sum(1 << (u - 1) for u in s) for s in spec.admissible_outsets(v)] for v in range(1, spec.n + 1)]
+    masks = [[sum(1 << (u - 1) for u in s) for s in admissible_outsets(spec, v)] for v in range(1, spec.n + 1)]
     found = set()
     for key, chosen in selected.items():
         for v in range(1, spec.n + 1):

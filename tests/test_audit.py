@@ -622,7 +622,7 @@ def test_sampled_gap_refuses_wide_graphs_before_sampling(monkeypatch):
                      id="G+_6(2)-audit cap"),
         pytest.param(
             GraphClassSpec(3, 1), ("twin:5,1", "follow:4"), (Exhaustive(), Sampled(1, 5)), ValueError,
-            r"invalid for n=3|outside 1\.\.3", id="G_3(1)-parameters",
+            r"upper threshold 5 exceeds n-1=2|outside 1\.\.3", id="G_3(1)-parameters",
         ),
     ],
 )
@@ -824,6 +824,38 @@ def test_trace_checks_fail_on_a_wrong_selection():
     assert [(c.name, c.detail) for c in checks if not c.ok] == [
         ("selection", "selected 1, select_top of the final degrees at T=2 is 5")
     ]
+
+
+@pytest.mark.parametrize(
+    "g, pair, selected, trace, problems",
+    [
+        # a record of vertex 0 on a run that deletes nothing
+        pytest.param(
+            DirectedGraph.empty(3), ThresholdPair(1, 1), 0, DeletionTrace(((0, 0, 0),), (0, 0, 0)),
+            [("deletion_order", "record 0 names vertex 0 outside 1..3")], id="vertex 0",
+        ),
+        # the run (2, ((0, 2, 2),), (0, 2, 0)) with a fourth final degree that selection would read
+        pytest.param(
+            graph(3, (1, 2), (3, 2)), ThresholdPair(2, 2), 4, DeletionTrace(((0, 2, 2),), (0, 2, 0, 5)),
+            [("remaining_degrees", "4 final degrees for 3 vertices"), ("selection", "selected 4 outside 0..3")],
+            id="n+1 final degrees",
+        ),
+        # the run plus a record of vertex -3, which indexed vertex 1's slot and then raised IndexError
+        pytest.param(
+            graph(3, (1, 3), (2, 3)), ThresholdPair(2, 2), 3, DeletionTrace(((0, 3, 2), (1, -3, 1)), (0, 0, 2)),
+            [("deletion_order", "record 1 names vertex -3 outside 1..3")], id="vertex -3",
+        ),
+        # too few final degrees: the missing one reads as 0
+        pytest.param(
+            graph(3, (1, 2), (3, 2)), ThresholdPair(2, 2), 2, DeletionTrace(((0, 2, 2),), (0, 2)),
+            [("remaining_degrees", "2 final degrees for 3 vertices")], id="n-1 final degrees",
+        ),
+    ],
+)
+def test_trace_checks_fail_on_malformed_records(g, pair, selected, trace, problems):
+    # records that name no vertex of the graph fail a worded check; none raises
+    # or reads such a record into another vertex's entry
+    assert [(c.name, c.detail) for c in check_trace_invariants(g, pair, selected, trace) if not c.ok] == problems
 
 
 def _trace_of_order(g, order, upper):

@@ -352,6 +352,36 @@ def test_plan_refuses_an_outdegree_bound_below_one(capsys):
             assert err == f"error: outdegree bound {k} outside 1..4\n"
 
 
+def test_plan_refuses_a_zero_denominator(capsys):
+    # Fraction("1/0") raises ZeroDivisionError, which argparse would pass on as a traceback and exit 1
+    for kappa, c in (("1/0", "1"), ("1", "1/0")):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--n", "10", "--k", "1", "--kappa", kappa, "--c", c])
+        flag = "--kappa" if kappa == "1/0" else "--c"
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid Fraction value: '1/0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "upper, lower, error",
+    [(5, 1, "upper threshold 5 exceeds n-1=2"), (1, 2, "need 1 <= t <= T, got T=1, t=2")],
+)
+def test_an_invalid_pair_gets_one_error_line(capsys, tmp_path, upper, lower, error):
+    # every command taking a (T, t) pair, as flags or as twin:T,t, checks it by ThresholdPair
+    path = tmp_path / "g3.g"
+    path.write_text("n 3\ne 1 2\n")
+    pair, twin = ("--T", str(upper), "--t", str(lower)), f"twin:{upper},{lower}"
+    commands = [
+        ("run", "--graph", str(path), *pair),
+        ("plan", "--n", "3", *pair),
+        ("audit", "trace", "--n", "3", "--samples", "2", "--seed", "1", *pair),
+        ("audit", "impartiality", "--n", "3", "--exhaustive", "--mechanism", twin),
+        ("audit", "gap", "--n", "3", "--exhaustive", "--mechanism", twin),
+    ]
+    for argv in commands:
+        assert run_cli(capsys, *argv) == (2, "", f"error: {error}\n"), argv
+
+
 # ---- audit ----
 
 

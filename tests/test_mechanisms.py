@@ -62,8 +62,11 @@ def test_naive_iterated():
     low = graph(4, (2, 1))  # max indegree 1 < t
     assert run("naive-iter:2", low) == 0
     assert run("naive-iter:2", STAR5) == 1
-    with pytest.raises(ValueError):
+    # naive-iter:t validates as the twin pair (t, t)
+    with pytest.raises(ValueError, match=r"^upper threshold 5 exceeds n-1=4$"):
         run("naive-iter:5", STAR5)
+    with pytest.raises(ValueError, match=r"^need 1 <= t <= T, got T=0, t=0$"):
+        run("naive-iter:0", STAR5)
 
 
 def test_naive_iterated_equals_twin_with_equal_thresholds():

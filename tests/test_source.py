@@ -76,6 +76,19 @@ def test_every_import_is_used(path, tracer_hooks):
         assert "tracer" in lines[imported[name] - 1], f"{path.name}: {name} is kept for the tracer without a comment"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_second_outset_enumeration(path):
+    # GraphClassSpec.outset_at is the package's one enumeration of out-sets;
+    # a list of them from itertools would be a second definition of their
+    # order, which only the tests' oracle may hold
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "itertools"
+                for alias in node.names}
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    found = sorted((imported | read) & {"combinations", "permutations"})
+    assert found == [], f"{path.name}: uses itertools {found}"
+
+
 def test_mechanisms_have_no_nested_functions():
     # each mechanism is two module-level rules that take their parameters
     # first; ``functools.partial`` binds them, so no factory closure is needed
