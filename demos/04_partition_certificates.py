@@ -17,7 +17,6 @@ from impsel import (
     fubini,
     graph_of_composition,
     lambda_of,
-    transitions,
 )
 
 n = 4
@@ -29,12 +28,9 @@ for p in enumerate_compositions(n):
 total = fubini(n)
 print(f"\nmultiplicity sum (weak orders on {n} elements): {total}, odd={total % 2 == 1}")
 
-print(f"\ntransitions (singleton block merges down, one vertex rewrites its edges):")
-for p, j, q in transitions(n):
-    print(f"  {p} --{j}--> {q}")
-
 cert = build_certificate(n)
-print(f"certificate checks over {cert.links} edges: {[(c.name, c.ok) for c in cert.checks]}")
+checks = [(c.name, c.ok) for c in cert.checks]
+print(f"\ncertificate checks over {cert.links} transition edges (singleton blocks merging down): {checks}")
 print(f"\ncertificate rows (sense is which inequality the row contributes):")
 for row in cert.rows():
     print(f"  {str(row.composition):12s} {row.sense:13s} multiplier {row.multiplier:+d}")

@@ -23,14 +23,12 @@ from .graphs import (
     DirectedGraph,
     GraphClassSpec,
     GraphFormatError,
-    deviations,
     graph_at_index,
     parse_graph,
     sample_stream,
 )
 from .mechanisms import (
     MechanismId,
-    kernel_for,
     resolve,
 )
 from .partitions import (
@@ -45,7 +43,6 @@ from .partitions import (
     lambda_of,
     reduce_add_inneighbors,
     reduce_add_isolated,
-    transitions,
 )
 from .twin_threshold import (
     DeletionTrace,

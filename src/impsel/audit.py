@@ -118,14 +118,14 @@ class Violation:
     first, and the contract is checked on those texts: the same header
     ``n <count>`` with the deviator in 1..n, and the same lines once the
     deviator's own edge lines ``e <deviator> ...`` are left out, wherever
-    they stand.  ``graph_a`` and ``graph_b`` parse the texts on first access.
+    they stand.  ``graph_a`` and ``graph_b`` parse the texts on first access;
+    ``selected_b``, the deviator's status in graph b, is ``not selected_a``.
     """
 
     text_a: str
     text_b: str
     deviator: int
     selected_a: bool
-    selected_b: bool
 
     def __post_init__(self):
         header, v = self.text_a.partition("\n")[0], self.deviator
@@ -134,8 +134,10 @@ class Violation:
         own = _own_lines(v)
         if own.sub("", self.text_a) != own.sub("", self.text_b):
             raise ValueError(f"graphs differ outside the outgoing edges of {v}")
-        if self.selected_a == self.selected_b:
-            raise ValueError("not a violation: selection status agrees")
+
+    @property
+    def selected_b(self) -> bool:
+        return not self.selected_a
 
     @cached_property
     def graph_a(self) -> DirectedGraph:
@@ -167,7 +169,7 @@ class Violations(Sequence):
     def __iter__(self) -> Iterator[Violation]:
         for lo in range(0, len(self), _ROW_BLOCK):
             for a, b, v, sel in zip(*(column[lo : lo + _ROW_BLOCK].tolist() for column in self._columns)):
-                yield Violation(self._texts[a], self._texts[b], v, sel, not sel)
+                yield Violation(self._texts[a], self._texts[b], v, sel)
 
     def __eq__(self, other) -> bool:  # any sequence of the same violations in the same order
         return isinstance(other, Sequence) and len(self) == len(other) and all(x == y for x, y in zip(self, other))
@@ -180,7 +182,6 @@ class GapReport:
     worst_gap: int
     witness: DirectedGraph
     graphs_checked: int
-    mode: str
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +423,7 @@ def _measure_gap_sampled(mid: MechanismId, spec: GraphClassSpec, mode: Sampled) 
         b = int(np.argmax(gaps))  # the first maximum: the earliest sample
         if gaps[b] > best_gap:
             best_gap, best = int(gaps[b]), chunk[b]
-    return GapReport(best_gap, graph_of_ranks(spec, best), mode.trials, mode.describe())
+    return GapReport(best_gap, graph_of_ranks(spec, best), mode.trials)
 
 
 def measure_gap(mid: MechanismId, spec: GraphClassSpec, mode: AuditMode = Exhaustive()) -> GapReport:
@@ -440,7 +441,7 @@ def measure_gap(mid: MechanismId, spec: GraphClassSpec, mode: AuditMode = Exhaus
             raise ValueError(f"class {spec.describe()} is empty, no gap to measure")
         gaps = _outcome_table(mid, spec, mode.jobs, score=_gaps)
         best_idx = int(np.argmax(gaps))  # the first maximum: the smallest index
-        report = GapReport(int(gaps[best_idx]), graph_at_index(spec, best_idx), size, mode.describe())
+        report = GapReport(int(gaps[best_idx]), graph_at_index(spec, best_idx), size)
     check = additive_gap(report.witness, resolve(mid)(report.witness))
     if check != report.worst_gap:
         raise RuntimeError(f"witness recomputation gave {check} != {report.worst_gap}")
@@ -471,9 +472,11 @@ def check_trace_invariants(
     deletions and its final degree) and its in-neighbors, all taken from the
     trace's two records and the graph's edges.  Each check lists its problems
     in increasing vertex (or record) order.  A malformed record fails a check
-    rather than raising: a deletion record naming a vertex outside 1..n fails
-    deletion_order and no other check reads it, and the other checks read
-    the first n final degrees, 0 for a missing one.
+    rather than raising, counts and vertices being exact ints (not JSON's
+    true, 2.0 or "2"): a deletion record that is not three ints or names a
+    vertex outside 1..n fails deletion_order and no other check reads it; a
+    final degree that is not an int fails remaining_degrees, and the other
+    checks read the first n final degrees, 0 for a missing one or a non-int.
 
     remaining_degrees: there are n final degrees, and final remaining
         indegrees equal the original indegrees minus deleted in-neighbors;
@@ -481,8 +484,8 @@ def check_trace_invariants(
         undeleted ones ended strictly below it.
     descent_counts: a deleted vertex's indegree drop before its own deletion
         equals its number of earlier-deleted in-neighbors.
-    deletion_order: record i stands at position i and names a vertex in
-        1..n, no vertex is deleted twice, and deletions happen in strictly
+    deletion_order: record i is three ints (i, v, d) with v in 1..n, no
+        vertex is deleted twice, and deletions happen in strictly
         decreasing lexicographic (degree-at-deletion, vertex) order.
     inneighbor_witness: for each vertex that is deleted or has a deleted
         in-neighbor, with pair (degree at deletion, or final degree, vertex):
@@ -491,8 +494,8 @@ def check_trace_invariants(
         them over the vertex; the other deleted ones are below it, as one at
         the vertex's own pair would be the vertex itself, a self-loop that
         DirectedGraph rejects.
-    selection: the selected vertex, in 0..n, is ``select_top`` of the final
-        degrees at T.
+    selection: the selected vertex, an int in 0..n, is ``select_top`` of
+        the final degrees at T.
 
     The checks pass exactly when the records are the run.  The sweep deletes,
     at each step, the undeleted vertex of greatest (remaining degree, vertex)
@@ -507,8 +510,10 @@ def check_trace_invariants(
     """
     lower = thresholds.lower
     n = graph.n
-    records = [(i, v, d) for i, v, d in trace.deletions if 1 <= v <= n]
-    finals = (list(trace.final_degrees) + [0] * n)[:n]
+    shaped = [isinstance(r, Sequence) and len(r) == 3 and all(type(x) is int for x in r) for r in trace.deletions]
+    records = [r for r, ok in zip(trace.deletions, shaped) if ok and 1 <= r[1] <= n]
+    given = (list(trace.final_degrees) + [0] * n)[:n]
+    finals = [d if type(d) is int else 0 for d in given]
     step, at = [len(trace.deletions)] * (n + 1), [0, *finals]
     for i, v, d in records:
         step[v], at[v] = i, d
@@ -526,7 +531,9 @@ def check_trace_invariants(
     for v in range(1, n + 1):
         final = finals[v - 1]
         expect = graph.indegrees[v - 1] - lost[v]
-        if final != expect:
+        if type(given[v - 1]) is not int:
+            problems.append(f"vertex {v}: final degree {given[v - 1]!r} is not an int")
+        elif final != expect:
             problems.append(f"vertex {v}: final degree {final} != recomputed {expect}")
         if v in deleted and at[v] < lower:
             problems.append(f"vertex {v} deleted at degree {at[v]} < t={lower}")
@@ -543,8 +550,12 @@ def check_trace_invariants(
     checks.append(Check("descent_counts", not problems, "; ".join(problems)))
 
     problems = []
-    seen = set()
-    for position, (i, v, _) in enumerate(trace.deletions):
+    seen, order = set(), []
+    for position, (record, ok) in enumerate(zip(trace.deletions, shaped)):
+        if not ok:
+            problems.append(f"record {position} is not three ints: {record!r}")
+            continue
+        i, v, d = record
         if i != position:
             problems.append(f"record {position} has iteration {i}")
         if not 1 <= v <= n:
@@ -552,7 +563,7 @@ def check_trace_invariants(
         if v in seen:
             problems.append(f"vertex {v} deleted again at record {position}")
         seen.add(v)
-    order = [(d, v) for _, v, d in trace.deletions]
+        order.append((d, v))
     for prev, cur in zip(order, order[1:]):
         if not prev > cur:
             problems.append(f"deletion order not strictly decreasing: {prev} then {cur}")
@@ -573,8 +584,10 @@ def check_trace_invariants(
 
     upper = thresholds.upper
     expect = select_top(finals, upper)
-    problem = (f"selected {selected} outside 0..{n}" if not 0 <= selected <= n
+    problem = (f"selected {selected!r} is not an int" if type(selected) is not int
+               else f"selected {selected} outside 0..{n}" if not 0 <= selected <= n
                else f"selected {selected}, select_top of the final degrees at T={upper} is {expect}")
-    checks.append(Check("selection", selected == expect, "" if selected == expect else problem))
+    ok = type(selected) is int and selected == expect
+    checks.append(Check("selection", ok, "" if ok else problem))
 
     return tuple(checks)

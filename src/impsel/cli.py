@@ -39,7 +39,7 @@ from .audit import (
     check_trace_invariants,
     measure_gap,
 )
-from .graphs import CapExceeded, GraphClassSpec, GraphFormatError, parse_graph, sample_stream
+from .graphs import CapExceeded, GraphClassSpec, parse_graph, sample_stream
 from .mechanisms import MechanismId
 from .partitions import (
     COMPOSITION_CAP,
@@ -304,13 +304,13 @@ def _cmd_audit(args) -> int:
             "kind": "gap",
             "mechanism": mid.text(),
             "class": spec.describe(),
-            "mode": report.mode,
+            "mode": mode.describe(),
             "worst_gap": report.worst_gap,
             "graphs_checked": report.graphs_checked,
             "witness": witness,
         }
         lines = [
-            f"gap audit of {mid.text()} on {spec.describe()} ({report.mode})",
+            f"gap audit of {mid.text()} on {spec.describe()} ({mode.describe()})",
             f"worst additive gap {report.worst_gap} over {report.graphs_checked} graphs",
             "witness: " + " / ".join(witness.splitlines()),
         ]
@@ -375,7 +375,7 @@ def _cmd_partitions(args) -> int:
     if args.certificate:
         payload["certificate"] = {
             "rhs_total": cert.rhs_total,
-            "rhs_alternate": cert.rhs_alternate,
+            "rhs_alternate": -cert.rhs_total,
             "sign_even_parts": cert.sign_even_parts,
             "odd": cert.rhs_total % 2 != 0,
             "cancellation_ok": cert.cancellation_ok,
@@ -384,7 +384,7 @@ def _cmd_partitions(args) -> int:
     def lines() -> Iterator[str]:  # made only when written, never under --json
         yield f"compositions of {args.n}: {count}, multiplicity sum {total} (odd={odd})"
         if args.certificate:
-            yield (f"certificate: rhs_total={cert.rhs_total} (alternate {cert.rhs_alternate}),"
+            yield (f"certificate: rhs_total={cert.rhs_total} (alternate {-cert.rhs_total}),"
                    f" cancellation_ok={cert.cancellation_ok}")
         widths = (5, 13, 11)
         yield f"{'composition':<20} {'r':>3} {'lambda':>10}" + "".join(f" {c:>{w}}" for c, w in zip(cells, widths))
@@ -483,7 +483,7 @@ def main(argv: list[str] | None = None) -> int:
         # exit, to devnull so that no second error is printed
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ValueError, CapExceeded, GraphFormatError, OSError, MemoryError) as exc:
+    except (ValueError, CapExceeded, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -136,10 +136,6 @@ class DirectedGraph:
         rows = [sorted(s) for s in out_sets]
         return cls(n, [0, *itertools.accumulate(map(len, rows))], list(itertools.chain.from_iterable(rows)))
 
-    @classmethod
-    def empty(cls, n: int) -> "DirectedGraph":
-        return cls(n, [0] * (n + 1), [])
-
     @cached_property
     def out_sets(self) -> tuple[frozenset[int], ...]:
         """Vertex v's out-neighbors at index v-1, for per-graph rules on small graphs."""

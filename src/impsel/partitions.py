@@ -128,13 +128,6 @@ def _merges(parts: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
             yield j, parts[: j - 2] + (parts[j - 2] + 1,) + parts[j:]
 
 
-def transitions(n: int) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
-    """Every transition edge p --j--> q of the compositions of n, as the part
-    tuples and block index (p, j, q), in the order ``build_certificate``
-    checks them."""
-    return [(p, j, q) for p in enumerate_compositions(n) for j, q in _merges(p)]
-
-
 # ---------------------------------------------------------------------------
 # infeasibility certificate
 # ---------------------------------------------------------------------------
@@ -182,9 +175,8 @@ class Certificate:
     ``cancellation_ok``, both checks passing, means every variable's signed
     coefficient sums to zero across the system; ``certificate_problems`` in
     ``tests/oracles.py`` checks the same from the composition graphs.
-    ``rhs_total`` is the signed multiplicity sum, oriented negative
-    (``rhs_alternate`` is its negation); it cannot be zero, since the total
-    multiplicity is odd.
+    ``rhs_total`` is the signed multiplicity sum, oriented negative; it
+    cannot be zero, since the total multiplicity is odd.
     """
 
     n: int
@@ -196,10 +188,6 @@ class Certificate:
     @property
     def cancellation_ok(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    @property
-    def rhs_alternate(self) -> int:
-        return -self.rhs_total
 
     def rows(self) -> Iterator[CertificateRow]:
         # the cap was checked when the certificate was built

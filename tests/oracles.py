@@ -40,11 +40,11 @@ from impsel import (
     GraphClassSpec,
     Violation,
     additive_gap,
-    deviations,
     graph_at_index,
     graph_of_composition,
     sample_stream,
 )
+from impsel.graphs import deviations
 
 
 def class_graphs(spec: GraphClassSpec) -> Iterator[DirectedGraph]:
@@ -230,9 +230,9 @@ def sampled_violations_by_definition(mechanism, spec: GraphClassSpec, seed: int,
                 seen.add(dedup)
                 text_base, text_other = base.serialize(), other.serialize()
                 if text_other < text_base:
-                    violations.append(Violation(text_other, text_base, v, there, here))
+                    violations.append(Violation(text_other, text_base, v, there))
                 else:
-                    violations.append(Violation(text_base, text_other, v, here, there))
+                    violations.append(Violation(text_base, text_other, v, here))
     return canonical_order(violations)
 
 

@@ -16,7 +16,6 @@ from impsel import (
     build_certificate,
     check_impartiality,
     check_trace_invariants,
-    deviations,
     enumerate_compositions,
     fubini,
     graph_of_composition,
@@ -31,6 +30,7 @@ from impsel import (
     sample_stream,
     validate_thresholds,
 )
+from impsel.graphs import deviations
 from conftest import graph
 from oracles import (
     class_graphs,

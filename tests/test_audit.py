@@ -21,14 +21,13 @@ from impsel import (
     Violation,
     check_impartiality,
     check_trace_invariants,
-    deviations,
     measure_gap,
     resolve,
     run_twin_threshold,
 )
 from impsel._deletion import outset_rows, run_deletion, run_deletion_rows, select_top
 from impsel.cli import main
-from impsel.graphs import graph_at_index
+from impsel.graphs import deviations, graph_at_index
 from impsel.mechanisms import MECHANISMS, batch_kernel_for, kernel_for
 from conftest import graph
 from oracles import (
@@ -95,23 +94,22 @@ def test_violation_objects_are_structurally_sound():
 def test_violation_validation_rejects_nonsense():
     a, b = "n 3\ne 1 2\n", "n 3\ne 2 3\n"  # differs in vertex 2's edges, deviator says 1
     with pytest.raises(ValueError, match="outside the outgoing edges of 1"):
-        Violation(a, b, 1, True, False)
-    with pytest.raises(ValueError, match="agrees"):
-        Violation(a, a, 1, True, True)  # statuses agree
+        Violation(a, b, 1, True)
     with pytest.raises(ValueError, match="vertex set"):
-        Violation("n 3\ne 1 2\n", "n 4\ne 1 3\n", 1, True, False)  # headers differ
+        Violation("n 3\ne 1 2\n", "n 4\ne 1 3\n", 1, True)  # headers differ
     for v in (0, 4):  # deviator outside 1..n
         with pytest.raises(ValueError, match="vertex set"):
-            Violation(a, "n 3\ne 1 3\n", v, True, False)
+            Violation(a, "n 3\ne 1 3\n", v, True)
     # vertex 1's lines are "e 1 ...", not those of vertex 10
     with pytest.raises(ValueError, match="outside the outgoing edges of 1"):
-        Violation("n 11\ne 1 2\ne 10 1\n", "n 11\ne 10 2\n", 1, True, False)
+        Violation("n 11\ne 1 2\ne 10 1\n", "n 11\ne 10 2\n", 1, True)
     # accepted: vertex 2 abstains in one graph, and in the other its line sits
     # between vertex 1's and vertex 3's, so the texts differ in that line alone
     a, b = "n 3\ne 1 2\ne 2 1\ne 3 1\n", "n 3\ne 1 2\ne 3 1\n"
-    w = Violation(a, b, 2, True, False)
+    w = Violation(a, b, 2, True)
+    assert w.selected_b is False
     assert w.graph_a == graph(3, (1, 2), (2, 1), (3, 1)) and w.graph_b == graph(3, (1, 2), (3, 1))
-    Violation("n 3\n", "n 3\ne 1 2\ne 1 3\n", 1, False, True)  # no edge line at all in one text
+    Violation("n 3\n", "n 3\ne 1 2\ne 1 3\n", 1, False)  # no edge line at all in one text
 
 
 # lines of either text: the deviator's own, vertex 10's and 12's against
@@ -142,7 +140,7 @@ def text_pairs(draw):
 def test_violation_texts_check_matches_the_line_filter_oracle(pair):
     a, b, v = pair
     try:
-        Violation(a, b, v, True, False)
+        Violation(a, b, v, True)
         accepted = True
     except ValueError as exc:
         assert str(exc) == f"graphs differ outside the outgoing edges of {v}"
@@ -685,14 +683,14 @@ def test_gap_sampled_mode():
     again = measure_gap(MechanismId.parse("never"), GraphClassSpec(6, 1), Sampled(seed=3, trials=200))
     assert report.worst_gap == again.worst_gap and report.witness == again.witness
     assert report.graphs_checked == 200
-    assert report.mode == "sampled(seed=3, trials=200)"
+    assert Sampled(seed=3, trials=200).describe() == "sampled(seed=3, trials=200)"
 
 
 # ---- trace invariants ----
 
 
 def test_trace_checks_pass_vacuously_on_empty_graph():
-    g, pair = DirectedGraph.empty(4), ThresholdPair(2, 1)
+    g, pair = graph(4), ThresholdPair(2, 1)
     selected, trace = run_twin_threshold(g, pair)
     assert trace.deletions == () and all(c.ok for c in check_trace_invariants(g, pair, selected, trace))
 
@@ -831,7 +829,7 @@ def test_trace_checks_fail_on_a_wrong_selection():
     [
         # a record of vertex 0 on a run that deletes nothing
         pytest.param(
-            DirectedGraph.empty(3), ThresholdPair(1, 1), 0, DeletionTrace(((0, 0, 0),), (0, 0, 0)),
+            graph(3), ThresholdPair(1, 1), 0, DeletionTrace(((0, 0, 0),), (0, 0, 0)),
             [("deletion_order", "record 0 names vertex 0 outside 1..3")], id="vertex 0",
         ),
         # the run (2, ((0, 2, 2),), (0, 2, 0)) with a fourth final degree that selection would read
@@ -856,6 +854,49 @@ def test_trace_checks_fail_on_malformed_records(g, pair, selected, trace, proble
     # records that name no vertex of the graph fail a worded check; none raises
     # or reads such a record into another vertex's entry
     assert [(c.name, c.detail) for c in check_trace_invariants(g, pair, selected, trace) if not c.ok] == problems
+
+
+@pytest.mark.parametrize(
+    "selected, deletions, final_degrees, problems",
+    [
+        # vertex 2 as a JSON float: the record is left unread, so vertex 2 counts as undeleted
+        pytest.param(2, ((0, 2.0, 2),), (0, 2, 0), [
+            ("remaining_degrees", "undeleted vertex 2 ended at degree 2 >= t=2"),
+            ("deletion_order", "record 0 is not three ints: (0, 2.0, 2)"),
+        ], id="float vertex"),
+        pytest.param(2, ((0, 2),), (0, 2, 0), [
+            ("remaining_degrees", "undeleted vertex 2 ended at degree 2 >= t=2"),
+            ("deletion_order", "record 0 is not three ints: (0, 2)"),
+        ], id="two fields"),
+        # the run plus a malformed record that would delete vertex 2 again if read
+        pytest.param(2, ((0, 2, 2), (1, 2.0, 2)), (0, 2, 0), [
+            ("deletion_order", "record 1 is not three ints: (1, 2.0, 2)"),
+        ], id="extra float record"),
+        pytest.param(2, ((0, 2, 2), (1, True, 2)), (0, 2, 0), [
+            ("deletion_order", "record 1 is not three ints: (1, True, 2)"),
+        ], id="extra bool record"),
+        pytest.param(2, ((0, 2, 2), 7), (0, 2, 0), [
+            ("deletion_order", "record 1 is not three ints: 7"),
+        ], id="extra scalar record"),
+        # the other checks read the float degree as 0, so selection fails too
+        pytest.param(2, ((0, 2, 2),), (0, 2.0, 0), [
+            ("remaining_degrees", "vertex 2: final degree 2.0 is not an int"),
+            ("selection", "selected 2, select_top of the final degrees at T=2 is 0"),
+        ], id="float final degree"),
+        pytest.param("2", ((0, 2, 2),), (0, 2, 0), [("selection", "selected '2' is not an int")], id="str selected"),
+        pytest.param(2.0, ((0, 2, 2),), (0, 2, 0), [("selection", "selected 2.0 is not an int")], id="float selected"),
+        pytest.param(True, ((0, 2, 2),), (0, 2, 0), [("selection", "selected True is not an int")], id="bool selected"),
+    ],
+)
+def test_trace_checks_fail_on_records_of_the_wrong_type(selected, deletions, final_degrees, problems):
+    # a count or vertex id must be an exact int: the JSON values true, 2.0 and
+    # "2" fail the check that reads them, and nothing raises
+    g, pair = graph(3, (1, 2), (3, 2)), ThresholdPair(2, 2)
+    selected_run, run = run_twin_threshold(g, pair)
+    assert (selected_run, run.deletions, run.final_degrees) == (2, ((0, 2, 2),), (0, 2, 0))
+    checks = check_trace_invariants(g, pair, selected, DeletionTrace(deletions, final_degrees))
+    assert len(checks) == 5
+    assert [(c.name, c.detail) for c in checks if not c.ok] == problems
 
 
 def _trace_of_order(g, order, upper):

@@ -15,14 +15,13 @@ from impsel import (
     GraphClassSpec,
     GraphFormatError,
     MechanismId,
-    deviations,
     graph_at_index,
     parse_graph,
     sample_stream,
 )
 import impsel.audit
 from impsel.audit import _blocks, _chunks, _class_block
-from impsel.graphs import _read_lines, _unrank_outset, _well_formed, graph_of_ranks, sample_ranks
+from impsel.graphs import _read_lines, _unrank_outset, _well_formed, deviations, graph_of_ranks, sample_ranks
 from conftest import graph
 from oracles import admissible_outsets, class_graphs, relabeled_key
 
@@ -46,7 +45,7 @@ def test_rejects_self_loop_and_range():
     with pytest.raises(ValueError, match="outside"):
         DirectedGraph.from_out_sets(2, ({3}, ()))
     with pytest.raises(ValueError):
-        DirectedGraph.empty(0)
+        graph(0)
 
 
 @pytest.mark.parametrize(
@@ -95,7 +94,7 @@ def test_edge_views():
 
 
 def test_degree_views_examples():
-    empty = DirectedGraph.empty(3)
+    empty = graph(3)
     assert empty.indegrees == (0, 0, 0) and empty.max_indegree == 0
 
     star = graph(5, (2, 1), (3, 1), (4, 1), (5, 1))
@@ -198,7 +197,7 @@ def test_enumeration_order_documented():
     # abstention first, then lexicographic by sorted out-set tuple
     spec = GraphClassSpec(3, None, False)
     first = graph_at_index(spec, 0)
-    assert first == DirectedGraph.empty(3)
+    assert first == graph(3)
     for v, listed in ((1, [(), (2,), (2, 3), (3,)]), (2, [(), (1,), (1, 3), (3,)])):
         assert admissible_outsets(spec, v) == listed
         assert [spec.outset_at(v, r) for r in range(spec.outset_count)] == listed
@@ -303,12 +302,12 @@ def test_digit_block_matches_place_value_division(monkeypatch, spec):
 
 def test_deviations_examples():
     spec = GraphClassSpec(2, 1)
-    devs = list(deviations(DirectedGraph.empty(2), 1, spec))
+    devs = list(deviations(graph(2), 1, spec))
     assert len(devs) == 2  # abstain, nominate 2
     assert {d.edges for d in devs} == {(), ((1, 2),)}
 
     spec4 = GraphClassSpec(4, 1)
-    assert len(list(deviations(DirectedGraph.empty(4), 2, spec4))) == 4
+    assert len(list(deviations(graph(4), 2, spec4))) == 4
 
     plus = GraphClassSpec(4, None, True)
     base = graph(4, (1, 2), (2, 1), (3, 1), (4, 1))
@@ -349,7 +348,7 @@ def test_sampling_deterministic_and_in_class():
 
 def test_sampling_single_member_class():
     only = next(sample_stream(GraphClassSpec(1), 7, 1))
-    assert only == DirectedGraph.empty(1)
+    assert only == graph(1)
 
 
 def test_sampling_stream_matches_repeated_protocol():

@@ -21,21 +21,21 @@ def run(text: str, g: DirectedGraph) -> int:
 
 def test_never():
     assert run("never", STAR5) == 0
-    assert run("never", DirectedGraph.empty(3)) == 0
+    assert run("never", graph(3)) == 0
     assert additive_gap(STAR5, run("never", STAR5)) == 4
 
 
 def test_max_indegree_naive():
-    assert run("max-naive", DirectedGraph.empty(3)) == 3  # all tie at 0
+    assert run("max-naive", graph(3)) == 3  # all tie at 0
     assert run("max-naive", STAR5) == 1
     assert run("max-naive", graph(2, (1, 2), (2, 1))) == 2
-    assert run("max-naive", DirectedGraph.empty(1)) == 1
+    assert run("max-naive", graph(1)) == 1
 
 
 def test_follow_fixed():
     g = graph(4, (1, 2), (1, 4))
     assert run("follow:1", g) == 4
-    assert run("follow:1", DirectedGraph.empty(4)) == 0
+    assert run("follow:1", graph(4)) == 0
     assert run("follow:3", g) == 0  # anchor abstains
     with pytest.raises(ValueError):
         run("follow:5", g)
@@ -55,7 +55,7 @@ def test_majority_threshold():
     assert run("majority", STAR5) == 1  # 4 >= floor(5/2)+1 = 3
     two_low = graph(5, (2, 1), (3, 1), (4, 5), (1, 5))  # two vertices at indegree 2
     assert run("majority", two_low) == 0
-    assert run("majority", DirectedGraph.empty(4)) == 0
+    assert run("majority", graph(4)) == 0
 
 
 def test_naive_iterated():

@@ -39,7 +39,7 @@ def test_threshold_pair_validation():
 
 
 def test_run_on_empty_graph():
-    selected, trace = run_twin_threshold(DirectedGraph.empty(5), ThresholdPair(3, 2))
+    selected, trace = run_twin_threshold(graph(5), ThresholdPair(3, 2))
     assert selected == 0
     assert trace.deletions == ()  # no iteration ran
     assert {v for _, v, _ in trace.deletions} == set()
@@ -140,7 +140,7 @@ def test_deletion_matches_the_rescan_oracle_on_a_hub_and_voter_graph():
 
 
 def test_additive_gap_examples():
-    empty = DirectedGraph.empty(4)
+    empty = graph(4)
     selected, _ = run_twin_threshold(empty, ThresholdPair(2, 1))
     assert additive_gap(empty, selected) == 0
 
