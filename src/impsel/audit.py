@@ -28,7 +28,6 @@ from __future__ import annotations
 import os
 import re
 from collections.abc import Iterable, Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from itertools import chain, islice
@@ -286,6 +285,8 @@ def _outcome_table(mid: MechanismId, spec: GraphClassSpec, jobs: int, score: Cal
     chunk, table = partial(_outcome_chunk, score=score), None
     if workers == 1:
         return chunk(args[0])
+    from concurrent.futures import ProcessPoolExecutor  # here: it loads multiprocessing, which a single worker never needs
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for (_, _, lo, hi), part in zip(args, pool.map(chunk, args)):
             table = np.empty(spec.size, part.dtype) if table is None else table

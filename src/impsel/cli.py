@@ -456,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     partitions = sub.add_parser("partitions", help="composition table and certificate")
     partitions.add_argument("--n", type=int, required=True)
     partitions.add_argument("--certificate", action="store_true")
-    cap_help = "largest n accepted (default %(default)s; bounds time, not memory: --certificate at 21 takes ~45 s)"
+    cap_help = "largest n accepted (default %(default)s; bounds time, not memory: --certificate at 21 takes ~18 s)"
     partitions.add_argument("--cap", type=int, default=COMPOSITION_CAP, help=cap_help)
     partitions.add_argument("--json", action="store_true")
     partitions.set_defaults(func=_cmd_partitions)

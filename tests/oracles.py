@@ -15,7 +15,9 @@ their number, by counting each line's selecting digits).  The sampled oracles
 run the same per-graph loops over the graphs ``sample_stream`` draws.
 Infeasibility certificates are checked against an inequality system written
 from the composition graphs, with impartiality links found by comparing every
-pair of graphs.
+pair of graphs; the compositions in their order and their transition edges
+are written as part tuples, by the successor rule and the block merge, where
+the package walks rank bits.
 
 Symmetrization has no library counterpart: ``symmetrized_by_definition``
 (each graph's vector a tuple of ``Fraction``s) is the project's only one, and
@@ -314,6 +316,33 @@ def _compositions(n: int) -> list[tuple[int, ...]]:
             bounds = (0, *cuts, n)
             comps.append(tuple(b - a for a, b in zip(bounds, bounds[1:])))
     return comps
+
+
+def successor_compositions(n: int) -> Iterator[tuple[int, ...]]:
+    """The compositions of n in lexicographic order by the successor rule: the
+    next composition drops the last part s, adds 1 to the part before it and
+    appends s - 1 ones."""
+    parts = (1,) * n
+    yield parts
+    while len(parts) > 1:
+        s = parts[-1]
+        parts = parts[:-2] + (parts[-2] + 1,) + (1,) * (s - 1)
+        yield parts
+
+
+def merges(parts: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The transitions out of one composition as part tuples: each singleton
+    block j >= 2 merges into block j-1.  Yields (j, merged parts) in
+    increasing j."""
+    for j in range(2, len(parts) + 1):
+        if parts[j - 1] == 1:
+            yield j, parts[: j - 2] + (parts[j - 2] + 1,) + parts[j:]
+
+
+def transitions(n: int) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
+    """Every transition edge p --j--> q of the compositions of n as (p, j, q),
+    by p in lexicographic order and then j."""
+    return [(p, j, q) for p in successor_compositions(n) for j, q in merges(p)]
 
 
 def composition_links(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import tracemalloc
 from fractions import Fraction
@@ -211,7 +212,7 @@ def test_worker_pool_is_clamped_to_cpus_and_chunks(monkeypatch):
             return map(fn, args)
 
     asked, mapped = [], []
-    monkeypatch.setattr(impsel.audit, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)  # the kernel pass imports it when it starts a pool
     monkeypatch.setattr(impsel.audit.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     mid, spec = MechanismId.parse("max-naive"), GraphClassSpec(4, 1)
     serial = check_impartiality(mid, spec)

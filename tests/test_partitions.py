@@ -2,7 +2,9 @@ import math
 import random
 import tracemalloc
 from dataclasses import replace
+from itertools import product
 
+import numpy as np
 import pytest
 
 from impsel import (
@@ -26,6 +28,9 @@ from oracles import (
     composition_links,
     count_isomorphic_labelings,
     count_weak_orders,
+    merges,
+    successor_compositions,
+    transitions,
 )
 
 
@@ -54,10 +59,14 @@ def test_enumerate_compositions_small():
         assert len(set(seq)) == len(seq) == 2 ** (n - 1)
     for n in range(1, 15):
         assert comps(n) == sorted(_compositions(n)), n
+    for n in range(1, 13):  # the rank-bit walk against the successor rule
+        assert comps(n) == list(successor_compositions(n)), n
     with pytest.raises(CapExceeded):
         list(enumerate_compositions(30))
     with pytest.raises(ValueError):
         list(enumerate_compositions(0))
+    with pytest.raises(ValueError, match="int64"):
+        enumerate_compositions(64, cap=64)  # refused when called, not at the first composition
 
 
 def test_lambda_values():
@@ -66,6 +75,18 @@ def test_lambda_values():
         assert lambda_of(parts) == lam
     assert lambda_of((7,)) == 1
     assert lambda_of((2, 3)) == lambda_of((3, 2)) == 10
+
+
+def test_block_lambdas_match_lambda_of():
+    for n in range(1, 13):
+        assert partitions._lambdas(n, np.arange(2 ** (n - 1))).tolist() == [lambda_of(p) for p in comps(n)], n
+    # at the cap 21! passes 2^63: (1,)*21 and (21,) have it as lambda and as
+    # denominator; ranks set a bit for each position joined to the one before
+    n, ones = 21, (1 << 20) - 1
+    cases = {(1,) * 21: 0, (21,): ones, (20, 1): ones - 1, (1, 20): ones >> 1}
+    lams = partitions._lambdas(n, np.array(list(cases.values()), dtype=np.int64))
+    assert lams.tolist() == [lambda_of(p) for p in cases] and lams[0] == math.factorial(21) > 2**63
+    assert [partitions._composition(n, rank) for rank in cases.values()] == list(cases)
 
 
 def test_lambda_counts_relabelings():
@@ -172,21 +193,15 @@ def test_composition_of_graph_compares_indegrees_before_building(monkeypatch):
 # ---- transitions ----
 
 
-def transitions(n):
-    """Every transition edge p --j--> q of the compositions of n as (p, j, q),
-    in the order ``build_certificate`` checks them."""
-    return [(p, j, q) for p in enumerate_compositions(n) for j, q in partitions._merges(p)]
-
-
 def test_transitions_small():
     assert transitions(2) == [((1, 1), 2, (2,))]
     assert transitions(3) == [((1, 1, 1), 2, (2, 1)), ((1, 1, 1), 3, (1, 2)), ((2, 1), 2, (3,))]
 
 
 def test_transition_target_rules():
-    assert dict(partitions._merges((1, 1, 1))) == {2: (2, 1), 3: (1, 2)}
-    assert dict(partitions._merges((1, 2))) == {}  # block 2 not a singleton
-    assert dict(partitions._merges((1, 1))) == {2: (2,)}  # block 1 never merges
+    assert dict(merges((1, 1, 1))) == {2: (2, 1), 3: (1, 2)}
+    assert dict(merges((1, 2))) == {}  # block 2 not a singleton
+    assert dict(merges((1, 1))) == {2: (2,)}  # block 1 never merges
 
 
 def test_transition_relation_properties():
@@ -204,24 +219,42 @@ def test_transition_relation_properties():
             assert lambda_of(q) * q[j - 2] == lambda_of(p) * p[j - 1]
 
 
+def _recording(edges, seen):
+    """``partitions._merge_edges`` that also appends each edge to `seen` as (p, j, q)."""
+
+    def recorded(n, ranks):
+        rows, j, targets = edges(n, ranks)
+        walk = comps(n)
+        seen.extend((walk[p], k, walk[q]) for p, k, q in zip(ranks[rows].tolist(), j.tolist(), targets.tolist()))
+        return rows, j, targets
+
+    return recorded
+
+
 def test_transition_structure_verifies_through_8(monkeypatch):
-    merges = partitions._merges
     for n in range(2, 9):
         seen = []
-
-        def recorded(parts):
-            for j, q in merges(parts):
-                seen.append((parts, j, q))
-                yield j, q
-
         with monkeypatch.context() as m:
-            m.setattr(partitions, "_merges", recorded)
+            m.setattr(partitions, "_merge_edges", _recording(partitions._merge_edges, seen))
             cert = build_certificate(n)
         assert [c.name for c in cert.checks] == ["unique_partner", "cancellation"]
         assert cert.cancellation_ok, [c for c in cert.checks if not c.ok]
-        # the proof checks every transition edge once, in the order transitions(n) lists them
+        # the proof checks every transition edge once, in the order the tuple rule lists them
         assert seen == transitions(n)
         assert cert.links == len(seen) == n * 2**n // 8
+
+
+def test_split_check_matches_the_tuple_rule():
+    # every (p, j, q), edge or not: the bit test of the pairing against
+    # splitting q's block j-1 into (q_(j-1) - 1, 1) as tuples
+    for n in range(2, 6):
+        walk = comps(n)
+        p, j, q = (np.array(column) for column in zip(*product(range(len(walk)), range(2, n + 2), range(len(walk)))))
+        paired, size = partitions._splits(p, j, q, partitions._cuts(n, q))
+        for a, k, b, ok, s in zip(p.tolist(), j.tolist(), q.tolist(), paired.tolist(), size.tolist()):
+            source, target = walk[a], walk[b]
+            split = k - 1 <= len(target) and target[: k - 2] + (target[k - 2] - 1, 1) + target[k - 1 :] == source
+            assert ok == split and (not ok or s == target[k - 2]), (source, k, target)
 
 
 def _failed_checks(cert):
@@ -229,21 +262,25 @@ def _failed_checks(cert):
 
 
 def test_certificate_checks_name_the_broken_fact(monkeypatch):
-    lam = partitions._lambda
+    rank = {p: r for n in (3, 4) for r, p in enumerate(comps(n))}  # a composition's rank in its walk
+    lam = partitions._lambdas
     with monkeypatch.context() as m:
-        m.setattr(partitions, "_lambda", lambda p: lam(p) + 2 * (p == (1, 2, 1)))
+        m.setattr(partitions, "_lambdas", lambda n, ranks: lam(n, ranks) + 2 * (ranks == rank[1, 2, 1]))
         failed = _failed_checks(build_certificate(4))
     assert list(failed) == ["cancellation"]
     # (1, 2, 1) is entered by (1, 1, 1, 1) --3--> and leaves by --3--> (1, 3)
     assert failed["cancellation"] == "(1, 1, 1, 1) -> (1, 2, 1) (j=3): 28 != 24; (1, 2, 1) -> (1, 3) (j=3): 12 != 14"
 
-    merges = partitions._merges
+    edges = partitions._merge_edges
+    ones = rank[1, 1, 1, 1]
 
-    def dropped(parts):
-        return ((j, q) for j, q in merges(parts) if (parts, j) != ((1, 1, 1, 1), 4))
+    def dropped(n, ranks):
+        rows, j, targets = edges(n, ranks)
+        keep = (ranks[rows] != ones) | (j != 4)
+        return rows[keep], j[keep], targets[keep]
 
     with monkeypatch.context() as m:
-        m.setattr(partitions, "_merges", dropped)
+        m.setattr(partitions, "_merge_edges", dropped)
         cert = build_certificate(4)
         failed = _failed_checks(cert)
     assert list(failed) == ["unique_partner"] and not cert.cancellation_ok
@@ -253,11 +290,12 @@ def test_certificate_checks_name_the_broken_fact(monkeypatch):
         "(1, 1, 1, 1): merges blocks [2, 3], singleton blocks [2, 3, 4]; 7 edges enter 14 terms, of 16 variable terms"
     )
 
-    def looped(parts):
-        return ((j, parts if (parts, j) == ((1, 1, 1, 1), 4) else q) for j, q in merges(parts))
+    def looped(n, ranks):
+        rows, j, targets = edges(n, ranks)
+        return rows, j, np.where((ranks[rows] == ones) & (j == 4), ranks[rows], targets)
 
     with monkeypatch.context() as m:
-        m.setattr(partitions, "_merges", looped)
+        m.setattr(partitions, "_merge_edges", looped)
         failed = _failed_checks(build_certificate(4))
     assert failed["cancellation"] == "(1, 1, 1, 1) -> (1, 1, 1, 1) (j=4): same sign"
     # the sources and the count still hold; the target's block 3 is no split of a source
@@ -265,23 +303,38 @@ def test_certificate_checks_name_the_broken_fact(monkeypatch):
         "(1, 1, 1, 1) -> (1, 1, 1, 1) (j=4): splitting block 3 of (1, 1, 1, 1) does not give (1, 1, 1, 1)"
     )
 
-    def extra(parts):
-        yield from merges(parts)
-        if parts == (1, 2):
-            yield 2, (3,)
+    def extra(n, ranks):
+        rows, j, targets = edges(n, ranks)
+        (row,) = np.flatnonzero(ranks == rank[1, 2])  # (1, 2) has no edge of its own: add --2--> (3,)
+        return np.append(rows, row), np.append(j, 2), np.append(targets, rank[3,])
 
     # the extra edge cancels (lambda 3 against 1 * 3), so only the pairing can catch it
     with monkeypatch.context() as m:
-        m.setattr(partitions, "_merges", extra)
+        m.setattr(partitions, "_merge_edges", extra)
         cert = build_certificate(3)
     assert list(_failed_checks(cert)) == ["unique_partner"] and cert.links == len(transitions(3)) + 1
+    assert _failed_checks(cert)["unique_partner"] == (
+        "(1, 2) -> (3,) (j=2): splitting block 1 of (3,) does not give (1, 2); (1, 2): merges blocks [2], "
+        "singleton blocks []; 4 edges enter 8 terms, of 6 variable terms"
+    )
+
+    def reversed_edges(n, ranks):
+        rows, j, targets = edges(n, ranks)
+        order = np.lexsort((np.where(ranks[rows] == ones, -1, 1) * j, rows))  # j falling out of (1, 1, 1, 1)
+        return rows[order], j[order], targets[order]
+
+    # each edge pairs and the count holds: only the order gives it away
+    with monkeypatch.context() as m:
+        m.setattr(partitions, "_merge_edges", reversed_edges)
+        failed = _failed_checks(build_certificate(4))
+    assert failed == {"unique_partner": "(1, 1, 1, 1): merges blocks [4, 3, 2], singleton blocks [2, 3, 4]"}
 
 
 def test_coefficient_identity_examples():
     p = (1, 1, 1)
-    q = dict(partitions._merges(p))[2]  # (2, 1)
+    q = dict(merges(p))[2]  # (2, 1)
     assert lambda_of(q) * q[0] == lambda_of(p) * p[1] == 6
-    r = dict(partitions._merges(q))[2]  # (3,)
+    r = dict(merges(q))[2]  # (3,)
     assert lambda_of(r) * r[0] == lambda_of(q) * q[1] == 3
 
 

@@ -231,3 +231,17 @@ def test_oracles_load_outside_pytest(tmp_path):
     assert proc.returncode == 0, proc.stderr
     found, expected = proc.stdout.split()
     assert found == expected and int(expected) > 0
+
+
+def test_cli_import_loads_no_process_pool(tmp_path):
+    # every command imports impsel.cli, and only an exhaustive audit with
+    # --jobs above 1 starts a pool: its modules load when the pool starts
+    script = (
+        "import sys\n"
+        "import impsel.cli\n"
+        "print(sorted({name.partition('.')[0] for name in sys.modules} & {'multiprocessing', 'concurrent'}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-B", "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
