@@ -8,15 +8,17 @@ graphs, so no Python runs per graph and memory is bounded by the block.
 Exhaustive mode writes each block's result in place into an outcome table, the
 selected vertex (for gap audits, the additive gap) of every graph of a class.
 Its blocks are windows of the class's digit rows (``_class_block``), the one
-class walk, which witness texts read too; the scan for violating pairs walks
-only the lines whose "v is selected" flags are mixed.
+class walk; the scan for violating pairs walks only the lines whose "v is
+selected" flags are mixed.  Every kernel pass unranks vertex n's out-sets,
+each distinct rank once, and gives vertex v their ``vertex_rows`` shifts.
 Sampled impartiality audits evaluate each seeded base graph's n deviation
 lines (v's out-set swept, the rest fixed) and compare them with the base
 graph; sampled gap audits stack the samples into blocks.  A witness is its
-canonical text, written once from its out-set ranks (a class window's row or
-a sampled rank tuple); violations are integer columns over the sorted
-distinct texts, ordered by one lexsort, and a ``Violation`` or a witness
-graph is made only when read (tracemalloc peak 5.4 MB on max-naive G_6(1)).
+canonical text, written once from its out-set ranks (the digits of a class
+index, divided out by place value, or a sampled rank tuple); violations are
+integer columns over the sorted distinct texts, ordered by one lexsort, and a
+``Violation`` or a witness graph is made only when read (tracemalloc peak
+5.2 MiB on max-naive G_6(1)).
 
 Worst additive gaps are measured in the same two modes, and trace invariants
 are re-derived from recorded deletion traces, so that a trace passes them
@@ -194,8 +196,8 @@ def _blocks(start: int, end: int) -> Iterator[tuple[int, int]]:
 
 def _class_block(spec: GraphClassSpec) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
     """block(lo, hi): the batch kernel's (members, choice) for graphs [lo, hi)
-    of the class, hi - lo <= ``KERNEL_BLOCK``; kernel passes and witness texts
-    read the class through these windows only.  Row (v-1)*R + r of members
+    of the class, hi - lo <= ``KERNEL_BLOCK``; exhaustive kernel passes read
+    the class through these windows only.  Row (v-1)*R + r of members
     is ``spec.outset_at(v, r)``, vertex v's out-set of rank r (vertex n's
     unranked, the others moved from them), and choice is held in the
     smallest type indexing the rows.  Graph i's out-set ranks are the
@@ -223,12 +225,7 @@ def _class_block(spec: GraphClassSpec) -> Callable[[int, int], tuple[np.ndarray,
             digits[:, col] = digit
         choice[:, :lead] = np.repeat(digits + offsets[:lead], rows, axis=0)
         # the template from row lo % R**m, wrapping to row 0 at each new head
-        skip = lo % width
-        first = min(hi - lo, width - skip)
-        whole = (hi - lo - first) // width * width
-        choice[:first, lead:] = tail[skip : skip + first]
-        choice[first : first + whole].reshape(-1, width, n)[:, :, lead:] = tail
-        choice[first + whole :, lead:] = tail[: hi - lo - first - whole]
+        choice[:, lead:] = np.resize(tail, (lo % width + hi - lo, m))[lo % width :]
         return members, choice
 
     return block
@@ -342,12 +339,11 @@ def check_impartiality(mid: MechanismId, spec: GraphClassSpec, mode: AuditMode =
     keys, position = np.unique(indices, return_inverse=True)
     del indices
     position = position.astype(np.min_scalar_type(len(keys)))
-    block, offsets = _class_block(spec), np.arange(spec.n) * spec.outset_count  # a key's ranks: window row - offsets
-    held = ((lo, hi, keys[np.searchsorted(keys, lo) : np.searchsorted(keys, hi)]) for lo, hi in _blocks(0, spec.size))
-    windows = (block(lo, hi)[1][here - lo] for lo, hi, here in held if len(here))
-    blocks = ((rows[i : i + _ROW_BLOCK] - offsets).tolist() for rows in windows for i in range(0, len(rows), _ROW_BLOCK))
+    radix = spec.outset_count
+    place = radix ** np.arange(spec.n - 1, -1, -1)  # vertex v's digit has place value R**(n-v)
+    rows = ((keys[i : i + _ROW_BLOCK, None] // place % radix).tolist() for i in range(0, len(keys), _ROW_BLOCK))
     deviator = deviator.astype(np.min_scalar_type(spec.n))
-    return _violations(spec, chain.from_iterable(blocks), *np.split(position, 2), deviator, selected_a)
+    return _violations(spec, chain.from_iterable(rows), *np.split(position, 2), deviator, selected_a)
 
 
 def _violations(spec: GraphClassSpec, rows: Iterable[Sequence[int]], a, b, deviator, selected_a) -> Violations:
@@ -407,10 +403,12 @@ def _sampled_pairs(mid: MechanismId, spec: GraphClassSpec, mode: Sampled) -> tup
 
 
 def _measure_gap_sampled(mid: MechanismId, spec: GraphClassSpec, mode: Sampled) -> GapReport:
-    """Gaps of the sampled graphs, stacked into blocks whose table holds at
-    most ``KERNEL_BLOCK`` entries: graph b of a block gives vertex v the
-    out-set in row b*n + v-1 of the block's table.  A graph whose n rows of
-    n+1 entries exceed ``AUDIT_CAP`` is refused before sampling."""
+    """Gaps of the sampled graphs, stacked into blocks of B graphs whose table
+    holds at most ``KERNEL_BLOCK`` entries: graph b of a block gives vertex v
+    the out-set in row (v-1)*B + b of the block's table, the ``vertex_rows``
+    shift of vertex n's row for its rank, each distinct rank of the block
+    unranked once.  A graph whose n rows of n+1 entries exceed ``AUDIT_CAP``
+    is refused before sampling."""
     kern, n = batch_kernel_for(mid), spec.n
     if n * (n + 1) > AUDIT_CAP:
         raise CapExceeded(f"a {spec.describe()} graph's out-set rows hold {n * (n + 1)} entries, "
@@ -418,8 +416,11 @@ def _measure_gap_sampled(mid: MechanismId, spec: GraphClassSpec, mode: Sampled) 
     samples = sample_ranks(spec, mode.seed, mode.trials)
     best_gap, best = -1, ()
     while chunk := list(islice(samples, max(1, KERNEL_BLOCK // (n * (n + 1))))):
-        members = outset_rows(n, [spec.outset_at(v, r) for ranks in chunk for v, r in enumerate(ranks, start=1)])
-        choice = np.arange(len(members)).reshape(len(chunk), n)
+        at = {}  # distinct rank -> its row of `last`, in first-seen order
+        which = np.array([[at.setdefault(r, len(at)) for r in ranks] for ranks in chunk])
+        last = outset_rows(n, [spec.outset_at(n, r) for r in at])
+        members = np.concatenate([vertex_rows(last[which[:, v - 1]], v) for v in range(1, n + 1)])
+        choice = np.arange(n) * len(chunk) + np.arange(len(chunk))[:, None]
         gaps = _gaps(members, choice, kern(members, choice))
         b = int(np.argmax(gaps))  # the first maximum: the earliest sample
         if gaps[b] > best_gap:

@@ -447,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--seed", type=int)
     jobs_help = "exhaustive audits: worker processes, one chunk of the class each (at most the usable CPUs; default 1)"
     audit.add_argument("--jobs", type=int, help=jobs_help)
-    audit.add_argument("--cap", type=int, help="exhaustive audits: most graphs in the class (default 10^7)")
+    audit.add_argument("--cap", type=int, help=f"exhaustive audits: most graphs in the class (default {AUDIT_CAP:,})")
     audit.add_argument("--T", type=int, help="trace audits: upper threshold (default: planned)")
     audit.add_argument("--t", type=int, help="trace audits: lower threshold (default: planned)")
     audit.add_argument("--json", action="store_true")

@@ -15,18 +15,21 @@ targets {1, 2, 3} and no bound this gives
     (), (1,), (1, 2), (1, 2, 3), (1, 3), (2,), (2, 3), (3,).
 
 ``GraphClassSpec.outset_at(v, r)``, the r-th of them, is the definition of
-that order and the package's only enumeration of out-sets: the kernel rows of
-every audit, the deviations of a vertex and every witness text read it.
+that order and the package's only enumeration of out-sets: every audit's
+kernel rows are vertex n's out-sets from it, shifted to vertex v by
+``_deletion.vertex_rows``, and the deviations of a vertex and every witness
+text read it.
 
 A class is enumerated in lexicographic order of the per-vertex choice tuple,
 the choice of vertex 1 varying slowest: graph i has the base-R digits of i as
 its per-vertex out-set ranks, vertex 1 the most significant (R out-sets per
 vertex).  That digit layout is the one way to walk a class: the exhaustive
 audits' kernel windows (``audit._class_block``) hold the digit rows of
-consecutive indices, built from a template of the trailing digits, and
-``graph_at_index`` builds one index's graph from its ranks with
-``graph_of_ranks``, as sampling does.  Exhaustive audits read digit rows and
-build a graph only to report it.
+consecutive indices, built from a template of the trailing digits.  One
+index's ranks are its digits divided out by the place values R**(n-v): so a
+witness text reads them, and ``graph_at_index`` builds the index's graph from
+them with ``graph_of_ranks``, as sampling does.  Exhaustive audits build a
+graph only to report it.
 
 Sampling
 --------
@@ -34,10 +37,12 @@ Sampling
 stream; each graph's vertices take their out-sets uniformly and independently
 from their admissible out-sets, vertices 1..n in order.  Randomness comes from
 the Philox4x64 counter-based generator (numpy's implementation) keyed with the
-seed; uniform integers below m are obtained by rejection sampling on
-big-endian 64-bit words.  A (spec, seed) pair therefore identifies one stream
-of graphs, portably across machines and runs; `count` only says how many of
-them are drawn.
+seed, which yields 64-bit words 512 at a time.  An out-set rank, uniform
+below R, joins the next w = ceil(bits(R) / 64) words big-endian and is kept,
+modulo R, when it falls below the largest multiple of R under 2**(64w); else
+the next w words are tried.  With R = 1 no word is drawn.  A (spec, seed)
+pair therefore identifies one stream of graphs, portably across machines and
+runs; `count` only says how many of them are drawn.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ import itertools
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -321,47 +326,26 @@ def deviations(graph: DirectedGraph, v: int, spec: GraphClassSpec) -> Iterator[D
 # ---------------------------------------------------------------------------
 
 
-class _PhiloxWords:
-    """Stream of 64-bit words from a Philox4x64 generator keyed by `seed`, buffered 512 at a time."""
-
-    def __init__(self, seed: int):
-        if not 0 <= seed < 2**128:
-            raise ValueError(f"seed {seed} outside 0..2**128-1")
-        self._gen = np.random.Generator(np.random.Philox(key=seed))
-        self._buf: list[int] = []
-
-    def next_word(self) -> int:
-        if not self._buf:
-            words = self._gen.integers(0, 2**64, size=512, dtype=np.uint64)
-            self._buf = [int(w) for w in reversed(words)]
-        return self._buf.pop()
-
-    def below(self, m: int) -> int:
-        """Uniform integer in [0, m) by rejection on big-endian 64-bit words."""
-        if m < 1:
-            raise ValueError(f"cannot draw below {m}")
-        if m == 1:
-            return 0
-        nwords = (m.bit_length() + 63) // 64
-        span = 1 << (64 * nwords)
-        limit = span - span % m
-        while True:
-            x = 0
-            for _ in range(nwords):
-                x = (x << 64) | self.next_word()
-            if x < limit:
-                return x % m
-
-
 def sample_ranks(spec: GraphClassSpec, seed: int, count: int) -> Iterator[tuple[int, ...]]:
     """Out-set ranks, vertex 1 first, of `count` independent uniform samples
     drawn from one seeded Philox stream; ``sample_stream`` builds its graphs
-    from them."""
-    if spec.outset_count == 0:
+    from them by the rejection rule of "Sampling" above."""
+    radix = spec.outset_count
+    if radix == 0:
         raise ValueError(f"class {spec.describe()} is empty")
-    words = _PhiloxWords(seed)
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed {seed} outside 0..2**128-1")
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    words = itertools.chain.from_iterable(
+        gen.integers(0, 2**64, size=512, dtype=np.uint64).tolist() for _ in itertools.repeat(None)
+    )
+    width = (radix.bit_length() + 63) // 64
+    if width > 1:
+        words = (reduce(lambda x, word: x << 64 | word, group) for group in zip(*[words] * width))
+    limit = 2 ** (64 * width) // radix * radix
+    draws = (x % radix for x in words if x < limit) if radix > 1 else itertools.repeat(0)
     for _ in range(count):
-        yield tuple(words.below(spec.outset_count) for _ in range(spec.n))
+        yield tuple(itertools.islice(draws, spec.n))
 
 
 def graph_of_ranks(spec: GraphClassSpec, ranks: Sequence[int]) -> DirectedGraph:

@@ -576,6 +576,17 @@ def test_batch_kernels_widen_keys_past_int16():
     _assert_batch_kernels_match_on_stars(n, (*texts, "twin:198,2", "twin:199,199", "twin:199,1"))
 
 
+@pytest.mark.parametrize("spec", [GraphClassSpec(66), GraphClassSpec(65, 32)], ids=GraphClassSpec.describe)
+def test_sampled_gaps_on_ranks_past_int64(spec):
+    # R = 2**65 and about 1.10 * 2**63: the ranks are Python ints, some past
+    # 2**63, and a gap block's rows are keyed by them
+    assert spec.outset_count > 2**63
+    for text in ("never", "max-naive", "majority", "follow:3", "naive-sim:20", "twin:40,10"):
+        report = measure_gap(MechanismId.parse(text), spec, Sampled(3, 20))
+        expect = sampled_gap_by_definition(resolve(MechanismId.parse(text)), spec, 3, 20)
+        assert (report.worst_gap, report.witness, report.graphs_checked) == expect, text
+
+
 @pytest.mark.parametrize("block", [7, 1 << 16])
 def test_deletion_rows_final_degrees_match_run_deletion(monkeypatch, block):
     monkeypatch.setattr(impsel.audit, "KERNEL_BLOCK", block)

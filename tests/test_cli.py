@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import impsel.cli
-from impsel import COMPOSITION_CAP, DeletionTrace, GraphClassSpec, ThresholdPair
+from impsel import AUDIT_CAP, COMPOSITION_CAP, DeletionTrace, GraphClassSpec, ThresholdPair
 from impsel.cli import _write_json, build_parser, main
 from impsel.graphs import sample_stream
 
@@ -287,6 +287,13 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--T", "3", "--t", "2"])  # missing --graph
     assert exc.value.code == 2
+
+
+def test_audit_help_prints_the_cap_default(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--help"])
+    assert exc.value.code == 0
+    assert f"(default {AUDIT_CAP:,})" in " ".join(capsys.readouterr().out.split())
 
 
 def test_bad_outdegree_bound_names_the_flag(capsys):

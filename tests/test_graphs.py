@@ -275,7 +275,7 @@ def test_enumerator_starts_mid_range_at_chunk_boundaries(monkeypatch):
 @pytest.mark.parametrize("spec", [GraphClassSpec(4, 2), GraphClassSpec(4, 2, True), GraphClassSpec(7, 1)], ids=GraphClassSpec.describe)
 def test_digit_block_matches_place_value_division(monkeypatch, spec):
     # the class windows' digit rows, and the witness rows an exhaustive
-    # impartiality audit reads from them for scattered sorted keys
+    # impartiality audit divides out of scattered sorted keys
     n, radix, last, block = spec.n, spec.outset_count, spec.size - 1, _class_block(spec)
     place = np.array([radix ** (n - v) for v in range(1, n + 1)], dtype=np.int64)
     for lo, hi in ((0, 300), (last - 299, last + 1)):
@@ -289,7 +289,7 @@ def test_digit_block_matches_place_value_division(monkeypatch, spec):
     monkeypatch.setattr(impsel.audit, "_violations", lambda spec, witness_rows, *columns: rows.append(list(witness_rows)))
     keys = np.unique(pairs)
     assert keys[0] == 0 and keys[-1] == last
-    for kernel_block in (97, 1 << 16):  # windows that hold no key are skipped
+    for kernel_block in (97, 1 << 16):  # the witness rows do not depend on the window size
         monkeypatch.setattr(impsel.audit, "KERNEL_BLOCK", kernel_block)
         monkeypatch.setattr(impsel.audit, "_ROW_BLOCK", 7)
         rows.clear()
@@ -394,6 +394,86 @@ def test_sampling_golden_values():
         ((1, 5), (2, 4), (3, 2), (5, 4)),
         ((1, 3), (2, 1), (5, 3)),
     ]
+
+
+#: The first sample's out-set ranks for seeds 1 and 2 on two classes past one
+#: word: G_65(32) has R = 10,139,684,107,326,071,075, about 1.10 * 2**63, so
+#: about 45% of its words are rejected; G_66 has R = 2**65, two words a draw.
+_MULTIWORD_RANKS = {
+    (65, 32, 1): (
+        5599841837815857887, 2880178291573394738, 573812481542357666, 960460491066566553, 4542806826184744765,
+        7531101419052079111, 3116694405751838939, 4829305644157075203, 4947898268433920346, 6772105247286353214,
+        5702136112529972612, 4486913444117760757, 3053342901079121049, 1020520609869542460, 5229634981978138143,
+        2709070615218784302, 1488809396389996362, 6380396624854279052, 6224351925753301604, 3620967716562376413,
+        9373142774663866083, 8696085032779844307, 4563194638526885960, 8979106194456269363, 2961971066112242589,
+        2508169576796586577, 1529267138650997302, 1994119423215498286, 8086590876933907903, 9865569202233116148,
+        3156495228058094717, 6804671436967007722, 7526563739015591277, 1088376848219401020, 8304159168521066548,
+        5412084861422158354, 3855512441425882672, 1732795628192423129, 5254995425677908400, 1510975846568240477,
+        3168649906805629292, 909419893083065718, 9041492643784376498, 5712333762079588522, 8962051148696132593,
+        5357864194345194282, 9289893313327243691, 1608515542777648170, 2184996398763409518, 417761683494699893,
+        2139515145657145750, 2405009836531818781, 5213661260306447151, 9930897685223211711, 5817797146581886842,
+        4910983694039903699, 20124739335808557, 10077853178903134988, 4679818668648593825, 6473659144256411633,
+        6092055886364889208, 10065349086224354409, 7227095814335091642, 9472559795800281390, 4240669157237813171
+    ),
+    (65, 32, 2): (
+        9018899181413962518, 5976283139122749592, 6536962276746197288, 9144354425304890202, 3667175094358731012,
+        5942182897563251664, 1516726041038333645, 6293962529067491449, 437143695465936237, 6142115674119954234,
+        3192977370034856457, 4070496661332527939, 1649018501345596740, 137381400198522523, 14569873104981719,
+        5463447386810385691, 9565365151027874359, 8087987076120683078, 4273883746467258222, 2757615480909691929,
+        5563223719593412995, 8357223638854465382, 6678709215503506836, 2358681225059009709, 6217468743112537860,
+        3133745576166927559, 8818239508153328111, 8714578721208204643, 5999713935404234541, 5061328523856236829,
+        7581591927246145024, 5772027963283650606, 6594706768097087693, 957926576374868748, 2013476319749281787,
+        5125029870726737686, 9211030181045735557, 8649326639317322903, 9204436495336528093, 6575453668889753336,
+        4406842186421199514, 9298894139554800564, 1100775482491515853, 8191614549011866448, 8406253736346415657,
+        4919283021526440281, 5228248889696902206, 2048043758931452626, 6275710593302714369, 9066686275104330698,
+        6728797163629281262, 9635197294221411839, 9974529354793525674, 9794592625649222556, 6814890453488623932,
+        930658408452701230, 4426973930795766597, 2096470804500496586, 3891516680682154507, 5786536376111951844,
+        5206090997898043016, 6063937658110963250, 3271164599765784496, 3264511686653660154, 2420759959104861828
+    ),
+    (66, None, 1): (
+        34102657172281101871, 573812481542357666, 960460491066566553, 4542806826184744765, 21563438479461390555,
+        33568661216213707111, 29542341206061401750, 6772105247286353214, 11386533545480267005,
+        16935391444198963441, 13101198750258898855, 21500086974788672665, 5229634981978138143,
+        1488809396389996362, 6224351925753301604, 31628123044045492893, 27142829106489395923,
+        13703881693994841694, 12190648464315915029, 34504944086445964360, 21408715139821794205,
+        19976011212360548918, 8086590876933907903, 11966019091014040123, 21603239301767646333,
+        14376710624481581731, 7526563739015591277, 8304159168521066548, 3855512441425882672,
+        23701739499387460016, 35691662944251618308, 13160636259215611629, 21615393980515180908,
+        9041492643784376498, 11858035797282027457, 27408795222405684209, 9289893313327243691,
+        1608515542777648170, 20631740472472961134, 29603634291642154321, 2139515145657145750,
+        31405036939428872994, 28377641758932763327, 15497647324182811020, 29965797929567566696,
+        28524597252612686604, 24920403217965963249, 24538799960074440824, 16402675096671132242,
+        28512093159933906025, 7227095814335091642, 27919303869509833006, 29879485590679022403,
+        13287446190705964034, 28615929695898739058, 9503746761495616761, 27214722604756254640,
+        752375897622613828, 8759168700702104174, 27616155590894613303, 31524176469614865896,
+        29777656091442975724, 26213195821427412894, 9932356614227916953, 16656434192708435702,
+        12938138264919803098
+    ),
+    (66, None, 2): (
+        5976283139122749592, 28889528923835552605, 14223932622896463954, 15913073390648822176,
+        18235611302223718748, 5942182897563251664, 33877996426917595089, 18883887769175487853,
+        13139533056825095284, 33336026333649032321, 20095762575055148356, 35539781313473760083,
+        18461313946814533335, 5463447386810385691, 35530869767885764800, 8087987076120683078,
+        15873138007566066138, 35775990740730074675, 13895333856976613619, 26803967712564016998,
+        15690248122176403398, 32163598744728300757, 6217468743112537860, 3133745576166927559,
+        16167535351735941355, 33558747689744385036, 24446458009113786157, 30221582441103699370,
+        26028336000955696640, 16117281900810303933, 15864283816982433076, 6594706768097087693,
+        2013476319749281787, 33165727143348765280, 23571773944436289302, 17406005592027376977,
+        32798693743504605390, 34088503018915485891, 28647826244284725749, 28605435335612084650,
+        12465130487075831683, 4406842186421199514, 9298894139554800564, 26638358622721418064,
+        12440544420854964897, 36017655585364685122, 23674992963406453822, 6275710593302714369,
+        10164275705848132759, 9635197294221411839, 9794592625649222556, 31957420201993608307,
+        10381354500102197959, 10468590130851269829, 4426973930795766597, 32659120406551934697,
+        2096470804500496586, 32558644252797481530, 24233280449821503460, 6063937658110963250,
+        16987536225235338969, 2420759959104861828, 9732282716493177319, 36295946282391213240,
+        34421075060318907662, 27848602229504873020
+    ),
+}
+
+
+@pytest.mark.parametrize("n, bound, seed", list(_MULTIWORD_RANKS))
+def test_sampling_pins_rejection_and_multiword_draws(n, bound, seed):
+    assert next(sample_ranks(GraphClassSpec(n, bound), seed, 1)) == _MULTIWORD_RANKS[n, bound, seed]
 
 
 @pytest.mark.slow

@@ -89,6 +89,25 @@ def test_no_second_outset_enumeration(path):
     assert found == [], f"{path.name}: uses itertools {found}"
 
 
+def test_kernel_rows_unrank_vertex_n():
+    # kernel rows are vertex n's out-set rows, unranked with
+    # spec.outset_at(n, r); vertex v's are their ``vertex_rows`` shifts, the
+    # one rule every kernel pass shares.  A row table unranked for another
+    # vertex would be a second way to build them
+    calls = [
+        (path.name, node) for path in MODULES for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "outset_rows"
+    ]
+    assert len(calls) >= 3
+    for name, call in calls:
+        rows = call.args[1] if len(call.args) == 2 else None
+        unrank = rows.elt if isinstance(rows, ast.ListComp) else None
+        assert (
+            isinstance(unrank, ast.Call) and getattr(unrank.func, "attr", None) == "outset_at"
+            and [getattr(arg, "id", None) for arg in unrank.args[:1]] == ["n"]
+        ), f"{name}:{call.lineno}: {ast.unparse(call)} does not unrank vertex n"
+
+
 def test_mechanisms_have_no_nested_functions():
     # each mechanism is two module-level rules that take their parameters
     # first; ``functools.partial`` binds them, so no factory closure is needed
