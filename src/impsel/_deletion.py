@@ -6,24 +6,25 @@ graph and on a degree sequence, vertex v's degree at index v-1.
 degree count it is linear in the deleted vertices' edges up to one sort per level.
 
 The numpy block versions (``*_rows``) run the same rules on a block of B
-graphs at once.  A block is a table ``members`` of out-set rows, shape
-(M, n+1), where ``members[i, u]`` is 1 when u is in out-set i (column 0 is
-always 0), and a choice array of shape (B, n): graph b gives vertex v the
-out-set in row ``choice[b, v-1]``.  Degree arrays are vertex-major, shape
-(n+1, B) with row 0 zero, in the table's dtype, so a reduction across the
-vertices runs elementwise over the B graphs.  Both rules pick the
-greatest-index vertex of largest degree, and both do it with one max per
-step over the key degree*(n+1) + vertex, which orders by degree and then by
-index; a deletion step sends graphs already done to an extra, empty out-set
-column instead of selecting the graphs still running.  Results equal the
-per-graph functions' on every graph; the per-graph functions are the
-reference the tests compare against.
+graphs at once, in one layout ``(cols, choice, deg)`` that the audit passes
+build once per block and hand to every block rule.  ``cols`` is the
+``outset_columns`` table, shape (n+1, M+1): ``cols[u, i]`` is 1 when u is in
+out-set i, row 0 is zero and the last column is the empty out-set.  Graph b
+gives vertex v the out-set in column ``choice[b, v-1]``, and ``deg`` is
+``indegree_rows(cols, choice)``.  Degree arrays are vertex-major, shape (n+1,
+B) with row 0 zero, in the table's dtype, so a reduction across the vertices
+runs elementwise over the B graphs.  Both rules pick the greatest-index vertex
+of largest degree with one max per step over the key degree*(n+1) + vertex,
+which orders by degree and then by index; a deletion step sends graphs
+already done to the empty out-set column instead of selecting the graphs
+still running.  Results equal the per-graph functions', the reference the
+tests compare against.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -94,22 +95,19 @@ def outset_rows(n: int, outsets: Sequence[Sequence[int]]) -> np.ndarray:
     return rows
 
 
-def vertex_rows(last: np.ndarray, v: int) -> np.ndarray:
-    """Vertex v's out-set rows from vertex n's: v's admissible out-sets are
-    n's with every member >= v moved up by one, a monotone map that keeps the
-    documented order (row r is v's r-th out-set when row r of `last` is n's)."""
-    rows = np.zeros_like(last)
-    rows[:, 1:v] = last[:, 1:v]
-    rows[:, v + 1 :] = last[:, v:-1]
-    return rows
-
-
-def out_columns(members: np.ndarray) -> np.ndarray:
-    """(n+1, M+1) vertex-major copy of the (M, n+1) table: column i is out-set
-    row i, and the extra column M is the empty out-set."""
-    cols = np.zeros((members.shape[1], len(members) + 1), members.dtype)
-    cols[:, :-1] = members.T
-    return cols
+def outset_columns(last: np.ndarray, picks: Iterable[tuple[int, Any]], head: np.ndarray | None = None) -> np.ndarray:
+    """A block's (n+1, M+1) table from `last`, vertex n's out-set rows:
+    `head`'s columns when given, then for each (v, rows) of `picks` the rows
+    ``last[rows]`` moved to vertex v, then the empty out-set.  v's out-sets
+    are n's with every member >= v moved up by one, a monotone map that keeps
+    the documented order: entries at v..n-1 move to v+1..n, and v takes the
+    entry at n, which is 0.  The moved rows are stacked, then transposed."""
+    parts = [] if head is None else [head.T]
+    for v, rows in picks:
+        moved = last[rows]
+        parts.append(np.concatenate([moved[:, :v], moved[:, -1:], moved[:, v:-1]], axis=1))
+    parts.append(np.zeros((1, last.shape[1]), last.dtype))
+    return np.ascontiguousarray(np.concatenate(parts).T)
 
 
 def _key_dtype(n: int) -> np.dtype:
@@ -118,18 +116,17 @@ def _key_dtype(n: int) -> np.dtype:
     return np.min_scalar_type(-((n + 1) ** 2))
 
 
-def indegree_rows(members: np.ndarray, choice: np.ndarray) -> np.ndarray:
+def indegree_rows(cols: np.ndarray, choice: np.ndarray) -> np.ndarray:
     """(n+1, B) indegrees of every graph of the block, row 0 zero, in the table's dtype."""
-    cols = out_columns(members)
-    deg = np.zeros((members.shape[1], len(choice)), members.dtype)
+    deg = np.zeros((len(cols), len(choice)), cols.dtype)
     for v in range(choice.shape[1]):
         deg += np.take(cols, choice[:, v], axis=1)
     return deg
 
 
-def run_deletion_rows(members: np.ndarray, choice: np.ndarray, t: int) -> np.ndarray:
+def run_deletion_rows(t: int, cols: np.ndarray, choice: np.ndarray, deg: np.ndarray) -> np.ndarray:
     """(n+1, B) final remaining indegrees of ``run_deletion`` on every graph
-    of the block, row 0 zero, in the table's dtype.
+    of the block, whose indegrees are `deg`, row 0 zero, in the table's dtype.
 
     The scalar sweep keeps one invariant: no undeleted vertex has remaining
     indegree above d.  It holds at the start (d is the maximum indegree),
@@ -147,16 +144,16 @@ def run_deletion_rows(members: np.ndarray, choice: np.ndarray, t: int) -> np.nda
     """
     n, size = choice.shape[1], len(choice)
     base, kind = n + 1, _key_dtype(n)
-    step = out_columns(members).astype(kind) * kind.type(base)
-    key = indegree_rows(members, choice).astype(kind) * kind.type(base) + np.arange(base, dtype=kind)[:, None]
+    step = cols.astype(kind) * kind.type(base)
+    key = deg.astype(kind) * kind.type(base) + np.arange(base, dtype=kind)[:, None]
     key[0] = -(base**2)
-    flat, first, empty = choice.ravel(), np.arange(size) * n - 1, len(members)
+    flat, first, empty = choice.ravel(), np.arange(size) * n - 1, cols.shape[1] - 1
     while True:
         top = key.max(axis=0)
         live = top >= t * base
         if not live.any():
-            deg = key // base  # deg - (n+1) on deleted vertices
-            return (deg + (deg < 0) * kind.type(base)).astype(members.dtype)
+            final = key // base  # final - (n+1) on deleted vertices
+            return (final + (final < 0) * kind.type(base)).astype(cols.dtype)
         v = top - top // base * base
         key -= (key == top) * kind.type(base**2)
         key -= np.take(step, np.where(live, flat[first + v], empty), axis=1)

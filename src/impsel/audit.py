@@ -10,10 +10,11 @@ selected vertex (for gap audits, the additive gap) of every graph of a class.
 Its blocks are windows of the class's digit rows (``_class_block``), the one
 class walk; the scan for violating pairs walks only the lines whose "v is
 selected" flags are mixed.  Every kernel pass unranks vertex n's out-sets,
-each distinct rank once, and gives vertex v their ``vertex_rows`` shifts.
-Sampled impartiality audits evaluate each seeded base graph's n deviation
-lines (v's out-set swept, the rest fixed) and compare them with the base
-graph; sampled gap audits stack the samples into blocks.  A witness is its
+each distinct rank once, and builds each block's table and indegrees once, in
+:mod:`impsel._deletion`'s one layout.  Sampled impartiality audits evaluate
+each seeded base graph's n deviation lines (v's out-set swept, the rest
+fixed) and compare them with the base graph; sampled gap audits stack the
+samples into blocks.  A witness is its
 canonical text, written once from its out-set ranks (the digits of a class
 index, divided out by place value, or a sampled rank tuple); violations are
 integer columns over the sorted distinct texts, ordered by one lexsort, and a
@@ -31,13 +32,13 @@ import os
 import re
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from itertools import chain, islice
 from typing import Callable, Union
 
 import numpy as np
 
-from ._deletion import indegree_rows, outset_rows, select_top, vertex_rows
+from ._deletion import indegree_rows, outset_columns, outset_rows, select_top
 from .graphs import (
     AUDIT_CAP,
     CapExceeded,
@@ -194,27 +195,26 @@ def _blocks(start: int, end: int) -> Iterator[tuple[int, int]]:
     return ((lo, min(lo + KERNEL_BLOCK, end)) for lo in range(start, end, KERNEL_BLOCK))
 
 
-def _class_block(spec: GraphClassSpec) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
-    """block(lo, hi): the batch kernel's (members, choice) for graphs [lo, hi)
-    of the class, hi - lo <= ``KERNEL_BLOCK``; exhaustive kernel passes read
-    the class through these windows only.  Row (v-1)*R + r of members
-    is ``spec.outset_at(v, r)``, vertex v's out-set of rank r (vertex n's
-    unranked, the others moved from them), and choice is held in the
-    smallest type indexing the rows.  Graph i's out-set ranks are the
-    mixed-radix digits of i, vertex n the least significant: the trailing m
-    digits, R**m <= ``KERNEL_BLOCK``, are row i % R**m of one template, and
-    the leading n - m are those of the head index i // R**m, a few heads per
-    block."""
+def _class_block(spec: GraphClassSpec) -> Callable[[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """block(lo, hi): the block (cols, choice, deg) of graphs [lo, hi) of the
+    class, hi - lo <= ``KERNEL_BLOCK``; exhaustive kernel passes read the
+    class through these windows only.  The table, built once per pass, has
+    column (v-1)*R + r ``spec.outset_at(v, r)`` (vertex n's unranked, the
+    others moved from them), and choice is held in the smallest type indexing
+    its columns.  Graph i's out-set ranks are the mixed-radix digits of i,
+    vertex n the least significant: the trailing m digits, R**m <=
+    ``KERNEL_BLOCK``, are row i % R**m of one template, and the leading n - m
+    are those of the head index i // R**m, a few heads per block."""
     n, radix = spec.n, spec.outset_count
     last = outset_rows(n, [spec.outset_at(n, r) for r in range(radix)])
-    members = np.concatenate([vertex_rows(last, v) for v in range(1, n + 1)])
-    kind = np.min_scalar_type(len(members))
+    cols = outset_columns(last, [(v, slice(None)) for v in range(1, n + 1)])
+    kind = np.min_scalar_type(cols.shape[1] - 1)
     offsets = np.arange(n, dtype=kind) * kind.type(radix)
     m = next(m for m in range(n, -1, -1) if radix**m <= KERNEL_BLOCK)
     width, lead = radix**m, n - m
     tail = np.indices((radix,) * m, dtype=kind).reshape(m, width).T + offsets[lead:]
 
-    def block(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    def block(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         choice = np.empty((hi - lo, n), kind)
         heads = np.arange(lo // width, (hi - 1) // width + 1)
         starts = heads * width
@@ -226,31 +226,29 @@ def _class_block(spec: GraphClassSpec) -> Callable[[int, int], tuple[np.ndarray,
         choice[:, :lead] = np.repeat(digits + offsets[:lead], rows, axis=0)
         # the template from row lo % R**m, wrapping to row 0 at each new head
         choice[:, lead:] = np.resize(tail, (lo % width + hi - lo, m))[lo % width :]
-        return members, choice
+        return cols, choice, indegree_rows(cols, choice)
 
     return block
 
 
-def _outcome_chunk(args, score: Callable | None = None) -> np.ndarray:
+def _outcome_chunk(args) -> np.ndarray:
     """Selected vertex (0 for none) of every graph with index in [start, end),
-    or score(members, choice, selected) of each block when given, computed
-    from the block the kernel ran on, and written in place into one array of
-    the members' dtype, the dtype of the kernels' and ``_gaps``' results."""
-    mid, spec, start, end = args
+    or with `gaps` its additive gap, from each (cols, choice, deg) block the
+    kernel ran on, written in place into one array in the table's dtype."""
+    mid, spec, start, end, gaps = args
     kern, block, chunk = batch_kernel_for(mid), _class_block(spec), None
     for lo, hi in _blocks(start, end):
-        members, choice = block(lo, hi)
+        cols, choice, deg = block(lo, hi)
         # made before any kernel call: made after one, it cost G_7(1) ten times the page faults
-        chunk = np.empty(end - start, members.dtype) if chunk is None else chunk
-        selected = kern(members, choice)
-        chunk[lo - start : hi - start] = selected if score is None else score(members, choice, selected)
+        chunk = np.empty(end - start, cols.dtype) if chunk is None else chunk
+        selected = kern(cols, choice, deg)
+        chunk[lo - start : hi - start] = _gaps(deg, selected) if gaps else selected
     return chunk
 
 
-def _gaps(members: np.ndarray, choice: np.ndarray, selected: np.ndarray) -> np.ndarray:
-    """Additive gap of every graph of a block, given the vertex each selects."""
-    deg = indegree_rows(members, choice)
-    return deg.max(axis=0) - deg[selected, np.arange(len(choice))]
+def _gaps(deg: np.ndarray, selected: np.ndarray) -> np.ndarray:
+    """Additive gap of every graph of a block, given its indegrees and the vertex each selects."""
+    return deg.max(axis=0) - deg[selected, np.arange(len(selected))]
 
 
 def _chunks(size: int, parts: int) -> list[tuple[int, int]]:
@@ -272,20 +270,20 @@ def _check_exhaustive_pre(spec: GraphClassSpec, cap: int) -> int:
     return spec.size
 
 
-def _outcome_table(mid: MechanismId, spec: GraphClassSpec, jobs: int, score: Callable | None = None) -> np.ndarray:
+def _outcome_table(mid: MechanismId, spec: GraphClassSpec, jobs: int, gaps: bool = False) -> np.ndarray:
     """Entry i is the vertex selected (0 for none) on the i-th graph of a
-    non-empty class, or its score as ``_outcome_chunk`` says.  This kernel
-    pass is the only work split across worker processes, one chunk of the
-    class each; they receive index ranges and their chunks are copied in."""
+    non-empty class, or with `gaps` its additive gap, from the class's
+    (cols, choice, deg) blocks.  This kernel pass is the only work split
+    across worker processes, one chunk of the class each; they receive index
+    ranges and their chunks are copied in."""
     workers = _worker_count(jobs, spec.size)
-    args = [(mid, spec, lo, hi) for lo, hi in _chunks(spec.size, workers)]
-    chunk, table = partial(_outcome_chunk, score=score), None
+    args, table = [(mid, spec, lo, hi, gaps) for lo, hi in _chunks(spec.size, workers)], None
     if workers == 1:
-        return chunk(args[0])
+        return _outcome_chunk(args[0])
     from concurrent.futures import ProcessPoolExecutor  # here: it loads multiprocessing, which a single worker never needs
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for (_, _, lo, hi), part in zip(args, pool.map(chunk, args)):
+        for (_, _, lo, hi, _), part in zip(args, pool.map(_outcome_chunk, args)):
             table = np.empty(spec.size, part.dtype) if table is None else table
             table[lo:hi] = part
     return table
@@ -370,12 +368,14 @@ def _violations(spec: GraphClassSpec, rows: Iterable[Sequence[int]], a, b, devia
 def _line_outcomes(kern, last: np.ndarray, fixed: np.ndarray, v: int) -> np.ndarray:
     """Selected vertex on every graph of a base graph's deviation line along
     v, in one array by v's out-set rank.  `last` holds vertex n's out-set rows
-    and `fixed` the base graph's, vertex w's in row w-1."""
-    n, outcomes = len(fixed), np.empty(len(last), fixed.dtype)
+    and `fixed` the base graph's columns, vertex w's at w-1, which head each
+    line block's table."""
+    n, outcomes = fixed.shape[1], np.empty(len(last), fixed.dtype)
     for lo, hi in _blocks(0, len(last)):
+        cols = outset_columns(last, [(v, slice(lo, hi))], fixed)
         choice = np.tile(np.arange(n), (hi - lo, 1))
         choice[:, v - 1] = n + np.arange(hi - lo)
-        outcomes[lo:hi] = kern(np.concatenate([fixed, vertex_rows(last[lo:hi], v)]), choice)
+        outcomes[lo:hi] = kern(cols, choice, indegree_rows(cols, choice))
     return outcomes
 
 
@@ -390,7 +390,7 @@ def _sampled_pairs(mid: MechanismId, spec: GraphClassSpec, mode: Sampled) -> tup
     kern, last = batch_kernel_for(mid), outset_rows(n, [spec.outset_at(n, r) for r in range(radix)])
     keys, found = {}, {}  # rank tuple -> key; (key a, key b, deviator), a < b -> selected_a
     for base in sample_ranks(spec, mode.seed, mode.trials):
-        fixed = np.concatenate([vertex_rows(last[[r]], w) for w, r in enumerate(base, start=1)])
+        fixed = outset_columns(last, [(w, [r]) for w, r in enumerate(base, start=1)])[:, :-1]
         for v, rank in enumerate(base, start=1):
             flags = _line_outcomes(kern, last, fixed, v) == v
             here = bool(flags[rank])
@@ -403,12 +403,11 @@ def _sampled_pairs(mid: MechanismId, spec: GraphClassSpec, mode: Sampled) -> tup
 
 
 def _measure_gap_sampled(mid: MechanismId, spec: GraphClassSpec, mode: Sampled) -> GapReport:
-    """Gaps of the sampled graphs, stacked into blocks of B graphs whose table
-    holds at most ``KERNEL_BLOCK`` entries: graph b of a block gives vertex v
-    the out-set in row (v-1)*B + b of the block's table, the ``vertex_rows``
-    shift of vertex n's row for its rank, each distinct rank of the block
-    unranked once.  A graph whose n rows of n+1 entries exceed ``AUDIT_CAP``
-    is refused before sampling."""
+    """Gaps of the sampled graphs, stacked into blocks (cols, choice, deg) of B
+    graphs whose table holds at most ``KERNEL_BLOCK`` entries, each built once:
+    graph b gives vertex v column (v-1)*B + b, vertex n's row for its rank
+    moved to v, each distinct rank of the block unranked once.  A graph whose
+    n rows of n+1 entries exceed ``AUDIT_CAP`` is refused before sampling."""
     kern, n = batch_kernel_for(mid), spec.n
     if n * (n + 1) > AUDIT_CAP:
         raise CapExceeded(f"a {spec.describe()} graph's out-set rows hold {n * (n + 1)} entries, "
@@ -419,9 +418,10 @@ def _measure_gap_sampled(mid: MechanismId, spec: GraphClassSpec, mode: Sampled) 
         at = {}  # distinct rank -> its row of `last`, in first-seen order
         which = np.array([[at.setdefault(r, len(at)) for r in ranks] for ranks in chunk])
         last = outset_rows(n, [spec.outset_at(n, r) for r in at])
-        members = np.concatenate([vertex_rows(last[which[:, v - 1]], v) for v in range(1, n + 1)])
+        cols = outset_columns(last, enumerate(which.T, start=1))
         choice = np.arange(n) * len(chunk) + np.arange(len(chunk))[:, None]
-        gaps = _gaps(members, choice, kern(members, choice))
+        deg = indegree_rows(cols, choice)
+        gaps = _gaps(deg, kern(cols, choice, deg))
         b = int(np.argmax(gaps))  # the first maximum: the earliest sample
         if gaps[b] > best_gap:
             best_gap, best = int(gaps[b]), chunk[b]
@@ -441,7 +441,7 @@ def measure_gap(mid: MechanismId, spec: GraphClassSpec, mode: AuditMode = Exhaus
         size = _check_exhaustive_pre(spec, mode.cap)
         if size == 0:
             raise ValueError(f"class {spec.describe()} is empty, no gap to measure")
-        gaps = _outcome_table(mid, spec, mode.jobs, score=_gaps)
+        gaps = _outcome_table(mid, spec, mode.jobs, gaps=True)
         best_idx = int(np.argmax(gaps))  # the first maximum: the smallest index
         report = GapReport(int(gaps[best_idx]), graph_at_index(spec, best_idx), size)
     check = additive_gap(report.witness, resolve(mid)(report.witness))

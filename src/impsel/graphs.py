@@ -16,8 +16,8 @@ targets {1, 2, 3} and no bound this gives
 
 ``GraphClassSpec.outset_at(v, r)``, the r-th of them, is the definition of
 that order and the package's only enumeration of out-sets: every audit's
-kernel rows are vertex n's out-sets from it, shifted to vertex v by
-``_deletion.vertex_rows``, and the deviations of a vertex and every witness
+kernel tables are vertex n's out-sets from it, moved to vertex v by
+``_deletion.outset_columns``, and the deviations of a vertex and every witness
 text read it.
 
 A class is enumerated in lexicographic order of the per-vertex choice tuple,
@@ -252,6 +252,8 @@ class GraphClassSpec:
         """Unrank: the rank-th admissible out-set of v in the documented order.
         It is vertex n's (a subset of 1..n-1) with every member >= v moved up
         by one, a monotone map that keeps the order."""
+        if not 1 <= v <= self.n:
+            raise ValueError(f"vertex {v} outside 1..{self.n}")
         if not 0 <= rank < self.outset_count:
             raise ValueError(f"out-set rank {rank} outside 0..{self.outset_count - 1}")
         outs = _unrank_outset(rank, self.n - 1, self.min_outdegree, self.bound)
@@ -335,6 +337,8 @@ def sample_ranks(spec: GraphClassSpec, seed: int, count: int) -> Iterator[tuple[
         raise ValueError(f"class {spec.describe()} is empty")
     if not 0 <= seed < 2**128:
         raise ValueError(f"seed {seed} outside 0..2**128-1")
+    if count < 0:
+        raise ValueError(f"sample count {count} is negative")
     gen = np.random.Generator(np.random.Philox(key=seed))
     words = itertools.chain.from_iterable(
         gen.integers(0, 2**64, size=512, dtype=np.uint64).tolist() for _ in itertools.repeat(None)

@@ -6,9 +6,9 @@ edges): a selection is the selected vertex's id, and where the rule yields
 nothing they return 0.
 
 Each mechanism is two plain rules that take its integer parameters first:
-``rule(*params, graph)`` runs on one graph, and ``rule_rows(*params, members,
-choice)`` runs the same rule on a block of graphs at once (see
-:mod:`impsel._deletion` for the block layout); the block rule is what every
+``rule(*params, graph)`` runs on one graph, and ``rule_rows(*params, cols,
+choice, deg)`` runs the same rule on a block of graphs at once, in the one
+block layout of :mod:`impsel._deletion`; the block rule is what every
 audit, exhaustive or sampled, evaluates.  ``MECHANISMS`` is the one registry:
 it maps each name to its parameter count, a validator of the parameters
 against a vertex count, and the two rules.  ``MechanismId`` construction and
@@ -41,12 +41,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._deletion import indegree_rows, out_columns, run_deletion, run_deletion_rows, select_top, select_top_rows
+from ._deletion import run_deletion, run_deletion_rows, select_top, select_top_rows
 from .graphs import DirectedGraph
 from .twin_threshold import ThresholdPair
 
 Kernel = Callable[[DirectedGraph], int]
-BatchKernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
+BatchKernel = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -85,41 +85,40 @@ def _twin(upper: int, lower: int, graph: DirectedGraph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# block rules: (*params, members (M, n+1), choice (B, n)) -> selected vertex
-# per graph in the members' dtype, 0 for none; they work on vertex-major
-# (n+1, B) degree arrays (see impsel._deletion)
+# block rules: (*params, cols, choice, deg) -> selected vertex per graph in the
+# table's dtype, 0 for none; they read the block (one layout, impsel._deletion)
+# as the audit pass built it, and build no table and count no indegrees
 # ---------------------------------------------------------------------------
 
 
-def _never_rows(members: np.ndarray, choice: np.ndarray) -> np.ndarray:
-    return np.zeros(len(choice), members.dtype)
+def _never_rows(cols: np.ndarray, choice: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    return np.zeros(len(choice), cols.dtype)
 
 
-def _max_naive_rows(members: np.ndarray, choice: np.ndarray) -> np.ndarray:
-    return select_top_rows(indegree_rows(members, choice), 0)
+def _max_naive_rows(cols: np.ndarray, choice: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    return select_top_rows(deg, 0)
 
 
-def _follow_rows(anchor: int, members: np.ndarray, choice: np.ndarray) -> np.ndarray:
-    # greatest member of every listed out-set, 0 for the empty one
-    top = (members * np.arange(members.shape[1], dtype=members.dtype)).max(axis=1)
+def _follow_rows(anchor: int, cols: np.ndarray, choice: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    # greatest member of every out-set column, 0 for the empty one
+    top = (cols * np.arange(len(cols), dtype=cols.dtype)[:, None]).max(axis=0)
     return top[choice[:, anchor - 1]]
 
 
-def _majority_rows(members: np.ndarray, choice: np.ndarray) -> np.ndarray:
-    return select_top_rows(indegree_rows(members, choice), choice.shape[1] // 2 + 1)
+def _majority_rows(cols: np.ndarray, choice: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    return select_top_rows(deg, choice.shape[1] // 2 + 1)
 
 
-def _naive_sim_rows(t: int, members: np.ndarray, choice: np.ndarray) -> np.ndarray:
-    cols, deg = out_columns(members), indegree_rows(members, choice)
-    remaining = deg.copy()
+def _naive_sim_rows(t: int, cols: np.ndarray, choice: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    remaining, empty = deg.copy(), cols.shape[1] - 1
     for v in range(1, choice.shape[1] + 1):
-        # a vertex below t deletes the empty out-set, column len(members)
-        remaining -= np.take(cols, np.where(deg[v] >= t, choice[:, v - 1], len(members)), axis=1)
+        # a vertex below t deletes the empty out-set
+        remaining -= np.take(cols, np.where(deg[v] >= t, choice[:, v - 1], empty), axis=1)
     return select_top_rows(remaining, t + 1)
 
 
-def _twin_rows(upper: int, lower: int, members: np.ndarray, choice: np.ndarray) -> np.ndarray:
-    return select_top_rows(run_deletion_rows(members, choice, lower), upper)
+def _twin_rows(upper: int, lower: int, cols: np.ndarray, choice: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    return select_top_rows(run_deletion_rows(lower, cols, choice, deg), upper)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +156,7 @@ class MechanismEntry(NamedTuple):
     arity: int
     validate: Callable[[int, tuple[int, ...]], None]
     kernel: Callable[..., int]  # (*params, graph)
-    batch: Callable[..., np.ndarray]  # (*params, members, choice)
+    batch: Callable[..., np.ndarray]  # (*params, cols, choice, deg)
 
 
 MECHANISMS: dict[str, MechanismEntry] = {
@@ -217,8 +216,8 @@ def kernel_for(mid: MechanismId) -> Kernel:
 
 
 def batch_kernel_for(mid: MechanismId) -> BatchKernel:
-    """Block kernel for audits: (members, choice) -> selected vertex per
-    graph, 0 for none; equal to ``kernel_for(mid)`` on every graph."""
+    """Block kernel for audits: a block (cols, choice, deg) of :mod:`impsel._deletion`
+    -> selected vertex per graph, 0 for none; equal to ``kernel_for(mid)`` on every graph."""
     return partial(MECHANISMS[mid.name].batch, *mid.params)
 
 

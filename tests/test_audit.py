@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import impsel._deletion
 import impsel.audit
+import impsel.mechanisms
 from impsel import (
     CapExceeded,
     DeletionTrace,
@@ -26,7 +28,7 @@ from impsel import (
     resolve,
     run_twin_threshold,
 )
-from impsel._deletion import outset_rows, run_deletion, run_deletion_rows, select_top
+from impsel._deletion import indegree_rows, outset_rows, run_deletion, run_deletion_rows, select_top
 from impsel.cli import main
 from impsel.graphs import deviations, graph_at_index
 from impsel.mechanisms import MECHANISMS, batch_kernel_for, kernel_for
@@ -219,8 +221,9 @@ def test_worker_pool_is_clamped_to_cpus_and_chunks(monkeypatch):
     assert check_impartiality(mid, spec, Exhaustive(jobs=10**9)) == serial
     assert measure_gap(mid, spec, Exhaustive(jobs=10**9)) == measure_gap(mid, spec)
     assert asked == [4, 4]  # the outcome table of each audit; its scans run here
-    # workers get index ranges, never the outcome table, one chunk each
-    assert mapped == [(mid, spec, lo, lo + 64) for lo in range(0, spec.size, 64)] * 2
+    # workers get index ranges, never the outcome table, one chunk each, and
+    # whether to score it by gap: the impartiality pass, then the gap pass
+    assert mapped == [(mid, spec, lo, lo + 64, gaps) for gaps in (False, True) for lo in range(0, spec.size, 64)]
     assert impsel.audit._worker_count(10**9, 3) == 3
 
 
@@ -284,7 +287,7 @@ def test_batch_kernels_match_scalar_kernels_on_windows_of_g5(monkeypatch):
     graphs = {(lo, hi): _graphs(spec, lo, hi) for lo, hi in windows}
     for mid in _every_mechanism(spec.n):
         for lo, hi in windows:
-            got = impsel.audit._outcome_chunk((mid, spec, lo, hi))
+            got = impsel.audit._outcome_chunk((mid, spec, lo, hi, False))
             assert got.tolist() == _scalar_outcomes(mid, graphs[lo, hi]), (mid.text(), lo)
 
 
@@ -295,8 +298,10 @@ def test_batch_kernels_match_scalar_kernels_on_windows_of_g5(monkeypatch):
     ids=lambda spec: spec.describe(),
 )
 def test_class_blocks_are_digit_rows_in_the_members_index_type(monkeypatch, spec):
-    # a block's choice is the class's digit rows plus vertex v's row offset
-    # (v-1)*R, whatever the block size and wherever a window starts: sizes
+    # a block's choice is the class's digit rows plus vertex v's column offset
+    # (v-1)*R, held in the smallest type indexing the table's n*R + 1 columns
+    # (the last the empty out-set), whatever the block size and wherever a
+    # window starts; its indegrees are the table's sums over the choice: sizes
     # around R and R**2 change how many digits come from the template.  The
     # whole-class windows run where they take at most 20,000 blocks (on
     # G_5(2), 161,051 graphs, from blocks of R-1; on G_5, 2**20, from R**2);
@@ -312,9 +317,11 @@ def test_class_blocks_are_digit_rows_in_the_members_index_type(monkeypatch, spec
         for lo, hi in windows:
             expect = np.arange(lo, hi)[:, None] // place % radix + np.arange(n) * radix
             for a, b in impsel.audit._blocks(lo, hi):
-                members, choice = make(a, b)
-                assert choice.dtype == np.min_scalar_type(len(members)) != np.int64
+                cols, choice, deg = make(a, b)
+                assert cols.shape == (n + 1, n * radix + 1) and not cols[:, -1].any()
+                assert choice.dtype == np.min_scalar_type(cols.shape[1] - 1) != np.int64
                 assert len(choice) <= block and np.array_equal(choice, expect[a - lo : b - lo]), (block, a, b)
+                assert np.array_equal(deg, cols[:, choice].sum(axis=2)), (block, a, b)
 
 
 def test_batch_outcome_table_does_not_depend_on_worker_count():
@@ -474,6 +481,43 @@ def test_exhaustive_gap_builds_each_block_once(monkeypatch):
     assert (report.worst_gap, report.witness) == gap_by_definition(resolve(mid), spec)
 
 
+def test_each_kernel_block_counts_its_indegrees_once(monkeypatch):
+    # every pass counts a block's indegrees once and hands them to the block
+    # rule: the exhaustive G_7(1) passes run 13 blocks each and make 13 calls
+    # each, where the twin rule and the gap scores once counted them twice
+    counted, kernels = [], []
+    count, kernel_for_block = impsel._deletion.indegree_rows, impsel.audit.batch_kernel_for
+
+    def counting(cols, choice):
+        counted.append(len(choice))
+        return count(cols, choice)
+
+    def counting_kernel(mid):
+        kern = kernel_for_block(mid)
+
+        def run(*block):
+            kernels.append(len(block[1]))
+            return kern(*block)
+
+        return run
+
+    for module in (impsel._deletion, impsel.mechanisms, impsel.audit):
+        monkeypatch.setattr(module, "indegree_rows", counting, raising=False)
+    monkeypatch.setattr(impsel.audit, "batch_kernel_for", counting_kernel)
+    mid = MechanismId.parse("twin:4,1")
+    for audit in (measure_gap, check_impartiality):
+        counted.clear()
+        kernels.clear()
+        audit(mid, GraphClassSpec(7, 1))
+        assert len(counted) == 13 and counted == kernels, (audit.__name__, len(counted))
+    monkeypatch.setattr(impsel.audit, "KERNEL_BLOCK", 200)  # several gap blocks and line blocks
+    for audit, spec in ((measure_gap, GraphClassSpec(9, 3)), (check_impartiality, GraphClassSpec(6, 3))):
+        counted.clear()
+        kernels.clear()
+        audit(mid, spec, Sampled(2, 40))
+        assert len(counted) >= 20 and counted == kernels, (audit.__name__, len(counted))
+
+
 def test_exhaustive_kernel_pass_memory_is_bounded():
     # G_7(1)'s 823,543 graphs in 13 blocks: the outcome table and one block's
     # narrow choice array and kernel arrays trace about 3.9 MB; int64 digit
@@ -493,14 +537,14 @@ def test_outcome_table_is_held_once(monkeypatch):
     # is the table and one block's working arrays, not the table twice
     monkeypatch.setattr(impsel.audit, "KERNEL_BLOCK", 4096)
     mid, spec = MechanismId.parse("twin:4,1"), GraphClassSpec(7, 1)
-    for score in (None, impsel.audit._gaps):
+    for gaps in (False, True):
         tracemalloc.start()
         try:
-            table = impsel.audit._outcome_table(mid, spec, 1, score=score)
+            table = impsel.audit._outcome_table(mid, spec, 1, gaps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(table) == spec.size and peak < 1.5 * table.nbytes, (score, peak, table.nbytes)
+        assert len(table) == spec.size and peak < 1.5 * table.nbytes, (gaps, peak, table.nbytes)
 
 
 def test_worker_count_reads_cpu_affinity(monkeypatch):
@@ -552,8 +596,9 @@ def _assert_batch_kernels_match_on_stars(n, texts):
     for text in texts:
         mid = MechanismId.parse(text)
         for g in stars:
-            members = outset_rows(n, g.out_sets)
-            got = batch_kernel_for(mid)(members, np.arange(n)[None, :])
+            # vertex v's out-set in column v-1, then the empty out-set
+            cols, choice = np.pad(outset_rows(n, g.out_sets).T, ((0, 0), (0, 1))), np.arange(n)[None, :]
+            got = batch_kernel_for(mid)(cols, choice, indegree_rows(cols, choice))
             assert got.tolist() == [kernel_for(mid)(g)], text
 
 
@@ -595,7 +640,7 @@ def test_deletion_rows_final_degrees_match_run_deletion(monkeypatch, block):
         graphs = list(class_graphs(spec))
         for t in range(1, max(n, 2)):
             for lo, hi in impsel.audit._blocks(0, spec.size):
-                deg = run_deletion_rows(*make(lo, hi), t)
+                deg = run_deletion_rows(t, *make(lo, hi))
                 assert deg.shape == (n + 1, hi - lo) and not deg[0].any()
                 expect = [run_deletion(g, t)[0] for g in graphs[lo:hi]]
                 assert deg[1:].T.tolist() == expect, (spec.describe(), t, lo)

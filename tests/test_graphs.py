@@ -251,6 +251,9 @@ def test_unranking_matches_the_outset_lists_of_larger_classes(spec):
         for rank in (-1, spec.outset_count):
             with pytest.raises(ValueError, match="out-set rank"):
                 spec.outset_at(v, rank)
+    for v in (0, spec.n + 1):  # no vertex of the class, whatever the rank
+        with pytest.raises(ValueError, match=rf"vertex {v} outside 1\.\.{spec.n}"):
+            spec.outset_at(v, 1)
     with pytest.raises(ValueError, match="out of range"):
         _unrank_outset(spec.outset_count, spec.n - 1, spec.min_outdegree, spec.bound)
 
@@ -362,6 +365,13 @@ def test_sampling_stream_matches_repeated_protocol():
 def test_sampling_empty_class():
     with pytest.raises(ValueError, match="empty"):
         next(sample_stream(GraphClassSpec(1, None, True), 0, 1))
+
+
+def test_sampling_rejects_a_negative_count():
+    # a negative count would otherwise draw nothing and say nothing
+    with pytest.raises(ValueError, match="sample count -2 is negative"):
+        list(sample_stream(GraphClassSpec(3), 1, -2))
+    assert list(sample_stream(GraphClassSpec(3), 1, 0)) == []
 
 
 def test_sampled_keys_at_n50_k3_are_pinned():

@@ -108,6 +108,22 @@ def test_kernel_rows_unrank_vertex_n():
         ), f"{name}:{call.lineno}: {ast.unparse(call)} does not unrank vertex n"
 
 
+def test_only_the_audit_passes_build_blocks():
+    # each audit pass builds a block's out-set table and counts its
+    # indegrees once, and hands both to the block rule; a block rule or a
+    # kernel that built or counted them again would pay for them twice
+    builders = {"indegree_rows", "outset_columns"}
+    calls = {
+        path.name: sorted({
+            node.func.id for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in builders
+        })
+        for path in MODULES
+    }
+    assert calls.pop("audit.py") == sorted(builders)
+    assert {name: found for name, found in calls.items() if found} == {}
+
+
 def test_mechanisms_have_no_nested_functions():
     # each mechanism is two module-level rules that take their parameters
     # first; ``functools.partial`` binds them, so no factory closure is needed
