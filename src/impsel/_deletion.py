@@ -6,25 +6,26 @@ graph and on a degree sequence, vertex v's degree at index v-1.
 degree count it is linear in the deleted vertices' edges up to one sort per level.
 
 The numpy block versions (``*_rows``) run the same rules on a block of B
-graphs at once, in one layout ``(cols, choice, deg)`` that the audit passes
-build once per block and hand to every block rule.  ``cols`` is the
-``outset_columns`` table, shape (n+1, M+1): ``cols[u, i]`` is 1 when u is in
-out-set i, row 0 is zero and the last column is the empty out-set.  Graph b
-gives vertex v the out-set in column ``choice[b, v-1]``, and ``deg`` is
-``indegree_rows(cols, choice)``.  Degree arrays are vertex-major, shape (n+1,
-B) with row 0 zero, in the table's dtype, so a reduction across the vertices
-runs elementwise over the B graphs.  Both rules pick the greatest-index vertex
-of largest degree with one max per step over the key degree*(n+1) + vertex,
-which orders by degree and then by index; a deletion step sends graphs
-already done to the empty out-set column instead of selecting the graphs
-still running.  Results equal the per-graph functions', the reference the
-tests compare against.
+graphs at once, in one layout ``(cols, choice, deg)`` that only
+``outset_block`` builds, once per block.  ``cols``, shape (n+1, M+1), has
+``cols[u, i]`` 1 when u is in out-set i, row 0 zero, and holds a group of
+columns per vertex v in vertex order (rows of vertex n's out-sets moved to v),
+then the empty out-set.  Graph b gives v the out-set in column
+``choice[b, v-1]``, the group's first column plus b's pick in the group, in
+the smallest type indexing the columns.  ``deg`` is the (n+1, B) sum over
+the choice, row 0 zero, in the table's dtype: vertex-major, so a reduction
+across the vertices runs elementwise over the B graphs.  Both rules pick the
+greatest-index vertex of largest degree with one max per step over the key
+degree*(n+1) + vertex, which orders by degree and then by index; a deletion
+step sends graphs already done to the empty out-set column instead of
+selecting the graphs still running.  Results equal the per-graph functions',
+the reference the tests compare against.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -95,33 +96,28 @@ def outset_rows(n: int, outsets: Sequence[Sequence[int]]) -> np.ndarray:
     return rows
 
 
-def outset_columns(last: np.ndarray, picks: Iterable[tuple[int, Any]], head: np.ndarray | None = None) -> np.ndarray:
-    """A block's (n+1, M+1) table from `last`, vertex n's out-set rows:
-    `head`'s columns when given, then for each (v, rows) of `picks` the rows
-    ``last[rows]`` moved to vertex v, then the empty out-set.  v's out-sets
-    are n's with every member >= v moved up by one, a monotone map that keeps
-    the documented order: entries at v..n-1 move to v+1..n, and v takes the
-    entry at n, which is 0.  The moved rows are stacked, then transposed."""
-    parts = [] if head is None else [head.T]
-    for v, rows in picks:
-        moved = last[rows]
-        parts.append(np.concatenate([moved[:, :v], moved[:, -1:], moved[:, v:-1]], axis=1))
+def outset_block(last: np.ndarray, rows: Sequence[Any], picks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The block (cols, choice, deg) of B graphs: vertex v's group holds the
+    rows ``last[rows[v-1]]`` of vertex n's out-sets, moved to v, and graph b
+    picks ``picks[b, v-1]`` of them.  v's out-sets are n's with every member
+    >= v moved up by one, a monotone map that keeps the documented order:
+    entries at v..n-1 move to v+1..n, and v takes the entry at n, which is 0."""
+    groups = [last[held] for held in rows]
+    parts = [np.concatenate([g[:, :v], g[:, -1:], g[:, v:-1]], axis=1) for v, g in enumerate(groups, start=1)]
     parts.append(np.zeros((1, last.shape[1]), last.dtype))
-    return np.ascontiguousarray(np.concatenate(parts).T)
+    cols = np.ascontiguousarray(np.concatenate(parts).T)
+    kind = np.min_scalar_type(cols.shape[1] - 1)
+    choice = (picks + np.cumsum([0, *map(len, groups[:-1])], dtype=kind)).astype(kind, copy=False)
+    deg = np.zeros((len(cols), len(choice)), cols.dtype)
+    for v in range(choice.shape[1]):
+        deg += np.take(cols, choice[:, v], axis=1)
+    return cols, choice, deg
 
 
 def _key_dtype(n: int) -> np.dtype:
     """Smallest signed type holding every key of ``run_deletion_rows`` and
     ``select_top_rows``: they lie in [-(n+1)**2, n*(n+1) - 1]."""
     return np.min_scalar_type(-((n + 1) ** 2))
-
-
-def indegree_rows(cols: np.ndarray, choice: np.ndarray) -> np.ndarray:
-    """(n+1, B) indegrees of every graph of the block, row 0 zero, in the table's dtype."""
-    deg = np.zeros((len(cols), len(choice)), cols.dtype)
-    for v in range(choice.shape[1]):
-        deg += np.take(cols, choice[:, v], axis=1)
-    return deg
 
 
 def run_deletion_rows(t: int, cols: np.ndarray, choice: np.ndarray, deg: np.ndarray) -> np.ndarray:

@@ -10,11 +10,12 @@ selected vertex (for gap audits, the additive gap) of every graph of a class.
 Its blocks are windows of the class's digit rows (``_class_block``), the one
 class walk; the scan for violating pairs walks only the lines whose "v is
 selected" flags are mixed.  Every kernel pass unranks vertex n's out-sets,
-each distinct rank once, and builds each block's table and indegrees once, in
-:mod:`impsel._deletion`'s one layout.  Sampled impartiality audits evaluate
-each seeded base graph's n deviation lines (v's out-set swept, the rest
-fixed) and compare them with the base graph; sampled gap audits stack the
-samples into blocks.  A witness is its
+each distinct rank once, and names the rows each vertex's columns hold and
+the one each graph picks; ``_deletion.outset_block`` alone lays out a
+block's table, choice and indegrees.  Sampled impartiality audits stack each
+seeded base graph's n deviation lines (v's out-set swept, the rest fixed)
+into blocks and compare them with the base graph in one array operation;
+sampled gap audits stack the samples into blocks.  A witness is its
 canonical text, written once from its out-set ranks (the digits of a class
 index, divided out by place value, or a sampled rank tuple); violations are
 integer columns over the sorted distinct texts, ordered by one lexsort, and a
@@ -38,7 +39,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from ._deletion import indegree_rows, outset_columns, outset_rows, select_top
+from ._deletion import outset_block, outset_rows, select_top
 from .graphs import (
     AUDIT_CAP,
     CapExceeded,
@@ -78,6 +79,8 @@ class Exhaustive:
     def __post_init__(self):
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        if self.cap < 0:
+            raise ValueError(f"cap must be at least 0, got {self.cap}")
 
     def describe(self) -> str:
         return "exhaustive"
@@ -198,24 +201,21 @@ def _blocks(start: int, end: int) -> Iterator[tuple[int, int]]:
 def _class_block(spec: GraphClassSpec) -> Callable[[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """block(lo, hi): the block (cols, choice, deg) of graphs [lo, hi) of the
     class, hi - lo <= ``KERNEL_BLOCK``; exhaustive kernel passes read the
-    class through these windows only.  The table, built once per pass, has
-    column (v-1)*R + r ``spec.outset_at(v, r)`` (vertex n's unranked, the
-    others moved from them), and choice is held in the smallest type indexing
-    its columns.  Graph i's out-set ranks are the mixed-radix digits of i,
-    vertex n the least significant: the trailing m digits, R**m <=
-    ``KERNEL_BLOCK``, are row i % R**m of one template, and the leading n - m
-    are those of the head index i // R**m, a few heads per block."""
+    class through these windows only.  Every vertex's group holds vertex n's R
+    out-set rows, unranked once per pass, and graph i picks its out-set
+    ranks, the mixed-radix digits of i, vertex n the least significant: the
+    trailing m digits, R**m <= ``KERNEL_BLOCK``, are row i % R**m of one
+    template, and the leading n - m are those of the head index i // R**m, a
+    few heads per block."""
     n, radix = spec.n, spec.outset_count
     last = outset_rows(n, [spec.outset_at(n, r) for r in range(radix)])
-    cols = outset_columns(last, [(v, slice(None)) for v in range(1, n + 1)])
-    kind = np.min_scalar_type(cols.shape[1] - 1)
-    offsets = np.arange(n, dtype=kind) * kind.type(radix)
+    groups, kind = [slice(None)] * n, np.min_scalar_type(radix - 1)
     m = next(m for m in range(n, -1, -1) if radix**m <= KERNEL_BLOCK)
     width, lead = radix**m, n - m
-    tail = np.indices((radix,) * m, dtype=kind).reshape(m, width).T + offsets[lead:]
+    tail = np.indices((radix,) * m, dtype=kind).reshape(m, width).T
 
     def block(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        choice = np.empty((hi - lo, n), kind)
+        picks = np.empty((hi - lo, n), kind)
         heads = np.arange(lo // width, (hi - 1) // width + 1)
         starts = heads * width
         rows = np.minimum(starts + width, hi) - np.maximum(starts, lo)  # the block's rows under each head
@@ -223,10 +223,10 @@ def _class_block(spec: GraphClassSpec) -> Callable[[int, int], tuple[np.ndarray,
         for col in range(lead - 1, -1, -1):
             heads, digit = np.divmod(heads, radix)
             digits[:, col] = digit
-        choice[:, :lead] = np.repeat(digits + offsets[:lead], rows, axis=0)
+        picks[:, :lead] = np.repeat(digits, rows, axis=0)
         # the template from row lo % R**m, wrapping to row 0 at each new head
-        choice[:, lead:] = np.resize(tail, (lo % width + hi - lo, m))[lo % width :]
-        return cols, choice, indegree_rows(cols, choice)
+        picks[:, lead:] = np.resize(tail, (lo % width + hi - lo, m))[lo % width :]
+        return outset_block(last, groups, picks)
 
     return block
 
@@ -365,49 +365,52 @@ def _violations(spec: GraphClassSpec, rows: Iterable[Sequence[int]], a, b, devia
     return Violations([texts[i] for i in order.tolist()], lo[keep], hi[keep], deviator[keep], selected_lo[keep])
 
 
-def _line_outcomes(kern, last: np.ndarray, fixed: np.ndarray, v: int) -> np.ndarray:
-    """Selected vertex on every graph of a base graph's deviation line along
-    v, in one array by v's out-set rank.  `last` holds vertex n's out-set rows
-    and `fixed` the base graph's columns, vertex w's at w-1, which head each
-    line block's table."""
-    n, outcomes = fixed.shape[1], np.empty(len(last), fixed.dtype)
-    for lo, hi in _blocks(0, len(last)):
-        cols = outset_columns(last, [(v, slice(lo, hi))], fixed)
-        choice = np.tile(np.arange(n), (hi - lo, 1))
-        choice[:, v - 1] = n + np.arange(hi - lo)
-        outcomes[lo:hi] = kern(cols, choice, indegree_rows(cols, choice))
-    return outcomes
+def _line_outcomes(kern, last: np.ndarray, base: tuple[int, ...]) -> np.ndarray:
+    """(n, R) selected vertices on a base graph's deviation lines, [v-1, r] on
+    the graph giving v rank r, stacked in that order into ``_blocks``: vertex
+    w's group holds its `base` row, then the block's ranks on w's own line,
+    and w picks 0 off that line.  `last` holds vertex n's R out-set rows."""
+    n, radix = len(base), len(last)
+    outcomes = np.empty(n * radix, last.dtype)
+    for lo, hi in _blocks(0, n * radix):
+        line, rank = np.divmod(np.arange(lo, hi), radix)
+        first = np.maximum(lo - np.arange(n) * radix, 0)  # each line's first rank in the block
+        groups = [np.r_[r, first[w] : min(hi - w * radix, radix)] for w, r in enumerate(base)]
+        picks = np.zeros((hi - lo, n), np.min_scalar_type(radix))
+        picks[np.arange(hi - lo), line] = rank - first[line] + 1
+        outcomes[lo:hi] = kern(*outset_block(last, groups, picks))
+    return outcomes.reshape(n, radix)
 
 
 def _sampled_pairs(mid: MechanismId, spec: GraphClassSpec, mode: Sampled) -> tuple:
     """Each sampled base graph against every graph on its deviation lines: one
     whose "v is selected" flag differs from the base graph's is a violating
-    pair with deviator v, kept once per unordered pair.  Returns the distinct
-    witnesses' rank tuples and the columns ``_violations`` takes."""
+    pair with deviator v, kept once per unordered pair, all lines compared at
+    once.  Returns the distinct witnesses' rank tuples and the columns
+    ``_violations`` takes."""
     n, radix = spec.n, spec.outset_count
     if n * radix > AUDIT_CAP:
         raise CapExceeded(f"deviation lines of a {spec.describe()} graph hold {n * radix} graphs, audit cap is {AUDIT_CAP}")
     kern, last = batch_kernel_for(mid), outset_rows(n, [spec.outset_at(n, r) for r in range(radix)])
     keys, found = {}, {}  # rank tuple -> key; (key a, key b, deviator), a < b -> selected_a
     for base in sample_ranks(spec, mode.seed, mode.trials):
-        fixed = outset_columns(last, [(w, [r]) for w, r in enumerate(base, start=1)])[:, :-1]
-        for v, rank in enumerate(base, start=1):
-            flags = _line_outcomes(kern, last, fixed, v) == v
-            here = bool(flags[rank])
-            for d in np.flatnonzero(flags != here).tolist():
-                other = base[: v - 1] + (d,) + base[v:]
-                a, b = keys.setdefault(base, len(keys)), keys.setdefault(other, len(keys))
-                found.setdefault((min(a, b), max(a, b), v), here == (a < b))
+        flags = _line_outcomes(kern, last, base) == np.arange(1, n + 1)[:, None]
+        here = flags[np.arange(n), base]  # the base graph lies on every line, at v's own rank
+        lines, ranks = np.nonzero(flags != here[:, None])
+        for w, d, selected in zip(lines.tolist(), ranks.tolist(), here[lines].tolist()):
+            other = base[:w] + (d,) + base[w + 1 :]
+            a, b = keys.setdefault(base, len(keys)), keys.setdefault(other, len(keys))
+            found.setdefault((min(a, b), max(a, b), w + 1), selected == (a < b))
     columns = np.array(list(found), dtype=np.int64).reshape(-1, 3).T
     return keys, *columns, np.array(list(found.values()), dtype=bool)
 
 
 def _measure_gap_sampled(mid: MechanismId, spec: GraphClassSpec, mode: Sampled) -> GapReport:
     """Gaps of the sampled graphs, stacked into blocks (cols, choice, deg) of B
-    graphs whose table holds at most ``KERNEL_BLOCK`` entries, each built once:
-    graph b gives vertex v column (v-1)*B + b, vertex n's row for its rank
-    moved to v, each distinct rank of the block unranked once.  A graph whose
-    n rows of n+1 entries exceed ``AUDIT_CAP`` is refused before sampling."""
+    graphs whose table holds at most ``KERNEL_BLOCK`` entries: v's group holds
+    the B graphs' rows for v, each distinct rank unranked once, and graph b
+    picks row b of each.  A graph whose n rows of n+1 entries exceed
+    ``AUDIT_CAP`` is refused before sampling."""
     kern, n = batch_kernel_for(mid), spec.n
     if n * (n + 1) > AUDIT_CAP:
         raise CapExceeded(f"a {spec.describe()} graph's out-set rows hold {n * (n + 1)} entries, "
@@ -418,9 +421,8 @@ def _measure_gap_sampled(mid: MechanismId, spec: GraphClassSpec, mode: Sampled) 
         at = {}  # distinct rank -> its row of `last`, in first-seen order
         which = np.array([[at.setdefault(r, len(at)) for r in ranks] for ranks in chunk])
         last = outset_rows(n, [spec.outset_at(n, r) for r in at])
-        cols = outset_columns(last, enumerate(which.T, start=1))
-        choice = np.arange(n) * len(chunk) + np.arange(len(chunk))[:, None]
-        deg = indegree_rows(cols, choice)
+        picks = np.broadcast_to(np.arange(len(chunk))[:, None], which.shape)
+        cols, choice, deg = outset_block(last, which.T, picks)
         gaps = _gaps(deg, kern(cols, choice, deg))
         b = int(np.argmax(gaps))  # the first maximum: the earliest sample
         if gaps[b] > best_gap:

@@ -17,7 +17,7 @@ targets {1, 2, 3} and no bound this gives
 ``GraphClassSpec.outset_at(v, r)``, the r-th of them, is the definition of
 that order and the package's only enumeration of out-sets: every audit's
 kernel tables are vertex n's out-sets from it, moved to vertex v by
-``_deletion.outset_columns``, and the deviations of a vertex and every witness
+``_deletion.outset_block``, and the deviations of a vertex and every witness
 text read it.
 
 A class is enumerated in lexicographic order of the per-vertex choice tuple,

@@ -28,7 +28,7 @@ from impsel import (
     resolve,
     run_twin_threshold,
 )
-from impsel._deletion import indegree_rows, outset_rows, run_deletion, run_deletion_rows, select_top
+from impsel._deletion import outset_rows, run_deletion, run_deletion_rows, select_top
 from impsel.cli import main
 from impsel.graphs import deviations, graph_at_index
 from impsel.mechanisms import MECHANISMS, batch_kernel_for, kernel_for
@@ -185,6 +185,12 @@ def test_exhaustive_cap_refuses_upfront():
         check_impartiality(MechanismId.parse("never"), GraphClassSpec(5, None), Exhaustive(cap=100))
     with pytest.raises(CapExceeded):
         measure_gap(MechanismId.parse("never"), GraphClassSpec(5, None), Exhaustive(cap=100))
+
+
+def test_exhaustive_mode_refuses_a_negative_cap():
+    with pytest.raises(ValueError, match="cap must be at least 0, got -1"):
+        Exhaustive(cap=-1)
+    assert check_impartiality(MechanismId.parse("never"), GraphClassSpec(1, None, True), Exhaustive(cap=0)) == []
 
 
 def test_results_do_not_depend_on_worker_count():
@@ -482,15 +488,18 @@ def test_exhaustive_gap_builds_each_block_once(monkeypatch):
 
 
 def test_each_kernel_block_counts_its_indegrees_once(monkeypatch):
-    # every pass counts a block's indegrees once and hands them to the block
-    # rule: the exhaustive G_7(1) passes run 13 blocks each and make 13 calls
-    # each, where the twin rule and the gap scores once counted them twice
-    counted, kernels = [], []
-    count, kernel_for_block = impsel._deletion.indegree_rows, impsel.audit.batch_kernel_for
+    # every pass builds each block, indegrees included, with one
+    # outset_block call and hands it to one kernel call: 13 blocks for each
+    # exhaustive G_7(1) pass and for 2,000 sampled G_20(2) gaps, and one per
+    # base graph for sampled impartiality on G_20(2), whose 20 deviation lines
+    # of 191 graphs are stacked into one block
+    built, kernels = [], []
+    build, kernel_for_block = impsel.audit.outset_block, impsel.audit.batch_kernel_for
 
-    def counting(cols, choice):
-        counted.append(len(choice))
-        return count(cols, choice)
+    def counting(*args):
+        block = build(*args)
+        built.append(len(block[1]))
+        return block
 
     def counting_kernel(mid):
         kern = kernel_for_block(mid)
@@ -501,21 +510,32 @@ def test_each_kernel_block_counts_its_indegrees_once(monkeypatch):
 
         return run
 
-    for module in (impsel._deletion, impsel.mechanisms, impsel.audit):
-        monkeypatch.setattr(module, "indegree_rows", counting, raising=False)
+    monkeypatch.setattr(impsel.audit, "outset_block", counting)
     monkeypatch.setattr(impsel.audit, "batch_kernel_for", counting_kernel)
-    mid = MechanismId.parse("twin:4,1")
-    for audit in (measure_gap, check_impartiality):
-        counted.clear()
+    twin7, twin20 = MechanismId.parse("twin:4,1"), MechanismId.parse("twin:15,3")
+    for audit, mid, spec, mode, calls in (
+        (measure_gap, twin7, GraphClassSpec(7, 1), Exhaustive(), 13),
+        (check_impartiality, twin7, GraphClassSpec(7, 1), Exhaustive(), 13),
+        (measure_gap, twin20, GraphClassSpec(20, 2), Sampled(1, 2000), 13),
+        (check_impartiality, twin20, GraphClassSpec(20, 2), Sampled(1, 20), 20),
+    ):
+        built.clear()
         kernels.clear()
-        audit(mid, GraphClassSpec(7, 1))
-        assert len(counted) == 13 and counted == kernels, (audit.__name__, len(counted))
-    monkeypatch.setattr(impsel.audit, "KERNEL_BLOCK", 200)  # several gap blocks and line blocks
-    for audit, spec in ((measure_gap, GraphClassSpec(9, 3)), (check_impartiality, GraphClassSpec(6, 3))):
-        counted.clear()
-        kernels.clear()
-        audit(mid, spec, Sampled(2, 40))
-        assert len(counted) >= 20 and counted == kernels, (audit.__name__, len(counted))
+        audit(mid, spec, mode)
+        assert len(built) == calls and built == kernels, (audit.__name__, mode, len(built), len(kernels))
+
+
+@pytest.mark.parametrize("block", [7, 50])
+def test_stacked_deviation_lines_match_definition_oracle(monkeypatch, block):
+    # a base graph's deviation lines are stacked into blocks: 7 splits lines
+    # of 5 and 8 graphs across blocks and puts several lines in one block,
+    # 50 holds every line of a G_5(1) or G_4 base graph in one block
+    monkeypatch.setattr(impsel.audit, "KERNEL_BLOCK", block)
+    for spec in (GraphClassSpec(5, 1), GraphClassSpec(4)):
+        for text in ("max-naive", "majority", "twin:2,1"):
+            got = check_impartiality(MechanismId.parse(text), spec, Sampled(1, 20))
+            assert got == sampled_violations_by_definition(resolve(MechanismId.parse(text)), spec, 1, 20), text
+            assert got or text == "majority", (spec.describe(), text)
 
 
 def test_exhaustive_kernel_pass_memory_is_bounded():
@@ -596,9 +616,11 @@ def _assert_batch_kernels_match_on_stars(n, texts):
     for text in texts:
         mid = MechanismId.parse(text)
         for g in stars:
-            # vertex v's out-set in column v-1, then the empty out-set
+            # vertex v's out-set in column v-1, then the empty out-set; the
+            # indegrees are the graph's own
             cols, choice = np.pad(outset_rows(n, g.out_sets).T, ((0, 0), (0, 1))), np.arange(n)[None, :]
-            got = batch_kernel_for(mid)(cols, choice, indegree_rows(cols, choice))
+            deg = np.array([0, *g.indegrees], cols.dtype)[:, None]
+            got = batch_kernel_for(mid)(cols, choice, deg)
             assert got.tolist() == [kernel_for(mid)(g)], text
 
 

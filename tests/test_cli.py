@@ -464,6 +464,17 @@ def test_audit_rejects_jobs_below_one(capsys):
                 assert err.startswith("error:") and "jobs" in err
 
 
+def test_audit_rejects_a_negative_cap(capsys):
+    # a negative cap would refuse every class, the empty one too; a cap of 0
+    # admits the empty class G+_1
+    for kind in ("impartiality", "gap"):
+        code, out, err = run_cli(capsys, "audit", kind, "--mechanism", "never", "--n", "3", "--exhaustive", "--cap", "-1")
+        assert code == 2 and out == "" and err == "error: cap must be at least 0, got -1\n"
+    argv = ("audit", "impartiality", "--mechanism", "never", "--n", "1", "--positive-outdegree", "--exhaustive")
+    code, out, _ = run_cli(capsys, *argv, "--cap", "0")
+    assert code == 0 and "violations found: 0" in out
+
+
 def test_audit_output_independent_of_jobs(capsys):
     args = ["audit", "impartiality", "--mechanism", "max-naive", "--n", "4", "--k", "1", "--exhaustive", "--json"]
     _, one, _ = run_cli(capsys, *args, "--jobs", "1")

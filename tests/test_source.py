@@ -91,9 +91,9 @@ def test_no_second_outset_enumeration(path):
 
 def test_kernel_rows_unrank_vertex_n():
     # kernel rows are vertex n's out-set rows, unranked with
-    # spec.outset_at(n, r); vertex v's are their ``vertex_rows`` shifts, the
-    # one rule every kernel pass shares.  A row table unranked for another
-    # vertex would be a second way to build them
+    # spec.outset_at(n, r); vertex v's are their shifts in
+    # ``_deletion.outset_block``, the one rule every kernel pass shares.  A
+    # row table unranked for another vertex would be a second way to build them
     calls = [
         (path.name, node) for path in MODULES for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "outset_rows"
@@ -109,19 +109,22 @@ def test_kernel_rows_unrank_vertex_n():
 
 
 def test_only_the_audit_passes_build_blocks():
-    # each audit pass builds a block's out-set table and counts its
-    # indegrees once, and hands both to the block rule; a block rule or a
-    # kernel that built or counted them again would pay for them twice
-    builders = {"indegree_rows", "outset_columns"}
-    calls = {
-        path.name: sorted({
-            node.func.id for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in builders
-        })
-        for path in MODULES
+    # ``_deletion.outset_block`` is the one builder of a block's table,
+    # choice and indegrees, and only the audit passes call it, once per block,
+    # handing the block to the block rule; a block rule or a kernel that built
+    # or counted them again would pay for them twice
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    defined = {
+        name: sorted(node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                     and node.name in {"outset_block", "outset_columns", "indegree_rows"})
+        for name, tree in trees.items()
     }
-    assert calls.pop("audit.py") == sorted(builders)
-    assert {name: found for name, found in calls.items() if found} == {}
+    assert {name: found for name, found in defined.items() if found} == {"_deletion.py": ["outset_block"]}
+    callers = sorted(
+        name for name, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and "outset_block" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+    assert callers and set(callers) == {"audit.py"}
 
 
 def test_mechanisms_have_no_nested_functions():
